@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from forevalkit import (
     EvaluationFrame,
@@ -458,3 +460,67 @@ class TestBreakdown:
         names = measure_names()
         assert len(names) == len(set(names))
         assert len(names) >= 45
+
+
+# Quarter-integers hit zero denominators and exact ties often; multiples of
+# 1/97 bring rounding that does not cancel.
+_VALUE = st.one_of(
+    st.integers(-12, 12).map(lambda v: v / 4),
+    st.integers(-9700, 9700).map(lambda v: v / 97),
+)
+
+
+@st.composite
+def breakdown_case(draw, nonnegative=False):
+    """A shuffled multi-series frame with models ``m`` and ``b``, train values
+    for every series, and a benchmark frame holding ``b`` on a shuffled
+    superset of the frame's keys."""
+    value = _VALUE.map(abs) if nonnegative else _VALUE
+    keys = []
+    for s in range(draw(st.integers(1, 4))):
+        for origin in draw(st.sets(st.integers(1, 3), min_size=1, max_size=2)):
+            keys += [(f"s{s}", origin, k) for k in range(1, draw(st.integers(1, 4)) + 1)]
+    n = len(keys)
+    columns = draw(st.lists(st.tuples(value, value, value), min_size=n, max_size=n))
+    rows = [key + col for key, col in zip(keys, columns)]
+    rows = [rows[i] for i in draw(st.permutations(range(n)))]
+    sids, origins, steps, y, m, b = (list(c) for c in zip(*rows))
+    fr = EvaluationFrame(sids, origins, steps, y, {"m": np.array(m), "b": np.array(b)})
+    extra = [("x", 1, 1, 1.0, 2.0)]  # a key the frame does not hold
+    bench_rows = [rows[i][:4] + (rows[i][5],) for i in draw(st.permutations(range(n)))] + extra
+    bsids, borigins, bsteps, by, bb = (list(c) for c in zip(*bench_rows))
+    bench_frame = EvaluationFrame(bsids, borigins, bsteps, by, {"b": np.array(bb)})
+    train = {sid: np.array(draw(st.lists(value, min_size=2, max_size=6)))
+             for sid in fr.unique_series()}
+    return fr, bench_frame, train
+
+
+def _sub_frame(fr, sid):
+    rows = np.flatnonzero(fr.series_ids == sid)
+    return EvaluationFrame(fr.series_ids[rows], fr.origins[rows], fr.steps[rows],
+                           fr.actuals[rows], {name: c[rows] for name, c in fr.forecasts.items()})
+
+
+class TestBreakdownConsistency:
+    """``per_series[sid]`` is the measure evaluated on that series' rows alone."""
+
+    @pytest.mark.parametrize("name", measure_names())
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), policy=st.sampled_from(["propagate", "skip", "error"]),
+           bench_by_name=st.booleans())
+    def test_per_series_equals_sub_frame(self, name, data, policy, bench_by_name):
+        fr, bench_frame, train = data.draw(breakdown_case(nonnegative=name in ("RMSLE", "NWRMSLE")))
+        benchmark = "b" if bench_by_name else bench_frame
+        try:
+            r = evaluate(name, fr, model="m", benchmark=benchmark, train=train,
+                         policy=policy, breakdown=True)
+        except UndefinedValueError:
+            assert policy == "error"
+            return
+        assert list(r.per_series) == fr.unique_series()
+        sub_policy = "skip" if policy == "error" else policy
+        for sid, got in r.per_series.items():
+            want = evaluate(name, _sub_frame(fr, sid), model="m", benchmark=benchmark,
+                            train=train, policy=sub_policy).value
+            assert (math.isnan(got) and math.isnan(want)) or math.isclose(
+                got, want, rel_tol=1e-12, abs_tol=0.0), (sid, got, want)
