@@ -9,6 +9,7 @@ evaluation pitfalls.
 """
 
 from .core import (
+    DataValidationError,
     Dataset,
     EmbeddedMatrix,
     EvaluationFrame,

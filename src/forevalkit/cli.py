@@ -5,7 +5,7 @@ Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
 Exit codes: 0 success, 2 usage/config problems, 3 leakage or data
-validation failures.
+validation failures (``DataValidationError``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
-from .core import ValidationError, benchmark_frame
+from .core import DataValidationError, ValidationError, benchmark_frame
 from .io import (
     build_frame,
     read_forecast_csv,
@@ -125,10 +125,10 @@ def cmd_evaluate(args) -> int:
 
     train = None
     if suite.get("train_from_series", True):
-        train = {}
-        for sid in frame.unique_series():
-            first_origin = int(frame.origins[frame.series_mask(sid)].min())
-            train[sid] = dataset[sid].prefix(first_origin)
+        index = frame.series_index
+        first_origins = np.minimum.reduceat(frame.origins[index.order], index.starts[:-1])
+        train = {sid: dataset[sid].prefix(origin)
+                 for sid, origin in zip(index.series, first_origins.tolist())}
 
     results = []
     per_series_matrix: dict[str, dict] = {sid: {} for sid in frame.unique_series()}
@@ -461,11 +461,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if "misaligned" in message or "leakage" in message:
-            return EXIT_VALIDATION
-        return EXIT_USAGE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION if isinstance(exc, DataValidationError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

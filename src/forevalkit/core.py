@@ -18,11 +18,13 @@ import numpy as np
 __all__ = [
     "ForevalError",
     "ValidationError",
+    "DataValidationError",
     "InsufficientHistoryError",
     "TimeSeries",
     "Dataset",
     "Forecaster",
     "EvaluationFrame",
+    "SeriesIndex",
     "EmbeddedMatrix",
     "naive_forecast",
     "seasonal_naive_forecast",
@@ -37,6 +39,10 @@ class ForevalError(Exception):
 
 class ValidationError(ForevalError):
     """Input violates a documented invariant (domain error)."""
+
+
+class DataValidationError(ValidationError):
+    """Input data is malformed: non-finite values, or keys that do not line up."""
 
 
 class InsufficientHistoryError(ValidationError):
@@ -260,12 +266,53 @@ def embed(series: TimeSeries, p: int) -> EmbeddedMatrix:
     )
 
 
+@dataclass(frozen=True)
+class SeriesIndex:
+    """Per-series layout of an evaluation frame's rows.
+
+    ``series`` lists the ids in first-appearance order and ``codes[i]`` is
+    the position in it of row i's series. ``order`` lists the rows grouped
+    by series, in frame order within a series, so the rows of series j are
+    ``order[starts[j]:starts[j + 1]]``.
+    """
+
+    series: tuple
+    position: dict  # series id -> its code
+    codes: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+
+_KEY_DTYPE = np.dtype([("series", np.int64), ("origin", np.int64), ("step", np.int64)])
+
+
+def _keys(codes, origins, steps) -> np.ndarray:
+    """(series code, origin, step) records; they compare field by field."""
+    keys = np.empty(codes.size, dtype=_KEY_DTYPE)
+    keys["series"], keys["origin"], keys["step"] = codes, origins, steps
+    return keys
+
+
+def _as_ints(keys: np.ndarray) -> np.ndarray:
+    """Keys as an (n, 3) integer array, for fast element-wise comparison."""
+    return keys.view(np.int64).reshape(-1, 3)
+
+
 class EvaluationFrame:
     """Aligned (actual, forecast) records keyed by (series, origin, step).
 
     The frame is dense: every key carries a forecast for every model, and the
     actual value for a key is stored once, so it cannot differ across models.
-    This is the single source for every base error in the measures module.
+    Actuals and forecasts must be finite. This is the single source for every
+    base error in the measures module.
+
+    Two indexes are computed on first use and cached on the frame:
+    ``series_index`` (series codes in first-appearance order and the rows of
+    each series, read by the per-series measures and breakdowns) and, once
+    the frame serves as a benchmark, its keys sorted for ``align_benchmark``'s
+    join. Both rely on the columns never changing after construction: the
+    arrays are read-only, and the attributes holding them must not be
+    reassigned. Frames that never group or join build neither index.
     """
 
     def __init__(
@@ -298,9 +345,17 @@ class EvaluationFrame:
         keys = list(zip(self.series_ids.tolist(), self.origins.tolist(), self.steps.tolist()))
         if len(set(keys)) != n:
             raise ValidationError("duplicate (series, origin, step) key in evaluation frame")
+        for model, col in ((None, self.actuals), *self.forecasts.items()):
+            finite = np.isfinite(col)
+            if not finite.all():
+                i = int(finite.argmin())
+                what = "actual" if model is None else f"model {model!r}: forecast"
+                raise DataValidationError(f"{what} at key {keys[i]} is not finite: {col[i]}")
 
         for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values()):
             arr.setflags(write=False)
+        self._series_index: SeriesIndex | None = None
+        self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def models(self) -> list[str]:
@@ -314,11 +369,25 @@ class EvaluationFrame:
     def n_rows(self) -> int:
         return self.actuals.size
 
+    @property
+    def series_index(self) -> SeriesIndex:
+        """The frame's per-series row layout, computed on first use."""
+        if self._series_index is None:
+            position: dict = {}
+            codes = np.fromiter(
+                (position.setdefault(sid, len(position)) for sid in self.series_ids.tolist()),
+                dtype=np.int64, count=self.n_rows,
+            )
+            starts = np.zeros(len(position) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(codes), out=starts[1:])
+            self._series_index = SeriesIndex(
+                tuple(position), position, codes, np.argsort(codes, kind="stable"), starts,
+            )
+        return self._series_index
+
     def unique_series(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for sid in self.series_ids.tolist():
-            seen.setdefault(sid, None)
-        return list(seen)
+        """Series ids in first-appearance order."""
+        return list(self.series_index.series)
 
     def model_column(self, model: str | None = None) -> np.ndarray:
         """Forecast column for a model; the model may be omitted if unambiguous."""
@@ -346,24 +415,33 @@ class EvaluationFrame:
     def align_benchmark(self, benchmark: "EvaluationFrame") -> np.ndarray:
         """Benchmark forecast column re-ordered to this frame's keys.
 
-        The benchmark frame must hold exactly one model and cover every key.
+        The benchmark frame must hold exactly one model and cover every key;
+        it may hold more keys, in any order. The join searches this frame's
+        keys in the benchmark's sorted keys, which are cached on the
+        benchmark frame.
         """
         if len(benchmark.forecasts) != 1:
             raise ValidationError("benchmark frame must carry exactly one model")
         col = next(iter(benchmark.forecasts.values()))
-        index = {
-            (sid, int(o), int(k)): i
-            for i, (sid, o, k) in enumerate(
-                zip(benchmark.series_ids.tolist(), benchmark.origins, benchmark.steps)
+        if benchmark._sorted_keys is None:
+            index = benchmark.series_index
+            order = np.lexsort((benchmark.steps, benchmark.origins, index.codes))
+            benchmark._sorted_keys = (_keys(index.codes, benchmark.origins, benchmark.steps)[order],
+                                      order)
+        sorted_keys, order = benchmark._sorted_keys
+        own = self.series_index
+        bench_codes = np.array([benchmark.series_index.position.get(sid, -1) for sid in own.series],
+                               dtype=np.int64)
+        wanted = _keys(bench_codes[own.codes], self.origins, self.steps)
+        pos = np.minimum(np.searchsorted(sorted_keys, wanted), sorted_keys.size - 1)
+        found = (_as_ints(sorted_keys[pos]) == _as_ints(wanted)).all(axis=1)
+        if not found.all():
+            i = int(found.argmin())
+            raise ValidationError(
+                f"benchmark frame is missing key ({self.series_ids[i]!r}, "
+                f"{int(self.origins[i])}, {int(self.steps[i])})"
             )
-        }
-        out = np.empty(self.n_rows, dtype=float)
-        for i, (sid, o, k) in enumerate(zip(self.series_ids.tolist(), self.origins, self.steps)):
-            j = index.get((sid, int(o), int(k)))
-            if j is None:
-                raise ValidationError(f"benchmark frame is missing key ({sid!r}, {int(o)}, {int(k)})")
-            out[i] = col[j]
-        return out
+        return col[order[pos]]
 
 
 def frame_from_records(records, models: list[str] | None = None) -> EvaluationFrame:

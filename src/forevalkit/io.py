@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, EvaluationFrame, TimeSeries, ValidationError
+from .core import DataValidationError, Dataset, EvaluationFrame, TimeSeries, ValidationError
 
 __all__ = [
     "read_series_csv",
@@ -150,7 +150,7 @@ def build_frame(dataset: Dataset, forecast_rows) -> EvaluationFrame:
         for m in models:
             cols[m].append(slot[m])
     if problems:
-        raise ValidationError("misaligned evaluation inputs:\n  " + "\n  ".join(problems))
+        raise DataValidationError("misaligned evaluation inputs:\n  " + "\n  ".join(problems))
     return EvaluationFrame(sids, origins, steps, actuals, {m: np.array(v) for m, v in cols.items()})
 
 

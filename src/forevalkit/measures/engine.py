@@ -47,11 +47,13 @@ class WeightVector:
 
     def per_row(self, frame: EvaluationFrame) -> np.ndarray:
         if self.axis == "series":
-            keys = frame.series_ids.tolist()
+            index = frame.series_index
+            keys, codes = index.series, index.codes
         else:
-            keys = frame.steps.tolist()
+            keys, codes = np.unique(frame.steps, return_inverse=True)
+            keys = keys.tolist()
         try:
-            return np.array([self.weights[k] for k in keys], dtype=float)
+            return np.array([self.weights[k] for k in keys], dtype=float)[codes]
         except KeyError as exc:
             raise ValidationError(f"no weight for {self.axis} {exc.args[0]!r}") from None
 
@@ -84,19 +86,114 @@ def _dedupe(flags: list[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(flags))
 
 
-def _summarise(terms: np.ndarray, op: str, flags: list[str]) -> float:
-    """Apply a summarising operator to defined terms."""
-    if op == "mean":
-        return float(terms.mean())
-    if op == "median":
-        return float(np.median(terms))
-    if op == "geometric-mean":
-        a = np.abs(terms)
-        if (a == 0).any():
-            flags.append(_GM_ZERO_FLAG)
-            return 0.0
-        return float(np.exp(np.mean(np.log(a))))
-    raise ValidationError(f"unknown summariser {op!r}")
+class _Groups:
+    """A frame's rows as one group (pooled) or as one group per series.
+
+    ``reduce`` stacks the groups of equal size into a 2-D array, each row
+    one group's values in frame order, and reduces along the rows. That
+    sums a group exactly as ``ndarray.sum`` sums it alone, so a per-series
+    value equals the measure on that series' sub-frame to the last bit.
+    (``np.add.reduceat`` adds sequentially and differs in the last bits,
+    which matters where terms cancel.)
+    """
+
+    def __init__(self, n_rows: int, index=None):
+        self.n_rows = n_rows
+        self.index = index  # SeriesIndex, or None for one group of all rows
+
+    @classmethod
+    def by_series(cls, frame: EvaluationFrame) -> "_Groups":
+        return cls(frame.n_rows, frame.series_index)
+
+    @property
+    def n_groups(self) -> int:
+        return 1 if self.index is None else len(self.index.series)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.array([self.n_rows]) if self.index is None else np.diff(self.index.starts)
+
+    def reduce(self, x: np.ndarray, reducer, mask=None) -> np.ndarray:
+        """``reducer`` over each group's rows (those in ``mask``); NaN for a group with none."""
+        if self.index is None:
+            values = x if mask is None else x[mask]
+            return reducer(values[None, :]) if values.size else np.full(1, np.nan)
+        order = self.index.order
+        if mask is None:
+            rows, sizes = order, self.sizes
+        else:
+            rows = order[mask[order]]
+            sizes = np.bincount(self.index.codes[rows], minlength=self.n_groups)
+        values = x[rows]
+        out = np.full(self.n_groups, np.nan)
+        if sizes.min() == sizes.max():  # already stacked: one row per group
+            if sizes[0]:
+                out[:] = reducer(values.reshape(self.n_groups, -1))
+            return out
+        starts = np.cumsum(sizes) - sizes
+        by_size = np.argsort(sizes, kind="stable")
+        for groups in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            size = sizes[groups[0]]
+            if size:
+                out[groups] = reducer(values[starts[groups, None] + np.arange(size)])
+        return out
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        return self.reduce(x, _row_sum)
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        return self.reduce(x, _row_mean)
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        if self.index is None:
+            return np.array([np.count_nonzero(mask)])
+        return np.bincount(self.index.codes[mask], minlength=self.n_groups)
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-group values broadcast back to the rows."""
+        return values[0] if self.index is None else values[self.index.codes]
+
+    def as_dict(self, values: np.ndarray) -> dict:
+        return dict(zip(self.index.series, values.tolist()))
+
+
+def _row_sum(a):
+    return np.add.reduce(a, axis=1)
+
+
+def _row_mean(a):
+    return np.add.reduce(a, axis=1) / a.shape[1]
+
+
+def _row_geometric_mean(a):
+    a = np.abs(a)
+    nonzero = a != 0
+    out = np.exp(_row_mean(np.log(a, out=np.zeros_like(a), where=nonzero)))
+    out[~nonzero.all(axis=1)] = 0.0
+    return out
+
+
+_SUMMARISERS = {
+    "mean": _row_mean,
+    "median": lambda a: np.median(a, axis=1),
+    "geometric-mean": _row_geometric_mean,
+}
+
+
+def _summarise(groups: _Groups, terms, defined, op: str, skip: bool, sqrt_after: bool) -> np.ndarray:
+    """Per group: ``op`` over its defined terms (all terms when ``defined`` is None).
+
+    NaN for a group with no defined term, and, unless ``skip``, for a group
+    with an undefined one. A zero term makes a geometric mean 0.
+    """
+    try:
+        reducer = _SUMMARISERS[op]
+    except KeyError:
+        raise ValidationError(f"unknown summariser {op!r}") from None
+    values = groups.reduce(terms, reducer, defined)
+    if not skip and defined is not None:
+        values[groups.count(~defined) > 0] = np.nan
+    return np.sqrt(values) if sqrt_after else values
 
 
 def _finish(
@@ -108,34 +205,61 @@ def _finish(
     policy: str,
     flags: list[str],
     sqrt_after: bool = False,
+    series: _Groups | None = None,
     per_series: dict | None = None,
 ) -> MeasureResult:
-    """Aggregate terms under a policy and assemble the result."""
+    """Aggregate terms under a policy and assemble the result.
+
+    With row-level ``series`` groups, the same terms are also summarised per
+    series; within a series the ``error`` policy counts as ``skip``.
+    """
     total = terms.size
-    n_undef = int(total - defined.sum())
+    n_undef = int(total - np.count_nonzero(defined))
     if n_undef:
         flags.append(_UNDEFINED_FLAG)
         if policy == UndefinedPolicy.ERROR:
             raise UndefinedValueError(
                 f"{name}: {n_undef} of {total} terms are undefined"
             )
-    n_used = total - n_undef
-    if (policy == UndefinedPolicy.PROPAGATE and n_undef) or n_used == 0:
-        if n_used == 0 and not n_undef:
-            flags.append("empty-input")
-        return MeasureResult(name, model, float("nan"), n_used, n_undef, per_series, _dedupe(flags))
-    value = _summarise(terms[defined], op, flags)
-    if sqrt_after:
-        value = math.sqrt(value)
-    return MeasureResult(name, model, float(value), n_used, n_undef, per_series, _dedupe(flags))
+    skip = policy != UndefinedPolicy.PROPAGATE
+    value = float("nan")
+    if total > n_undef and (skip or not n_undef):
+        used = defined if n_undef else None
+        value = float(_summarise(_Groups(total), terms, used, op, True, sqrt_after)[0])
+        if op == "geometric-mean" and not np.all(terms if used is None else terms[used]):
+            flags.append(_GM_ZERO_FLAG)
+    if series is not None:
+        per_series = series.as_dict(_summarise(series, terms, defined, op, skip, sqrt_after))
+    return MeasureResult(name, model, value, total - n_undef, n_undef, per_series, _dedupe(flags))
 
 
-def _series_groups(frame: EvaluationFrame) -> list[tuple[str, np.ndarray]]:
-    """(series_id, row index array) in first-appearance order."""
-    order: dict[str, list[int]] = {}
-    for i, sid in enumerate(frame.series_ids.tolist()):
-        order.setdefault(sid, []).append(i)
-    return [(sid, np.array(rows)) for sid, rows in order.items()]
+def _series_ratio(num: np.ndarray, den: np.ndarray, flags: list[str]):
+    """Per-series ratio and where it is defined (a non-zero denominator)."""
+    defined = den != 0
+    if not defined.all():
+        flags.append(_ZERO_SCALE_FLAG)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, defined
+
+
+def _pooled_ratio(name, model, ratio, n_rows, policy, flags, series: _Groups | None) -> MeasureResult:
+    """A ratio of sums over all rows, and per series the same ratio over its rows.
+
+    ``ratio(groups)`` returns (value, denominator) per group. A zero pooled
+    denominator leaves every term undefined; a zero per-series one leaves
+    that series' value undefined.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, den = ratio(_Groups(n_rows))
+        if den[0] == 0:
+            flags.append(_ZERO_SCALE_FLAG)
+            return _finish(name, model, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean",
+                           policy, flags, series=series)
+        per_series = None
+        if series is not None:
+            values, dens = ratio(series)
+            per_series = series.as_dict(np.where(dens != 0, values, np.nan))
+    return MeasureResult(name, model, float(value[0]), n_rows, 0, per_series, _dedupe(flags))
 
 
 def _train_scale(name: str, train, sid: str, kind: str, constants: dict) -> float:
@@ -207,18 +331,25 @@ def _rate_terms(frame: EvaluationFrame, yhat: np.ndarray) -> np.ndarray:
     """Rate-based base error: forecast minus the running mean of the actuals.
 
     The running mean is taken over the evaluation window of each
-    (series, origin) pair, in horizon-step order.
+    (series, origin) pair, in horizon-step order. The running sums advance
+    one step position at a time across all windows, adding in the order
+    ``np.cumsum`` adds within one window.
     """
-    c = np.empty(frame.n_rows)
-    groups: dict[tuple, list[int]] = {}
-    for i, (sid, o) in enumerate(zip(frame.series_ids.tolist(), frame.origins.tolist())):
-        groups.setdefault((sid, o), []).append(i)
-    for rows in groups.values():
-        rows = sorted(rows, key=lambda i: frame.steps[i])
-        idx = np.array(rows)
-        y = frame.actuals[idx]
-        cummean = np.cumsum(y) / np.arange(1, y.size + 1)
-        c[idx] = yhat[idx] - cummean
+    n = frame.n_rows
+    codes = frame.series_index.codes
+    rows = np.lexsort((frame.steps, frame.origins, codes))
+    row_codes, row_origins = codes[rows], frame.origins[rows]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (row_codes[1:] != row_codes[:-1]) | (row_origins[1:] != row_origins[:-1])
+    position = np.arange(n) - np.maximum.accumulate(np.where(starts, np.arange(n), 0))
+    sums = frame.actuals[rows]
+    by_position = np.argsort(position, kind="stable")
+    bounds = np.cumsum(np.bincount(position))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = by_position[lo:hi]
+        sums[at] += sums[at - 1]
+    c = np.empty(n)
+    c[rows] = yhat[rows] - sums / (position + 1)
     return c
 
 
@@ -258,7 +389,10 @@ def evaluate(
     constants : overrides for the measure's constants (epsilon, clamp, ...).
     series_summary : operator combining per-series values of per-series
         measures (mean | median | geometric-mean).
-    breakdown : additionally compute the measure per series.
+    breakdown : additionally give the measure per series, in first-appearance
+        order, from the same terms as the pooled value. Each equals the
+        measure on that series' rows alone, where ``error`` counts as
+        ``skip``. Measures with one value per series always give it.
     """
     spec = spec_for(name)
     policy = _resolve_policy(policy)
@@ -276,60 +410,51 @@ def evaluate(
     y = frame.actuals
     yhat = frame.model_column(model)
     e = y - yhat
-    flags: list[str] = []
-
-    result = _dispatch(
+    series = _Groups.by_series(frame) if breakdown else None
+    return _dispatch(
         spec, frame, y, yhat, e, model_name, benchmark, train, weights,
-        policy, consts, series_summary, flags,
+        policy, consts, series_summary, [], series,
     )
-
-    if breakdown and result.per_series is None:
-        per_series = {}
-        for sid, rows in _series_groups(frame):
-            sub = EvaluationFrame(
-                frame.series_ids[rows], frame.origins[rows], frame.steps[rows],
-                frame.actuals[rows],
-                {m: c[rows] for m, c in frame.forecasts.items()},
-            )
-            # a benchmark frame needs no subsetting: alignment is by key lookup
-            sub_train = {sid: train[sid]} if (train and sid in train) else train
-            r = evaluate(
-                name, sub, model=model, benchmark=benchmark, train=sub_train,
-                weights=_resolve_weights(frame, weights)[rows] if weights is not None else None,
-                policy=UndefinedPolicy.SKIP if policy == UndefinedPolicy.ERROR else policy,
-                constants=constants, series_summary=series_summary,
-            )
-            per_series[sid] = r.value
-        result = MeasureResult(
-            result.name, result.model, result.value, result.n_used,
-            result.n_undefined, per_series, result.flags,
-        )
-    return result
 
 
 def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
-              policy, consts, series_summary, flags) -> MeasureResult:
+              policy, consts, series_summary, flags, series) -> MeasureResult:
     name = spec.name
+
+    def finish(terms, defined, op, sqrt_after=False):
+        return _finish(name, model_name, terms, defined, op, policy, flags, sqrt_after, series)
+
+    def ratio(fn):
+        return _pooled_ratio(name, model_name, fn, e.size, policy, flags, series)
+
+    def series_values(values, defined):
+        per_series = groups.as_dict(np.where(defined, values, np.nan))
+        return _finish(name, model_name, values, defined, series_summary, policy, flags,
+                       per_series=per_series)
+
+    groups = series
+    if groups is None and spec.term_level == "series":
+        groups = _Groups.by_series(frame)
 
     # ---- pooled step-level term measures ---------------------------------
     if name in ("ME", "MSE", "RMSE", "ErrorStd", "MAE", "MdAE", "RMdSE", "GMAE", "GRMSE"):
         defined = np.ones(e.size, dtype=bool)
         if name == "ME":
-            return _finish(name, model_name, e, defined, "mean", policy, flags)
+            return finish(e, defined, "mean")
         if name in ("MSE",):
-            return _finish(name, model_name, e * e, defined, "mean", policy, flags)
+            return finish(e * e, defined, "mean")
         if name in ("RMSE", "ErrorStd"):
-            return _finish(name, model_name, e * e, defined, "mean", policy, flags, sqrt_after=True)
+            return finish(e * e, defined, "mean", sqrt_after=True)
         if name == "MAE":
-            return _finish(name, model_name, np.abs(e), defined, "mean", policy, flags)
+            return finish(np.abs(e), defined, "mean")
         if name == "MdAE":
-            return _finish(name, model_name, np.abs(e), defined, "median", policy, flags)
+            return finish(np.abs(e), defined, "median")
         if name == "RMdSE":
-            return _finish(name, model_name, e * e, defined, "median", policy, flags, sqrt_after=True)
+            return finish(e * e, defined, "median", sqrt_after=True)
         if name == "GMAE":
-            return _finish(name, model_name, np.abs(e), defined, "geometric-mean", policy, flags)
+            return finish(np.abs(e), defined, "geometric-mean")
         if name == "GRMSE":
-            return _finish(name, model_name, e * e, defined, "geometric-mean", policy, flags, sqrt_after=True)
+            return finish(e * e, defined, "geometric-mean", sqrt_after=True)
 
     if name in ("MAPE", "MdAPE", "RMSPE", "RMdSPE"):
         defined = y != 0
@@ -337,8 +462,7 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
         np.divide(100.0 * e, y, out=p, where=defined)
         terms = p * p if spec.square_or_abs == "squared" else np.abs(p)
         op = "median" if name in ("MdAPE", "RMdSPE") else "mean"
-        return _finish(name, model_name, terms, defined, op, policy, flags,
-                       sqrt_after=name in ("RMSPE", "RMdSPE"))
+        return finish(terms, defined, op, sqrt_after=name in ("RMSPE", "RMdSPE"))
 
     if name in ("sMAPE", "sMdAPE"):
         den = np.abs(y) + np.abs(yhat)
@@ -349,7 +473,7 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
         # rounding spill that occurs when y and f have opposite signs
         np.minimum(terms, 200.0, out=terms)
         op = "median" if name == "sMdAPE" else "mean"
-        return _finish(name, model_name, terms, defined, op, policy, flags)
+        return finish(terms, defined, op)
 
     if name == "msMAPE":
         eps, thr = consts["epsilon"], consts["threshold"]
@@ -357,7 +481,7 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
         if (np.abs(y) + np.abs(yhat) <= thr).any():
             flags.append(_WINSORISED_FLAG)
         terms = 200.0 * np.abs(e) / den
-        return _finish(name, model_name, terms, np.ones(e.size, dtype=bool), "mean", policy, flags)
+        return finish(terms, np.ones(e.size, dtype=bool), "mean")
 
     if name == "MAAPE":
         defined = ~((y == 0) & (e == 0))
@@ -366,69 +490,36 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
         np.divide(np.abs(e), np.abs(y), out=terms, where=nonzero_y)
         terms = np.arctan(terms)
         terms[(y == 0) & (e != 0)] = math.pi / 2.0
-        return _finish(name, model_name, terms, defined, "mean", policy, flags)
+        return finish(terms, defined, "mean")
 
     # ---- per-series ratio measures ----------------------------------------
     if name in ("WAPE", "sWAPE", "WRMSPE", "RTAE"):
-        groups = _series_groups(frame)
-        vals = np.empty(len(groups))
-        defined = np.ones(len(groups), dtype=bool)
-        per_series = {}
-        for j, (sid, rows) in enumerate(groups):
-            ys, es, fs = y[rows], e[rows], yhat[rows]
-            if name == "WAPE":
-                num, den = np.abs(es).sum(), np.abs(ys).sum()
-            elif name == "sWAPE":
-                num, den = np.abs(es).sum(), (np.abs(ys) + np.abs(fs)).sum()
-            elif name == "WRMSPE":
-                num, den = (es * es).sum(), np.abs(ys).sum()
-            else:  # RTAE
-                num = np.abs(es).mean()
-                raw_den = np.abs(ys).mean()
-                den = max(consts["clamp"], raw_den)
-                if raw_den < consts["clamp"]:
-                    flags.append(_WINSORISED_FLAG)
-            if den == 0:
-                defined[j] = False
-                flags.append(_ZERO_SCALE_FLAG)
-                per_series[sid] = float("nan")
-                continue
-            v = num / den
-            if name == "WRMSPE":
-                v = math.sqrt(v)
-            vals[j] = v
-            per_series[sid] = float(v)
-        return _finish(name, model_name, vals, defined, series_summary, policy, flags,
-                       per_series=per_series)
+        if name == "RTAE":
+            num, raw_den = groups.mean(np.abs(e)), groups.mean(np.abs(y))
+            den = np.maximum(consts["clamp"], raw_den)
+            if (raw_den < consts["clamp"]).any():
+                flags.append(_WINSORISED_FLAG)
+        else:
+            num = groups.sum(e * e if name == "WRMSPE" else np.abs(e))
+            den = groups.sum(np.abs(y) + np.abs(yhat) if name == "sWAPE" else np.abs(y))
+        values, defined = _series_ratio(num, den, flags)
+        return series_values(np.sqrt(values) if name == "WRMSPE" else values, defined)
 
     if name in ("sME", "sMSE", "sMAE"):
-        terms = np.empty(e.size)
-        defined = np.ones(e.size, dtype=bool)
-        for sid, rows in _series_groups(frame):
-            scale = _train_scale(name, train, sid, "mean", consts)
-            if scale == 0:
-                defined[rows] = False
-                flags.append(_ZERO_SCALE_FLAG)
-                continue
-            if name == "sME":
-                terms[rows] = e[rows] / scale
-            elif name == "sMSE":
-                terms[rows] = (e[rows] / scale) ** 2
-            else:
-                terms[rows] = np.abs(e[rows]) / scale
-        return _finish(name, model_name, terms, defined, "mean", policy, flags)
+        scale = _row_scales(name, train, frame, "mean", consts, flags)
+        defined = scale != 0
+        if name == "sME":
+            terms = _over(e, scale, defined)
+        elif name == "sMSE":
+            terms = _over(e, scale, defined) ** 2
+        else:
+            terms = _over(np.abs(e), scale, defined)
+        return finish(terms, defined, "mean")
 
     if name in ("ND", "NRMSE"):
-        den = np.abs(y).sum() if name == "ND" else np.abs(y).mean()
-        defined = np.full(e.size, den != 0)
-        if den == 0:
-            flags.append(_ZERO_SCALE_FLAG)
-            return _finish(name, model_name, e, defined, "mean", policy, flags)
         if name == "ND":
-            value = np.abs(e).sum() / den
-        else:
-            value = math.sqrt((e * e).mean()) / den
-        return MeasureResult(name, model_name, float(value), e.size, 0, None, _dedupe(flags))
+            return ratio(lambda g: (g.sum(np.abs(e)) / g.sum(np.abs(y)), g.sum(np.abs(y))))
+        return ratio(lambda g: (np.sqrt(g.mean(e * e)) / g.mean(np.abs(y)), g.mean(np.abs(y))))
 
     # ---- benchmark-relative -------------------------------------------------
     if name in ("MRAE", "MdRAE", "RMRSE", "GMRAE", "RGRMSE"):
@@ -439,63 +530,28 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
         terms = r * r if spec.square_or_abs == "squared" else np.abs(r)
         op = {"MRAE": "mean", "MdRAE": "median", "RMRSE": "mean",
               "GMRAE": "geometric-mean", "RGRMSE": "geometric-mean"}[name]
-        return _finish(name, model_name, terms, defined, op, policy, flags,
-                       sqrt_after=name in ("RMRSE", "RGRMSE"))
+        return finish(terms, defined, op, sqrt_after=name in ("RMRSE", "RGRMSE"))
 
     if name in ("RelMAE", "RelMSE", "RelRMSE"):
-        yhat_b = _resolve_benchmark(frame, benchmark, model_name)
-        e_b = y - yhat_b
-        groups = _series_groups(frame)
-        vals = np.empty(len(groups))
-        defined = np.ones(len(groups), dtype=bool)
-        per_series = {}
-        for j, (sid, rows) in enumerate(groups):
-            if spec.square_or_abs == "squared":
-                num, den = (e[rows] ** 2).mean(), (e_b[rows] ** 2).mean()
-            else:
-                num, den = np.abs(e[rows]).mean(), np.abs(e_b[rows]).mean()
-            if den == 0:
-                defined[j] = False
-                flags.append(_ZERO_SCALE_FLAG)
-                per_series[sid] = float("nan")
-                continue
-            v = num / den
-            if name == "RelRMSE":
-                v = math.sqrt(v)
-            vals[j] = v
-            per_series[sid] = float(v)
-        return _finish(name, model_name, vals, defined, series_summary, policy, flags,
-                       per_series=per_series)
+        e_b = y - _resolve_benchmark(frame, benchmark, model_name)
+        if spec.square_or_abs == "squared":
+            num, den = groups.mean(e ** 2), groups.mean(e_b ** 2)
+        else:
+            num, den = groups.mean(np.abs(e)), groups.mean(np.abs(e_b))
+        values, defined = _series_ratio(num, den, flags)
+        return series_values(np.sqrt(values) if name == "RelRMSE" else values, defined)
 
     if name == "RSE":
-        ybar = y.mean()
-        den = ((y - ybar) ** 2).sum()
-        defined = np.full(e.size, den != 0)
-        if den == 0:
-            flags.append(_ZERO_SCALE_FLAG)
-            return _finish(name, model_name, e, defined, "mean", policy, flags)
-        value = math.sqrt((e * e).sum()) / math.sqrt(den)
-        return MeasureResult(name, model_name, float(value), e.size, 0, None, _dedupe(flags))
+        def rse(g):
+            den = g.sum((y - g.expand(g.mean(y))) ** 2)
+            return np.sqrt(g.sum(e * e)) / np.sqrt(den), den
+        return ratio(rse)
 
     if name == "AvgRelMAE":
-        yhat_b = _resolve_benchmark(frame, benchmark, model_name)
-        e_b = y - yhat_b
-        groups = _series_groups(frame)
-        ratios = np.empty(len(groups))
-        lengths = np.empty(len(groups))
-        defined = np.ones(len(groups), dtype=bool)
-        per_series = {}
-        for j, (sid, rows) in enumerate(groups):
-            num, den = np.abs(e[rows]).mean(), np.abs(e_b[rows]).mean()
-            lengths[j] = rows.size
-            if den == 0:
-                defined[j] = False
-                flags.append(_ZERO_SCALE_FLAG)
-                per_series[sid] = float("nan")
-                continue
-            ratios[j] = num / den
-            per_series[sid] = float(ratios[j])
-        total = len(groups)
+        e_b = y - _resolve_benchmark(frame, benchmark, model_name)
+        ratios, defined = _series_ratio(groups.mean(np.abs(e)), groups.mean(np.abs(e_b)), flags)
+        per_series = groups.as_dict(np.where(defined, ratios, np.nan))
+        total = ratios.size
         n_undef = int(total - defined.sum())
         if n_undef:
             flags.append(_UNDEFINED_FLAG)
@@ -504,7 +560,7 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
             if policy == UndefinedPolicy.PROPAGATE:
                 return MeasureResult(name, model_name, float("nan"), total - n_undef,
                                      n_undef, per_series, _dedupe(flags))
-        rr, hh = ratios[defined], lengths[defined]
+        rr, hh = ratios[defined], groups.sizes[defined].astype(float)
         if rr.size == 0:
             return MeasureResult(name, model_name, float("nan"), 0, n_undef, per_series, _dedupe(flags))
         if (rr == 0).any():
@@ -517,21 +573,11 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
 
     if name in ("MASE", "MdASE", "RMSSE"):
         kind = "naive-mse" if name == "RMSSE" else "naive-mae"
-        terms = np.empty(e.size)
-        defined = np.ones(e.size, dtype=bool)
-        for sid, rows in _series_groups(frame):
-            scale = _train_scale(name, train, sid, kind, consts)
-            if scale == 0:
-                defined[rows] = False
-                flags.append(_ZERO_SCALE_FLAG)
-                continue
-            if name == "RMSSE":
-                terms[rows] = e[rows] ** 2 / scale
-            else:
-                terms[rows] = np.abs(e[rows]) / scale
-        op = "median" if name == "MdASE" else "mean"
-        return _finish(name, model_name, terms, defined, op, policy, flags,
-                       sqrt_after=name == "RMSSE")
+        scale = _row_scales(name, train, frame, kind, consts, flags)
+        defined = scale != 0
+        terms = _over(e ** 2 if name == "RMSSE" else np.abs(e), scale, defined)
+        return finish(terms, defined, "median" if name == "MdASE" else "mean",
+                      sqrt_after=name == "RMSSE")
 
     # ---- transformations -------------------------------------------------
     if name in ("RMSLE", "NWRMSLE"):
@@ -539,38 +585,45 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
             raise ValidationError(f"{name}: negative actuals or forecasts are outside the measure's domain")
         l = np.log1p(y) - np.log1p(yhat)
         if name == "RMSLE":
-            return _finish(name, model_name, l * l, np.ones(l.size, dtype=bool),
-                           "mean", policy, flags, sqrt_after=True)
+            return finish(l * l, np.ones(l.size, dtype=bool), "mean", sqrt_after=True)
         w = _resolve_weights(frame, weights)
-        value = math.sqrt(float((w * l * l).sum() / w.sum()))
-        return MeasureResult(name, model_name, value, l.size, 0, None, _dedupe(flags))
+        return ratio(lambda g: (np.sqrt(g.sum(w * l * l) / g.sum(w)), g.sum(w)))
 
     # ---- other -------------------------------------------------------------
     if name in ("MSR", "MAR"):
         c = _rate_terms(frame, yhat)
         terms = c * c if name == "MSR" else np.abs(c)
-        return _finish(name, model_name, terms, np.ones(c.size, dtype=bool), "mean", policy, flags)
+        return finish(terms, np.ones(c.size, dtype=bool), "mean")
 
     if name == "WMAE":
         w = _resolve_weights(frame, weights)
-        value = float((w * np.abs(e)).sum() / w.sum())
-        return MeasureResult(name, model_name, value, e.size, 0, None, _dedupe(flags))
+        return ratio(lambda g: (g.sum(w * np.abs(e)) / g.sum(w), g.sum(w)))
 
     if name == "CORR":
-        groups = _series_groups(frame)
-        vals = np.empty(len(groups))
-        defined = np.ones(len(groups), dtype=bool)
-        per_series = {}
-        for j, (sid, rows) in enumerate(groups):
+        index = groups.index
+        values = np.zeros(len(index.series))
+        defined = np.zeros(len(index.series), dtype=bool)
+        for j, rows in enumerate(np.split(index.order, index.starts[1:-1])):
             ys, fs = y[rows], yhat[rows]
-            if rows.size < 2 or np.ptp(ys) == 0 or np.ptp(fs) == 0:
-                defined[j] = False
-                flags.append("zero-variance")
-                per_series[sid] = float("nan")
-                continue
-            vals[j] = _pearson(ys, fs)
-            per_series[sid] = float(vals[j])
-        return _finish(name, model_name, vals, defined, series_summary, policy, flags,
-                       per_series=per_series)
+            if rows.size >= 2 and np.ptp(ys) != 0 and np.ptp(fs) != 0:
+                values[j], defined[j] = _pearson(ys, fs), True
+        if not defined.all():
+            flags.append("zero-variance")
+        return series_values(values, defined)
 
     raise ValidationError(f"measure {name!r} is registered but not implemented")  # pragma: no cover
+
+
+def _row_scales(name: str, train, frame: EvaluationFrame, kind: str, constants: dict,
+                flags: list[str]) -> np.ndarray:
+    """Each row's in-sample scale: that of its series, from its train values."""
+    index = frame.series_index
+    scales = np.array([_train_scale(name, train, sid, kind, constants) for sid in index.series])
+    if (scales == 0).any():
+        flags.append(_ZERO_SCALE_FLAG)
+    return scales[index.codes]
+
+
+def _over(num: np.ndarray, scale: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """``num / scale`` where defined, 0 elsewhere."""
+    return np.divide(num, scale, out=np.zeros_like(num), where=defined)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from forevalkit import (
+    DataValidationError,
     Dataset,
     EvaluationFrame,
     Forecaster,
@@ -203,8 +204,37 @@ class TestEvaluationFrame:
     def test_align_benchmark_missing_key(self):
         frame = frame_from_records([("a", 1, 1, 1.0, {"m": 1.0}), ("a", 1, 2, 2.0, {"m": 1.0})])
         bench = frame_from_records([("a", 1, 1, 1.0, {"b": 1.0})])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"missing key \('a', 1, 2\)"):
             frame.align_benchmark(bench)
+        # rows in another order, plus keys the frame does not hold
+        superset = frame_from_records([
+            ("b", 1, 1, 0.0, {"b": 9.0}), ("a", 1, 2, 2.0, {"b": 20.0}),
+            ("a", 2, 1, 0.0, {"b": 8.0}), ("a", 1, 1, 1.0, {"b": 10.0}),
+        ])
+        assert frame.align_benchmark(superset).tolist() == [10.0, 20.0]
+
+    def test_series_index(self):
+        frame = EvaluationFrame(["b", "a", "b", "c", "a"], [1] * 5, [1, 1, 2, 1, 2],
+                                [1.0] * 5, {"m": np.ones(5)})
+        index = frame.series_index
+        assert index is frame.series_index  # computed once
+        assert frame.unique_series() == ["b", "a", "c"]
+        assert index.codes.tolist() == [0, 1, 0, 2, 1]
+        assert index.order.tolist() == [0, 2, 1, 4, 3]
+        assert index.starts.tolist() == [0, 2, 4, 5]
+
+    @pytest.mark.parametrize("column", ["actual", "forecast"])
+    def test_non_finite_values_rejected(self, column):
+        values = {"actual": [1.0, 2.0, 3.0], "forecast": [1.0, 2.0, 3.0]}
+        values[column][1] = np.nan
+        with pytest.raises(DataValidationError, match=r"key \('a', 1, 2\)") as info:
+            EvaluationFrame(["a"] * 3, [1] * 3, [1, 2, 3], values["actual"],
+                            {"m": np.array(values["forecast"])})
+        assert ("model 'm'" in str(info.value)) == (column == "forecast")
+        values[column][1] = np.inf
+        with pytest.raises(DataValidationError):
+            EvaluationFrame(["a"] * 3, [1] * 3, [1, 2, 3], values["actual"],
+                            {"m": np.array(values["forecast"])})
 
 
 class TestBenchmarkFrame:

@@ -171,6 +171,13 @@ class TestCliEvaluate:
                      str(suite), "--out", str(workdir / "o")])
         assert code == 2
 
+    def test_non_finite_forecast_exit_3(self, workdir, capsys):
+        (workdir / "forecasts.csv").write_text(FORECAST_CSV.replace("a,3,2,m1,12.0", "a,3,2,m1,nan"))
+        code = main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
+                     str(suite_json(workdir)), "--out", str(workdir / "o")])
+        assert code == 3
+        assert "model 'm1': forecast at key ('a', 3, 2)" in capsys.readouterr().err
+
     def test_misaligned_keys_exit_3(self, workdir):
         extra = FORECAST_CSV + "a,5,3,m1,1.0\na,5,3,m2,1.0\n"
         (workdir / "forecasts.csv").write_text(extra)

@@ -456,6 +456,31 @@ class TestBreakdown:
         assert r.per_series == {"a": 1.5, "b": 3.0}
         assert r.value == 2.25
 
+    @pytest.mark.parametrize("name", measure_names())
+    def test_no_sub_frames_and_one_alignment(self, name, rng, monkeypatch):
+        sids = [f"s{i:02d}" for i in range(50) for _ in range(3)]
+        steps = [1, 2, 3] * 50
+        y = rng.uniform(1.0, 10.0, 150)
+        fr = EvaluationFrame(sids, [5] * 150, steps, y, {"m": y * rng.uniform(0.5, 1.5, 150)})
+        bench_frame = bench(fr, y * rng.uniform(0.5, 1.5, 150))
+        train = {sid: rng.uniform(1.0, 10.0, 6) for sid in fr.unique_series()}
+        calls = {"init": 0, "align": 0}
+        init, align = EvaluationFrame.__init__, EvaluationFrame.align_benchmark
+
+        def counting_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_align(self, benchmark):
+            calls["align"] += 1
+            return align(self, benchmark)
+
+        monkeypatch.setattr(EvaluationFrame, "__init__", counting_init)
+        monkeypatch.setattr(EvaluationFrame, "align_benchmark", counting_align)
+        r = evaluate(name, fr, benchmark=bench_frame, train=train, breakdown=True)
+        assert len(r.per_series) == 50
+        assert calls == {"init": 0, "align": int(spec_for(name).needs_benchmark)}
+
     def test_registry_bijective(self):
         names = measure_names()
         assert len(names) == len(set(names))
