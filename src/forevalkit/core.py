@@ -340,17 +340,18 @@ class EvaluationFrame:
         for name, f in self.forecasts.items():
             if f.size != n:
                 raise ValidationError(f"model {name!r}: forecast column length mismatch")
-        if (self.steps < 1).any():
+        steps = self.steps.tolist()
+        if min(steps) < 1:
             raise ValidationError("horizon steps must be >= 1")
-        keys = list(zip(self.series_ids.tolist(), self.origins.tolist(), self.steps.tolist()))
-        if len(set(keys)) != n:
+        if len(set(zip(self.series_ids.tolist(), self.origins.tolist(), steps))) != n:
             raise ValidationError("duplicate (series, origin, step) key in evaluation frame")
         for model, col in ((None, self.actuals), *self.forecasts.items()):
             finite = np.isfinite(col)
             if not finite.all():
                 i = int(finite.argmin())
                 what = "actual" if model is None else f"model {model!r}: forecast"
-                raise DataValidationError(f"{what} at key {keys[i]} is not finite: {col[i]}")
+                key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
+                raise DataValidationError(f"{what} at key {key} is not finite: {col[i]}")
 
         for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values()):
             arr.setflags(write=False)

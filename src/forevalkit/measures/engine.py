@@ -97,13 +97,8 @@ class _Groups:
     which matters where terms cancel.)
     """
 
-    def __init__(self, n_rows: int, index=None):
-        self.n_rows = n_rows
+    def __init__(self, index=None):
         self.index = index  # SeriesIndex, or None for one group of all rows
-
-    @classmethod
-    def by_series(cls, frame: EvaluationFrame) -> "_Groups":
-        return cls(frame.n_rows, frame.series_index)
 
     @property
     def n_groups(self) -> int:
@@ -111,7 +106,7 @@ class _Groups:
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([self.n_rows]) if self.index is None else np.diff(self.index.starts)
+        return np.diff(self.index.starts)
 
     def reduce(self, x: np.ndarray, reducer, mask=None) -> np.ndarray:
         """``reducer`` over each group's rows (those in ``mask``); NaN for a group with none."""
@@ -145,8 +140,6 @@ class _Groups:
         return self.reduce(x, _row_mean)
 
     def count(self, mask: np.ndarray) -> np.ndarray:
-        if self.index is None:
-            return np.array([np.count_nonzero(mask)])
         return np.bincount(self.index.codes[mask], minlength=self.n_groups)
 
     def expand(self, values: np.ndarray) -> np.ndarray:
@@ -225,7 +218,7 @@ def _finish(
     value = float("nan")
     if total > n_undef and (skip or not n_undef):
         used = defined if n_undef else None
-        value = float(_summarise(_Groups(total), terms, used, op, True, sqrt_after)[0])
+        value = float(_summarise(_Groups(), terms, used, op, True, sqrt_after)[0])
         if op == "geometric-mean" and not np.all(terms if used is None else terms[used]):
             flags.append(_GM_ZERO_FLAG)
     if series is not None:
@@ -250,7 +243,7 @@ def _pooled_ratio(name, model, ratio, n_rows, policy, flags, series: _Groups | N
     that series' value undefined.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        value, den = ratio(_Groups(n_rows))
+        value, den = ratio(_Groups())
         if den[0] == 0:
             flags.append(_ZERO_SCALE_FLAG)
             return _finish(name, model, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean",
@@ -410,7 +403,7 @@ def evaluate(
     y = frame.actuals
     yhat = frame.model_column(model)
     e = y - yhat
-    series = _Groups.by_series(frame) if breakdown else None
+    series = _Groups(frame.series_index) if breakdown else None
     return _dispatch(
         spec, frame, y, yhat, e, model_name, benchmark, train, weights,
         policy, consts, series_summary, [], series,
@@ -434,7 +427,7 @@ def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
 
     groups = series
     if groups is None and spec.term_level == "series":
-        groups = _Groups.by_series(frame)
+        groups = _Groups(frame.series_index)
 
     # ---- pooled step-level term measures ---------------------------------
     if name in ("ME", "MSE", "RMSE", "ErrorStd", "MAE", "MdAE", "RMdSE", "GMAE", "GRMSE"):
