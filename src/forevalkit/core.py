@@ -410,9 +410,6 @@ class EvaluationFrame:
             {model: self.model_column(model)},
         )
 
-    def series_mask(self, series_id: str) -> np.ndarray:
-        return self.series_ids == series_id
-
     def align_benchmark(self, benchmark: "EvaluationFrame") -> np.ndarray:
         """Benchmark forecast column re-ordered to this frame's keys.
 

@@ -406,13 +406,14 @@ def evaluate(
     series = _Groups(frame.series_index) if breakdown else None
     return _dispatch(
         spec, frame, y, yhat, e, model_name, benchmark, train, weights,
-        policy, consts, series_summary, [], series,
+        policy, consts, series_summary, series,
     )
 
 
 def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
-              policy, consts, series_summary, flags, series) -> MeasureResult:
+              policy, consts, series_summary, series) -> MeasureResult:
     name = spec.name
+    flags: list[str] = []
 
     def finish(terms, defined, op, sqrt_after=False):
         return _finish(name, model_name, terms, defined, op, policy, flags, sqrt_after, series)
