@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, json_object
 from .measures.registry import REGISTRY
 from .stats import TestResult
 
@@ -109,9 +109,7 @@ class CharacteristicProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "CharacteristicProfile":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValidationError("profile JSON must be an object")
+        data = json_object(text, "profile")
         if "structural_breaks" in data:
             data["structural_breaks"] = frozenset(data["structural_breaks"])
         try:

@@ -4,8 +4,8 @@ Subcommands: evaluate, backtest, compare, advise, simulate, pitfalls.
 Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
-Exit codes: 0 success, 2 usage/config problems, 3 leakage or data
-validation failures (``DataValidationError``).
+Exit codes: 0 success, 2 usage/config problems (including unreadable
+input files), 3 leakage or data validation failures (``DataValidationError``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
-from .core import DataValidationError, ValidationError, benchmark_frame
+from .core import DataValidationError, Forecaster, ValidationError, benchmark_frame
 from .io import (
     build_frame,
     read_forecast_csv,
@@ -78,7 +78,7 @@ def _write_manifest(out_dir: Path, command: str, inputs: list[Path], config, see
 def _load_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
@@ -86,7 +86,12 @@ def _default_seed(args_seed) -> int:
     if args_seed is not None:
         return args_seed
     env = os.environ.get("FOREVALKIT_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"FOREVALKIT_SEED must be an integer, got {env!r}") from None
 
 
 def _result_dict(r) -> dict:
@@ -185,6 +190,7 @@ def cmd_backtest(args) -> int:
     dataset = read_series_csv(args.series)
     spec = SplitSpec.from_json(Path(args.split).read_text(encoding="utf-8"))
     benchmarks = args.benchmark or ["naive"]
+    forecasters = {kind: Forecaster(kind, args.seasonal_period) for kind in benchmarks}
 
     all_folds = []
     fold_reports = []
@@ -198,17 +204,12 @@ def cmd_backtest(args) -> int:
                 return EXIT_VALIDATION
         all_folds.extend(folds)
         for fold_id, fold in enumerate(folds, start=1):
-            origin = fold.origin
             h = fold.test_size
-            actual = np.array([series.value_at(int(i)) for i in fold.test_indices])
-            entry = {"series": series.id, "fold": fold_id, "origin": origin,
+            actual = series.values[fold.test_indices - 1]
+            entry = {"series": series.id, "fold": fold_id, "origin": fold.origin,
                      "train_size": fold.train_size, "test_size": h, "models": {}}
-            for kind in benchmarks:
-                fc = benchmark_frame(
-                    dataset, [(series.id, origin, k) for k in range(1, h + 1)],
-                    kind=kind, period=args.seasonal_period,
-                ).forecasts[kind]
-                e = actual - fc
+            for kind, forecaster in forecasters.items():
+                e = actual - forecaster.forecast(series, fold.origin, h)
                 entry["models"][kind] = {
                     "MAE": float(np.abs(e).mean()),
                     "RMSE": float(np.sqrt((e * e).mean())),
@@ -463,6 +464,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION if isinstance(exc, DataValidationError) else EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

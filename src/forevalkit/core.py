@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,17 @@ class DataValidationError(ValidationError):
 
 class InsufficientHistoryError(ValidationError):
     """The requested operation needs more observations than are available."""
+
+
+def json_object(text: str, what: str) -> dict:
+    """Parse a JSON object; bad JSON or another JSON type is a ``ValidationError``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} JSON does not parse: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} JSON must be an object")
+    return data
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ..core import ValidationError
 from .engine import WeightVector
@@ -14,6 +13,7 @@ __all__ = [
     "summarize",
     "RankTable",
     "rank_models",
+    "average_ranks",
     "percentage_better",
     "critical_event_percentage",
 ]
@@ -147,6 +147,29 @@ class RankTable:
         return {m: float(v) for m, v in zip(self.models, means)}
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks along the last axis; tied values share their average rank.
+
+    Equals scipy's ``rankdata(values, method="average", axis=-1)`` for
+    finite input: each run of equal sorted values gets (first + last) / 2 of
+    its positions, which is exact in floating point.
+    """
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, axis=-1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-1)
+    n = x.shape[-1]
+    positions = np.arange(1, n + 1)
+    starts = np.ones(x.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(x.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, positions, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, positions, n + 1)[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty(x.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2.0, axis=-1)
+    return ranks
+
+
 def rank_models(per_series_scores: dict, ascending: bool = True) -> RankTable:
     """Rank models per series from aligned score collections.
 
@@ -166,8 +189,7 @@ def rank_models(per_series_scores: dict, ascending: bool = True) -> RankTable:
     mat = np.column_stack(arrays)
     if np.isnan(mat).any():
         raise ValidationError("cannot rank undefined (NaN) scores")
-    signed = mat if ascending else -mat
-    ranks = np.vstack([rankdata(signed[i], method="average") for i in range(n)])
+    ranks = average_ranks(mat if ascending else -mat)
     return RankTable(models=models, series_ids=tuple(range(1, n + 1)), ranks=ranks)
 
 

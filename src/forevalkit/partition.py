@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import EmbeddedMatrix, InsufficientHistoryError, ValidationError
+from .core import EmbeddedMatrix, InsufficientHistoryError, ValidationError, json_object
 
 __all__ = [
     "SplitSpec",
@@ -78,9 +78,7 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValidationError("split spec JSON must be an object")
+        data = json_object(text, "split spec")
         try:
             return cls(**data)
         except TypeError as exc:

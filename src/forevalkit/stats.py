@@ -4,6 +4,10 @@ Residual diagnostics (Ljung-Box), pairwise comparisons (Diebold-Mariano,
 Wilcoxon), multi-model rank tests (Friedman) and post-hoc procedures
 (Nemenyi critical distance, Holm, Hochberg, Bonferroni-Dunn), plus
 critical-difference diagram layout and rendering as SVG and text art.
+
+scipy is needed only for p-values: the chi-square, t and normal tails are
+the ``scipy.special`` ufuncs that scipy's distribution objects call for
+them, imported on first use, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -12,10 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .core import ValidationError
-from .measures.ranking import RankTable
+from .measures.ranking import RankTable, average_ranks
 
 __all__ = [
     "TestResult",
@@ -62,6 +65,24 @@ class PostHocResult:
     groups: tuple = ()
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    from scipy.special import chdtrc
+
+    return float(chdtrc(df, x))
+
+
+def _t_sf(x: float, df: int) -> float:
+    from scipy.special import stdtr
+
+    return float(stdtr(df, -x))
+
+
+def _norm_sf(x: float) -> float:
+    from scipy.special import ndtr
+
+    return float(ndtr(-x))
+
+
 def _as_clean_array(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float).ravel()
     if a.size == 0:
@@ -98,7 +119,7 @@ def ljung_box(residuals, lags: int, fitted_params: int = 0, alpha: float = 0.05)
         q += rho_k * rho_k / (n - k)
     q *= n * (n + 2.0)
     df = max(lags - fitted_params, 1)
-    p = float(sps.chi2.sf(q, df))
+    p = _chi2_sf(q, df)
     return TestResult(
         name="ljung-box", statistic=float(q), p_value=p, alpha=alpha, reject=p < alpha,
         details={"lags": lags, "df": df, "autocorrelations": rho},
@@ -152,10 +173,10 @@ def diebold_mariano(
     if harvey_correction:
         adj = (n + 1 - 2 * horizon + horizon * (horizon - 1) / n) / n
         stat *= math.sqrt(max(adj, 0.0))
-        p = 2.0 * float(sps.t.sf(abs(stat), df=n - 1))
+        p = 2.0 * _t_sf(abs(stat), n - 1)
         details["correction"] = "harvey-leybourne-newbold"
     else:
-        p = 2.0 * float(sps.norm.sf(abs(stat)))
+        p = 2.0 * _norm_sf(abs(stat))
     return TestResult(
         name="diebold-mariano", statistic=float(stat), p_value=p, alpha=alpha,
         reject=p < alpha, details=details,
@@ -181,7 +202,7 @@ def wilcoxon_rank_sum(errors_a, errors_b, alpha: float = 0.05, paired: bool = Fa
             return TestResult("wilcoxon-signed-rank", float("nan"), 1.0, alpha, False,
                               details={"tie": True})
         n = d.size
-        ranks = sps.rankdata(np.abs(d))
+        ranks = average_ranks(np.abs(d))
         w_plus = float(ranks[d > 0].sum())
         mean = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
@@ -191,7 +212,7 @@ def wilcoxon_rank_sum(errors_a, errors_b, alpha: float = 0.05, paired: bool = Fa
             return TestResult("wilcoxon-signed-rank", float("nan"), 1.0, alpha, False,
                               details={"tie": True})
         z = (w_plus - mean) / math.sqrt(var)
-        p = 2.0 * float(sps.norm.sf(abs(z)))
+        p = 2.0 * _norm_sf(abs(z))
         return TestResult("wilcoxon-signed-rank", float(z), p, alpha, p < alpha,
                           details={"n_nonzero": n, "w_plus": w_plus})
     n1, n2 = a.size, b.size
@@ -199,7 +220,7 @@ def wilcoxon_rank_sum(errors_a, errors_b, alpha: float = 0.05, paired: bool = Fa
     if np.ptp(combined) == 0:
         return TestResult("wilcoxon-rank-sum", float("nan"), 1.0, alpha, False,
                           details={"tie": True})
-    ranks = sps.rankdata(combined)
+    ranks = average_ranks(combined)
     w = float(ranks[:n1].sum())
     n = n1 + n2
     mean = n1 * (n + 1) / 2.0
@@ -210,7 +231,7 @@ def wilcoxon_rank_sum(errors_a, errors_b, alpha: float = 0.05, paired: bool = Fa
         return TestResult("wilcoxon-rank-sum", float("nan"), 1.0, alpha, False,
                           details={"tie": True})
     z = (w - mean) / math.sqrt(var)
-    p = 2.0 * float(sps.norm.sf(abs(z)))
+    p = 2.0 * _norm_sf(abs(z))
     return TestResult("wilcoxon-rank-sum", float(z), p, alpha, p < alpha,
                       details={"n_a": n1, "n_b": n2, "rank_sum": w})
 
@@ -230,7 +251,7 @@ def friedman(rank_table: RankTable, alpha: float = 0.05) -> TestResult:
     rank_sums = rank_table.ranks.sum(axis=0)
     stat = 12.0 / (n * k * (k + 1)) * float((rank_sums ** 2).sum()) - 3.0 * n * (k + 1)
     stat = max(stat, 0.0)
-    p = float(sps.chi2.sf(stat, k - 1))
+    p = _chi2_sf(stat, k - 1)
     return TestResult("friedman", float(stat), p, alpha, p < alpha,
                       details={"n_series": n, "n_models": k, "df": k - 1})
 

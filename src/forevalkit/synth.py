@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import TimeSeries, ValidationError
+from .core import TimeSeries, ValidationError, json_object
 
 __all__ = ["DgpSpec", "OutlierInjection", "generate", "inject_outliers", "derive_seed"]
 
@@ -108,9 +108,7 @@ class DgpSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DgpSpec":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValidationError("DGP spec JSON must be an object")
+        data = json_object(text, "DGP spec")
         if "ar_coefficients" in data:
             data["ar_coefficients"] = tuple(data["ar_coefficients"])
         try:

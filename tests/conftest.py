@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import forevalkit
 from forevalkit import EvaluationFrame
 
 
@@ -50,3 +52,11 @@ def random_frame(rng, n_series=None, n_steps=None, with_origins=1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240508)
+
+
+@pytest.fixture
+def subprocess_env():
+    """The environment with the imported package's directory on PYTHONPATH, so a
+    child interpreter imports the same forevalkit as the tests."""
+    src = str(Path(forevalkit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from forevalkit import Dataset, DgpSpec, TimeSeries, ValidationError
+from forevalkit import (
+    CharacteristicProfile,
+    Dataset,
+    DgpSpec,
+    SplitSpec,
+    TimeSeries,
+    ValidationError,
+    benchmark_frame,
+)
 from forevalkit.cli import main
 from forevalkit.io import (
     build_frame,
@@ -209,6 +217,32 @@ class TestCliBacktest:
         report = json.loads((out / "report.json").read_text())
         assert len(report["folds"]) == 2  # one per series
 
+    def test_benchmark_scores_match_benchmark_frames(self, workdir):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 2, "horizon": 2}))
+        out = workdir / "bt"
+        kinds = ["naive", "seasonal-naive", "mean"]
+        assert main(["backtest", str(workdir / "series.csv"), str(split), "--seasonal-period", "2",
+                     *[a for k in kinds for a in ("--benchmark", k)], "--out", str(out)]) == 0
+        ds = read_series_csv(workdir / "series.csv")
+        folds = json.loads((out / "report.json").read_text())["folds"]
+        assert len(folds) == 4
+        for entry in folds:
+            keys = [(entry["series"], entry["origin"], k) for k in range(1, entry["test_size"] + 1)]
+            for kind in kinds:
+                bf = benchmark_frame(ds, keys, kind=kind, period=2)
+                e = bf.actuals - bf.forecasts[kind]
+                assert entry["models"][kind] == {"MAE": float(np.abs(e).mean()),
+                                                 "RMSE": float(np.sqrt((e * e).mean()))}
+
+    def test_seasonal_naive_without_period_exit_2(self, workdir, capsys):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "fixed-origin", "initial_train": 3, "horizon": 2}))
+        code = main(["backtest", str(workdir / "series.csv"), str(split),
+                     "--benchmark", "seasonal-naive", "--out", str(workdir / "bt")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seasonal-naive requires a positive seasonal period\n"
+
     def test_kfold_on_raw_series_refused(self, workdir):
         split = workdir / "split.json"
         split.write_text(json.dumps({"scheme": "kfold", "k": 5}))
@@ -324,7 +358,7 @@ class TestCliPitfalls:
         manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
         assert manifest["seed"] == 31415
 
-    def test_cross_process_determinism(self, tmp_path):
+    def test_cross_process_determinism(self, tmp_path, subprocess_env):
         import subprocess
         import sys
 
@@ -334,7 +368,67 @@ class TestCliPitfalls:
             subprocess.run(
                 [sys.executable, "-m", "forevalkit.cli", "pitfalls",
                  "corr-ignores-constant-bias", "--out", str(out)],
-                check=True, capture_output=True,
+                check=True, capture_output=True, env=subprocess_env,
             )
             outputs.append((out / "pitfalls.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestCliInputErrors:
+    """Unreadable inputs and malformed configs exit 2 with a one-line message."""
+
+    @staticmethod
+    def _fails_with_message(capsys, argv, fragment):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+
+    def test_missing_series_file(self, workdir, capsys):
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "nope.csv"), str(workdir / "forecasts.csv"),
+            str(suite_json(workdir)), "--out", str(workdir / "o")], "nope.csv")
+
+    def test_missing_forecasts_file(self, workdir, capsys):
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "nope.csv"),
+            str(suite_json(workdir)), "--out", str(workdir / "o")], "nope.csv")
+
+    def test_missing_split_file(self, workdir, capsys):
+        self._fails_with_message(capsys, [
+            "backtest", str(workdir / "series.csv"), str(workdir / "nope.json"),
+            "--out", str(workdir / "o")], "nope.json")
+
+    def test_missing_dgp_file(self, tmp_path, capsys):
+        self._fails_with_message(capsys, [
+            "simulate", str(tmp_path / "nope.json"), str(tmp_path / "s.csv")], "nope.json")
+
+    def test_malformed_split_json(self, workdir, capsys):
+        (workdir / "split.json").write_text('{"scheme": "fixed-origin",')
+        self._fails_with_message(capsys, [
+            "backtest", str(workdir / "series.csv"), str(workdir / "split.json"),
+            "--out", str(workdir / "o")], "split spec JSON does not parse")
+
+    def test_malformed_dgp_json(self, tmp_path, capsys):
+        (tmp_path / "dgp.json").write_text("{kind: random-walk}")
+        self._fails_with_message(capsys, [
+            "simulate", str(tmp_path / "dgp.json"), str(tmp_path / "s.csv")],
+            "DGP spec JSON does not parse")
+
+    def test_malformed_profile_json(self, tmp_path, capsys):
+        (tmp_path / "profile.json").write_text('{"intermittency": tru}')
+        self._fails_with_message(capsys, [
+            "advise", str(tmp_path / "profile.json"), "--out", str(tmp_path / "o")],
+            "profile.json")
+
+    @pytest.mark.parametrize("cls, what", [(SplitSpec, "split spec"), (DgpSpec, "DGP spec"),
+                                           (CharacteristicProfile, "profile")])
+    def test_from_json_rejects_malformed_json(self, cls, what):
+        with pytest.raises(ValidationError, match=f"{what} JSON does not parse"):
+            cls.from_json('{"a": ')
+        with pytest.raises(ValidationError, match=f"{what} JSON must be an object"):
+            cls.from_json("[1, 2]")
+
+    def test_non_integer_seed_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("FOREVALKIT_SEED", "abc")
+        self._fails_with_message(capsys, ["pitfalls", "corr-ignores-constant-bias"],
+                                 "FOREVALKIT_SEED must be an integer, got 'abc'")

@@ -1,7 +1,13 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import stats as sps
 
 from forevalkit import (
     ValidationError,
@@ -16,7 +22,8 @@ from forevalkit import (
     render_cd_text,
     wilcoxon_rank_sum,
 )
-from forevalkit.stats import PostHocResult, studentized_range_quantile
+from forevalkit.measures.ranking import average_ranks
+from forevalkit.stats import PostHocResult, _chi2_sf, _norm_sf, _t_sf, studentized_range_quantile
 
 
 class TestLjungBox:
@@ -300,3 +307,78 @@ class TestCdDiagram:
         svg = render_cd_svg(layout)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert svg.count("<circle") == 3
+
+
+
+class TestScipyImports:
+    """scipy is loaded only by a p-value, and then only ``scipy.special``."""
+
+    CODE = """
+import sys
+import forevalkit, forevalkit.cli
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+import numpy as np
+from forevalkit import diebold_mariano, friedman, ljung_box, rank_models, wilcoxon_rank_sum
+x = np.sin(np.arange(40.0)) + np.arange(40.0) / 40
+y = np.cos(np.arange(40.0))
+friedman(rank_models({"a": x, "b": y, "c": x * y}))
+diebold_mariano(x, y, horizon=2)
+diebold_mariano(x, y, harvey_correction=False)
+ljung_box(x, lags=3)
+wilcoxon_rank_sum(x, y)
+wilcoxon_rank_sum(x, y, paired=True)
+print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+"""
+
+    def test_import_loads_no_scipy_and_tests_load_only_special(self, subprocess_env):
+        out = subprocess.run(
+            [sys.executable, "-c", self.CODE], check=True, capture_output=True, text=True,
+            env=subprocess_env,
+        ).stdout.splitlines()
+        assert out == ["[]", "True False"]
+
+
+# few distinct values, signed zeros among them, so ties are the norm
+_TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300])
+_ROWS = st.one_of(hnp.array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=30),
+                  hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=_TIED))
+
+
+class TestScipyEquivalence:
+    """The numpy ranks and ``scipy.special`` tails equal what ``scipy.stats`` gave, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_ROWS)
+    def test_average_ranks_match_rankdata(self, x):
+        expected = sps.rankdata(x, method="average", axis=-1)
+        got = average_ranks(x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 7, 19, 100, 999])
+    def test_tails_match_scipy_stats(self, df):
+        grid = [0.0, 1e-12, 0.01, 0.5, 1.0, 1.959963984540054, 2.5, 7.3, 20.0, 55.5, 300.0, 1e4]
+        for x in grid:
+            assert _chi2_sf(x, df) == float(sps.chi2.sf(x, df))
+            assert _t_sf(x, df) == float(sps.t.sf(x, df=df))
+            assert _norm_sf(x) == float(sps.norm.sf(x))
+
+    @pytest.mark.parametrize("n", [4, 9, 30, 250])
+    def test_test_p_values_match_scipy_stats(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(0, 1, n)
+        b = a + rng.normal(0.3, 1, n)
+        r = ljung_box(a, lags=min(3, n - 1))
+        assert r.p_value == float(sps.chi2.sf(r.statistic, r.details["df"]))
+        for h in (1, 2):
+            r = diebold_mariano(a ** 2, b ** 2, horizon=h)
+            assert r.p_value == 2.0 * float(sps.t.sf(abs(r.statistic), df=n - 1))
+        r = diebold_mariano(a ** 2, b ** 2, harvey_correction=False)
+        assert r.p_value == 2.0 * float(sps.norm.sf(abs(r.statistic)))
+        for paired in (False, True):
+            r = wilcoxon_rank_sum(np.round(a, 1), np.round(b, 1), paired=paired)
+            assert r.p_value == 2.0 * float(sps.norm.sf(abs(r.statistic)))
+        table = rank_models({"a": np.round(a, 1), "b": np.round(b, 1), "c": np.round(a * b, 1)})
+        r = friedman(table)
+        assert r.p_value == float(sps.chi2.sf(r.statistic, 2))
