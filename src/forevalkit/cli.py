@@ -150,18 +150,14 @@ def cmd_evaluate(args) -> int:
         }
         for entry in measures:
             name = entry if isinstance(entry, str) else entry.get("name")
-            spec = spec_for(name)
             constants = None if isinstance(entry, str) else entry.get("constants")
             series_summary = "mean" if isinstance(entry, str) else entry.get("series_summary", "mean")
-            needs_bench = spec.needs_benchmark
-            if needs_bench and bench_frame is None:
+            if spec_for(name).needs_benchmark and bench_frame is None:
                 raise ValidationError(
                     f"measure {name} needs a benchmark; set 'benchmark' in the suite config"
                 )
             result = evaluate(
-                name, frame, model=model,
-                benchmark=bench_frame if needs_bench else None,
-                train=train if spec.needs_train else None,
+                name, frame, model=model, benchmark=bench_frame, train=train,
                 policy=policy, constants=constants, breakdown=True,
                 series_summary=series_summary,
             )
@@ -202,8 +198,8 @@ def cmd_backtest(args) -> int:
                 print(f"leakage detected in series {series.id!r}: {report.violations}",
                       file=sys.stderr)
                 return EXIT_VALIDATION
-        all_folds.extend(folds)
-        for fold_id, fold in enumerate(folds, start=1):
+        # numbered across all series, as in folds.csv
+        for fold_id, fold in enumerate(folds, start=len(all_folds) + 1):
             h = fold.test_size
             actual = series.values[fold.test_indices - 1]
             entry = {"series": series.id, "fold": fold_id, "origin": fold.origin,
@@ -215,6 +211,7 @@ def cmd_backtest(args) -> int:
                     "RMSE": float(np.sqrt((e * e).mean())),
                 }
             fold_reports.append(entry)
+        all_folds.extend(folds)
 
     write_folds_csv(out_dir / "folds.csv", all_folds)
     (out_dir / "report.json").write_text(json.dumps({"folds": fold_reports}, indent=2) + "\n")

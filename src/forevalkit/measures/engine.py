@@ -1,14 +1,18 @@
 """Evaluation engine for all registered error measures.
 
 ``evaluate`` computes one measure for one model over an evaluation frame.
-It handles the undefined-value policy, per-series scale factors computed
-strictly from supplied train values, benchmark alignment, and weighting.
+The measure's registry entry names its term function in one of three
+tables: step terms, summarised under the undefined-value policy; per-series
+values; and pooled ratios of sums. The engine handles the policy, per-series
+scale factors computed strictly from supplied train values, benchmark
+alignment, and weighting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +84,6 @@ def _resolve_policy(policy) -> str:
         return UndefinedPolicy.parse(policy)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-
-
-def _dedupe(flags: list[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(flags))
 
 
 class _Groups:
@@ -189,70 +189,72 @@ def _summarise(groups: _Groups, terms, defined, op: str, skip: bool, sqrt_after:
     return np.sqrt(values) if sqrt_after else values
 
 
-def _finish(
-    name: str,
-    model: str | None,
-    terms: np.ndarray,
-    defined: np.ndarray,
-    op: str,
-    policy: str,
-    flags: list[str],
-    sqrt_after: bool = False,
-    series: _Groups | None = None,
-    per_series: dict | None = None,
-) -> MeasureResult:
-    """Aggregate terms under a policy and assemble the result.
+def _count_undefined(x: _Inputs, n_undef: int, total: int, policy: str, what: str) -> None:
+    """Flag undefined terms; under the ``error`` policy, raise."""
+    if n_undef:
+        x.flags.append(_UNDEFINED_FLAG)
+        if policy == UndefinedPolicy.ERROR:
+            raise UndefinedValueError(f"{x.name}: {n_undef} of {total} {what} are undefined")
+
+
+def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False,
+            series: _Groups | None = None, per_series: dict | None = None) -> MeasureResult:
+    """Aggregate terms (all defined when ``defined`` is None) under a policy.
 
     With row-level ``series`` groups, the same terms are also summarised per
     series; within a series the ``error`` policy counts as ``skip``.
     """
     total = terms.size
-    n_undef = int(total - np.count_nonzero(defined))
-    if n_undef:
-        flags.append(_UNDEFINED_FLAG)
-        if policy == UndefinedPolicy.ERROR:
-            raise UndefinedValueError(
-                f"{name}: {n_undef} of {total} terms are undefined"
-            )
+    n_undef = 0 if defined is None else int(total - np.count_nonzero(defined))
+    _count_undefined(x, n_undef, total, policy, "terms")
     skip = policy != UndefinedPolicy.PROPAGATE
     value = float("nan")
     if total > n_undef and (skip or not n_undef):
         used = defined if n_undef else None
         value = float(_summarise(_Groups(), terms, used, op, True, sqrt_after)[0])
         if op == "geometric-mean" and not np.all(terms if used is None else terms[used]):
-            flags.append(_GM_ZERO_FLAG)
+            x.flags.append(_GM_ZERO_FLAG)
     if series is not None:
         per_series = series.as_dict(_summarise(series, terms, defined, op, skip, sqrt_after))
-    return MeasureResult(name, model, value, total - n_undef, n_undef, per_series, _dedupe(flags))
+    return x.result(value, total - n_undef, n_undef, per_series)
 
 
-def _series_ratio(num: np.ndarray, den: np.ndarray, flags: list[str]):
-    """Per-series ratio and where it is defined (a non-zero denominator)."""
-    defined = den != 0
-    if not defined.all():
-        flags.append(_ZERO_SCALE_FLAG)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den, defined
-
-
-def _pooled_ratio(name, model, ratio, n_rows, policy, flags, series: _Groups | None) -> MeasureResult:
+def _pooled_ratio(x: _Inputs, ratio, policy: str, series: _Groups | None) -> MeasureResult:
     """A ratio of sums over all rows, and per series the same ratio over its rows.
 
-    ``ratio(groups)`` returns (value, denominator) per group. A zero pooled
+    ``ratio(x, groups)`` returns (value, denominator) per group. A zero pooled
     denominator leaves every term undefined; a zero per-series one leaves
     that series' value undefined.
     """
+    n_rows = x.e.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        value, den = ratio(_Groups())
+        value, den = ratio(x, _Groups())
         if den[0] == 0:
-            flags.append(_ZERO_SCALE_FLAG)
-            return _finish(name, model, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean",
-                           policy, flags, series=series)
+            x.flags.append(_ZERO_SCALE_FLAG)
+            return _finish(x, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean", policy,
+                           series=series)
         per_series = None
         if series is not None:
-            values, dens = ratio(series)
+            values, dens = ratio(x, series)
             per_series = series.as_dict(np.where(dens != 0, values, np.nan))
-    return MeasureResult(name, model, float(value[0]), n_rows, 0, per_series, _dedupe(flags))
+    return x.result(float(value[0]), n_rows, 0, per_series)
+
+
+def _weighted_geometric_mean(x: _Inputs, ratios, defined, policy: str) -> MeasureResult:
+    """AvgRelMAE: the geometric mean of per-series ratios, each weighted by its length."""
+    total = ratios.size
+    n_undef = int(total - defined.sum())
+    _count_undefined(x, n_undef, total, policy, "series ratios")
+    value = float("nan")
+    if defined.any() and not (n_undef and policy == UndefinedPolicy.PROPAGATE):
+        rr, hh = ratios[defined], x.groups.sizes[defined].astype(float)
+        if (rr == 0).any():
+            x.flags.append(_GM_ZERO_FLAG)
+            value = 0.0
+        else:
+            value = float(np.exp((hh * np.log(rr)).sum() / hh.sum()))
+    return x.result(value, total - n_undef, n_undef,
+                    x.groups.as_dict(np.where(defined, ratios, np.nan)))
 
 
 def _train_scale(name: str, train, sid: str, kind: str, constants: dict) -> float:
@@ -287,11 +289,7 @@ def _train_scale(name: str, train, sid: str, kind: str, constants: dict) -> floa
             )
         diffs.append(values[lag:] - values[:-lag])
     d = np.concatenate(diffs)
-    if kind == "naive-mae":
-        return float(np.abs(d).mean())
-    if kind == "naive-mse":
-        return float((d * d).mean())
-    raise ValidationError(f"unknown scale kind {kind!r}")
+    return float(np.abs(d).mean()) if kind == "naive-mae" else float((d * d).mean())
 
 
 def _resolve_benchmark(frame: EvaluationFrame, benchmark, model: str | None) -> np.ndarray:
@@ -320,7 +318,81 @@ def _resolve_weights(frame: EvaluationFrame, weights) -> np.ndarray:
     return w
 
 
-def _rate_terms(frame: EvaluationFrame, yhat: np.ndarray) -> np.ndarray:
+def _pearson(y: np.ndarray, f: np.ndarray) -> float:
+    dy = y - y.mean()
+    df = f - f.mean()
+    den = math.sqrt(float(dy @ dy) * float(df @ df))
+    return float(dy @ df) / den
+
+
+class _Inputs:
+    """One call's actuals ``y``, forecasts ``f`` and errors ``e = y - f``.
+
+    Benchmark errors ``e_b``, in-sample scales, weights ``w`` and per-series
+    ``groups`` are resolved on first use, from the inputs the measure
+    declares; undeclared ones are never seen. Term functions add ``flags``.
+    """
+
+    def __init__(self, spec, frame: EvaluationFrame, model, benchmark, train, weights, consts):
+        self.name, self.frame, self.consts = spec.name, frame, consts
+        self.model = model if model is not None else (frame.models[0] if len(frame.models) == 1 else None)
+        self.y = frame.actuals
+        self.f = frame.model_column(model)
+        self.e = self.y - self.f
+        self.flags: list[str] = []
+        self._benchmark = benchmark if spec.needs_benchmark else None
+        self._train = train if spec.needs_train else None
+        self._weights = weights if spec.needs_weights else None
+
+    @cached_property
+    def groups(self) -> _Groups:
+        return _Groups(self.frame.series_index)
+
+    @cached_property
+    def e_b(self) -> np.ndarray:
+        return self.y - _resolve_benchmark(self.frame, self._benchmark, self.model)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return _resolve_weights(self.frame, self._weights)
+
+    def scales(self, kind: str) -> np.ndarray:
+        """Each row's in-sample scale: that of its series, from its train values."""
+        index = self.frame.series_index
+        scales = np.array([_train_scale(self.name, self._train, sid, kind, self.consts)
+                           for sid in index.series])
+        if (scales == 0).any():
+            self.flags.append(_ZERO_SCALE_FLAG)
+        return scales[index.codes]
+
+    def result(self, value: float, n_used: int, n_undef: int, per_series) -> MeasureResult:
+        return MeasureResult(self.name, self.model, value, n_used, n_undef, per_series,
+                             tuple(dict.fromkeys(self.flags)))
+
+
+# ---- step terms: (terms, defined); defined is None when all terms are ------
+
+def _raw(x: _Inputs):
+    return x.e, None
+
+
+def _percentage(x: _Inputs):
+    defined = x.y != 0
+    return np.divide(100.0 * x.e, x.y, out=np.zeros_like(x.e), where=defined), defined
+
+
+def _relative(x: _Inputs):
+    defined = x.e_b != 0
+    return np.divide(x.e, x.e_b, out=np.zeros_like(x.e), where=defined), defined
+
+
+def _log(x: _Inputs):
+    if (x.y < 0).any() or (x.f < 0).any():
+        raise ValidationError(f"{x.name}: negative actuals or forecasts are outside the measure's domain")
+    return np.log1p(x.y) - np.log1p(x.f), None
+
+
+def _rate(x: _Inputs):
     """Rate-based base error: forecast minus the running mean of the actuals.
 
     The running mean is taken over the evaluation window of each
@@ -328,7 +400,7 @@ def _rate_terms(frame: EvaluationFrame, yhat: np.ndarray) -> np.ndarray:
     one step position at a time across all windows, adding in the order
     ``np.cumsum`` adds within one window.
     """
-    n = frame.n_rows
+    frame, n = x.frame, x.frame.n_rows
     codes = frame.series_index.codes
     rows = np.lexsort((frame.steps, frame.origins, codes))
     row_codes, row_origins = codes[rows], frame.origins[rows]
@@ -342,15 +414,139 @@ def _rate_terms(frame: EvaluationFrame, yhat: np.ndarray) -> np.ndarray:
         at = by_position[lo:hi]
         sums[at] += sums[at - 1]
     c = np.empty(n)
-    c[rows] = yhat[rows] - sums / (position + 1)
-    return c
+    c[rows] = x.f[rows] - sums / (position + 1)
+    return c, None
 
 
-def _pearson(y: np.ndarray, f: np.ndarray) -> float:
-    dy = y - y.mean()
-    df = f - f.mean()
-    den = math.sqrt(float(dy @ dy) * float(df @ df))
-    return float(dy @ df) / den
+def _symmetric(x: _Inputs):
+    den = np.abs(x.y) + np.abs(x.f)
+    defined = den != 0
+    terms = np.divide(200.0 * np.abs(x.e), den, out=np.zeros_like(x.e), where=defined)
+    # |y - f| <= |y| + |f| bounds every term by 200; clip the one-ulp
+    # rounding spill that occurs when y and f have opposite signs
+    return np.minimum(terms, 200.0, out=terms), defined
+
+
+def _modified_symmetric(x: _Inputs):
+    eps, thr = x.consts["epsilon"], x.consts["threshold"]
+    den = np.maximum(np.abs(x.y) + np.abs(x.f) + eps, thr + eps)
+    if (np.abs(x.y) + np.abs(x.f) <= thr).any():
+        x.flags.append(_WINSORISED_FLAG)
+    return 200.0 * np.abs(x.e) / den, None
+
+
+def _arctan(x: _Inputs):
+    y, e = x.y, x.e
+    terms = np.arctan(np.divide(np.abs(e), np.abs(y), out=np.zeros_like(e), where=y != 0))
+    terms[(y == 0) & (e != 0)] = math.pi / 2.0
+    return terms, ~((y == 0) & (e == 0))
+
+
+def _map(op, base):
+    """``base``'s terms with ``op`` applied to each."""
+    def terms(x: _Inputs):
+        t, defined = base(x)
+        return op(t), defined
+    return terms
+
+
+def _in_sample(kind: str, base):
+    """``base``'s terms over each row's in-sample scale of ``kind``; undefined where it is 0."""
+    def terms(x: _Inputs):
+        scale = x.scales(kind)
+        defined = scale != 0
+        num = base(x)[0]
+        return np.divide(num, scale, out=np.zeros_like(num), where=defined), defined
+    return terms
+
+
+_STEP_TERMS = {
+    "e": _raw,
+    "e2": _map(np.square, _raw),
+    "|e|": _map(np.abs, _raw),
+    "p2": _map(np.square, _percentage),
+    "|p|": _map(np.abs, _percentage),
+    "symmetric": _symmetric,
+    "modified-symmetric": _modified_symmetric,
+    "arctan": _arctan,
+    "e/mean": _in_sample("mean", _raw),
+    "(e/mean)2": _map(np.square, _in_sample("mean", _raw)),
+    "|e|/mean": _in_sample("mean", _map(np.abs, _raw)),
+    "r2": _map(np.square, _relative),
+    "|r|": _map(np.abs, _relative),
+    "|q|": _in_sample("naive-mae", _map(np.abs, _raw)),
+    "q2": _in_sample("naive-mse", _map(np.square, _raw)),
+    "l2": _map(np.square, _log),
+    "c2": _map(np.square, _rate),
+    "|c|": _map(np.abs, _rate),
+}
+
+
+# ---- per-series values: (values, defined), one per series -------------------
+
+def _ratio_of(fn):
+    """Per-series ``num / den`` of ``fn(x, groups)``, defined where ``den`` is not 0."""
+    def values(x: _Inputs):
+        num, den = fn(x, x.groups)
+        defined = den != 0
+        if not defined.all():
+            x.flags.append(_ZERO_SCALE_FLAG)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den, defined
+    return values
+
+
+def _rtae(x: _Inputs, g: _Groups):
+    clamp = x.consts["clamp"]
+    num, raw_den = g.mean(np.abs(x.e)), g.mean(np.abs(x.y))
+    if (raw_den < clamp).any():
+        x.flags.append(_WINSORISED_FLAG)
+    return num, np.maximum(clamp, raw_den)
+
+
+def _correlations(x: _Inputs):
+    index = x.groups.index
+    values = np.zeros(len(index.series))
+    defined = np.zeros(len(index.series), dtype=bool)
+    for j, rows in enumerate(np.split(index.order, index.starts[1:-1])):
+        ys, fs = x.y[rows], x.f[rows]
+        if rows.size >= 2 and np.ptp(ys) != 0 and np.ptp(fs) != 0:
+            values[j], defined[j] = _pearson(ys, fs), True
+    if not defined.all():
+        x.flags.append("zero-variance")
+    return values, defined
+
+
+_SERIES_VALUES = {
+    "series:wape": _ratio_of(lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y)))),
+    "series:swape": _ratio_of(lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y) + np.abs(x.f)))),
+    "series:wrmspe": _ratio_of(lambda x, g: (g.sum(x.e * x.e), g.sum(np.abs(x.y)))),
+    "series:rtae": _ratio_of(_rtae),
+    "series:relmae": _ratio_of(lambda x, g: (g.mean(np.abs(x.e)), g.mean(np.abs(x.e_b)))),
+    "series:relmse": _ratio_of(lambda x, g: (g.mean(x.e ** 2), g.mean(x.e_b ** 2))),
+    "series:corr": _correlations,
+}
+
+
+# ---- pooled ratios: (value, denominator) per group of rows -------------------
+
+def _rse(x: _Inputs, g: _Groups):
+    den = g.sum((x.y - g.expand(g.mean(x.y))) ** 2)
+    return np.sqrt(g.sum(x.e * x.e)) / np.sqrt(den), den
+
+
+def _nwrmsle(x: _Inputs, g: _Groups):
+    l, w = _log(x)[0], x.w
+    return np.sqrt(g.sum(w * l * l) / g.sum(w)), g.sum(w)
+
+
+_POOLED_RATIOS = {
+    "pooled:nd": lambda x, g: (g.sum(np.abs(x.e)) / g.sum(np.abs(x.y)), g.sum(np.abs(x.y))),
+    "pooled:nrmse": lambda x, g: (np.sqrt(g.mean(x.e * x.e)) / g.mean(np.abs(x.y)), g.mean(np.abs(x.y))),
+    "pooled:rse": _rse,
+    "pooled:nwrmsle": _nwrmsle,
+    "pooled:wmae": lambda x, g: (g.sum(x.w * np.abs(x.e)) / g.sum(x.w), g.sum(x.w)),
+}
 
 
 def evaluate(
@@ -373,8 +569,8 @@ def evaluate(
     name : registered measure name (see ``measure_names()``).
     frame : aligned evaluation data.
     model : model to evaluate; optional when the frame has exactly one.
-    benchmark : model name in the frame, or a single-model frame, for
-        benchmark-relative measures.
+    benchmark : a model of the frame (by its name), or a single-model frame,
+        for benchmark-relative measures.
     train : mapping series_id -> in-sample values, for measures whose scale
         is computed from the training region only.
     weights : WeightVector or per-row array, for weighted measures.
@@ -398,226 +594,18 @@ def evaluate(
                 f"{name}: unknown constants {sorted(unknown)}; allowed: {allowed}"
             )
         consts.update(constants)
+    x = _Inputs(spec, frame, model, benchmark, train, weights, consts)
+    series = x.groups if breakdown else None
 
-    model_name = model if model is not None else (frame.models[0] if len(frame.models) == 1 else None)
-    y = frame.actuals
-    yhat = frame.model_column(model)
-    e = y - yhat
-    series = _Groups(frame.series_index) if breakdown else None
-    return _dispatch(
-        spec, frame, y, yhat, e, model_name, benchmark, train, weights,
-        policy, consts, series_summary, series,
-    )
-
-
-def _dispatch(spec, frame, y, yhat, e, model_name, benchmark, train, weights,
-              policy, consts, series_summary, series) -> MeasureResult:
-    name = spec.name
-    flags: list[str] = []
-
-    def finish(terms, defined, op, sqrt_after=False):
-        return _finish(name, model_name, terms, defined, op, policy, flags, sqrt_after, series)
-
-    def ratio(fn):
-        return _pooled_ratio(name, model_name, fn, e.size, policy, flags, series)
-
-    def series_values(values, defined):
-        per_series = groups.as_dict(np.where(defined, values, np.nan))
-        return _finish(name, model_name, values, defined, series_summary, policy, flags,
-                       per_series=per_series)
-
-    groups = series
-    if groups is None and spec.term_level == "series":
-        groups = _Groups(frame.series_index)
-
-    # ---- pooled step-level term measures ---------------------------------
-    if name in ("ME", "MSE", "RMSE", "ErrorStd", "MAE", "MdAE", "RMdSE", "GMAE", "GRMSE"):
-        defined = np.ones(e.size, dtype=bool)
-        if name == "ME":
-            return finish(e, defined, "mean")
-        if name in ("MSE",):
-            return finish(e * e, defined, "mean")
-        if name in ("RMSE", "ErrorStd"):
-            return finish(e * e, defined, "mean", sqrt_after=True)
-        if name == "MAE":
-            return finish(np.abs(e), defined, "mean")
-        if name == "MdAE":
-            return finish(np.abs(e), defined, "median")
-        if name == "RMdSE":
-            return finish(e * e, defined, "median", sqrt_after=True)
-        if name == "GMAE":
-            return finish(np.abs(e), defined, "geometric-mean")
-        if name == "GRMSE":
-            return finish(e * e, defined, "geometric-mean", sqrt_after=True)
-
-    if name in ("MAPE", "MdAPE", "RMSPE", "RMdSPE"):
-        defined = y != 0
-        p = np.zeros_like(e)
-        np.divide(100.0 * e, y, out=p, where=defined)
-        terms = p * p if spec.square_or_abs == "squared" else np.abs(p)
-        op = "median" if name in ("MdAPE", "RMdSPE") else "mean"
-        return finish(terms, defined, op, sqrt_after=name in ("RMSPE", "RMdSPE"))
-
-    if name in ("sMAPE", "sMdAPE"):
-        den = np.abs(y) + np.abs(yhat)
-        defined = den != 0
-        terms = np.zeros_like(e)
-        np.divide(200.0 * np.abs(e), den, out=terms, where=defined)
-        # |y - f| <= |y| + |f| bounds every term by 200; clip the one-ulp
-        # rounding spill that occurs when y and f have opposite signs
-        np.minimum(terms, 200.0, out=terms)
-        op = "median" if name == "sMdAPE" else "mean"
-        return finish(terms, defined, op)
-
-    if name == "msMAPE":
-        eps, thr = consts["epsilon"], consts["threshold"]
-        den = np.maximum(np.abs(y) + np.abs(yhat) + eps, thr + eps)
-        if (np.abs(y) + np.abs(yhat) <= thr).any():
-            flags.append(_WINSORISED_FLAG)
-        terms = 200.0 * np.abs(e) / den
-        return finish(terms, np.ones(e.size, dtype=bool), "mean")
-
-    if name == "MAAPE":
-        defined = ~((y == 0) & (e == 0))
-        terms = np.zeros_like(e)
-        nonzero_y = y != 0
-        np.divide(np.abs(e), np.abs(y), out=terms, where=nonzero_y)
-        terms = np.arctan(terms)
-        terms[(y == 0) & (e != 0)] = math.pi / 2.0
-        return finish(terms, defined, "mean")
-
-    # ---- per-series ratio measures ----------------------------------------
-    if name in ("WAPE", "sWAPE", "WRMSPE", "RTAE"):
-        if name == "RTAE":
-            num, raw_den = groups.mean(np.abs(e)), groups.mean(np.abs(y))
-            den = np.maximum(consts["clamp"], raw_den)
-            if (raw_den < consts["clamp"]).any():
-                flags.append(_WINSORISED_FLAG)
-        else:
-            num = groups.sum(e * e if name == "WRMSPE" else np.abs(e))
-            den = groups.sum(np.abs(y) + np.abs(yhat) if name == "sWAPE" else np.abs(y))
-        values, defined = _series_ratio(num, den, flags)
-        return series_values(np.sqrt(values) if name == "WRMSPE" else values, defined)
-
-    if name in ("sME", "sMSE", "sMAE"):
-        scale = _row_scales(name, train, frame, "mean", consts, flags)
-        defined = scale != 0
-        if name == "sME":
-            terms = _over(e, scale, defined)
-        elif name == "sMSE":
-            terms = _over(e, scale, defined) ** 2
-        else:
-            terms = _over(np.abs(e), scale, defined)
-        return finish(terms, defined, "mean")
-
-    if name in ("ND", "NRMSE"):
-        if name == "ND":
-            return ratio(lambda g: (g.sum(np.abs(e)) / g.sum(np.abs(y)), g.sum(np.abs(y))))
-        return ratio(lambda g: (np.sqrt(g.mean(e * e)) / g.mean(np.abs(y)), g.mean(np.abs(y))))
-
-    # ---- benchmark-relative -------------------------------------------------
-    if name in ("MRAE", "MdRAE", "RMRSE", "GMRAE", "RGRMSE"):
-        e_b = y - _resolve_benchmark(frame, benchmark, model_name)
-        defined = e_b != 0
-        r = np.zeros_like(e)
-        np.divide(e, e_b, out=r, where=defined)
-        terms = r * r if spec.square_or_abs == "squared" else np.abs(r)
-        op = {"MRAE": "mean", "MdRAE": "median", "RMRSE": "mean",
-              "GMRAE": "geometric-mean", "RGRMSE": "geometric-mean"}[name]
-        return finish(terms, defined, op, sqrt_after=name in ("RMRSE", "RGRMSE"))
-
-    if name in ("RelMAE", "RelMSE", "RelRMSE"):
-        e_b = y - _resolve_benchmark(frame, benchmark, model_name)
-        if spec.square_or_abs == "squared":
-            num, den = groups.mean(e ** 2), groups.mean(e_b ** 2)
-        else:
-            num, den = groups.mean(np.abs(e)), groups.mean(np.abs(e_b))
-        values, defined = _series_ratio(num, den, flags)
-        return series_values(np.sqrt(values) if name == "RelRMSE" else values, defined)
-
-    if name == "RSE":
-        def rse(g):
-            den = g.sum((y - g.expand(g.mean(y))) ** 2)
-            return np.sqrt(g.sum(e * e)) / np.sqrt(den), den
-        return ratio(rse)
-
-    if name == "AvgRelMAE":
-        e_b = y - _resolve_benchmark(frame, benchmark, model_name)
-        ratios, defined = _series_ratio(groups.mean(np.abs(e)), groups.mean(np.abs(e_b)), flags)
-        per_series = groups.as_dict(np.where(defined, ratios, np.nan))
-        total = ratios.size
-        n_undef = int(total - defined.sum())
-        if n_undef:
-            flags.append(_UNDEFINED_FLAG)
-            if policy == UndefinedPolicy.ERROR:
-                raise UndefinedValueError(f"{name}: {n_undef} of {total} series ratios are undefined")
-            if policy == UndefinedPolicy.PROPAGATE:
-                return MeasureResult(name, model_name, float("nan"), total - n_undef,
-                                     n_undef, per_series, _dedupe(flags))
-        rr, hh = ratios[defined], groups.sizes[defined].astype(float)
-        if rr.size == 0:
-            return MeasureResult(name, model_name, float("nan"), 0, n_undef, per_series, _dedupe(flags))
-        if (rr == 0).any():
-            flags.append(_GM_ZERO_FLAG)
-            value = 0.0
-        else:
-            value = float(np.exp((hh * np.log(rr)).sum() / hh.sum()))
-        return MeasureResult(name, model_name, value, total - n_undef, n_undef,
-                             per_series, _dedupe(flags))
-
-    if name in ("MASE", "MdASE", "RMSSE"):
-        kind = "naive-mse" if name == "RMSSE" else "naive-mae"
-        scale = _row_scales(name, train, frame, kind, consts, flags)
-        defined = scale != 0
-        terms = _over(e ** 2 if name == "RMSSE" else np.abs(e), scale, defined)
-        return finish(terms, defined, "median" if name == "MdASE" else "mean",
-                      sqrt_after=name == "RMSSE")
-
-    # ---- transformations -------------------------------------------------
-    if name in ("RMSLE", "NWRMSLE"):
-        if (y < 0).any() or (yhat < 0).any():
-            raise ValidationError(f"{name}: negative actuals or forecasts are outside the measure's domain")
-        l = np.log1p(y) - np.log1p(yhat)
-        if name == "RMSLE":
-            return finish(l * l, np.ones(l.size, dtype=bool), "mean", sqrt_after=True)
-        w = _resolve_weights(frame, weights)
-        return ratio(lambda g: (np.sqrt(g.sum(w * l * l) / g.sum(w)), g.sum(w)))
-
-    # ---- other -------------------------------------------------------------
-    if name in ("MSR", "MAR"):
-        c = _rate_terms(frame, yhat)
-        terms = c * c if name == "MSR" else np.abs(c)
-        return finish(terms, np.ones(c.size, dtype=bool), "mean")
-
-    if name == "WMAE":
-        w = _resolve_weights(frame, weights)
-        return ratio(lambda g: (g.sum(w * np.abs(e)) / g.sum(w), g.sum(w)))
-
-    if name == "CORR":
-        index = groups.index
-        values = np.zeros(len(index.series))
-        defined = np.zeros(len(index.series), dtype=bool)
-        for j, rows in enumerate(np.split(index.order, index.starts[1:-1])):
-            ys, fs = y[rows], yhat[rows]
-            if rows.size >= 2 and np.ptp(ys) != 0 and np.ptp(fs) != 0:
-                values[j], defined[j] = _pearson(ys, fs), True
-        if not defined.all():
-            flags.append("zero-variance")
-        return series_values(values, defined)
-
-    raise ValidationError(f"measure {name!r} is registered but not implemented")  # pragma: no cover
-
-
-def _row_scales(name: str, train, frame: EvaluationFrame, kind: str, constants: dict,
-                flags: list[str]) -> np.ndarray:
-    """Each row's in-sample scale: that of its series, from its train values."""
-    index = frame.series_index
-    scales = np.array([_train_scale(name, train, sid, kind, constants) for sid in index.series])
-    if (scales == 0).any():
-        flags.append(_ZERO_SCALE_FLAG)
-    return scales[index.codes]
-
-
-def _over(num: np.ndarray, scale: np.ndarray, defined: np.ndarray) -> np.ndarray:
-    """``num / scale`` where defined, 0 elsewhere."""
-    return np.divide(num, scale, out=np.zeros_like(num), where=defined)
+    if spec.terms in _STEP_TERMS:
+        terms, defined = _STEP_TERMS[spec.terms](x)
+        return _finish(x, terms, defined, spec.summary, policy, spec.sqrt_after, series)
+    if spec.terms in _POOLED_RATIOS:
+        return _pooled_ratio(x, _POOLED_RATIOS[spec.terms], policy, series)
+    values, defined = _SERIES_VALUES[spec.terms](x)
+    if spec.sqrt_after:
+        values = np.sqrt(values)
+    if spec.summary == "weighted-geometric-mean":
+        return _weighted_geometric_mean(x, values, defined, policy)
+    per_series = x.groups.as_dict(np.where(defined, values, np.nan))
+    return _finish(x, values, defined, series_summary, policy, per_series=per_series)

@@ -1,11 +1,14 @@
-"""Registry of point-forecast error measures.
+"""Registry of point-forecast error measures: one entry is the one description
+of a measure, and the engine reads every field.
 
-Each entry declares, once, everything the engine needs to evaluate a
-measure: the base error it is built on, whether terms are squared, absolute
-or signed, the scope at which a scale is computed, the summarising
-operators, what extra inputs it needs, and its default constants. The
-mapping from name to formula fields is bijective: a name fully determines
-the computation.
+``terms`` keys an engine table of term functions. A plain key gives one term
+per row, in Hyndman & Koehler's notation (e = y - f; p = 100 e / y; r = e /
+e_b against a benchmark; q = e over the in-sample naive error; l = log1p(y) -
+log1p(f); c = f minus the running mean of the actuals), which ``summary``
+(mean, median or geometric-mean) combines. A ``series:`` key gives one value
+per series, which the call's ``series_summary`` combines (``summary`` is
+``series``) or AvgRelMAE's ``weighted-geometric-mean``. A ``pooled:`` key is
+a ratio of sums over all rows (``summary`` is ``ratio-of-sums``).
 """
 
 from __future__ import annotations
@@ -46,15 +49,15 @@ class UndefinedPolicy:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Declarative description of one error measure."""
+    """One error measure. ``sqrt_after`` takes the square root after the
+    summary, or of each series' value; the engine hands a measure only the
+    extra inputs its ``needs_*`` declare; ``constants`` are call defaults.
+    """
 
     name: str
-    family: str  # scale-dependent | percentage | aggregate-scaled | relative-error | relative-measure | scaled | transform | other
-    base: str  # raw-e | percentage-p | symmetric-percentage | modified-symmetric | arctan | relative-r | scaled-q | scaled-squared-q | log-l | rate-c | in-sample-scaled
-    square_or_abs: str  # squared | absolute | signed
-    scale_scope: str  # none | actual-per-step | actual-per-series-oos | actual-per-series-in-sample | actual-all-series-oos | benchmark-per-step | benchmark-per-series | benchmark-in-sample
-    summariser: str  # mean | median | geometric-mean | ratio-of-sums
-    term_level: str = "step"  # step | series | pooled-ratio
+    terms: str
+    summary: str = "mean"
+    sqrt_after: bool = False
     needs_train: bool = False
     needs_benchmark: bool = False
     needs_weights: bool = False
@@ -62,75 +65,64 @@ class MeasureSpec:
     constants: dict = field(default_factory=dict)
 
 
+def _naive_scale() -> dict:
+    return {"seasonal_period": None, "scale_mode": "one-step", "multistep_h": None}
+
+
 _SPECS = [
     # --- scale-dependent -------------------------------------------------
-    MeasureSpec("ME", "scale-dependent", "raw-e", "signed", "none", "mean"),
-    MeasureSpec("ErrorStd", "scale-dependent", "raw-e", "squared", "none", "mean"),
-    MeasureSpec("MSE", "scale-dependent", "raw-e", "squared", "none", "mean"),
-    MeasureSpec("RMSE", "scale-dependent", "raw-e", "squared", "none", "mean"),
-    MeasureSpec("MAE", "scale-dependent", "raw-e", "absolute", "none", "mean"),
-    MeasureSpec("MdAE", "scale-dependent", "raw-e", "absolute", "none", "median"),
-    MeasureSpec("RMdSE", "scale-dependent", "raw-e", "squared", "none", "median"),
-    MeasureSpec("GMAE", "scale-dependent", "raw-e", "absolute", "none", "geometric-mean"),
-    MeasureSpec("GRMSE", "scale-dependent", "raw-e", "squared", "none", "geometric-mean"),
+    MeasureSpec("ME", "e"),
+    MeasureSpec("ErrorStd", "e2", sqrt_after=True),
+    MeasureSpec("MSE", "e2"),
+    MeasureSpec("RMSE", "e2", sqrt_after=True),
+    MeasureSpec("MAE", "|e|"),
+    MeasureSpec("MdAE", "|e|", "median"),
+    MeasureSpec("RMdSE", "e2", "median", sqrt_after=True),
+    MeasureSpec("GMAE", "|e|", "geometric-mean"),
+    MeasureSpec("GRMSE", "e2", "geometric-mean", sqrt_after=True),
     # --- percentage, per-step scaling ------------------------------------
-    MeasureSpec("MAPE", "percentage", "percentage-p", "absolute", "actual-per-step", "mean"),
-    MeasureSpec("MdAPE", "percentage", "percentage-p", "absolute", "actual-per-step", "median"),
-    MeasureSpec("RMSPE", "percentage", "percentage-p", "squared", "actual-per-step", "mean"),
-    MeasureSpec("RMdSPE", "percentage", "percentage-p", "squared", "actual-per-step", "median"),
-    MeasureSpec("sMAPE", "percentage", "symmetric-percentage", "absolute", "actual-per-step", "mean"),
-    MeasureSpec("sMdAPE", "percentage", "symmetric-percentage", "absolute", "actual-per-step", "median"),
-    MeasureSpec(
-        "msMAPE", "percentage", "modified-symmetric", "absolute", "actual-per-step", "mean",
-        constants={"epsilon": 0.1, "threshold": 0.5},
-    ),
-    MeasureSpec("MAAPE", "percentage", "arctan", "absolute", "actual-per-step", "mean"),
+    MeasureSpec("MAPE", "|p|"),
+    MeasureSpec("MdAPE", "|p|", "median"),
+    MeasureSpec("RMSPE", "p2", sqrt_after=True),
+    MeasureSpec("RMdSPE", "p2", "median", sqrt_after=True),
+    MeasureSpec("sMAPE", "symmetric"),
+    MeasureSpec("sMdAPE", "symmetric", "median"),
+    MeasureSpec("msMAPE", "modified-symmetric", constants={"epsilon": 0.1, "threshold": 0.5}),
+    MeasureSpec("MAAPE", "arctan"),
     # --- aggregate actual-value scaling ----------------------------------
-    MeasureSpec("WAPE", "aggregate-scaled", "raw-e", "absolute", "actual-per-series-oos", "ratio-of-sums", term_level="series"),
-    MeasureSpec("sWAPE", "aggregate-scaled", "raw-e", "absolute", "actual-per-series-oos", "ratio-of-sums", term_level="series"),
-    MeasureSpec("WRMSPE", "aggregate-scaled", "raw-e", "squared", "actual-per-series-oos", "ratio-of-sums", term_level="series"),
-    MeasureSpec(
-        "RTAE", "aggregate-scaled", "raw-e", "absolute", "actual-per-series-oos", "ratio-of-sums",
-        term_level="series", constants={"clamp": 1.0},
-    ),
-    MeasureSpec("sME", "aggregate-scaled", "in-sample-scaled", "signed", "actual-per-series-in-sample", "mean", needs_train=True),
-    MeasureSpec("sMSE", "aggregate-scaled", "in-sample-scaled", "squared", "actual-per-series-in-sample", "mean", needs_train=True),
-    MeasureSpec("sMAE", "aggregate-scaled", "in-sample-scaled", "absolute", "actual-per-series-in-sample", "mean", needs_train=True),
-    MeasureSpec("ND", "aggregate-scaled", "raw-e", "absolute", "actual-all-series-oos", "ratio-of-sums", term_level="pooled-ratio"),
-    MeasureSpec("NRMSE", "aggregate-scaled", "raw-e", "squared", "actual-all-series-oos", "ratio-of-sums", term_level="pooled-ratio"),
+    MeasureSpec("WAPE", "series:wape", "series"),
+    MeasureSpec("sWAPE", "series:swape", "series"),
+    MeasureSpec("WRMSPE", "series:wrmspe", "series", sqrt_after=True),
+    MeasureSpec("RTAE", "series:rtae", "series", constants={"clamp": 1.0}),
+    MeasureSpec("sME", "e/mean", needs_train=True),
+    MeasureSpec("sMSE", "(e/mean)2", needs_train=True),
+    MeasureSpec("sMAE", "|e|/mean", needs_train=True),
+    MeasureSpec("ND", "pooled:nd", "ratio-of-sums"),
+    MeasureSpec("NRMSE", "pooled:nrmse", "ratio-of-sums"),
     # --- relative errors (benchmark per step) -----------------------------
-    MeasureSpec("MRAE", "relative-error", "relative-r", "absolute", "benchmark-per-step", "mean", needs_benchmark=True),
-    MeasureSpec("MdRAE", "relative-error", "relative-r", "absolute", "benchmark-per-step", "median", needs_benchmark=True),
-    MeasureSpec("RMRSE", "relative-error", "relative-r", "squared", "benchmark-per-step", "mean", needs_benchmark=True),
-    MeasureSpec("GMRAE", "relative-error", "relative-r", "absolute", "benchmark-per-step", "geometric-mean", needs_benchmark=True),
-    MeasureSpec("RGRMSE", "relative-error", "relative-r", "squared", "benchmark-per-step", "geometric-mean", needs_benchmark=True),
+    MeasureSpec("MRAE", "|r|", needs_benchmark=True),
+    MeasureSpec("MdRAE", "|r|", "median", needs_benchmark=True),
+    MeasureSpec("RMRSE", "r2", sqrt_after=True, needs_benchmark=True),
+    MeasureSpec("GMRAE", "|r|", "geometric-mean", needs_benchmark=True),
+    MeasureSpec("RGRMSE", "r2", "geometric-mean", sqrt_after=True, needs_benchmark=True),
     # --- relative measures (benchmark per series) --------------------------
-    MeasureSpec("RelMAE", "relative-measure", "raw-e", "absolute", "benchmark-per-series", "mean", term_level="series", needs_benchmark=True),
-    MeasureSpec("RelMSE", "relative-measure", "raw-e", "squared", "benchmark-per-series", "mean", term_level="series", needs_benchmark=True),
-    MeasureSpec("RelRMSE", "relative-measure", "raw-e", "squared", "benchmark-per-series", "mean", term_level="series", needs_benchmark=True),
-    MeasureSpec("RSE", "relative-measure", "raw-e", "squared", "actual-all-series-oos", "ratio-of-sums", term_level="pooled-ratio"),
-    MeasureSpec("AvgRelMAE", "relative-measure", "raw-e", "absolute", "benchmark-per-series", "geometric-mean", term_level="series", needs_benchmark=True),
+    MeasureSpec("RelMAE", "series:relmae", "series", needs_benchmark=True),
+    MeasureSpec("RelMSE", "series:relmse", "series", needs_benchmark=True),
+    MeasureSpec("RelRMSE", "series:relmse", "series", sqrt_after=True, needs_benchmark=True),
+    MeasureSpec("RSE", "pooled:rse", "ratio-of-sums"),
+    MeasureSpec("AvgRelMAE", "series:relmae", "weighted-geometric-mean", needs_benchmark=True),
     # --- scaled errors (in-sample benchmark scaling) -----------------------
-    MeasureSpec(
-        "MASE", "scaled", "scaled-q", "absolute", "benchmark-in-sample", "mean",
-        needs_train=True, constants={"seasonal_period": None, "scale_mode": "one-step", "multistep_h": None},
-    ),
-    MeasureSpec(
-        "MdASE", "scaled", "scaled-q", "absolute", "benchmark-in-sample", "median",
-        needs_train=True, constants={"seasonal_period": None, "scale_mode": "one-step", "multistep_h": None},
-    ),
-    MeasureSpec(
-        "RMSSE", "scaled", "scaled-squared-q", "squared", "benchmark-in-sample", "mean",
-        needs_train=True, constants={"seasonal_period": None, "scale_mode": "one-step", "multistep_h": None},
-    ),
+    MeasureSpec("MASE", "|q|", needs_train=True, constants=_naive_scale()),
+    MeasureSpec("MdASE", "|q|", "median", needs_train=True, constants=_naive_scale()),
+    MeasureSpec("RMSSE", "q2", sqrt_after=True, needs_train=True, constants=_naive_scale()),
     # --- transformations ---------------------------------------------------
-    MeasureSpec("RMSLE", "transform", "log-l", "squared", "none", "mean"),
-    MeasureSpec("NWRMSLE", "transform", "log-l", "squared", "none", "ratio-of-sums", term_level="pooled-ratio", needs_weights=True),
+    MeasureSpec("RMSLE", "l2", sqrt_after=True),
+    MeasureSpec("NWRMSLE", "pooled:nwrmsle", "ratio-of-sums", needs_weights=True),
     # --- other ---------------------------------------------------------------
-    MeasureSpec("MSR", "other", "rate-c", "squared", "none", "mean"),
-    MeasureSpec("MAR", "other", "rate-c", "absolute", "none", "mean"),
-    MeasureSpec("WMAE", "other", "raw-e", "absolute", "none", "ratio-of-sums", term_level="pooled-ratio", needs_weights=True),
-    MeasureSpec("CORR", "other", "raw-e", "signed", "none", "mean", term_level="series", higher_is_better=True),
+    MeasureSpec("MSR", "c2"),
+    MeasureSpec("MAR", "|c|"),
+    MeasureSpec("WMAE", "pooled:wmae", "ratio-of-sums", needs_weights=True),
+    MeasureSpec("CORR", "series:corr", "series", higher_is_better=True),
 ]
 
 REGISTRY: dict[str, MeasureSpec] = {s.name: s for s in _SPECS}

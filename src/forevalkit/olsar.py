@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InsufficientHistoryError
+from .core import InsufficientHistoryError, TimeSeries, embed
 
 __all__ = ["ArFit", "fit_ar", "one_step_predictions", "recursive_forecast"]
 
@@ -24,27 +24,18 @@ class ArFit:
     intercept: float
     coefficients: np.ndarray  # coef_1 (lag 1) .. coef_p (lag p)
 
-    def design_row(self, history: np.ndarray) -> np.ndarray:
-        return history[-self.order:][::-1]
 
-
-def _design(values: np.ndarray, p: int, intercept: bool) -> tuple[np.ndarray, np.ndarray]:
-    n = values.size
-    if n <= p:
-        raise InsufficientHistoryError(f"need more than {p} observations to fit an AR({p})")
-    rows = n - p
-    X = np.empty((rows, p))
-    for j in range(1, p + 1):
-        X[:, j - 1] = values[p - j:n - j]
-    if intercept:
-        X = np.column_stack([np.ones(rows), X])
-    return X, values[p:]
+def _lags(values, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of lags 1..p (the embedded matrix's columns reversed) and the targets."""
+    m = embed(TimeSeries("ar", np.array(values, dtype=float)), p)
+    return np.ascontiguousarray(m.predictors[:, ::-1]), m.targets
 
 
 def fit_ar(values, p: int, intercept: bool = True) -> ArFit:
     """Fit an order-p autoregression on levels by ordinary least squares."""
-    v = np.asarray(values, dtype=float)
-    X, y = _design(v, p, intercept)
+    X, y = _lags(values, p)
+    if intercept:
+        X = np.column_stack([np.ones(y.size), X])
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     if intercept:
         return ArFit(order=p, intercept=float(beta[0]), coefficients=beta[1:].copy())
@@ -53,9 +44,7 @@ def fit_ar(values, p: int, intercept: bool = True) -> ArFit:
 
 def one_step_predictions(fit: ArFit, values) -> np.ndarray:
     """One-step-ahead predictions for positions p+1..n using true lags."""
-    v = np.asarray(values, dtype=float)
-    X, _ = _design(v, fit.order, intercept=False)
-    return fit.intercept + X @ fit.coefficients
+    return fit.intercept + _lags(values, fit.order)[0] @ fit.coefficients
 
 
 def recursive_forecast(fit: ArFit, history, h: int) -> np.ndarray:

@@ -92,6 +92,13 @@ def _as_clean_array(x, name: str) -> np.ndarray:
     return a
 
 
+def _lagged_sum(x: np.ndarray, k: int) -> float:
+    """sum_t x[t] x[t - k], added pairwise by numpy. ``x[k:] @ x[:-k]`` calls
+    BLAS ``ddot``, whose thread wake-ups cost milliseconds a call on a
+    multithreaded BLAS."""
+    return float((x[k:] * x[:x.size - k]).sum())
+
+
 def ljung_box(residuals, lags: int, fitted_params: int = 0, alpha: float = 0.05) -> TestResult:
     """Portmanteau test for residual autocorrelation up to ``lags``.
 
@@ -108,13 +115,13 @@ def ljung_box(residuals, lags: int, fitted_params: int = 0, alpha: float = 0.05)
     if n <= lags:
         raise ValidationError(f"ljung_box: need more than {lags} residuals, got {n}")
     centred = r - r.mean()
-    denom = float(centred @ centred)
+    denom = _lagged_sum(centred, 0)
     if denom == 0:
         raise ValidationError("ljung_box: constant residuals have undefined autocorrelation")
     q = 0.0
     rho = []
     for k in range(1, lags + 1):
-        rho_k = float(centred[k:] @ centred[:-k]) / denom
+        rho_k = _lagged_sum(centred, k) / denom
         rho.append(rho_k)
         q += rho_k * rho_k / (n - k)
     q *= n * (n + 2.0)
@@ -154,7 +161,7 @@ def diebold_mariano(
     d = a - b
     dbar = d.mean()
     dc = d - dbar
-    gamma0 = float(dc @ dc) / n
+    gamma0 = _lagged_sum(dc, 0) / n
     if gamma0 == 0:
         return TestResult(
             name="diebold-mariano", statistic=float("nan"), p_value=1.0, alpha=alpha,
@@ -162,7 +169,7 @@ def diebold_mariano(
         )
     v = gamma0
     for k in range(1, min(horizon, n)):
-        v += 2.0 * float(dc[k:] @ dc[:-k]) / n
+        v += 2.0 * _lagged_sum(dc, k) / n
     details: dict = {"n": n, "horizon": horizon, "mean_differential": float(dbar)}
     if v <= 0:
         # The rectangular window can produce a non-positive estimate; fall

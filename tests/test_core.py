@@ -16,6 +16,7 @@ from forevalkit import (
     naive_forecast,
     seasonal_naive_forecast,
 )
+from forevalkit.olsar import ArFit, fit_ar, one_step_predictions
 
 
 def ts(values, **kw):
@@ -177,6 +178,23 @@ class TestEmbed:
         for i in range(m.n_rows):
             window = np.concatenate([m.predictors[i], [m.targets[i]]])
             assert np.array_equal(window, values[i:i + 5])
+
+
+class TestOlsAr:
+    def test_exact_ar_recovered_with_lags_in_order(self):
+        v = [2.0, -1.0]
+        for _ in range(30):
+            v.append(1.0 + 0.5 * v[-1] - 0.3 * v[-2])
+        fit = fit_ar(v, 2)
+        assert fit.intercept == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(fit.coefficients, [0.5, -0.3], atol=1e-9)
+        assert np.allclose(one_step_predictions(fit, v), v[2:], atol=1e-9)
+
+    def test_short_input(self):
+        with pytest.raises(InsufficientHistoryError):
+            fit_ar([1.0, 2.0, 3.0], 3)
+        with pytest.raises(InsufficientHistoryError):
+            one_step_predictions(ArFit(3, 0.0, np.zeros(3)), [1.0, 2.0])
 
 
 class TestEvaluationFrame:

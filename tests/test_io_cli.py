@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -207,6 +208,23 @@ class TestCliBacktest:
         assert len(report["folds"]) == 4  # 2 folds per series x 2 series
         folds_csv = (out / "folds.csv").read_text().splitlines()
         assert folds_csv[0] == "fold_id,role,index"
+
+    def test_report_folds_join_folds_csv(self, workdir):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 3,
+                                     "horizon": 1, "stride": 1}))
+        out = workdir / "bt"
+        assert main(["backtest", str(workdir / "series.csv"), str(split), "--out", str(out)]) == 0
+        rows = {}
+        for fold_id, role, index in csv.reader((out / "folds.csv").read_text().splitlines()[1:]):
+            rows.setdefault(int(fold_id), {"train": [], "test": []})[role].append(int(index))
+        folds = json.loads((out / "report.json").read_text())["folds"]
+        assert len({entry["series"] for entry in folds}) == 2
+        assert [entry["fold"] for entry in folds] == sorted(rows) == list(range(1, len(folds) + 1))
+        for entry in folds:
+            o = entry["origin"]
+            assert rows[entry["fold"]] == {"train": list(range(o - entry["train_size"] + 1, o + 1)),
+                                           "test": list(range(o + 1, o + entry["test_size"] + 1))}
 
     def test_fixed_origin_single_fold(self, workdir):
         split = workdir / "split.json"

@@ -487,6 +487,63 @@ class TestBreakdown:
         assert len(names) >= 45
 
 
+class TestDeclaredInputs:
+    """Each registry entry declares exactly the extra inputs its terms read."""
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(4)
+        keys = [("a", 10, k) for k in range(1, 5)] + [("b", 7, k) for k in range(1, 4)]
+        keys = [keys[i] for i in rng.permutation(len(keys))]
+        sids, origins, steps = (list(c) for c in zip(*keys))
+        y = rng.uniform(1.0, 5.0, len(keys))
+        fr = EvaluationFrame(sids, origins, steps, y, {"m": y * rng.uniform(0.5, 1.5, y.size)})
+        inputs = {
+            "benchmark": bench(fr, y * rng.uniform(0.5, 1.5, y.size)),
+            "train": {"a": rng.uniform(1.0, 5.0, 8), "b": rng.uniform(1.0, 5.0, 6)},
+            "weights": rng.uniform(0.5, 2.0, y.size),
+        }
+        return fr, inputs
+
+    @pytest.mark.parametrize("name", measure_names())
+    def test_reads_only_and_needs_all_declared(self, name, monkeypatch):
+        from forevalkit.measures import engine
+
+        spec = spec_for(name)
+        declared = {k for k, needed in (("benchmark", spec.needs_benchmark),
+                                        ("train", spec.needs_train),
+                                        ("weights", spec.needs_weights)) if needed}
+        reads = set()
+        for key, fn in (("benchmark", "_resolve_benchmark"), ("train", "_train_scale"),
+                        ("weights", "_resolve_weights")):
+            def spy(*args, _real=getattr(engine, fn), _key=key):
+                reads.add(_key)
+                return _real(*args)
+            monkeypatch.setattr(engine, fn, spy)
+        fr, inputs = self.case()
+        offered = evaluate(name, fr, breakdown=True, **inputs)
+        assert reads == declared
+        given_only = evaluate(name, fr, breakdown=True, **{k: inputs[k] for k in declared})
+        assert given_only.defined and given_only == offered
+        for key in declared - {"weights"}:
+            with pytest.raises(ValidationError, match=key):
+                evaluate(name, fr, **{k: inputs[k] for k in declared - {key}})
+        if "weights" in declared:  # without weights, a weighted measure weighs rows equally
+            rest = {k: inputs[k] for k in declared - {"weights"}}
+            unweighted = evaluate(name, fr, **rest).value
+            assert unweighted == evaluate(name, fr, weights=np.ones(fr.n_rows), **rest).value
+            assert unweighted != offered.value
+
+    def test_every_term_key_names_one_table_entry(self):
+        from forevalkit.measures import engine
+
+        tables = (engine._STEP_TERMS, engine._SERIES_VALUES, engine._POOLED_RATIOS)
+        used = [spec_for(name).terms for name in measure_names()]
+        for key in used:
+            assert sum(key in table for table in tables) == 1, key
+        assert {k for table in tables for k in table} == set(used)
+
+
 # Quarter-integers hit zero denominators and exact ties often; multiples of
 # 1/97 bring rounding that does not cancel.
 _VALUE = st.one_of(

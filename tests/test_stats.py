@@ -23,7 +23,10 @@ from forevalkit import (
     wilcoxon_rank_sum,
 )
 from forevalkit.measures.ranking import average_ranks
-from forevalkit.stats import PostHocResult, _chi2_sf, _norm_sf, _t_sf, studentized_range_quantile
+from forevalkit import stats
+from forevalkit.stats import (
+    PostHocResult, _chi2_sf, _lagged_sum, _norm_sf, _t_sf, studentized_range_quantile,
+)
 
 
 class TestLjungBox:
@@ -92,6 +95,44 @@ class TestDieboldMariano:
         plain = diebold_mariano(a, b, horizon=4, harvey_correction=False)
         corrected = diebold_mariano(a, b, horizon=4, harvey_correction=True)
         assert abs(corrected.statistic) < abs(plain.statistic)
+
+
+class TestLaggedSum:
+    """The autocovariance sums of both tests, taken without BLAS."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 12000])
+    def test_matches_blas_dot(self, rng, n):
+        x = rng.normal(0, 1, n) ** 3
+        x -= x.mean()
+        for k in range(min(n, 13)):
+            # relative to the sum of the products' magnitudes, which bounds
+            # the rounding of either summation order
+            scale = float(np.abs(x[k:]) @ np.abs(x[:n - k]))
+            assert abs(_lagged_sum(x, k) - float(x[k:] @ x[:n - k])) <= 1e-12 * scale
+
+    def test_decisions_match_blas_dot(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        a = rng.normal(0, 1, 300) ** 2
+        noise = rng.normal(0, 1, 12000)
+        calls = [
+            lambda: ljung_box([1.0, -1.0] * 20, lags=1),
+            lambda: ljung_box(np.sin(np.arange(50.0)), lags=2, fitted_params=5),
+            lambda: ljung_box(np.cumsum(noise)[:400] * 0.01 + noise[:400], lags=10),
+            lambda: ljung_box(noise, lags=12),
+            lambda: diebold_mariano(a, a + 0.8 + rng.normal(0, 0.1, 300)),
+            lambda: diebold_mariano(a[:60], rng.normal(0, 1, 60) ** 2 + 0.5, horizon=4),
+            lambda: diebold_mariano(noise ** 2, (noise + 0.01) ** 2, horizon=12),
+            lambda: diebold_mariano(noise ** 2, noise[::-1] ** 2, horizon=12,
+                                    harvey_correction=False),
+        ]
+        state = rng.bit_generator.state
+        got = [call() for call in calls]
+        monkeypatch.setattr(stats, "_lagged_sum", lambda x, k: float(x[k:] @ x[:x.size - k]))
+        rng.bit_generator.state = state
+        for call, new in zip(calls, got):
+            old = call()
+            assert new.reject == old.reject
+            assert new.p_value == pytest.approx(old.p_value, rel=1e-12)
 
 
 class TestWilcoxon:
