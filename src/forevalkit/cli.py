@@ -121,17 +121,17 @@ def cmd_evaluate(args) -> int:
     if not measures:
         raise ValidationError("suite config needs a non-empty 'measures' list")
 
+    keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
     bench_frame = None
     bench_kind = suite.get("benchmark")
     if bench_kind:
-        keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
         bench_frame = benchmark_frame(dataset, keys, kind=bench_kind,
                                       period=suite.get("seasonal_period"))
 
     train = None
     if suite.get("train_from_series", True):
         index = frame.series_index
-        first_origins = np.minimum.reduceat(frame.origins[index.order], index.starts[:-1])
+        first_origins = frame.origins[frame.key_order[index.starts[:-1]]]
         train = {sid: dataset[sid].prefix(origin)
                  for sid, origin in zip(index.series, first_origins.tolist())}
 
@@ -141,13 +141,7 @@ def cmd_evaluate(args) -> int:
     for model in frame.models:
         yhat = frame.model_column(model)
         e = frame.actuals - yhat
-        errors_by_model[model] = {
-            "keys": [
-                [sid, int(o), int(k)]
-                for sid, o, k in zip(frame.series_ids.tolist(), frame.origins, frame.steps)
-            ],
-            "errors": e.tolist(),
-        }
+        errors_by_model[model] = {"keys": keys, "errors": e.tolist()}
         for entry in measures:
             name = entry if isinstance(entry, str) else entry.get("name")
             constants = None if isinstance(entry, str) else entry.get("constants")

@@ -75,7 +75,8 @@ class TimeSeries:
     frequency: int | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValidationError(f"series {self.id!r}: values must be a non-empty 1-d sequence")
         if np.isnan(values).any():
@@ -87,7 +88,7 @@ class TimeSeries:
         if self.timestamps is None:
             ts = np.arange(1, values.size + 1, dtype=np.int64)
         else:
-            ts = np.asarray(self.timestamps, dtype=np.int64)
+            ts = np.array(self.timestamps, dtype=np.int64)
             if ts.shape != values.shape:
                 raise ValidationError(f"series {self.id!r}: timestamps/values length mismatch")
             if ts.size > 1 and not (np.diff(ts) > 0).all():
@@ -318,13 +319,10 @@ class EvaluationFrame:
     Actuals and forecasts must be finite. This is the single source for every
     base error in the measures module.
 
-    Two indexes are computed on first use and cached on the frame:
-    ``series_index`` (series codes in first-appearance order and the rows of
-    each series, read by the per-series measures and breakdowns) and, once
-    the frame serves as a benchmark, its keys sorted for ``align_benchmark``'s
-    join. Both rely on the columns never changing after construction: the
-    arrays are read-only, and the attributes holding them must not be
-    reassigned. Frames that never group or join build neither index.
+    The key index is built at construction and is read-only:
+    ``series_index`` gives each row's series code and the rows of each
+    series; ``key_order`` lists the rows sorted by (series code, origin,
+    step), and ``sorted_keys`` holds those keys in that order.
     """
 
     def __init__(
@@ -352,11 +350,23 @@ class EvaluationFrame:
         for name, f in self.forecasts.items():
             if f.size != n:
                 raise ValidationError(f"model {name!r}: forecast column length mismatch")
-        steps = self.steps.tolist()
-        if min(steps) < 1:
+        if self.steps.min() < 1:
             raise ValidationError("horizon steps must be >= 1")
-        if len(set(zip(self.series_ids.tolist(), self.origins.tolist(), steps))) != n:
-            raise ValidationError("duplicate (series, origin, step) key in evaluation frame")
+        position: dict = {}
+        codes = np.fromiter((position.setdefault(sid, len(position)) for sid in self.series_ids.tolist()),
+                            dtype=np.int64, count=n)
+        starts = np.zeros(len(position) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes), out=starts[1:])
+        self.series_index = SeriesIndex(tuple(position), position, codes,
+                                        np.argsort(codes, kind="stable"), starts)
+        self.key_order = np.lexsort((self.steps, self.origins, codes))
+        self.sorted_keys = _keys(codes, self.origins, self.steps)[self.key_order]
+        keys = _as_ints(self.sorted_keys)
+        repeated = (keys[1:] == keys[:-1]).all(axis=1)
+        if repeated.any():
+            i = self.key_order[int(repeated.argmax())]
+            key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
+            raise ValidationError(f"duplicate (series, origin, step) key {key} in evaluation frame")
         for model, col in ((None, self.actuals), *self.forecasts.items()):
             finite = np.isfinite(col)
             if not finite.all():
@@ -365,10 +375,9 @@ class EvaluationFrame:
                 key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
                 raise DataValidationError(f"{what} at key {key} is not finite: {col[i]}")
 
-        for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values()):
+        for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values(),
+                    codes, self.series_index.order, starts, self.key_order, self.sorted_keys):
             arr.setflags(write=False)
-        self._series_index: SeriesIndex | None = None
-        self._sorted_keys: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def models(self) -> list[str]:
@@ -381,22 +390,6 @@ class EvaluationFrame:
     @property
     def n_rows(self) -> int:
         return self.actuals.size
-
-    @property
-    def series_index(self) -> SeriesIndex:
-        """The frame's per-series row layout, computed on first use."""
-        if self._series_index is None:
-            position: dict = {}
-            codes = np.fromiter(
-                (position.setdefault(sid, len(position)) for sid in self.series_ids.tolist()),
-                dtype=np.int64, count=self.n_rows,
-            )
-            starts = np.zeros(len(position) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(codes), out=starts[1:])
-            self._series_index = SeriesIndex(
-                tuple(position), position, codes, np.argsort(codes, kind="stable"), starts,
-            )
-        return self._series_index
 
     def unique_series(self) -> list[str]:
         """Series ids in first-appearance order."""
@@ -415,31 +408,17 @@ class EvaluationFrame:
         except KeyError:
             raise ValidationError(f"unknown model {model!r}; frame has {self.models}") from None
 
-    def select_model(self, model: str) -> "EvaluationFrame":
-        """Single-model view of this frame (used to pass benchmarks around)."""
-        return EvaluationFrame(
-            self.series_ids, self.origins, self.steps, self.actuals,
-            {model: self.model_column(model)},
-        )
-
     def align_benchmark(self, benchmark: "EvaluationFrame") -> np.ndarray:
         """Benchmark forecast column re-ordered to this frame's keys.
 
         The benchmark frame must hold exactly one model and cover every key;
         it may hold more keys, in any order. The join searches this frame's
-        keys in the benchmark's sorted keys, which are cached on the
-        benchmark frame.
+        keys in the benchmark's sorted keys.
         """
         if len(benchmark.forecasts) != 1:
             raise ValidationError("benchmark frame must carry exactly one model")
         col = next(iter(benchmark.forecasts.values()))
-        if benchmark._sorted_keys is None:
-            index = benchmark.series_index
-            order = np.lexsort((benchmark.steps, benchmark.origins, index.codes))
-            benchmark._sorted_keys = (_keys(index.codes, benchmark.origins, benchmark.steps)[order],
-                                      order)
-        sorted_keys, order = benchmark._sorted_keys
-        own = self.series_index
+        sorted_keys, own = benchmark.sorted_keys, self.series_index
         bench_codes = np.array([benchmark.series_index.position.get(sid, -1) for sid in own.series],
                                dtype=np.int64)
         wanted = _keys(bench_codes[own.codes], self.origins, self.steps)
@@ -451,7 +430,7 @@ class EvaluationFrame:
                 f"benchmark frame is missing key ({self.series_ids[i]!r}, "
                 f"{int(self.origins[i])}, {int(self.steps[i])})"
             )
-        return col[order[pos]]
+        return col[benchmark.key_order[pos]]
 
 
 def frame_from_records(records, models: list[str] | None = None) -> EvaluationFrame:
@@ -488,20 +467,25 @@ def benchmark_frame(
     information after the origin leaks into the benchmark.
     """
     fc = Forecaster(kind=kind, period=period)
-    name = name or kind
-    by_origin: dict[tuple[str, int], list[int]] = {}
     keys = list(keys)
-    for sid, origin, step in keys:
-        by_origin.setdefault((sid, int(origin)), []).append(int(step))
-    values: dict[tuple[str, int, int], float] = {}
-    for (sid, origin), steps in by_origin.items():
-        h = max(steps)
-        f = fc.forecast(dataset[sid], origin, h)
-        for k in steps:
-            values[(sid, origin, k)] = float(f[k - 1])
     sids = [k[0] for k in keys]
-    origins = [k[1] for k in keys]
-    steps = [k[2] for k in keys]
-    actuals = [dataset[sid].value_at(int(o) + int(k)) for sid, o, k in keys]
-    col = np.array([values[(sid, int(o), int(k))] for sid, o, k in keys])
-    return EvaluationFrame(sids, origins, steps, actuals, {name: col})
+    origins = np.array([int(k[1]) for k in keys], dtype=np.int64)
+    steps = np.array([int(k[2]) for k in keys], dtype=np.int64)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for row, group in enumerate(zip(sids, origins.tolist())):
+        groups.setdefault(group, []).append(row)
+    targets = origins + steps
+    col, actuals = np.empty(len(keys)), np.empty(len(keys))
+    lengths = np.empty(len(keys), dtype=np.int64)
+    for (sid, origin), rows in groups.items():
+        at = np.array(rows)
+        series, k = dataset[sid], steps[at]
+        col[at] = fc.forecast(series, origin, int(k.max()))[k - 1]
+        # clipped: out-of-range targets are reported below, after every forecast
+        actuals[at] = series.values.take(targets[at] - 1, mode="clip")
+        lengths[at] = len(series)
+    outside = (targets < 1) | (targets > lengths)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ValidationError(f"position {targets[i]} outside series {sids[i]!r} (length {lengths[i]})")
+    return EvaluationFrame(sids, origins, steps, actuals, {name or kind: col})

@@ -401,11 +401,10 @@ def _rate(x: _Inputs):
     ``np.cumsum`` adds within one window.
     """
     frame, n = x.frame, x.frame.n_rows
-    codes = frame.series_index.codes
-    rows = np.lexsort((frame.steps, frame.origins, codes))
-    row_codes, row_origins = codes[rows], frame.origins[rows]
+    rows, keys = frame.key_order, frame.sorted_keys
     starts = np.ones(n, dtype=bool)
-    starts[1:] = (row_codes[1:] != row_codes[:-1]) | (row_origins[1:] != row_origins[:-1])
+    starts[1:] = ((keys["series"][1:] != keys["series"][:-1])
+                  | (keys["origin"][1:] != keys["origin"][:-1]))
     position = np.arange(n) - np.maximum.accumulate(np.where(starts, np.arange(n), 0))
     sums = frame.actuals[rows]
     by_position = np.argsort(position, kind="stable")
@@ -429,6 +428,8 @@ def _symmetric(x: _Inputs):
 
 def _modified_symmetric(x: _Inputs):
     eps, thr = x.consts["epsilon"], x.consts["threshold"]
+    if not eps + thr > 0:  # otherwise y = f = 0 divides 0 by 0
+        raise ValidationError(f"{x.name}: epsilon + threshold must be > 0, got epsilon={eps}, threshold={thr}")
     den = np.maximum(np.abs(x.y) + np.abs(x.f) + eps, thr + eps)
     if (np.abs(x.y) + np.abs(x.f) <= thr).any():
         x.flags.append(_WINSORISED_FLAG)

@@ -27,7 +27,7 @@ class ArFit:
 
 def _lags(values, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows of lags 1..p (the embedded matrix's columns reversed) and the targets."""
-    m = embed(TimeSeries("ar", np.array(values, dtype=float)), p)
+    m = embed(TimeSeries("ar", values), p)
     return np.ascontiguousarray(m.predictors[:, ::-1]), m.targets
 
 

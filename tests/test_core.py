@@ -42,6 +42,12 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_callers_arrays_stay_writable(self):
+        values, timestamps = np.zeros(3), np.arange(1, 4, dtype=np.int64)
+        s = TimeSeries("a", values, timestamps)
+        values[0], timestamps[0] = 1.0, 0
+        assert s.values[0] == 0.0 and s.timestamps[0] == 1
+
     def test_prefix(self):
         assert ts([1, 2, 3, 4]).prefix(2).tolist() == [1.0, 2.0]
 
@@ -199,8 +205,12 @@ class TestOlsAr:
 
 class TestEvaluationFrame:
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"key \('a', 1, 1\)"):
             EvaluationFrame(["a", "a"], [1, 1], [1, 1], [1.0, 2.0], {"m": np.array([1.0, 2.0])})
+        # the two rows are apart in the input, and another series shares the key's origin and step
+        with pytest.raises(ValidationError, match=r"duplicate .* key \('b', 2, 3\)"):
+            EvaluationFrame(["b", "a", "b", "b", "a"], [2, 2, 1, 2, 1], [3, 3, 3, 3, 3],
+                            [1.0] * 5, {"m": np.ones(5)})
 
     def test_dense_across_models(self):
         with pytest.raises(ValidationError):
@@ -241,6 +251,16 @@ class TestEvaluationFrame:
         assert index.order.tolist() == [0, 2, 1, 4, 3]
         assert index.starts.tolist() == [0, 2, 4, 5]
 
+    def test_key_index(self):
+        frame = EvaluationFrame(["b", "a", "b", "a"], [2, 1, 1, 1], [1, 2, 1, 1],
+                                [1.0] * 4, {"m": np.ones(4)})
+        assert frame.key_order.tolist() == [2, 0, 3, 1]
+        assert frame.sorted_keys.tolist() == [(0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 1, 2)]
+        for arr in (frame.key_order, frame.sorted_keys, frame.series_index.codes,
+                    frame.series_index.order, frame.series_index.starts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
     @pytest.mark.parametrize("column", ["actual", "forecast"])
     def test_non_finite_values_rejected(self, column):
         values = {"actual": [1.0, 2.0, 3.0], "forecast": [1.0, 2.0, 3.0]}
@@ -261,6 +281,11 @@ class TestBenchmarkFrame:
         bf = benchmark_frame(ds, [("a", 3, 1), ("a", 3, 2)], kind="naive")
         assert bf.forecasts["naive"].tolist() == [3.0, 3.0]
         assert bf.actuals.tolist() == [4.0, 5.0]
+
+    def test_target_past_series_end(self):
+        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"), ts([1, 2, 3], id="b")))
+        with pytest.raises(ValidationError, match=r"^position 4 outside series 'b' \(length 3\)$"):
+            benchmark_frame(ds, [("a", 3, 2), ("b", 2, 1), ("a", 4, 1), ("b", 2, 2), ("a", 4, 2)])
 
     def test_mean_uses_prefix_only(self):
         ds = Dataset((ts([2, 4, 100, 100], id="a"),))

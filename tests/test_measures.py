@@ -98,6 +98,15 @@ class TestPercentage:
         r = evaluate("msMAPE", frame([0.2], [0.1]), constants={"epsilon": 0.5, "threshold": 2.0})
         assert r.value == pytest.approx(200.0 * 0.1 / 2.5, abs=1e-12)
 
+    @pytest.mark.parametrize("policy", ["propagate", "skip", "error"])
+    def test_msmape_constants_must_keep_denominator_positive(self, policy):
+        f = frame([0.0, 1.0], [0.0, 2.0])
+        with pytest.raises(ValidationError, match="epsilon=0.0, threshold=0.0"):
+            evaluate("msMAPE", f, policy=policy, constants={"epsilon": 0.0, "threshold": 0.0})
+        r = evaluate("msMAPE", f, policy=policy, constants={"epsilon": -0.5, "threshold": 1.0})
+        assert r.value == pytest.approx(100.0 * 1.0 / 2.5, abs=1e-12)
+        assert r.n_undefined == 0
+
     def test_mape_undefined_on_zero_actual(self):
         f = frame([0, 1], [1, 1])
         r = evaluate("MAPE", f)  # default policy propagates
