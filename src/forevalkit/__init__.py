@@ -42,12 +42,14 @@ from .measures import (
 )
 from .partition import (
     Fold,
+    LeakageError,
     LeakageReport,
     SplitSpec,
     blocked_splits,
     fixed_origin_split,
     kfold_splits,
     leakage_check,
+    leakage_checks,
     rolling_origin_splits,
     splits_for_series,
 )

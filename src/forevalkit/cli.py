@@ -5,7 +5,8 @@ Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
 Exit codes: 0 success, 2 usage/config problems (including unreadable
-input files), 3 leakage or data validation failures (``DataValidationError``).
+input files), 3 leakage or data validation failures (``LeakageError`` and
+the other ``DataValidationError``s).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .io import (
     write_series_csv,
 )
 from .measures import UndefinedPolicy, evaluate, rank_models, spec_for
-from .partition import SplitSpec, leakage_check, splits_for_series
+from .partition import LeakageError, SplitSpec, leakage_checks, splits_for_series
 from .pitfalls import DEFAULT_SEED, list_scenarios, run_all, run_scenario
 from .stats import (
     cd_diagram_data,
@@ -186,25 +187,25 @@ def cmd_backtest(args) -> int:
     fold_reports = []
     for series in dataset:
         folds = splits_for_series(len(series), spec)
-        for fold in folds:
-            report = leakage_check(fold, spec.scheme)
-            if not report.passed:
-                print(f"leakage detected in series {series.id!r}: {report.violations}",
-                      file=sys.stderr)
-                return EXIT_VALIDATION
         # numbered across all series, as in folds.csv
-        for fold_id, fold in enumerate(folds, start=len(all_folds) + 1):
-            h = fold.test_size
-            actual = series.values[fold.test_indices - 1]
-            entry = {"series": series.id, "fold": fold_id, "origin": fold.origin,
-                     "train_size": fold.train_size, "test_size": h, "models": {}}
-            for kind, forecaster in forecasters.items():
-                e = actual - forecaster.forecast(series, fold.origin, h)
-                entry["models"][kind] = {
-                    "MAE": float(np.abs(e).mean()),
-                    "RMSE": float(np.sqrt((e * e).mean())),
-                }
-            fold_reports.append(entry)
+        fold_ids = range(len(all_folds) + 1, len(all_folds) + len(folds) + 1)
+        for fold_id, report in zip(fold_ids, leakage_checks(folds, spec.scheme)):
+            if not report.passed:
+                raise LeakageError(f"leakage detected in series {series.id!r}, fold {fold_id}: "
+                                   + "; ".join(report.violations))
+        origins = [fold.origin for fold in folds]
+        actual = series.values[np.stack([fold.test_indices for fold in folds]) - 1]
+        scores = {}  # kind -> (MAE per fold, RMSE per fold)
+        for kind, forecaster in forecasters.items():
+            e = actual - forecaster.forecast_origins(series, origins, actual.shape[1])
+            scores[kind] = (np.abs(e).mean(axis=1).tolist(), np.sqrt((e * e).mean(axis=1)).tolist())
+        for i, (fold_id, fold) in enumerate(zip(fold_ids, folds)):
+            fold_reports.append({
+                "series": series.id, "fold": fold_id, "origin": fold.origin,
+                "train_size": fold.train_size, "test_size": fold.test_size,
+                "models": {kind: {"MAE": mae[i], "RMSE": rmse[i]}
+                           for kind, (mae, rmse) in scores.items()},
+            })
         all_folds.extend(folds)
 
     write_folds_csv(out_dir / "folds.csv", all_folds)

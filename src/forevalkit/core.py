@@ -153,11 +153,7 @@ def naive_forecast(series: TimeSeries, origin: int, h: int) -> np.ndarray:
 
     Optimal for a random walk; the baseline every comparison should include.
     """
-    if h < 1:
-        raise ValidationError("horizon must be >= 1")
-    if not 1 <= origin <= len(series):
-        raise ValidationError(f"origin {origin} out of range for series {series.id!r}")
-    return np.full(h, series.values[origin - 1], dtype=float)
+    return Forecaster("naive").forecast(series, origin, h)
 
 
 def seasonal_naive_forecast(series: TimeSeries, origin: int, h: int, m: int) -> np.ndarray:
@@ -166,19 +162,7 @@ def seasonal_naive_forecast(series: TimeSeries, origin: int, h: int, m: int) -> 
     The forecast at step k is y at position origin + k - m*ceil(k/m); with
     m = 1 this degenerates to the naive forecast.
     """
-    if h < 1:
-        raise ValidationError("horizon must be >= 1")
-    if m < 1:
-        raise ValidationError("seasonal period must be >= 1")
-    if not 1 <= origin <= len(series):
-        raise ValidationError(f"origin {origin} out of range for series {series.id!r}")
-    if origin < m:
-        raise InsufficientHistoryError(
-            f"seasonal naive needs at least one full period of history (origin {origin} < m {m})"
-        )
-    steps = np.arange(1, h + 1)
-    positions = origin + steps - m * np.ceil(steps / m).astype(int)
-    return series.values[positions - 1].astype(float)
+    return Forecaster("seasonal-naive", m).forecast(series, origin, h)
 
 
 def mean_forecast(series: TimeSeries, origin: int, h: int) -> np.ndarray:
@@ -186,11 +170,7 @@ def mean_forecast(series: TimeSeries, origin: int, h: int) -> np.ndarray:
 
     Uses only positions <= origin; nothing after the origin can change the output.
     """
-    if h < 1:
-        raise ValidationError("horizon must be >= 1")
-    if not 1 <= origin <= len(series):
-        raise ValidationError(f"origin {origin} out of range for series {series.id!r}")
-    return np.full(h, float(series.values[:origin].mean()), dtype=float)
+    return Forecaster("mean").forecast(series, origin, h)
 
 
 _BENCHMARK_KINDS = ("naive", "seasonal-naive", "mean", "external")
@@ -214,16 +194,43 @@ class Forecaster:
             raise ValidationError("seasonal-naive requires a positive seasonal period")
 
     def forecast(self, series: TimeSeries, origin: int, h: int) -> np.ndarray:
-        if self.kind == "naive":
-            return naive_forecast(series, origin, h)
+        """Forecasts for steps 1..h from one origin."""
+        return self.forecast_origins(series, [origin], h)[0]
+
+    def forecast_origins(self, series: TimeSeries, origins, h: int) -> np.ndarray:
+        """Forecasts for steps 1..h from each of several origins of one series.
+
+        Row i of the (origins x h) result is the forecast from ``origins[i]``.
+        Each row reads only positions <= its origin. The first origin out of
+        range, or short of one seasonal period, is reported.
+        """
+        if self.kind == "external":
+            raise ValidationError("external forecasts are read-only inputs and cannot be generated")
+        if h < 1:
+            raise ValidationError("horizon must be >= 1")
+        values, m = series.values, self.period
+        origins = np.asarray(origins)
+        if origins.size and origins.dtype.kind not in "iu":
+            raise ValidationError(f"origins must be integers, got {origins.dtype} values")
+        origins = origins.astype(np.int64)
+        bad = (origins < (m if self.kind == "seasonal-naive" else 1)) | (origins > values.size)
+        if bad.any():
+            origin = int(origins[bad.argmax()])
+            if not 1 <= origin <= values.size:
+                raise ValidationError(f"origin {origin} out of range for series {series.id!r}")
+            raise InsufficientHistoryError(
+                f"seasonal naive needs at least one full period of history for series "
+                f"{series.id!r} (origin {origin} < m {m})"
+            )
         if self.kind == "seasonal-naive":
-            m = self.period if self.period is not None else series.frequency
-            if m is None:
-                raise ValidationError("seasonal-naive requires a seasonal period")
-            return seasonal_naive_forecast(series, origin, h, m)
-        if self.kind == "mean":
-            return mean_forecast(series, origin, h)
-        raise ValidationError("external forecasts are read-only inputs and cannot be generated")
+            steps = np.arange(1, h + 1)
+            return values[origins[:, None] + steps - m * np.ceil(steps / m).astype(int) - 1]
+        if self.kind == "naive":
+            level = values[origins - 1]
+        else:
+            # a mean per prefix keeps numpy's pairwise summation; a cumsum would not
+            level = np.array([values[:o].mean() for o in origins.tolist()])
+        return np.repeat(level[:, None], h, axis=1)
 
 
 @dataclass(frozen=True)
@@ -296,6 +303,15 @@ class SeriesIndex:
     starts: np.ndarray
 
 
+def _series_index(series_ids: list) -> SeriesIndex:
+    position: dict = {}
+    codes = np.fromiter((position.setdefault(sid, len(position)) for sid in series_ids),
+                        dtype=np.int64, count=len(series_ids))
+    starts = np.zeros(len(position) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes), out=starts[1:])
+    return SeriesIndex(tuple(position), position, codes, np.argsort(codes, kind="stable"), starts)
+
+
 _KEY_DTYPE = np.dtype([("series", np.int64), ("origin", np.int64), ("step", np.int64)])
 
 
@@ -352,13 +368,8 @@ class EvaluationFrame:
                 raise ValidationError(f"model {name!r}: forecast column length mismatch")
         if self.steps.min() < 1:
             raise ValidationError("horizon steps must be >= 1")
-        position: dict = {}
-        codes = np.fromiter((position.setdefault(sid, len(position)) for sid in self.series_ids.tolist()),
-                            dtype=np.int64, count=n)
-        starts = np.zeros(len(position) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(codes), out=starts[1:])
-        self.series_index = SeriesIndex(tuple(position), position, codes,
-                                        np.argsort(codes, kind="stable"), starts)
+        self.series_index = index = _series_index(self.series_ids.tolist())
+        codes, starts = index.codes, index.starts
         self.key_order = np.lexsort((self.steps, self.origins, codes))
         self.sorted_keys = _keys(codes, self.origins, self.steps)[self.key_order]
         keys = _as_ints(self.sorted_keys)
@@ -464,26 +475,38 @@ def benchmark_frame(
     """Generate benchmark forecasts for the given (series, origin, step) keys.
 
     Forecasts are produced per origin from the series prefix only, so no
-    information after the origin leaks into the benchmark.
+    information after the origin leaks into the benchmark. Each series'
+    origins are forecast in one ``Forecaster.forecast_origins`` call.
     """
     fc = Forecaster(kind=kind, period=period)
     keys = list(keys)
     sids = [k[0] for k in keys]
     origins = np.array([int(k[1]) for k in keys], dtype=np.int64)
     steps = np.array([int(k[2]) for k in keys], dtype=np.int64)
-    groups: dict[tuple[str, int], list[int]] = {}
-    for row, group in enumerate(zip(sids, origins.tolist())):
-        groups.setdefault(group, []).append(row)
-    targets = origins + steps
-    col, actuals = np.empty(len(keys)), np.empty(len(keys))
-    lengths = np.empty(len(keys), dtype=np.int64)
-    for (sid, origin), rows in groups.items():
-        at = np.array(rows)
-        series, k = dataset[sid], steps[at]
-        col[at] = fc.forecast(series, origin, int(k.max()))[k - 1]
+    if (steps < 1).any():
+        raise ValidationError("horizon steps must be >= 1")
+    index = _series_index(sids)
+    codes = index.codes
+    # one forecast row per (series, origin) group, sorted by series code, then origin
+    order = np.lexsort((origins, codes))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (np.diff(codes[order]) != 0) | (np.diff(origins[order]) != 0)
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    group_origins = origins[order[first]]
+    bounds = np.searchsorted(codes[order[first]], np.arange(len(index.series) + 1))
+    forecasts = np.empty((group_origins.size, int(steps.max(initial=1))))
+    targets, actuals = origins + steps, np.empty(len(keys))
+    sizes = np.empty(len(index.series), dtype=np.int64)
+    for j, sid in enumerate(index.series):
+        series, at = dataset[sid], slice(bounds[j], bounds[j + 1])
+        forecasts[at] = fc.forecast_origins(series, group_origins[at], forecasts.shape[1])
+        rows = index.order[index.starts[j]:index.starts[j + 1]]
         # clipped: out-of-range targets are reported below, after every forecast
-        actuals[at] = series.values.take(targets[at] - 1, mode="clip")
-        lengths[at] = len(series)
+        actuals[rows] = series.values.take(targets[rows] - 1, mode="clip")
+        sizes[j] = len(series)
+    col = forecasts[group, steps - 1]
+    lengths = sizes[codes]
     outside = (targets < 1) | (targets > lengths)
     if outside.any():
         i = int(outside.argmax())

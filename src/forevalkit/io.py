@@ -173,13 +173,31 @@ def write_matrix_csv(path, per_series: dict[str, dict[tuple[str, str], float]]) 
 
 
 def write_folds_csv(path, folds) -> None:
-    """Export folds as rows of (fold_id, role, index), 1-based indices."""
+    """Export folds as rows of (fold_id, role, index), 1-based indices.
+
+    The bytes are those ``csv.writer`` would write, ``\\r\\n`` line ends
+    included. Each (fold, role) block is one ``str.join`` over index strings
+    made once, written before the next fold is read, so the file is never
+    held in memory.
+    """
     path = Path(path)
+    # text[i] == str(i) for 0 <= i < len(text). A block that misses grows it
+    # by at most twice its own length plus one, so it stays within the
+    # file's size. A dict, so that a negative index misses, not wraps round.
+    text: dict[int, str] = {}
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold_id", "role", "index"])
+        fh.write("fold_id,role,index\r\n")
         for fold_id, fold in enumerate(folds, start=1):
-            for idx in fold.train_indices.tolist():
-                writer.writerow([fold_id, "train", idx])
-            for idx in fold.test_indices.tolist():
-                writer.writerow([fold_id, "test", idx])
+            for role, indices in (("train", fold.train_indices), ("test", fold.test_indices)):
+                values = indices.tolist()
+                if not values:
+                    continue
+                head = f"{fold_id},{role},"
+                try:
+                    fields = list(map(text.__getitem__, values))
+                except KeyError:
+                    top = max(values)
+                    if min(values) >= 0 and top - len(text) <= len(values):
+                        text.update((i, str(i)) for i in range(len(text), top + len(values) + 1))
+                    fields = list(map(str, values))
+                fh.write(head + f"\r\n{head}".join(fields) + "\r\n")

@@ -5,6 +5,10 @@ length n; randomised schemes (k-fold, blocked) index into the rows of an
 embedded matrix. All indices are 1-based. Folds expose indices only: the
 retrain policy for models is the caller's concern, and scaling factors for
 scaled measures must be computed from a fold's train indices only.
+
+``leakage_checks`` screens many folds at once (a series' rolling origins,
+say) with whole-array operations and returns one report per fold;
+``leakage_check`` is its one-fold case.
 """
 
 from __future__ import annotations
@@ -14,17 +18,25 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import EmbeddedMatrix, InsufficientHistoryError, ValidationError, json_object
+from .core import (
+    DataValidationError,
+    EmbeddedMatrix,
+    InsufficientHistoryError,
+    ValidationError,
+    json_object,
+)
 
 __all__ = [
     "SplitSpec",
     "Fold",
     "LeakageReport",
+    "LeakageError",
     "fixed_origin_split",
     "rolling_origin_splits",
     "kfold_splits",
     "blocked_splits",
     "leakage_check",
+    "leakage_checks",
     "splits_for_series",
 ]
 
@@ -226,28 +238,79 @@ class LeakageReport:
     violations: tuple[str, ...]
 
 
-def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
-    """Diagnose train/test leakage for a fold under its scheme's rules.
+_PASSED = LeakageReport(passed=True, violations=())
+
+
+class LeakageError(DataValidationError):
+    """A fold's train and test indices leak into each other."""
+
+
+def _per_fold(reduce: np.ufunc, values: np.ndarray, starts: np.ndarray,
+              sizes: np.ndarray) -> np.ndarray:
+    """``reduce`` over each fold's segment of ``values``; 0 for an empty segment."""
+    out = np.zeros(sizes.size, dtype=np.int64)
+    full = sizes > 0
+    if full.any():
+        out[full] = reduce.reduceat(values, starts[full])
+    return out
+
+
+def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
+    """Diagnose train/test leakage for each fold under its scheme's rules.
 
     Every scheme fails on a non-empty train/test intersection. Temporal
     schemes additionally fail if any train index reaches past the start of
     the test region; randomised schemes permit future rows in train by
-    design (valid for pure autoregressive setups).
+    design (valid for pure autoregressive setups). All folds are checked
+    together, with whole-array operations over their concatenated indices;
+    the reports come back in fold order.
     """
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}")
-    violations = []
-    overlap = np.intersect1d(fold.train_indices, fold.test_indices)
-    if overlap.size:
-        violations.append(f"train/test overlap at indices {overlap.tolist()}")
-    if scheme in ("fixed-origin", "rolling-origin") and fold.train_size and fold.test_size:
-        t_max = int(fold.train_indices.max())
-        s_min = int(fold.test_indices.min())
-        if t_max >= s_min:
+    folds = list(folds)
+    no_index = np.empty(0, dtype=np.int64)
+    train = np.concatenate([no_index, *(f.train_indices for f in folds)])
+    test = np.concatenate([no_index, *(f.test_indices for f in folds)])
+    train_sizes = np.array([f.train_size for f in folds], dtype=np.int64)
+    test_sizes = np.array([f.test_size for f in folds], dtype=np.int64)
+    train_starts = np.cumsum(train_sizes) - train_sizes
+    train_fold = np.repeat(np.arange(len(folds)), train_sizes)
+
+    # overlap: train (fold, index) codes found among the test ones
+    shared = np.zeros(train.size, dtype=bool)
+    if train.size and test.size:
+        lo = min(train.min(), test.min())
+        span = max(train.max(), test.max()) - lo + 1
+        test_fold = np.repeat(np.arange(len(folds)), test_sizes)
+        shared = np.isin(train_fold * span + (train - lo), test_fold * span + (test - lo))
+    overlapping = np.zeros(len(folds), dtype=bool)
+    overlapping[train_fold[shared]] = True
+
+    # temporal order: max(train) against min(test)
+    late = np.zeros(len(folds), dtype=bool)
+    if scheme in ("fixed-origin", "rolling-origin"):
+        t_max = _per_fold(np.maximum, train, train_starts, train_sizes)
+        s_min = _per_fold(np.minimum, test, np.cumsum(test_sizes) - test_sizes, test_sizes)
+        late = (train_sizes > 0) & (test_sizes > 0) & (t_max >= s_min)
+
+    reports = [_PASSED] * len(folds)
+    for i in np.flatnonzero(overlapping | late).tolist():
+        violations = []
+        if overlapping[i]:
+            fold_rows = slice(train_starts[i], train_starts[i] + train_sizes[i])
+            at = np.unique(train[fold_rows][shared[fold_rows]])
+            violations.append(f"train/test overlap at indices {at.tolist()}")
+        if late[i]:
             violations.append(
-                f"temporal order violated: max(train)={t_max} >= min(test)={s_min}"
+                f"temporal order violated: max(train)={t_max[i]} >= min(test)={s_min[i]}"
             )
-    return LeakageReport(passed=not violations, violations=tuple(violations))
+        reports[i] = LeakageReport(passed=False, violations=tuple(violations))
+    return reports
+
+
+def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
+    """Diagnose train/test leakage for one fold; see ``leakage_checks``."""
+    return leakage_checks([fold], scheme)[0]
 
 
 def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forevalkit import (
     DataValidationError,
@@ -111,7 +113,7 @@ class TestSeasonalNaive:
         assert seasonal_naive_forecast(ts([10, 20, 30]), 3, 4, 3).tolist() == [10.0, 20.0, 30.0, 10.0]
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(InsufficientHistoryError, match=r"for series 's' \(origin 2 < m 3\)$"):
             seasonal_naive_forecast(ts([1, 2, 3]), 2, 1, 3)
 
 
@@ -150,6 +152,71 @@ class TestForecaster:
     def test_seasonal_requires_period(self):
         with pytest.raises(ValidationError):
             Forecaster("seasonal-naive")
+
+
+def _one_origin(kind, values, origin, h, m):
+    """The one-origin benchmark forecasts, written out directly."""
+    if kind == "naive":
+        return np.full(h, values[origin - 1], dtype=float)
+    if kind == "mean":
+        return np.full(h, float(values[:origin].mean()), dtype=float)
+    steps = np.arange(1, h + 1)
+    return values[origin + steps - m * np.ceil(steps / m).astype(int) - 1].astype(float)
+
+
+class TestForecastOrigins:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["naive", "seasonal-naive", "mean"]),
+           n=st.integers(1, 40), m=st.integers(1, 12), h=st.integers(1, 30))
+    def test_rows_are_the_one_origin_forecasts_bit_for_bit(self, data, kind, n, m, h):
+        values = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+        first = m if kind == "seasonal-naive" else 1
+        if first > n:
+            m = first = n
+        origins = data.draw(st.lists(st.integers(first, n), min_size=1, max_size=12))
+        fc = Forecaster(kind, m if kind == "seasonal-naive" else None)
+        s = ts(values)
+        batch = fc.forecast_origins(s, origins, h)
+        assert batch.shape == (len(origins), h)
+        scalar = {"naive": lambda o: naive_forecast(s, o, h),
+                  "mean": lambda o: mean_forecast(s, o, h),
+                  "seasonal-naive": lambda o: seasonal_naive_forecast(s, o, h, m)}[kind]
+        for row, origin in zip(batch, origins):
+            want = _one_origin(kind, values, origin, h, m).tobytes()
+            assert row.tobytes() == want
+            assert fc.forecast(s, origin, h).tobytes() == want
+            assert scalar(origin).tobytes() == want
+
+    def test_origin_equal_to_period_and_horizon_past_it(self):
+        s = ts([1, 2, 3, 4, 5, 6, 7])
+        got = Forecaster("seasonal-naive", 3).forecast_origins(s, [3, 5], 7)
+        assert got.tolist() == [[1, 2, 3, 1, 2, 3, 1], [3, 4, 5, 3, 4, 5, 3]]
+        assert Forecaster("seasonal-naive", 1).forecast_origins(s, [1, 7], 2).tolist() == [
+            [1, 1], [7, 7]]
+
+    def test_no_origins(self):
+        assert Forecaster("mean").forecast_origins(ts([1, 2]), [], 3).shape == (0, 3)
+
+    def test_first_bad_origin_reported(self):
+        s = ts([1, 2, 3, 4, 5], id="a")
+        seasonal = Forecaster("seasonal-naive", 3)
+        with pytest.raises(InsufficientHistoryError,
+                           match=r"^seasonal naive needs at least one full period of history "
+                                 r"for series 'a' \(origin 2 < m 3\)$"):
+            seasonal.forecast_origins(s, [4, 2, 6], 1)
+        with pytest.raises(ValidationError, match=r"^origin 6 out of range for series 'a'$") as exc:
+            seasonal.forecast_origins(s, [4, 6, 2], 1)
+        assert type(exc.value) is ValidationError
+        for kind in ("naive", "mean"):
+            with pytest.raises(ValidationError, match=r"^origin 0 out of range for series 'a'$"):
+                Forecaster(kind).forecast_origins(s, [1, 0, 9], 2)
+            with pytest.raises(ValidationError, match=r"^horizon must be >= 1$"):
+                Forecaster(kind).forecast_origins(s, [1], 0)
+        with pytest.raises(ValidationError, match="external forecasts"):
+            Forecaster("external").forecast_origins(s, [1], 1)
+        with pytest.raises(ValidationError, match=r"^origins must be integers, got float64 values$"):
+            naive_forecast(s, 2.5, 1)
 
 
 class TestEmbed:
@@ -291,3 +358,21 @@ class TestBenchmarkFrame:
         ds = Dataset((ts([2, 4, 100, 100], id="a"),))
         bf = benchmark_frame(ds, [("a", 2, 1)], kind="mean")
         assert bf.forecasts["mean"].tolist() == [3.0]
+
+    def test_interleaved_keys_match_one_origin_forecasts(self, rng):
+        ds = Dataset(tuple(ts(rng.normal(0, 5, 30), id=sid) for sid in "abc"))
+        keys = [(str(rng.choice(list("abc"))), int(rng.integers(4, 20)), int(rng.integers(1, 9)))
+                for _ in range(200)]
+        keys = list(dict.fromkeys(keys))
+        for kind in ("naive", "seasonal-naive", "mean"):
+            bf = benchmark_frame(ds, keys, kind=kind, period=4)
+            for i, (sid, origin, step) in enumerate(keys):
+                want = _one_origin(kind, ds[sid].values, origin, step, 4)[-1]
+                assert bf.forecasts[kind][i].tobytes() == want.tobytes()
+                assert bf.actuals[i] == ds[sid].values[origin + step - 1]
+
+    def test_step_below_one_rejected(self):
+        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
+        for bad in (0, -20):
+            with pytest.raises(ValidationError, match=r"^horizon steps must be >= 1$"):
+                benchmark_frame(ds, [("a", 3, 1), ("a", 4, bad)])

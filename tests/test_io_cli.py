@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import forevalkit.cli
 from forevalkit import (
     CharacteristicProfile,
     Dataset,
     DgpSpec,
+    LeakageError,
     SplitSpec,
     TimeSeries,
     ValidationError,
@@ -19,8 +23,10 @@ from forevalkit.io import (
     build_frame,
     read_forecast_csv,
     read_series_csv,
+    write_folds_csv,
     write_series_csv,
 )
+from forevalkit.partition import Fold
 
 SERIES_CSV = """series_id,timestamp,value
 a,1,10
@@ -79,6 +85,40 @@ class TestSeriesCsv:
         p.write_text("series_id,timestamp,value\na,2,20\na,1,10\n")
         ds = read_series_csv(p)
         assert ds["a"].values.tolist() == [10.0, 20.0]
+
+
+def _csv_writer_folds(path, folds):
+    """folds.csv as ``csv.writer`` writes it, one row per index."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fold_id", "role", "index"])
+        for fold_id, fold in enumerate(folds, start=1):
+            for idx in fold.train_indices.tolist():
+                writer.writerow([fold_id, "train", idx])
+            for idx in fold.test_indices.tolist():
+                writer.writerow([fold_id, "test", idx])
+
+
+_INDICES = st.one_of(
+    st.lists(st.integers(-3, 20_000), max_size=30),  # unsorted, repeated, sparse
+    st.builds(lambda start, n: list(range(start, start + n)),
+              st.integers(1, 12_000), st.integers(0, 300)),  # contiguous runs
+)
+
+
+class TestFoldsCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(folds=st.lists(st.builds(Fold, _INDICES, _INDICES), max_size=12))
+    def test_bytes_match_csv_writer(self, folds, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp()
+        write_folds_csv(base / "got.csv", folds)
+        _csv_writer_folds(base / "want.csv", folds)
+        assert (base / "got.csv").read_bytes() == (base / "want.csv").read_bytes()
+
+    def test_crlf_and_empty_train(self, tmp_path):
+        write_folds_csv(tmp_path / "f.csv", [Fold([], [3, 1]), Fold([10_000, 2], [])])
+        assert (tmp_path / "f.csv").read_bytes() == (
+            b"fold_id,role,index\r\n1,test,3\r\n1,test,1\r\n2,train,10000\r\n2,train,2\r\n")
 
 
 class TestBuildFrame:
@@ -260,6 +300,40 @@ class TestCliBacktest:
                      "--benchmark", "seasonal-naive", "--out", str(workdir / "bt")])
         assert code == 2
         assert capsys.readouterr().err == "error: seasonal-naive requires a positive seasonal period\n"
+
+    def test_leaky_fold_raises_leakage_error_exit_3(self, workdir, monkeypatch, capsys):
+        def splits(n, spec):
+            folds = [Fold(np.arange(1, o + 1), np.arange(o + 1, o + 2), origin=o)
+                     for o in range(1, n)]
+            if n == 4:  # series b: its third fold trains on its test point
+                folds[2] = Fold(np.arange(1, 5), np.arange(4, 5), origin=3)
+            return folds
+
+        monkeypatch.setattr(forevalkit.cli, "splits_for_series", splits)
+        (workdir / "series.csv").write_text(SERIES_CSV.replace("b,5,104\n", "")
+                                            + "".join(f"c,{t},{t}\n" for t in range(1, 41)))
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 1, "horizon": 1}))
+        out = workdir / "bt"
+        with pytest.raises(LeakageError):
+            forevalkit.cli.cmd_backtest(forevalkit.cli.build_parser().parse_args(
+                ["backtest", str(workdir / "series.csv"), str(split), "--out", str(out)]))
+        code = main(["backtest", str(workdir / "series.csv"), str(split), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: leakage detected in series 'b', fold 7: train/test overlap at indices [4]; "
+            "temporal order violated: max(train)=4 >= min(test)=4\n")
+        assert not (out / "folds.csv").exists()
+
+    def test_seasonal_naive_short_history_names_series_exit_2(self, workdir, capsys):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "fixed-origin", "initial_train": 3, "horizon": 2}))
+        code = main(["backtest", str(workdir / "series.csv"), str(split), "--seasonal-period", "4",
+                     "--benchmark", "seasonal-naive", "--out", str(workdir / "bt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seasonal naive needs at least one full period of history for series 'a' "
+            "(origin 3 < m 4)\n")
 
     def test_kfold_on_raw_series_refused(self, workdir):
         split = workdir / "split.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forevalkit import (
     InsufficientHistoryError,
@@ -11,10 +13,11 @@ from forevalkit import (
     fixed_origin_split,
     kfold_splits,
     leakage_check,
+    leakage_checks,
     rolling_origin_splits,
     splits_for_series,
 )
-from forevalkit.partition import Fold
+from forevalkit.partition import Fold, LeakageReport
 
 
 def matrix(n_rows, p=2):
@@ -198,6 +201,69 @@ class TestLeakageCheck:
             assert leakage_check(fold, "kfold").passed
         for fold in blocked_splits(matrix(60), 4, gap=2):
             assert leakage_check(fold, "blocked").passed
+
+
+def _direct_rule(fold, scheme):
+    """The leakage rule for one fold, written out directly."""
+    violations = []
+    overlap = np.intersect1d(fold.train_indices, fold.test_indices)
+    if overlap.size:
+        violations.append(f"train/test overlap at indices {overlap.tolist()}")
+    if scheme in ("fixed-origin", "rolling-origin") and fold.train_size and fold.test_size:
+        t_max, s_min = int(fold.train_indices.max()), int(fold.test_indices.min())
+        if t_max >= s_min:
+            violations.append(f"temporal order violated: max(train)={t_max} >= min(test)={s_min}")
+    return LeakageReport(passed=not violations, violations=tuple(violations))
+
+
+class TestLeakageChecks:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_folds=st.integers(1, 2500),
+           bad=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                  st.sampled_from(["overlap", "order", "random"])), max_size=3),
+           scheme=st.sampled_from(["fixed-origin", "rolling-origin", "kfold", "blocked"]))
+    def test_matches_direct_rule(self, seed, n_folds, bad, scheme):
+        rng = np.random.default_rng(seed)
+        folds = []
+        for _ in range(n_folds):
+            origin, h = int(rng.integers(1, 60)), int(rng.integers(1, 13))
+            start = int(rng.integers(1, origin + 2))  # start = origin + 1: empty train
+            folds.append(Fold(np.arange(start, origin + 1), np.arange(origin + 1, origin + h + 1),
+                              origin=origin))
+        for where, how in bad:
+            i = int(where * n_folds)
+            fold = folds[i]
+            if how == "overlap":  # pull a test index into train, out of order
+                train = np.concatenate([fold.test_indices[-1:], fold.train_indices])
+                test = fold.test_indices
+            elif how == "order":  # a train index past the test region, no overlap
+                train = np.append(fold.train_indices, fold.test_indices.max() + 10_000)
+                test = fold.test_indices
+            else:  # unsorted, repeated, non-contiguous indices, possibly empty
+                train = rng.integers(1, 40, size=int(rng.integers(0, 20)))
+                test = rng.integers(1, 40, size=int(rng.integers(0, 8)))
+            folds[i] = Fold(train, test)
+        got = leakage_checks(folds, scheme)
+        assert got == [_direct_rule(fold, scheme) for fold in folds]
+        assert [leakage_check(fold, scheme) for fold in folds[:50]] == got[:50]
+
+    def test_single_bad_fold_among_thousands(self):
+        spec = SplitSpec(scheme="rolling-origin", initial_train=5, horizon=3)
+        folds = rolling_origin_splits(3000, spec)
+        fold = folds[1234]
+        folds[1234] = Fold(np.append(fold.train_indices, [fold.origin + 2, 5000]),
+                           fold.test_indices, origin=fold.origin)
+        reports = leakage_checks(folds, "rolling-origin")
+        assert [i for i, r in enumerate(reports) if not r.passed] == [1234]
+        assert reports[1234].violations == (
+            f"train/test overlap at indices [{fold.origin + 2}]",
+            f"temporal order violated: max(train)=5000 >= min(test)={fold.origin + 1}",
+        )
+
+    def test_no_folds_and_unknown_scheme(self):
+        assert leakage_checks([], "kfold") == []
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            leakage_checks([], "holdout")
 
 
 class TestSplitSpec:
