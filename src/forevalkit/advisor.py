@@ -109,9 +109,10 @@ class CharacteristicProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "CharacteristicProfile":
-        data = json_object(text, "profile")
-        if "structural_breaks" in data:
-            data["structural_breaks"] = frozenset(data["structural_breaks"])
+        return cls._from_dict(json_object(text, "profile"))
+
+    @classmethod
+    def _from_dict(cls, data: dict) -> "CharacteristicProfile":
         try:
             return cls(**data)
         except TypeError as exc:

@@ -17,13 +17,14 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
-from .core import DataValidationError, Forecaster, ValidationError, benchmark_frame
+from .core import DataValidationError, Forecaster, ValidationError, benchmark_frame, json_object
 from .io import (
     build_frame,
     read_forecast_csv,
@@ -73,14 +74,16 @@ def _write_manifest(out_dir: Path, command: str, inputs: list[Path], config, see
         "config": config,
         "inputs": {str(p): _sha256_file(p) for p in inputs},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
-def _load_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+def _write_json(path: Path, obj) -> None:
+    """One line of JSON; without ``indent``, ``json`` uses its C encoder."""
+    path.write_text(json.dumps(obj) + "\n")
+
+
+def _read_json(path) -> dict:
+    return json_object(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 def _default_seed(args_seed) -> int:
@@ -115,12 +118,17 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = read_series_csv(args.series)
     frame = build_frame(dataset, read_forecast_csv(args.forecasts))
-    suite = _load_json(Path(args.suite))
+    suite = _read_json(args.suite)
     policy = UndefinedPolicy.parse(args.policy or suite.get("policy", "propagate"))
 
     measures = suite.get("measures")
-    if not measures:
+    if not measures or not isinstance(measures, list):
         raise ValidationError("suite config needs a non-empty 'measures' list")
+    measures = [{"name": m} if isinstance(m, str) else m for m in measures]
+    for entry in measures:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValidationError(
+                f"suite measures entry {entry!r} is neither a name nor an object with 'name'")
 
     keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
     bench_frame = None
@@ -144,17 +152,15 @@ def cmd_evaluate(args) -> int:
         e = frame.actuals - yhat
         errors_by_model[model] = {"keys": keys, "errors": e.tolist()}
         for entry in measures:
-            name = entry if isinstance(entry, str) else entry.get("name")
-            constants = None if isinstance(entry, str) else entry.get("constants")
-            series_summary = "mean" if isinstance(entry, str) else entry.get("series_summary", "mean")
+            name = entry["name"]
             if spec_for(name).needs_benchmark and bench_frame is None:
                 raise ValidationError(
                     f"measure {name} needs a benchmark; set 'benchmark' in the suite config"
                 )
             result = evaluate(
                 name, frame, model=model, benchmark=bench_frame, train=train,
-                policy=policy, constants=constants, breakdown=True,
-                series_summary=series_summary,
+                policy=policy, constants=entry.get("constants"), breakdown=True,
+                series_summary=entry.get("series_summary", "mean"),
             )
             results.append(result)
             if result.per_series:
@@ -167,7 +173,7 @@ def cmd_evaluate(args) -> int:
         "results": [_result_dict(r) for r in results],
         "errors": errors_by_model,
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(out_dir / "report.json", report)
     write_matrix_csv(out_dir / "matrix.csv", per_series_matrix)
     _write_manifest(out_dir, "evaluate", [Path(args.series), Path(args.forecasts), Path(args.suite)],
                     {"suite": suite, "policy": policy}, None)
@@ -209,7 +215,7 @@ def cmd_backtest(args) -> int:
         all_folds.extend(folds)
 
     write_folds_csv(out_dir / "folds.csv", all_folds)
-    (out_dir / "report.json").write_text(json.dumps({"folds": fold_reports}, indent=2) + "\n")
+    _write_json(out_dir / "report.json", {"folds": fold_reports})
     _write_manifest(out_dir, "backtest", [Path(args.series), Path(args.split)],
                     {"split": json.loads(spec.to_json()), "benchmarks": benchmarks}, None)
     print(f"backtest: {len(all_folds)} folds over {len(dataset)} series -> {out_dir}")
@@ -239,13 +245,13 @@ def _collect_scores(reports: list[dict], measure: str):
 def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _load_json(Path(args.config)) if args.config else {}
+    config = _read_json(args.config) if args.config else {}
     measure = config.get("measure", "RMSE")
     alpha = float(config.get("alpha", 0.05))
     adjust = config.get("adjust", "holm")
     pairwise_kind = config.get("pairwise", "wilcoxon")
 
-    reports = [_load_json(Path(p)) for p in args.reports]
+    reports = [_read_json(p) for p in args.reports]
     scores, series = _collect_scores(reports, measure)
     if len(scores) < 2:
         raise ValidationError("comparison needs at least 2 models")
@@ -306,7 +312,7 @@ def cmd_compare(args) -> int:
         "adjusted_p": {f"{a} vs {b}": p for (a, b), p in adjusted.pairwise.items()},
         "adjust_method": adjust,
     }
-    (out_dir / "tests.json").write_text(json.dumps(tests, indent=2) + "\n")
+    _write_json(out_dir / "tests.json", tests)
     _write_manifest(out_dir, "compare", [Path(p) for p in args.reports],
                     {"config": config}, None)
     print(f"compare: {len(models)} models on {len(series)} series -> {out_dir}")
@@ -316,24 +322,15 @@ def cmd_compare(args) -> int:
 def cmd_advise(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw = _load_json(Path(args.profile))
-    if not isinstance(raw, dict):
-        raise ValidationError("profile JSON must be an object")
+    raw = _read_json(args.profile)
     lengths = raw.pop("series_lengths", None)
     model_class = raw.pop("model_class", "unknown")
-    profile = CharacteristicProfile.from_json(json.dumps(raw))
-    table = load_rule_table()
-    recommendation = recommend_measures(profile, table)
+    profile = CharacteristicProfile._from_dict(raw)
+    recommendation = recommend_measures(profile, load_rule_table())
     if lengths:
         advice = recommend_partitioning(lengths, model_class=model_class)
-        recommendation = type(recommendation)(
-            recommended=recommendation.recommended,
-            cautioned=recommendation.cautioned,
-            contraindicated=recommendation.contraindicated,
-            partitioning_advice=advice,
-        )
-    (out_dir / "recommendation.json").write_text(
-        json.dumps(recommendation.to_dict(), indent=2) + "\n")
+        recommendation = replace(recommendation, partitioning_advice=advice)
+    _write_json(out_dir / "recommendation.json", recommendation.to_dict())
     text = recommendation.to_text()
     (out_dir / "recommendation.txt").write_text(text)
     print(text, end="")
@@ -376,7 +373,7 @@ def cmd_pitfalls(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "pitfalls.json").write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(out_dir / "pitfalls.json", payload)
         with (out_dir / "evidence.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["scenario", "passed", "key", "value"])

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,6 +466,15 @@ def frame_from_records(records, models: list[str] | None = None) -> EvaluationFr
     return EvaluationFrame(sids, origins, steps, actuals, {m: np.array(v) for m, v in cols.items()})
 
 
+def _integer_field(keys: list, i: int, what: str) -> np.ndarray:
+    """Field ``i`` of every key as int64; a key whose field is not an integer is reported."""
+    try:
+        return np.array([operator.index(k[i]) for k in keys], dtype=np.int64)
+    except TypeError:
+        bad = next(k for k in keys if not hasattr(type(k[i]), "__index__"))
+        raise ValidationError(f"benchmark key {bad!r}: {what} must be an integer") from None
+
+
 def benchmark_frame(
     dataset: Dataset,
     keys,
@@ -481,8 +491,8 @@ def benchmark_frame(
     fc = Forecaster(kind=kind, period=period)
     keys = list(keys)
     sids = [k[0] for k in keys]
-    origins = np.array([int(k[1]) for k in keys], dtype=np.int64)
-    steps = np.array([int(k[2]) for k in keys], dtype=np.int64)
+    origins = _integer_field(keys, 1, "origin")
+    steps = _integer_field(keys, 2, "step")
     if (steps < 1).any():
         raise ValidationError("horizon steps must be >= 1")
     index = _series_index(sids)

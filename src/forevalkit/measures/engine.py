@@ -224,7 +224,7 @@ def _pooled_ratio(x: _Inputs, ratio, policy: str, series: _Groups | None) -> Mea
 
     ``ratio(x, groups)`` returns (value, denominator) per group. A zero pooled
     denominator leaves every term undefined; a zero per-series one leaves
-    that series' value undefined.
+    that series' value undefined. Either is flagged ``zero-scale``.
     """
     n_rows = x.e.size
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -236,7 +236,10 @@ def _pooled_ratio(x: _Inputs, ratio, policy: str, series: _Groups | None) -> Mea
         per_series = None
         if series is not None:
             values, dens = ratio(x, series)
-            per_series = series.as_dict(np.where(dens != 0, values, np.nan))
+            defined = dens != 0
+            if not defined.all():
+                x.flags.append(_ZERO_SCALE_FLAG)
+            per_series = series.as_dict(np.where(defined, values, np.nan))
     return x.result(float(value[0]), n_rows, 0, per_series)
 
 

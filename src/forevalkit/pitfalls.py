@@ -5,6 +5,11 @@ choice) misbehaves in a documented way, and checks a qualitative predicate:
 an ordering inversion, a bound, or a distortion direction. Verdicts are
 deterministic under a fixed seed. Predicates are qualitative on purpose;
 no exact figure values are asserted.
+
+To add a scenario, decorate a ``check(seed) -> (passed, evidence)`` function
+with ``@_scenario(name, topic, description)``. The catalogue lists scenarios
+in definition order, and ``evidence.csv`` writes each evidence dict's keys in
+insertion order.
 """
 
 from __future__ import annotations
@@ -39,6 +44,21 @@ class Scenario:
     run: callable
 
 
+_CATALOGUE: dict[str, Scenario] = {}
+
+
+def _scenario(name: str, topic: str, description: str):
+    """Register a ``check(seed) -> (passed, evidence)`` function as a scenario."""
+    def register(check):
+        def run(seed: int) -> ScenarioResult:
+            passed, evidence = check(seed)
+            return ScenarioResult(name=name, passed=passed, evidence=evidence,
+                                  description=description)
+        _CATALOGUE[name] = Scenario(name=name, topic=topic, description=description, run=run)
+        return check
+    return register
+
+
 def _single_series_frame(sid, origin, actuals, forecasts_by_model) -> EvaluationFrame:
     h = len(actuals)
     return EvaluationFrame(
@@ -50,8 +70,59 @@ def _single_series_frame(sid, origin, actuals, forecasts_by_model) -> Evaluation
     )
 
 
-def _scenario_naive_vs_ar(seed: int) -> ScenarioResult:
-    """On random walks, the last-value forecast beats a level-trained autoregression."""
+def _shifted_frame(series: TimeSeries, origin: int, h: int, shift: float) -> EvaluationFrame:
+    """One horizon of ``series`` from ``origin``, forecast by the actuals plus ``shift``."""
+    actual = series.values[origin: origin + h]
+    return _single_series_frame(series.id, origin, actual, {"model": actual + shift})
+
+
+def _rolling_one_step_frame(series: TimeSeries, start: int, deviation: float) -> EvaluationFrame:
+    """One-step rolling-origin frame with forecasts a fixed deviation off the actuals."""
+    origins = list(range(start, len(series)))
+    actuals = [series.value_at(o + 1) for o in origins]
+    return EvaluationFrame([series.id] * len(origins), origins, [1] * len(origins), actuals,
+                           {"model": np.asarray(actuals) + deviation})
+
+
+def _mae_and_naive_mrae(dataset: Dataset, frames: dict) -> dict:
+    """``mae_<label>`` for each labelled frame, then ``mrae_<label>``.
+
+    The MRAE's benchmark is the naive forecast on the frame's own keys.
+    """
+    mae, mrae = {}, {}
+    for label, frame in frames.items():
+        keys = zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist())
+        bench = benchmark_frame(dataset, keys, kind="naive")
+        mae[f"mae_{label}"] = evaluate("MAE", frame).value
+        mrae[f"mrae_{label}"] = evaluate("MRAE", frame, benchmark=bench).value
+    return mae | mrae
+
+
+def _peak_trough_miss(series: TimeSeries, origin: int, h: int, miss: float):
+    """The same miss at the horizon's highest and at its lowest actual, under MAE and MAPE.
+
+    Passes when the MAEs tie and MAPE weighs the peak miss less.
+    """
+    actual = series.values[origin: origin + h]
+    peak, trough = int(np.argmax(actual)), int(np.argmin(actual))
+    forecasts = {"peak-miss": actual.copy(), "trough-miss": actual.copy()}
+    forecasts["peak-miss"][peak] -= miss
+    forecasts["trough-miss"][trough] -= miss
+    frame = _single_series_frame(series.id, origin, actual, forecasts)
+    mae_p, mae_t = (evaluate("MAE", frame, model=m).value for m in forecasts)
+    mape_p, mape_t = (evaluate("MAPE", frame, model=m).value for m in forecasts)
+    return (mae_p == mae_t) and (mape_p < mape_t), {
+        "mae_peak_miss": mae_p, "mae_trough_miss": mae_t,
+        "mape_peak_miss": mape_p, "mape_trough_miss": mape_t,
+        "peak_actual": float(actual[peak]), "trough_actual": float(actual[trough])}
+
+
+@_scenario(
+    "naive-beats-ar-on-random-walk", "unit-roots",
+    "On seeded random walks the last-value forecast attains mean squared error no "
+    "worse than an autoregression trained on levels; apparent wins over it are spurious.",
+)
+def _naive_vs_ar(seed: int):
     n, h, reps, order = 1000, 10, 200, 5
     mse_naive, mse_ar = [], []
     for i in range(reps):
@@ -64,115 +135,62 @@ def _scenario_naive_vs_ar(seed: int) -> ScenarioResult:
         mse_naive.append(float(((actual - naive) ** 2).mean()))
         mse_ar.append(float(((actual - ar) ** 2).mean()))
     mean_naive, mean_ar = float(np.mean(mse_naive)), float(np.mean(mse_ar))
-    return ScenarioResult(
-        name="naive-beats-ar-on-random-walk",
-        passed=mean_naive <= mean_ar,
-        evidence={"replications": reps, "mean_mse_naive": mean_naive, "mean_mse_ar": mean_ar},
-        description=_CATALOGUE["naive-beats-ar-on-random-walk"].description,
-    )
+    return mean_naive <= mean_ar, {"replications": reps, "mean_mse_naive": mean_naive,
+                                   "mean_mse_ar": mean_ar}
 
 
-def _scenario_mape_seasonal(seed: int) -> ScenarioResult:
-    """Identical absolute misses get very different percentage weight at seasonal peaks."""
+@_scenario(
+    "percentage-errors-miss-seasonal-peaks", "seasonality",
+    "Two forecasts with identical absolute error, one missing the seasonal peak and one "
+    "the trough, get opposite percentage-error verdicts: the peak miss is under-weighted.",
+)
+def _mape_seasonal(seed: int):
     series = generate(DgpSpec(kind="seasonal", length=48, seed=seed, level=100.0,
                               amplitude=90.0, period=12, noise_sd=1.0))
-    origin, h = 36, 12
-    actual = series.values[origin: origin + h]
-    peak, trough = int(np.argmax(actual)), int(np.argmin(actual))
-    miss = 8.0
-    f_peak = actual.copy()
-    f_peak[peak] -= miss
-    f_trough = actual.copy()
-    f_trough[trough] -= miss
-    frame = _single_series_frame(series.id, origin, actual,
-                                 {"peak-miss": f_peak, "trough-miss": f_trough})
-    mae_p = evaluate("MAE", frame, model="peak-miss").value
-    mae_t = evaluate("MAE", frame, model="trough-miss").value
-    mape_p = evaluate("MAPE", frame, model="peak-miss").value
-    mape_t = evaluate("MAPE", frame, model="trough-miss").value
-    return ScenarioResult(
-        name="percentage-errors-miss-seasonal-peaks",
-        passed=(mae_p == mae_t) and (mape_p < mape_t),
-        evidence={"mae_peak_miss": mae_p, "mae_trough_miss": mae_t,
-                  "mape_peak_miss": mape_p, "mape_trough_miss": mape_t,
-                  "peak_actual": float(actual[peak]), "trough_actual": float(actual[trough])},
-        description=_CATALOGUE["percentage-errors-miss-seasonal-peaks"].description,
-    )
+    return _peak_trough_miss(series, origin=36, h=12, miss=8.0)
 
 
-def _rolling_one_step_frame(series: TimeSeries, start: int, deviation: float, model: str):
-    """One-step rolling-origin frame with forecasts a fixed deviation off the actuals."""
-    n = len(series)
-    origins = list(range(start, n))
-    actuals = [series.value_at(o + 1) for o in origins]
-    forecasts = np.asarray(actuals) + deviation
-    frame = EvaluationFrame(
-        [series.id] * len(origins), origins, [1] * len(origins), actuals, {model: forecasts},
-    )
-    keys = list(zip([series.id] * len(origins), origins, [1] * len(origins)))
-    return frame, keys
-
-
-def _scenario_mrae_negative_ar(seed: int) -> ScenarioResult:
-    """A worse model looks better under relative errors when the benchmark collapses."""
+@_scenario(
+    "relative-errors-reward-bad-benchmarks", "count-data",
+    "On a rapidly alternating series the one-step benchmark collapses, so a model with "
+    "higher absolute error scores a lower relative error than a better model on a calm series.",
+)
+def _mrae_negative_ar(seed: int):
     rng = np.random.default_rng(seed)
     n, start = 260, 200
     t = np.arange(n)
     jumpy = TimeSeries(id="jumpy", values=100.0 + 15.0 * (-1.0) ** t + rng.normal(0, 1.0, n))
     calm = TimeSeries(id="calm", values=100.0 + rng.normal(0, 0.5, n))
-    ds = Dataset((jumpy, calm))
-
-    frame_a, keys_a = _rolling_one_step_frame(jumpy, start, 0.5, "model")
-    frame_b, keys_b = _rolling_one_step_frame(calm, start, 0.3, "model")
-    bench_a = benchmark_frame(ds, keys_a, kind="naive")
-    bench_b = benchmark_frame(ds, keys_b, kind="naive")
-
-    mae_a = evaluate("MAE", frame_a).value
-    mae_b = evaluate("MAE", frame_b).value
-    mrae_a = evaluate("MRAE", frame_a, benchmark=bench_a).value
-    mrae_b = evaluate("MRAE", frame_b, benchmark=bench_b).value
-    return ScenarioResult(
-        name="relative-errors-reward-bad-benchmarks",
-        passed=(mae_a > mae_b) and (mrae_a < mrae_b),
-        evidence={"mae_jumpy_model": mae_a, "mae_calm_model": mae_b,
-                  "mrae_jumpy_model": mrae_a, "mrae_calm_model": mrae_b},
-        description=_CATALOGUE["relative-errors-reward-bad-benchmarks"].description,
-    )
+    evidence = _mae_and_naive_mrae(Dataset((jumpy, calm)), {
+        "jumpy_model": _rolling_one_step_frame(jumpy, start, 0.5),
+        "calm_model": _rolling_one_step_frame(calm, start, 0.3)})
+    mae_a, mae_b, mrae_a, mrae_b = evidence.values()
+    return (mae_a > mae_b) and (mrae_a < mrae_b), evidence
 
 
-def _scenario_mrae_trend(seed: int) -> ScenarioResult:
-    """Relative errors shrink on trends because the benchmark's errors explode."""
+@_scenario(
+    "relative-errors-shrink-on-trends", "trends",
+    "On a strongly trended series the fixed-origin benchmark errors grow with the horizon, "
+    "deflating relative errors below 1 for a model identical to one on a flat series.",
+)
+def _mrae_trend(seed: int):
     trended = generate(DgpSpec(kind="linear-trend", length=120, seed=seed,
                                level=100.0, trend_slope=5.0, noise_sd=1.0,
                                series_id="trended"))
     flat = generate(DgpSpec(kind="linear-trend", length=120, seed=seed + 1,
                             level=100.0, trend_slope=0.0, noise_sd=1.0, series_id="flat"))
-    ds = Dataset((trended, flat))
-    origin, h = 100, 20
-
-    results = {}
-    for series in (trended, flat):
-        actual = series.values[origin: origin + h]
-        frame = _single_series_frame(series.id, origin, actual, {"model": actual - 2.0})
-        keys = [(series.id, origin, k) for k in range(1, h + 1)]
-        bench = benchmark_frame(ds, keys, kind="naive")
-        results[series.id] = (
-            evaluate("MAE", frame).value,
-            evaluate("MRAE", frame, benchmark=bench).value,
-        )
-    mae_t, mrae_t = results["trended"]
-    mae_f, mrae_f = results["flat"]
-    return ScenarioResult(
-        name="relative-errors-shrink-on-trends",
-        passed=(abs(mae_t - mae_f) < 1e-9) and (mrae_t < 1.0 < mrae_f),
-        evidence={"mae_trended": mae_t, "mae_flat": mae_f,
-                  "mrae_trended": mrae_t, "mrae_flat": mrae_f},
-        description=_CATALOGUE["relative-errors-shrink-on-trends"].description,
-    )
+    evidence = _mae_and_naive_mrae(Dataset((trended, flat)), {
+        s.id: _shifted_frame(s, origin=100, h=20, shift=-2.0) for s in (trended, flat)})
+    mae_t, mae_f, mrae_t, mrae_f = evidence.values()
+    return (abs(mae_t - mae_f) < 1e-9) and (mrae_t < 1.0 < mrae_f), evidence
 
 
-def _scenario_log_exp_trend(seed: int) -> ScenarioResult:
-    """Log errors damp large absolute misses at the high end of an exponential trend."""
+@_scenario(
+    "log-errors-vanish-on-exponential-trends", "trends",
+    "With an exponential trend, a twice-as-large absolute miss late in the horizon produces "
+    "a smaller log error than a small early miss, inverting the absolute-error ordering.",
+)
+def _log_exp_trend(seed: int):
     series = generate(DgpSpec(kind="exponential-trend", length=100, seed=seed,
                               trend_scale=100.0, trend_rate=0.05, noise_sd=0.0))
     origin, h = 80, 20
@@ -187,17 +205,17 @@ def _scenario_log_exp_trend(seed: int) -> ScenarioResult:
     mae_early = evaluate("MAE", frame, model="early-small-miss").value
     rmsle_late = evaluate("RMSLE", frame, model="late-big-miss").value
     rmsle_early = evaluate("RMSLE", frame, model="early-small-miss").value
-    return ScenarioResult(
-        name="log-errors-vanish-on-exponential-trends",
-        passed=(mae_late > mae_early) and (rmsle_late < rmsle_early),
-        evidence={"mae_late_big_miss": mae_late, "mae_early_small_miss": mae_early,
-                  "rmsle_late_big_miss": rmsle_late, "rmsle_early_small_miss": rmsle_early},
-        description=_CATALOGUE["log-errors-vanish-on-exponential-trends"].description,
-    )
+    return (mae_late > mae_early) and (rmsle_late < rmsle_early), {
+        "mae_late_big_miss": mae_late, "mae_early_small_miss": mae_early,
+        "rmsle_late_big_miss": rmsle_late, "rmsle_early_small_miss": rmsle_early}
 
 
-def _scenario_wape_break(seed: int) -> ScenarioResult:
-    """The same miss weighs more under a per-series scale once a break shrinks the scale."""
+@_scenario(
+    "wape-inflates-after-horizon-break", "structural-breaks",
+    "A level drop inside the horizon shrinks the per-series scale, so the same miss at the "
+    "same point counts for more than on a series without the break.",
+)
+def _wape_break(seed: int):
     rng = np.random.default_rng(seed)
     h = 20
     base = 100.0 + rng.normal(0, 0.5, h)
@@ -213,17 +231,16 @@ def _scenario_wape_break(seed: int) -> ScenarioResult:
     frame_b = _single_series_frame("flat", 100, base, {"model": f_flat})
     wape_a = evaluate("WAPE", frame_a).value
     wape_b = evaluate("WAPE", frame_b).value
-    return ScenarioResult(
-        name="wape-inflates-after-horizon-break",
-        passed=wape_a > wape_b,
-        evidence={"wape_with_break": wape_a, "wape_without_break": wape_b,
-                  "identical_error_at_step": miss_at + 1},
-        description=_CATALOGUE["wape-inflates-after-horizon-break"].description,
-    )
+    return wape_a > wape_b, {"wape_with_break": wape_a, "wape_without_break": wape_b,
+                             "identical_error_at_step": miss_at + 1}
 
 
-def _scenario_smae_break(seed: int) -> ScenarioResult:
-    """In-sample scaling penalises a series whose training region has a level shift."""
+@_scenario(
+    "in-sample-scale-break-skews-smae", "structural-breaks",
+    "With identical test-region actuals and forecasts, in-sample mean scaling reports a "
+    "higher error for the series whose training region contains a level shift.",
+)
+def _smae_break(seed: int):
     rng = np.random.default_rng(seed)
     train_break = np.concatenate([100.0 + rng.normal(0, 1, 50), 20.0 + rng.normal(0, 1, 50)])
     train_flat = 100.0 + rng.normal(0, 1, 100)
@@ -234,18 +251,17 @@ def _scenario_smae_break(seed: int) -> ScenarioResult:
     frame_b = _single_series_frame("flat-in-sample", 100, actual, {"model": forecasts})
     smae_a = evaluate("sMAE", frame_a, train={"break-in-sample": train_break}).value
     smae_b = evaluate("sMAE", frame_b, train={"flat-in-sample": train_flat}).value
-    return ScenarioResult(
-        name="in-sample-scale-break-skews-smae",
-        passed=smae_a > smae_b,
-        evidence={"smae_break_in_training": smae_a, "smae_flat_training": smae_b,
-                  "train_mean_break": float(train_break.mean()),
-                  "train_mean_flat": float(train_flat.mean())},
-        description=_CATALOGUE["in-sample-scale-break-skews-smae"].description,
-    )
+    return smae_a > smae_b, {"smae_break_in_training": smae_a, "smae_flat_training": smae_b,
+                             "train_mean_break": float(train_break.mean()),
+                             "train_mean_flat": float(train_flat.mean())}
 
 
-def _scenario_mase_break(seed: int) -> ScenarioResult:
-    """A break at the origin yields MASE > 1 although the model beats the benchmark."""
+@_scenario(
+    "break-at-origin-breaks-mase", "structural-breaks",
+    "A level shift at the forecast origin keeps the in-sample benchmark scale tiny, so the "
+    "scaled error exceeds 1 even though the model clearly beats the benchmark out of sample.",
+)
+def _mase_break(seed: int):
     rng = np.random.default_rng(seed)
     train = 100.0 + rng.normal(0, 0.3, 100)
     actual = 20.0 + rng.normal(0, 1.0, 10)
@@ -256,16 +272,16 @@ def _scenario_mase_break(seed: int) -> ScenarioResult:
     mase = evaluate("MASE", frame, train={"s": train}).value
     model_oos_mae = float(np.abs(actual - model).mean())
     naive_oos_mae = float(np.abs(actual - naive).mean())
-    return ScenarioResult(
-        name="break-at-origin-breaks-mase",
-        passed=(mase > 1.0) and (model_oos_mae < naive_oos_mae),
-        evidence={"mase": mase, "model_oos_mae": model_oos_mae, "naive_oos_mae": naive_oos_mae},
-        description=_CATALOGUE["break-at-origin-breaks-mase"].description,
-    )
+    return (mase > 1.0) and (model_oos_mae < naive_oos_mae), {
+        "mase": mase, "model_oos_mae": model_oos_mae, "naive_oos_mae": naive_oos_mae}
 
 
-def _scenario_corr_bias(seed: int) -> ScenarioResult:
-    """Correlation is blind to constant bias: a shifted forecast correlates perfectly."""
+@_scenario(
+    "corr-ignores-constant-bias", "bias",
+    "A forecast shifted by a constant correlates perfectly with the actuals, so a "
+    "correlation score prefers a heavily biased model over a nearly unbiased one.",
+)
+def _corr_bias(seed: int):
     rng = np.random.default_rng(seed)
     series = generate(DgpSpec(kind="random-walk", length=50, seed=seed, level=50.0))
     origin, h = 30, 20
@@ -278,18 +294,18 @@ def _scenario_corr_bias(seed: int) -> ScenarioResult:
     me_biased = evaluate("ME", frame, model="biased").value
     mae_biased = evaluate("MAE", frame, model="biased").value
     mae_noisy = evaluate("MAE", frame, model="noisy").value
-    return ScenarioResult(
-        name="corr-ignores-constant-bias",
-        passed=(abs(corr_biased - 1.0) < 1e-12 and abs(me_biased + 10.0) < 1e-12
-                and corr_biased > corr_noisy and mae_biased > mae_noisy),
-        evidence={"corr_biased": corr_biased, "corr_noisy": corr_noisy,
-                  "me_biased": me_biased, "mae_biased": mae_biased, "mae_noisy": mae_noisy},
-        description=_CATALOGUE["corr-ignores-constant-bias"].description,
-    )
+    return (abs(corr_biased - 1.0) < 1e-12 and abs(me_biased + 10.0) < 1e-12
+            and corr_biased > corr_noisy and mae_biased > mae_noisy), {
+        "corr_biased": corr_biased, "corr_noisy": corr_noisy,
+        "me_biased": me_biased, "mae_biased": mae_biased, "mae_noisy": mae_noisy}
 
 
-def _scenario_gm_zero(seed: int) -> ScenarioResult:
-    """One perfect step drags a geometric mean to zero regardless of the rest."""
+@_scenario(
+    "geometric-mean-collapses-on-one-perfect-hit", "aggregation",
+    "A single zero error sends a geometric-mean measure to exactly zero, crowning a model "
+    "that is far worse everywhere else.",
+)
+def _gm_zero(seed: int):
     rng = np.random.default_rng(seed)
     actual = 50.0 + rng.normal(0, 5.0, 10)
     lucky = actual + 50.0
@@ -300,20 +316,20 @@ def _scenario_gm_zero(seed: int) -> ScenarioResult:
     gmae_steady = evaluate("GMAE", frame, model="steady")
     mae_lucky = evaluate("MAE", frame, model="lucky").value
     mae_steady = evaluate("MAE", frame, model="steady").value
-    return ScenarioResult(
-        name="geometric-mean-collapses-on-one-perfect-hit",
-        passed=(gmae_lucky.value == 0.0
-                and "geometric-mean-zero-term" in gmae_lucky.flags
-                and gmae_lucky.value < gmae_steady.value
-                and mae_lucky > mae_steady),
-        evidence={"gmae_lucky": gmae_lucky.value, "gmae_steady": gmae_steady.value,
-                  "mae_lucky": mae_lucky, "mae_steady": mae_steady},
-        description=_CATALOGUE["geometric-mean-collapses-on-one-perfect-hit"].description,
-    )
+    return (gmae_lucky.value == 0.0
+            and "geometric-mean-zero-term" in gmae_lucky.flags
+            and gmae_lucky.value < gmae_steady.value
+            and mae_lucky > mae_steady), {
+        "gmae_lucky": gmae_lucky.value, "gmae_steady": gmae_steady.value,
+        "mae_lucky": mae_lucky, "mae_steady": mae_steady}
 
 
-def _scenario_intermittent(seed: int) -> ScenarioResult:
-    """On intermittent demand, absolute errors reward the all-zero forecast; squared do not."""
+@_scenario(
+    "absolute-errors-prefer-all-zero-forecasts-on-intermittent", "intermittency",
+    "On a mostly-zero demand series, absolute errors reward forecasting constant zeros, "
+    "while squared errors prefer the mean demand rate.",
+)
+def _intermittent(seed: int):
     n, origin = 4000, 1000
     series = generate(DgpSpec(kind="intermittent", length=n, seed=seed,
                               zero_probability=0.8, demand_rate=2.0))
@@ -326,161 +342,44 @@ def _scenario_intermittent(seed: int) -> ScenarioResult:
     mae_mean = evaluate("MAE", frame, model="mean-rate").value
     rmse_zero = evaluate("RMSE", frame, model="all-zeros").value
     rmse_mean = evaluate("RMSE", frame, model="mean-rate").value
-    return ScenarioResult(
-        name="absolute-errors-prefer-all-zero-forecasts-on-intermittent",
-        passed=(mae_zero < mae_mean) and (rmse_mean < rmse_zero),
-        evidence={"mae_all_zeros": mae_zero, "mae_mean_rate": mae_mean,
-                  "rmse_all_zeros": rmse_zero, "rmse_mean_rate": rmse_mean,
-                  "zero_fraction": float((actual == 0).mean())},
-        description=_CATALOGUE["absolute-errors-prefer-all-zero-forecasts-on-intermittent"].description,
-    )
+    return (mae_zero < mae_mean) and (rmse_mean < rmse_zero), {
+        "mae_all_zeros": mae_zero, "mae_mean_rate": mae_mean,
+        "rmse_all_zeros": rmse_zero, "rmse_mean_rate": rmse_mean,
+        "zero_fraction": float((actual == 0).mean())}
 
 
-def _scenario_outlier_origin(seed: int) -> ScenarioResult:
-    """A low outlier at the origin inflates benchmark errors and deflates relative errors."""
+@_scenario(
+    "outlier-at-origin-shrinks-relative-errors", "outliers",
+    "A low outlier at the forecast origin wrecks the benchmark's holdout errors, so the "
+    "model's relative errors collapse although its own errors are unchanged.",
+)
+def _outlier_origin(seed: int):
     clean = generate(DgpSpec(kind="heteroscedastic", length=120, seed=seed,
                              level=100.0, noise_sd=2.0, series_id="clean"))
-    origin, h = 100, 20
+    origin = 100
     spiked, log = inject_outliers(
         clean, OutlierInjection(indices=(origin,), magnitude=10.0, mode="multiply",
                                 direction="low"), seed=seed)
     spiked = TimeSeries(id="spiked", values=spiked.values)
-    ds = Dataset((clean, spiked))
-
-    results = {}
-    for series in (clean, spiked):
-        actual = series.values[origin: origin + h]
-        frame = _single_series_frame(series.id, origin, actual, {"model": actual + 3.0})
-        keys = [(series.id, origin, k) for k in range(1, h + 1)]
-        bench = benchmark_frame(ds, keys, kind="naive")
-        results[series.id] = (
-            evaluate("MAE", frame).value,
-            evaluate("MRAE", frame, benchmark=bench).value,
-        )
-    mae_clean, mrae_clean = results["clean"]
-    mae_spiked, mrae_spiked = results["spiked"]
-    return ScenarioResult(
-        name="outlier-at-origin-shrinks-relative-errors",
-        passed=(abs(mae_clean - mae_spiked) < 1e-9) and (mrae_spiked < mrae_clean),
-        evidence={"mae_clean": mae_clean, "mae_with_outlier": mae_spiked,
-                  "mrae_clean": mrae_clean, "mrae_with_outlier": mrae_spiked,
-                  "outlier": {"index": log[0][0], "old": log[0][1], "new": log[0][2]}},
-        description=_CATALOGUE["outlier-at-origin-shrinks-relative-errors"].description,
-    )
+    evidence = _mae_and_naive_mrae(Dataset((clean, spiked)), {
+        label: _shifted_frame(s, origin, h=20, shift=3.0)
+        for label, s in (("clean", clean), ("with_outlier", spiked))})
+    mae_clean, mae_spiked, mrae_clean, mrae_spiked = evidence.values()
+    evidence["outlier"] = {"index": log[0][0], "old": log[0][1], "new": log[0][2]}
+    return (abs(mae_clean - mae_spiked) < 1e-9) and (mrae_spiked < mrae_clean), evidence
 
 
-def _scenario_heteroscedastic(seed: int) -> ScenarioResult:
-    """Percentage errors under-weight misses at wide-variance peaks of a series."""
-    series = generate(DgpSpec(kind="heteroscedastic", length=200, seed=seed,
-                              level=50.0, noise_sd=1.0, sigma_end_factor=15.0))
-    origin, h = 100, 100
-    actual = series.values[origin: origin + h]
-    peak, trough = int(np.argmax(actual)), int(np.argmin(actual))
-    miss = 4.0
-    f_peak = actual.copy()
-    f_peak[peak] -= miss
-    f_trough = actual.copy()
-    f_trough[trough] -= miss
-    frame = _single_series_frame(series.id, origin, actual,
-                                 {"peak-miss": f_peak, "trough-miss": f_trough})
-    mae_p = evaluate("MAE", frame, model="peak-miss").value
-    mae_t = evaluate("MAE", frame, model="trough-miss").value
-    mape_p = evaluate("MAPE", frame, model="peak-miss").value
-    mape_t = evaluate("MAPE", frame, model="trough-miss").value
-    return ScenarioResult(
-        name="percentage-errors-distort-heteroscedastic-extremes",
-        passed=(mae_p == mae_t) and (mape_p < mape_t),
-        evidence={"mape_peak_miss": mape_p, "mape_trough_miss": mape_t,
-                  "peak_actual": float(actual[peak]), "trough_actual": float(actual[trough])},
-        description=_CATALOGUE["percentage-errors-distort-heteroscedastic-extremes"].description,
-    )
-
-
-_CATALOGUE: dict[str, Scenario] = {}
-
-
-def _register(name: str, topic: str, description: str, run) -> None:
-    _CATALOGUE[name] = Scenario(name=name, topic=topic, description=description, run=run)
-
-
-_register(
-    "naive-beats-ar-on-random-walk", "unit-roots",
-    "On seeded random walks the last-value forecast attains mean squared error no "
-    "worse than an autoregression trained on levels; apparent wins over it are spurious.",
-    _scenario_naive_vs_ar,
-)
-_register(
-    "percentage-errors-miss-seasonal-peaks", "seasonality",
-    "Two forecasts with identical absolute error, one missing the seasonal peak and one "
-    "the trough, get opposite percentage-error verdicts: the peak miss is under-weighted.",
-    _scenario_mape_seasonal,
-)
-_register(
-    "relative-errors-reward-bad-benchmarks", "count-data",
-    "On a rapidly alternating series the one-step benchmark collapses, so a model with "
-    "higher absolute error scores a lower relative error than a better model on a calm series.",
-    _scenario_mrae_negative_ar,
-)
-_register(
-    "relative-errors-shrink-on-trends", "trends",
-    "On a strongly trended series the fixed-origin benchmark errors grow with the horizon, "
-    "deflating relative errors below 1 for a model identical to one on a flat series.",
-    _scenario_mrae_trend,
-)
-_register(
-    "log-errors-vanish-on-exponential-trends", "trends",
-    "With an exponential trend, a twice-as-large absolute miss late in the horizon produces "
-    "a smaller log error than a small early miss, inverting the absolute-error ordering.",
-    _scenario_log_exp_trend,
-)
-_register(
-    "wape-inflates-after-horizon-break", "structural-breaks",
-    "A level drop inside the horizon shrinks the per-series scale, so the same miss at the "
-    "same point counts for more than on a series without the break.",
-    _scenario_wape_break,
-)
-_register(
-    "in-sample-scale-break-skews-smae", "structural-breaks",
-    "With identical test-region actuals and forecasts, in-sample mean scaling reports a "
-    "higher error for the series whose training region contains a level shift.",
-    _scenario_smae_break,
-)
-_register(
-    "break-at-origin-breaks-mase", "structural-breaks",
-    "A level shift at the forecast origin keeps the in-sample benchmark scale tiny, so the "
-    "scaled error exceeds 1 even though the model clearly beats the benchmark out of sample.",
-    _scenario_mase_break,
-)
-_register(
-    "corr-ignores-constant-bias", "bias",
-    "A forecast shifted by a constant correlates perfectly with the actuals, so a "
-    "correlation score prefers a heavily biased model over a nearly unbiased one.",
-    _scenario_corr_bias,
-)
-_register(
-    "geometric-mean-collapses-on-one-perfect-hit", "aggregation",
-    "A single zero error sends a geometric-mean measure to exactly zero, crowning a model "
-    "that is far worse everywhere else.",
-    _scenario_gm_zero,
-)
-_register(
-    "absolute-errors-prefer-all-zero-forecasts-on-intermittent", "intermittency",
-    "On a mostly-zero demand series, absolute errors reward forecasting constant zeros, "
-    "while squared errors prefer the mean demand rate.",
-    _scenario_intermittent,
-)
-_register(
-    "outlier-at-origin-shrinks-relative-errors", "outliers",
-    "A low outlier at the forecast origin wrecks the benchmark's holdout errors, so the "
-    "model's relative errors collapse although its own errors are unchanged.",
-    _scenario_outlier_origin,
-)
-_register(
+@_scenario(
     "percentage-errors-distort-heteroscedastic-extremes", "heteroscedasticity",
     "When late-series variance widens the range, identical misses at the high and low "
     "extremes get opposite percentage-error weight.",
-    _scenario_heteroscedastic,
 )
+def _heteroscedastic(seed: int):
+    series = generate(DgpSpec(kind="heteroscedastic", length=200, seed=seed,
+                              level=50.0, noise_sd=1.0, sigma_end_factor=15.0))
+    passed, evidence = _peak_trough_miss(series, origin=100, h=100, miss=4.0)
+    del evidence["mae_peak_miss"], evidence["mae_trough_miss"]
+    return passed, evidence
 
 
 def list_scenarios() -> list[Scenario]:

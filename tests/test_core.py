@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -376,3 +378,9 @@ class TestBenchmarkFrame:
         for bad in (0, -20):
             with pytest.raises(ValidationError, match=r"^horizon steps must be >= 1$"):
                 benchmark_frame(ds, [("a", 3, 1), ("a", 4, bad)])
+
+    @pytest.mark.parametrize("key, what", [(("a", 3.7, 1), "origin"), (("a", 3, 1.5), "step")])
+    def test_fractional_key_rejected(self, key, what):
+        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
+        with pytest.raises(ValidationError, match=rf"^benchmark key {re.escape(repr(key))}: {what} "):
+            benchmark_frame(ds, [("a", 2, 1), key])

@@ -512,6 +512,34 @@ class TestCliInputErrors:
             "advise", str(tmp_path / "profile.json"), "--out", str(tmp_path / "o")],
             "profile.json")
 
+    @pytest.mark.parametrize("role", ["suite", "config", "report", "profile"])
+    def test_non_object_json_input(self, workdir, capsys, role):
+        bad = workdir / f"{role}.json"
+        bad.write_text("[]")
+        out = ["--out", str(workdir / "o")]
+        argv = {
+            "suite": ["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
+                      str(bad)] + out,
+            "config": ["compare", str(workdir / "nope.json"), "--config", str(bad)] + out,
+            "report": ["compare", str(bad)] + out,
+            "profile": ["advise", str(bad)] + out,
+        }[role]
+        self._fails_with_message(capsys, argv, f"{bad} JSON must be an object")
+
+    @pytest.mark.parametrize("measures, fragment", [
+        (5, "non-empty 'measures' list"),
+        (["MAE", 1], "entry 1 is neither a name nor an object with 'name'"),
+        (["MAE", ["RMSE"]], "entry ['RMSE'] is neither"),
+        ([{"constants": {}}], "entry {'constants': {}} is neither"),
+        ([{"name": 3}], "entry {'name': 3} is neither"),
+    ])
+    def test_bad_suite_measures(self, workdir, capsys, measures, fragment):
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": measures}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+            "--out", str(workdir / "o")], fragment)
+
     @pytest.mark.parametrize("cls, what", [(SplitSpec, "split spec"), (DgpSpec, "DGP spec"),
                                            (CharacteristicProfile, "profile")])
     def test_from_json_rejects_malformed_json(self, cls, what):

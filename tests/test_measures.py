@@ -465,6 +465,14 @@ class TestBreakdown:
         assert r.per_series == {"a": 1.5, "b": 3.0}
         assert r.value == 2.25
 
+    @pytest.mark.parametrize("name", ["ND", "NRMSE", "RSE", "WMAE", "NWRMSLE"])
+    def test_zero_series_denominator_flagged(self, name):
+        # series b: all-zero actuals for ND, NRMSE and RSE, zero weight for WMAE and NWRMSLE
+        fr = two_series([1.0, 3.0], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0])
+        weights = WeightVector("series", {"a": 1.0, "b": 0.0}) if spec_for(name).needs_weights else None
+        r = evaluate(name, fr, weights=weights, breakdown=True)
+        assert r.defined and math.isnan(r.per_series["b"]) and "zero-scale" in r.flags
+
     @pytest.mark.parametrize("name", measure_names())
     def test_no_sub_frames_and_one_alignment(self, name, rng, monkeypatch):
         sids = [f"s{i:02d}" for i in range(50) for _ in range(3)]
