@@ -142,7 +142,7 @@ def cmd_evaluate(args) -> int:
         index = frame.series_index
         first_origins = frame.origins[frame.key_order[index.starts[:-1]]]
         train = {sid: dataset[sid].prefix(origin)
-                 for sid, origin in zip(index.series, first_origins.tolist())}
+                 for sid, origin in zip(index.labels, first_origins.tolist())}
 
     results = []
     per_series_matrix: dict[str, dict] = {sid: {} for sid in frame.unique_series()}
@@ -222,6 +222,14 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
+def _read_report(path) -> dict:
+    report = _read_json(path)
+    for i, entry in enumerate(report.get("results", [])):
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("measure", "model"))):
+            raise ValidationError(f"{path}: results entry {i} needs a string 'measure' and 'model'")
+    return report
+
+
 def _collect_scores(reports: list[dict], measure: str):
     """Per-model per-series score vectors for one measure, aligned on series."""
     per_model: dict[str, dict] = {}
@@ -247,14 +255,20 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _read_json(args.config) if args.config else {}
     measure = config.get("measure", "RMSE")
-    alpha = float(config.get("alpha", 0.05))
+    alpha = config.get("alpha", 0.05)
+    horizon = config.get("horizon", 1)
     adjust = config.get("adjust", "holm")
     pairwise_kind = config.get("pairwise", "wilcoxon")
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ValidationError(f"compare config 'alpha' must be a number, got {alpha!r}")
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ValidationError(f"compare config 'horizon' must be an integer, got {horizon!r}")
+    if pairwise_kind not in ("wilcoxon", "dm"):
+        raise ValidationError(f"compare config 'pairwise' must be 'wilcoxon' or 'dm', got {pairwise_kind!r}")
+    alpha = float(alpha)
 
-    reports = [_read_json(p) for p in args.reports]
+    reports = [_read_report(p) for p in args.reports]
     scores, series = _collect_scores(reports, measure)
-    if len(scores) < 2:
-        raise ValidationError("comparison needs at least 2 models")
     ascending = not spec_for(measure).higher_is_better
     table = rank_models(scores, ascending=ascending)
 
@@ -289,7 +303,7 @@ def cmd_compare(args) -> int:
                     raise ValidationError("pairwise DM needs at least 4 aligned errors")
                 la = np.array([losses[a][k] for k in keys]) ** 2
                 lb = np.array([losses[b][k] for k in keys]) ** 2
-                res = diebold_mariano(la, lb, horizon=int(config.get("horizon", 1)), alpha=alpha)
+                res = diebold_mariano(la, lb, horizon=horizon, alpha=alpha)
             else:
                 res = wilcoxon_rank_sum(scores[a], scores[b], alpha=alpha)
             raw_p[(a, b)] = 1.0 if res.p_value != res.p_value else res.p_value

@@ -26,7 +26,7 @@ __all__ = [
     "Dataset",
     "Forecaster",
     "EvaluationFrame",
-    "SeriesIndex",
+    "Groups",
     "EmbeddedMatrix",
     "naive_forecast",
     "seasonal_naive_forecast",
@@ -288,29 +288,99 @@ def embed(series: TimeSeries, p: int) -> EmbeddedMatrix:
 
 
 @dataclass(frozen=True)
-class SeriesIndex:
-    """Per-series layout of an evaluation frame's rows.
+class Groups:
+    """A frame's rows split into groups: per series, per (series, origin)
+    window, or one group of every row (the pooled value).
 
-    ``series`` lists the ids in first-appearance order and ``codes[i]`` is
-    the position in it of row i's series. ``order`` lists the rows grouped
-    by series, in frame order within a series, so the rows of series j are
-    ``order[starts[j]:starts[j + 1]]``.
+    ``labels[j]`` names group j and ``codes[i]`` is the group of row i. The
+    rows of group j are ``order[starts[j]:starts[j + 1]]``. ``reduce``
+    reduces each stack of equal-size groups along its rows, which sums a
+    group exactly as ``ndarray.sum`` sums it alone, so a per-series value
+    equals the measure on that series' sub-frame to the last bit.
+    (``np.add.reduceat`` adds sequentially and differs in the last bits,
+    which matters where terms cancel.)
     """
 
-    series: tuple
-    position: dict  # series id -> its code
+    labels: tuple | np.ndarray
     codes: np.ndarray
     order: np.ndarray
     starts: np.ndarray
 
+    def __post_init__(self):
+        for arr in (self.labels, self.codes, self.order, self.starts):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
-def _series_index(series_ids: list) -> SeriesIndex:
-    position: dict = {}
-    codes = np.fromiter((position.setdefault(sid, len(position)) for sid in series_ids),
-                        dtype=np.int64, count=len(series_ids))
-    starts = np.zeros(len(position) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes), out=starts[1:])
-    return SeriesIndex(tuple(position), position, codes, np.argsort(codes, kind="stable"), starts)
+    @classmethod
+    def of(cls, keys: list) -> "Groups":
+        """Rows grouped by equal key: groups in first-appearance order, rows in frame order."""
+        position: dict = {}
+        codes = np.fromiter((position.setdefault(k, len(position)) for k in keys),
+                            dtype=np.int64, count=len(keys))
+        starts = np.zeros(len(position) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes), out=starts[1:])
+        return cls(tuple(position), codes, np.argsort(codes, kind="stable"), starts)
+
+    @classmethod
+    def pooled(cls, n: int) -> "Groups":
+        """One group of all ``n`` rows, in frame order."""
+        return cls((None,), np.zeros(n, dtype=np.int64), np.arange(n), np.array([0, n]))
+
+    def __len__(self) -> int:
+        return self.starts.size - 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    def count(self, mask: np.ndarray) -> np.ndarray:
+        """Rows in ``mask`` per group."""
+        return np.bincount(self.codes[mask], minlength=len(self))
+
+    def stacks(self, mask=None):
+        """Yield ``(groups, rows)`` per group size: ``rows[k]`` lists group ``groups[k]``'s rows
+        (those in ``mask``) in order."""
+        rows, sizes = self.order, self.sizes
+        if mask is not None:
+            rows, sizes = rows[mask[rows]], self.count(mask)
+        if sizes.min() == sizes.max():  # already stacked: one row per group
+            if sizes[0]:
+                yield np.arange(sizes.size), rows.reshape(sizes.size, -1)
+            return
+        starts = np.cumsum(sizes) - sizes
+        by_size = np.argsort(sizes, kind="stable")
+        for groups in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
+            size = sizes[groups[0]]
+            if size:
+                yield groups, rows[starts[groups, None] + np.arange(size)]
+
+    def reduce(self, x: np.ndarray, reducer, mask=None) -> np.ndarray:
+        """``reducer`` over each group's rows (those in ``mask``); NaN for a group with none."""
+        out = np.full(len(self), np.nan)
+        for groups, rows in self.stacks(mask):
+            out[groups] = reducer(x[rows])
+        return out
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        return self.reduce(x, _row_sum)
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        return self.reduce(x, _row_mean)
+
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-group values broadcast back to the rows."""
+        return values[self.codes]
+
+    def as_dict(self, values: np.ndarray) -> dict:
+        return dict(zip(self.labels, values.tolist()))
+
+
+def _row_sum(a):
+    return np.add.reduce(a, axis=1)
+
+
+def _row_mean(a):
+    return np.add.reduce(a, axis=1) / a.shape[1]
 
 
 _KEY_DTYPE = np.dtype([("series", np.int64), ("origin", np.int64), ("step", np.int64)])
@@ -328,6 +398,21 @@ def _as_ints(keys: np.ndarray) -> np.ndarray:
     return keys.view(np.int64).reshape(-1, 3)
 
 
+def _key_index(codes, origins, steps):
+    """Read-only rows sorted by (series code, origin, step), their keys, and the
+    rows grouped by (series, origin) in that order, labelled (series code, origin)."""
+    key_order = np.lexsort((steps, origins, codes))
+    sorted_keys = _keys(codes, origins, steps)[key_order]
+    sorted_keys.setflags(write=False)
+    keys = _as_ints(sorted_keys)
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = (keys[1:, :2] != keys[:-1, :2]).any(axis=1)
+    window = np.empty(codes.size, dtype=np.int64)
+    window[key_order] = np.cumsum(first) - 1
+    starts = np.append(np.flatnonzero(first), codes.size)
+    return key_order, sorted_keys, Groups(keys[first, :2], window, key_order, starts)
+
+
 class EvaluationFrame:
     """Aligned (actual, forecast) records keyed by (series, origin, step).
 
@@ -336,10 +421,10 @@ class EvaluationFrame:
     Actuals and forecasts must be finite. This is the single source for every
     base error in the measures module.
 
-    The key index is built at construction and is read-only:
-    ``series_index`` gives each row's series code and the rows of each
-    series; ``key_order`` lists the rows sorted by (series code, origin,
-    step), and ``sorted_keys`` holds those keys in that order.
+    The key index is built at construction and is read-only: ``series_index``
+    and ``windows`` group the rows by series and by (series, origin), the
+    latter in step order; ``key_order`` lists the rows sorted by (series
+    code, origin, step), and ``sorted_keys`` holds those keys in that order.
     """
 
     def __init__(
@@ -369,10 +454,9 @@ class EvaluationFrame:
                 raise ValidationError(f"model {name!r}: forecast column length mismatch")
         if self.steps.min() < 1:
             raise ValidationError("horizon steps must be >= 1")
-        self.series_index = index = _series_index(self.series_ids.tolist())
-        codes, starts = index.codes, index.starts
-        self.key_order = np.lexsort((self.steps, self.origins, codes))
-        self.sorted_keys = _keys(codes, self.origins, self.steps)[self.key_order]
+        self.series_index = Groups.of(self.series_ids.tolist())
+        self.key_order, self.sorted_keys, self.windows = _key_index(
+            self.series_index.codes, self.origins, self.steps)
         keys = _as_ints(self.sorted_keys)
         repeated = (keys[1:] == keys[:-1]).all(axis=1)
         if repeated.any():
@@ -387,8 +471,7 @@ class EvaluationFrame:
                 key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
                 raise DataValidationError(f"{what} at key {key} is not finite: {col[i]}")
 
-        for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values(),
-                    codes, self.series_index.order, starts, self.key_order, self.sorted_keys):
+        for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values()):
             arr.setflags(write=False)
 
     @property
@@ -405,7 +488,7 @@ class EvaluationFrame:
 
     def unique_series(self) -> list[str]:
         """Series ids in first-appearance order."""
-        return list(self.series_index.series)
+        return list(self.series_index.labels)
 
     def model_column(self, model: str | None = None) -> np.ndarray:
         """Forecast column for a model; the model may be omitted if unambiguous."""
@@ -431,8 +514,8 @@ class EvaluationFrame:
             raise ValidationError("benchmark frame must carry exactly one model")
         col = next(iter(benchmark.forecasts.values()))
         sorted_keys, own = benchmark.sorted_keys, self.series_index
-        bench_codes = np.array([benchmark.series_index.position.get(sid, -1) for sid in own.series],
-                               dtype=np.int64)
+        position = dict(zip(benchmark.series_index.labels, range(len(benchmark.series_index))))
+        bench_codes = np.array([position.get(sid, -1) for sid in own.labels], dtype=np.int64)
         wanted = _keys(bench_codes[own.codes], self.origins, self.steps)
         pos = np.minimum(np.searchsorted(sorted_keys, wanted), sorted_keys.size - 1)
         found = (_as_ints(sorted_keys[pos]) == _as_ints(wanted)).all(axis=1)
@@ -495,28 +578,21 @@ def benchmark_frame(
     steps = _integer_field(keys, 2, "step")
     if (steps < 1).any():
         raise ValidationError("horizon steps must be >= 1")
-    index = _series_index(sids)
-    codes = index.codes
-    # one forecast row per (series, origin) group, sorted by series code, then origin
-    order = np.lexsort((origins, codes))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = (np.diff(codes[order]) != 0) | (np.diff(origins[order]) != 0)
-    group = np.empty(len(keys), dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    group_origins = origins[order[first]]
-    bounds = np.searchsorted(codes[order[first]], np.arange(len(index.series) + 1))
-    forecasts = np.empty((group_origins.size, int(steps.max(initial=1))))
+    index = Groups.of(sids)
+    # one forecast row per (series, origin) window; windows run by series code, then origin
+    windows = _key_index(index.codes, origins, steps)[2]
+    window_codes, window_origins = windows.labels.T
+    bounds = np.searchsorted(window_codes, np.arange(len(index) + 1))
+    forecasts = np.empty((len(windows), int(steps.max(initial=1))))
     targets, actuals = origins + steps, np.empty(len(keys))
-    sizes = np.empty(len(index.series), dtype=np.int64)
-    for j, sid in enumerate(index.series):
+    for j, sid in enumerate(index.labels):
         series, at = dataset[sid], slice(bounds[j], bounds[j + 1])
-        forecasts[at] = fc.forecast_origins(series, group_origins[at], forecasts.shape[1])
+        forecasts[at] = fc.forecast_origins(series, window_origins[at], forecasts.shape[1])
         rows = index.order[index.starts[j]:index.starts[j + 1]]
         # clipped: out-of-range targets are reported below, after every forecast
         actuals[rows] = series.values.take(targets[rows] - 1, mode="clip")
-        sizes[j] = len(series)
-    col = forecasts[group, steps - 1]
-    lengths = sizes[codes]
+    col = forecasts[windows.codes, steps - 1]
+    lengths = index.expand(np.array([len(dataset[sid]) for sid in index.labels]))
     outside = (targets < 1) | (targets > lengths)
     if outside.any():
         i = int(outside.argmax())

@@ -5,7 +5,8 @@ The measure's registry entry names its term function in one of three
 tables: step terms, summarised under the undefined-value policy; per-series
 values; and pooled ratios of sums. The engine handles the policy, per-series
 scale factors computed strictly from supplied train values, benchmark
-alignment, and weighting.
+alignment, and weighting. Summaries are ``core.Groups`` reductions; the
+pooled value is the one-group case of a breakdown.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import EvaluationFrame, ValidationError
+from ..core import EvaluationFrame, Groups, ValidationError, _row_mean
 from .registry import UndefinedPolicy, spec_for
 
 __all__ = ["MeasureResult", "UndefinedValueError", "WeightVector", "evaluate"]
@@ -50,14 +51,9 @@ class WeightVector:
             raise ValidationError("weights must not all be zero")
 
     def per_row(self, frame: EvaluationFrame) -> np.ndarray:
-        if self.axis == "series":
-            index = frame.series_index
-            keys, codes = index.series, index.codes
-        else:
-            keys, codes = np.unique(frame.steps, return_inverse=True)
-            keys = keys.tolist()
+        groups = frame.series_index if self.axis == "series" else Groups.of(frame.steps.tolist())
         try:
-            return np.array([self.weights[k] for k in keys], dtype=float)[codes]
+            return groups.expand(np.array([self.weights[k] for k in groups.labels], dtype=float))
         except KeyError as exc:
             raise ValidationError(f"no weight for {self.axis} {exc.args[0]!r}") from None
 
@@ -86,78 +82,6 @@ def _resolve_policy(policy) -> str:
         raise ValidationError(str(exc)) from None
 
 
-class _Groups:
-    """A frame's rows as one group (pooled) or as one group per series.
-
-    ``reduce`` stacks the groups of equal size into a 2-D array, each row
-    one group's values in frame order, and reduces along the rows. That
-    sums a group exactly as ``ndarray.sum`` sums it alone, so a per-series
-    value equals the measure on that series' sub-frame to the last bit.
-    (``np.add.reduceat`` adds sequentially and differs in the last bits,
-    which matters where terms cancel.)
-    """
-
-    def __init__(self, index=None):
-        self.index = index  # SeriesIndex, or None for one group of all rows
-
-    @property
-    def n_groups(self) -> int:
-        return 1 if self.index is None else len(self.index.series)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.index.starts)
-
-    def reduce(self, x: np.ndarray, reducer, mask=None) -> np.ndarray:
-        """``reducer`` over each group's rows (those in ``mask``); NaN for a group with none."""
-        if self.index is None:
-            values = x if mask is None else x[mask]
-            return reducer(values[None, :]) if values.size else np.full(1, np.nan)
-        order = self.index.order
-        if mask is None:
-            rows, sizes = order, self.sizes
-        else:
-            rows = order[mask[order]]
-            sizes = np.bincount(self.index.codes[rows], minlength=self.n_groups)
-        values = x[rows]
-        out = np.full(self.n_groups, np.nan)
-        if sizes.min() == sizes.max():  # already stacked: one row per group
-            if sizes[0]:
-                out[:] = reducer(values.reshape(self.n_groups, -1))
-            return out
-        starts = np.cumsum(sizes) - sizes
-        by_size = np.argsort(sizes, kind="stable")
-        for groups in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-            size = sizes[groups[0]]
-            if size:
-                out[groups] = reducer(values[starts[groups, None] + np.arange(size)])
-        return out
-
-    def sum(self, x: np.ndarray) -> np.ndarray:
-        return self.reduce(x, _row_sum)
-
-    def mean(self, x: np.ndarray) -> np.ndarray:
-        return self.reduce(x, _row_mean)
-
-    def count(self, mask: np.ndarray) -> np.ndarray:
-        return np.bincount(self.index.codes[mask], minlength=self.n_groups)
-
-    def expand(self, values: np.ndarray) -> np.ndarray:
-        """Per-group values broadcast back to the rows."""
-        return values[0] if self.index is None else values[self.index.codes]
-
-    def as_dict(self, values: np.ndarray) -> dict:
-        return dict(zip(self.index.series, values.tolist()))
-
-
-def _row_sum(a):
-    return np.add.reduce(a, axis=1)
-
-
-def _row_mean(a):
-    return np.add.reduce(a, axis=1) / a.shape[1]
-
-
 def _row_geometric_mean(a):
     a = np.abs(a)
     nonzero = a != 0
@@ -173,17 +97,13 @@ _SUMMARISERS = {
 }
 
 
-def _summarise(groups: _Groups, terms, defined, op: str, skip: bool, sqrt_after: bool) -> np.ndarray:
+def _summarise(groups: Groups, terms, defined, op: str, skip: bool, sqrt_after: bool) -> np.ndarray:
     """Per group: ``op`` over its defined terms (all terms when ``defined`` is None).
 
     NaN for a group with no defined term, and, unless ``skip``, for a group
     with an undefined one. A zero term makes a geometric mean 0.
     """
-    try:
-        reducer = _SUMMARISERS[op]
-    except KeyError:
-        raise ValidationError(f"unknown summariser {op!r}") from None
-    values = groups.reduce(terms, reducer, defined)
+    values = groups.reduce(terms, _SUMMARISERS[op], defined)
     if not skip and defined is not None:
         values[groups.count(~defined) > 0] = np.nan
     return np.sqrt(values) if sqrt_after else values
@@ -198,7 +118,7 @@ def _count_undefined(x: _Inputs, n_undef: int, total: int, policy: str, what: st
 
 
 def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False,
-            series: _Groups | None = None, per_series: dict | None = None) -> MeasureResult:
+            series: Groups | None = None, per_series: dict | None = None) -> MeasureResult:
     """Aggregate terms (all defined when ``defined`` is None) under a policy.
 
     With row-level ``series`` groups, the same terms are also summarised per
@@ -208,18 +128,15 @@ def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool =
     n_undef = 0 if defined is None else int(total - np.count_nonzero(defined))
     _count_undefined(x, n_undef, total, policy, "terms")
     skip = policy != UndefinedPolicy.PROPAGATE
-    value = float("nan")
-    if total > n_undef and (skip or not n_undef):
-        used = defined if n_undef else None
-        value = float(_summarise(_Groups(), terms, used, op, True, sqrt_after)[0])
-        if op == "geometric-mean" and not np.all(terms if used is None else terms[used]):
-            x.flags.append(_GM_ZERO_FLAG)
+    value = float(_summarise(Groups.pooled(total), terms, defined, op, skip, sqrt_after)[0])
+    if op == "geometric-mean" and value == value and not np.all(terms if defined is None else terms[defined]):
+        x.flags.append(_GM_ZERO_FLAG)
     if series is not None:
         per_series = series.as_dict(_summarise(series, terms, defined, op, skip, sqrt_after))
     return x.result(value, total - n_undef, n_undef, per_series)
 
 
-def _pooled_ratio(x: _Inputs, ratio, policy: str, series: _Groups | None) -> MeasureResult:
+def _pooled_ratio(x: _Inputs, ratio, policy: str, series: Groups | None) -> MeasureResult:
     """A ratio of sums over all rows, and per series the same ratio over its rows.
 
     ``ratio(x, groups)`` returns (value, denominator) per group. A zero pooled
@@ -228,7 +145,7 @@ def _pooled_ratio(x: _Inputs, ratio, policy: str, series: _Groups | None) -> Mea
     """
     n_rows = x.e.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        value, den = ratio(x, _Groups())
+        value, den = ratio(x, Groups.pooled(n_rows))
         if den[0] == 0:
             x.flags.append(_ZERO_SCALE_FLAG)
             return _finish(x, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean", policy,
@@ -331,9 +248,10 @@ def _pearson(y: np.ndarray, f: np.ndarray) -> float:
 class _Inputs:
     """One call's actuals ``y``, forecasts ``f`` and errors ``e = y - f``.
 
-    Benchmark errors ``e_b``, in-sample scales, weights ``w`` and per-series
-    ``groups`` are resolved on first use, from the inputs the measure
-    declares; undeclared ones are never seen. Term functions add ``flags``.
+    Benchmark errors ``e_b``, in-sample scales and weights ``w`` are
+    resolved on first use, from the inputs the measure declares; undeclared
+    ones are never seen. ``groups`` are the frame's series. Term functions
+    add ``flags``.
     """
 
     def __init__(self, spec, frame: EvaluationFrame, model, benchmark, train, weights, consts):
@@ -343,13 +261,10 @@ class _Inputs:
         self.f = frame.model_column(model)
         self.e = self.y - self.f
         self.flags: list[str] = []
+        self.groups = frame.series_index
         self._benchmark = benchmark if spec.needs_benchmark else None
         self._train = train if spec.needs_train else None
         self._weights = weights if spec.needs_weights else None
-
-    @cached_property
-    def groups(self) -> _Groups:
-        return _Groups(self.frame.series_index)
 
     @cached_property
     def e_b(self) -> np.ndarray:
@@ -361,12 +276,11 @@ class _Inputs:
 
     def scales(self, kind: str) -> np.ndarray:
         """Each row's in-sample scale: that of its series, from its train values."""
-        index = self.frame.series_index
         scales = np.array([_train_scale(self.name, self._train, sid, kind, self.consts)
-                           for sid in index.series])
+                           for sid in self.groups.labels])
         if (scales == 0).any():
             self.flags.append(_ZERO_SCALE_FLAG)
-        return scales[index.codes]
+        return self.groups.expand(scales)
 
     def result(self, value: float, n_used: int, n_undef: int, per_series) -> MeasureResult:
         return MeasureResult(self.name, self.model, value, n_used, n_undef, per_series,
@@ -399,24 +313,12 @@ def _rate(x: _Inputs):
     """Rate-based base error: forecast minus the running mean of the actuals.
 
     The running mean is taken over the evaluation window of each
-    (series, origin) pair, in horizon-step order. The running sums advance
-    one step position at a time across all windows, adding in the order
-    ``np.cumsum`` adds within one window.
+    (series, origin) pair, in horizon-step order; windows of one length are
+    summed together, one window per row of a stack.
     """
-    frame, n = x.frame, x.frame.n_rows
-    rows, keys = frame.key_order, frame.sorted_keys
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = ((keys["series"][1:] != keys["series"][:-1])
-                  | (keys["origin"][1:] != keys["origin"][:-1]))
-    position = np.arange(n) - np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-    sums = frame.actuals[rows]
-    by_position = np.argsort(position, kind="stable")
-    bounds = np.cumsum(np.bincount(position))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        at = by_position[lo:hi]
-        sums[at] += sums[at - 1]
-    c = np.empty(n)
-    c[rows] = x.f[rows] - sums / (position + 1)
+    c = np.empty(x.e.size)
+    for _, rows in x.frame.windows.stacks():
+        c[rows] = x.f[rows] - np.cumsum(x.y[rows], axis=1) / np.arange(1, rows.shape[1] + 1)
     return c, None
 
 
@@ -500,7 +402,7 @@ def _ratio_of(fn):
     return values
 
 
-def _rtae(x: _Inputs, g: _Groups):
+def _rtae(x: _Inputs, g: Groups):
     clamp = x.consts["clamp"]
     num, raw_den = g.mean(np.abs(x.e)), g.mean(np.abs(x.y))
     if (raw_den < clamp).any():
@@ -509,10 +411,11 @@ def _rtae(x: _Inputs, g: _Groups):
 
 
 def _correlations(x: _Inputs):
-    index = x.groups.index
-    values = np.zeros(len(index.series))
-    defined = np.zeros(len(index.series), dtype=bool)
-    for j, rows in enumerate(np.split(index.order, index.starts[1:-1])):
+    g = x.groups
+    values = np.zeros(len(g))
+    defined = np.zeros(len(g), dtype=bool)
+    # one series at a time: vectorised, dy @ dy would no longer be a BLAS dot
+    for j, rows in enumerate(np.split(g.order, g.starts[1:-1])):
         ys, fs = x.y[rows], x.f[rows]
         if rows.size >= 2 and np.ptp(ys) != 0 and np.ptp(fs) != 0:
             values[j], defined[j] = _pearson(ys, fs), True
@@ -534,12 +437,12 @@ _SERIES_VALUES = {
 
 # ---- pooled ratios: (value, denominator) per group of rows -------------------
 
-def _rse(x: _Inputs, g: _Groups):
+def _rse(x: _Inputs, g: Groups):
     den = g.sum((x.y - g.expand(g.mean(x.y))) ** 2)
     return np.sqrt(g.sum(x.e * x.e)) / np.sqrt(den), den
 
 
-def _nwrmsle(x: _Inputs, g: _Groups):
+def _nwrmsle(x: _Inputs, g: Groups):
     l, w = _log(x)[0], x.w
     return np.sqrt(g.sum(w * l * l) / g.sum(w)), g.sum(w)
 
@@ -589,6 +492,11 @@ def evaluate(
     """
     spec = spec_for(name)
     policy = _resolve_policy(policy)
+    if constants is not None and not isinstance(constants, dict):
+        raise ValidationError(f"{name}: constants must map names to values, got {constants!r}")
+    if not isinstance(series_summary, str) or series_summary not in _SUMMARISERS:
+        raise ValidationError(f"{name}: series_summary must be one of {', '.join(_SUMMARISERS)}; "
+                              f"got {series_summary!r}")
     consts = dict(spec.constants)
     if constants:
         unknown = set(constants) - set(consts)

@@ -20,6 +20,9 @@ from forevalkit import (
     naive_forecast,
     seasonal_naive_forecast,
 )
+from forevalkit.core import Groups, _row_sum
+from forevalkit.measures import evaluate
+from forevalkit.measures.engine import _SUMMARISERS
 from forevalkit.olsar import ArFit, fit_ar, one_step_predictions
 
 
@@ -342,6 +345,94 @@ class TestEvaluationFrame:
         with pytest.raises(DataValidationError):
             EvaluationFrame(["a"] * 3, [1] * 3, [1, 2, 3], values["actual"],
                             {"m": np.array(values["forecast"])})
+
+
+@st.composite
+def grouped_rows(draw):
+    """Shuffled rows in groups of unequal sizes (sometimes one group), their
+    values (zeros included), and a mask that empties some groups."""
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    keys = [f"g{g}" for g, size in enumerate(sizes) for _ in range(size)]
+    keys = [keys[i] for i in draw(st.permutations(range(len(keys))))]
+    values = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False)),
+        min_size=len(keys), max_size=len(keys))))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys))))
+    emptied = draw(st.sets(st.sampled_from(sorted(set(keys)))))
+    mask &= ~np.isin(keys, sorted(emptied))
+    return keys, values, mask
+
+
+def _own_reduction(op, v):
+    """One group's reduction of its own 1-d array."""
+    if op == "sum":
+        return v.sum()
+    if op == "mean":
+        return v.mean()
+    if op == "median":
+        return np.median(v)
+    return 0.0 if (v == 0).any() else np.exp(np.log(np.abs(v)).mean())
+
+
+class TestGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(case=grouped_rows(), use_mask=st.booleans())
+    def test_reduce_equals_each_groups_own_reduction(self, case, use_mask):
+        keys, values, mask = case
+        if not use_mask:
+            mask = np.ones(len(keys), dtype=bool)
+        for groups, labels in ((Groups.of(keys), list(dict.fromkeys(keys))),
+                               (Groups.pooled(len(keys)), [None])):
+            assert list(groups.labels) == labels and len(groups) == len(labels)
+            members = [np.array(keys) == label if label else np.ones(len(keys), dtype=bool)
+                       for label in labels]
+            assert groups.count(mask).tolist() == [int((rows & mask).sum()) for rows in members]
+            for op, reducer in {"sum": _row_sum, **_SUMMARISERS}.items():
+                got = groups.reduce(values, reducer, mask if use_mask else None)
+                for j, rows in enumerate(members):
+                    if not (rows & mask).any():
+                        assert np.isnan(got[j])
+                    else:
+                        want = np.float64(_own_reduction(op, values[rows & mask]))
+                        assert got[j].tobytes() == want.tobytes(), (op, j)
+
+    def test_one_group_and_expand(self):
+        groups = Groups.of(["a", "b", "a"])
+        assert groups.sizes.tolist() == [2, 1]
+        assert groups.expand(np.array([1.5, 2.5])).tolist() == [1.5, 2.5, 1.5]
+        assert groups.as_dict(np.array([1.5, 2.5])) == {"a": 1.5, "b": 2.5}
+        pooled = Groups.pooled(3)
+        assert pooled.order.tolist() == [0, 1, 2] and pooled.starts.tolist() == [0, 3]
+        assert pooled.expand(np.array([4.0])).tolist() == [4.0] * 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_window_running_mean_matches_per_window_cumsum(self, data):
+        keys = []
+        for s in range(data.draw(st.integers(1, 4))):
+            for origin in data.draw(st.sets(st.integers(1, 9), min_size=1, max_size=3)):
+                steps = data.draw(st.sets(st.integers(1, 8), min_size=1, max_size=6))  # gaps
+                keys += [(f"s{s}", origin, k) for k in steps]
+        keys = [keys[i] for i in data.draw(st.permutations(range(len(keys))))]
+        value = st.floats(-1e8, 1e8, allow_nan=False).filter(lambda v: v == 0 or abs(v) > 1e-8)
+        y, f = (np.array(data.draw(st.lists(value, min_size=len(keys), max_size=len(keys))))
+                for _ in range(2))
+        sids, origins, steps = (list(c) for c in zip(*keys))
+        frame = EvaluationFrame(sids, origins, steps, y, {"m": f})
+        windows = frame.windows
+        want = np.empty(len(keys))
+        for (code, origin), lo, hi in zip(windows.labels, windows.starts[:-1], windows.starts[1:]):
+            rows = windows.order[lo:hi]
+            assert (frame.series_index.codes[rows] == code).all() and (frame.origins[rows] == origin).all()
+            assert (np.diff(frame.steps[rows]) > 0).all()
+            want[rows] = f[rows] - np.cumsum(y[rows]) / np.arange(1, rows.size + 1)
+        assert sorted(set(zip(sids, origins))) == sorted(
+            {(sids[i], origins[i]) for i in windows.order[windows.starts[:-1]]})
+        assert (windows.codes[windows.order] == np.repeat(np.arange(len(windows)), windows.sizes)).all()
+        r = evaluate("MAR", frame, breakdown=True)
+        assert r.value == np.abs(want).mean()
+        for sid, got in r.per_series.items():
+            assert got == np.abs(want[np.array(sids) == sid]).mean()
 
 
 class TestBenchmarkFrame:

@@ -540,6 +540,35 @@ class TestCliInputErrors:
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
             "--out", str(workdir / "o")], fragment)
 
+    def test_malformed_suite_constants(self, workdir, capsys):
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": [{"name": "msMAPE", "constants": 5}]}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+            "--out", str(workdir / "o")], "msMAPE: constants must map names to values, got 5")
+
+    def test_report_entry_without_measure_or_model(self, workdir, capsys):
+        report = workdir / "report.json"
+        report.write_text(json.dumps({"results": [{"measure": "RMSE", "model": "m1"}, {}]}))
+        self._fails_with_message(capsys, ["compare", str(report), "--out", str(workdir / "o")],
+                                 f"{report}: results entry 1 needs a string 'measure' and 'model'")
+
+    @pytest.mark.parametrize("config, fragment", [
+        ({"pairwise": "DM"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'DM'"),
+        ({"pairwise": "signed-rank"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'signed-rank'"),
+        ({"alpha": "0.05x"}, "'alpha' must be a number, got '0.05x'"),
+        ({"pairwise": "dm", "horizon": "two"}, "'horizon' must be an integer, got 'two'"),
+    ])
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_malformed_compare_config(self, workdir, capsys, config, fragment):
+        out = workdir / "out"
+        assert main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
+                     str(suite_json(workdir)), "--out", str(out)]) == 0
+        cfg = workdir / "test.json"
+        cfg.write_text(json.dumps({"measure": "RMSE", **config}))
+        self._fails_with_message(capsys, ["compare", str(out / "report.json"), "--config", str(cfg),
+                                          "--out", str(workdir / "cmp")], fragment)
+
     @pytest.mark.parametrize("cls, what", [(SplitSpec, "split spec"), (DgpSpec, "DGP spec"),
                                            (CharacteristicProfile, "profile")])
     def test_from_json_rejects_malformed_json(self, cls, what):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestPercentage:
     def test_msmape_constants_override(self):
         r = evaluate("msMAPE", frame([0.2], [0.1]), constants={"epsilon": 0.5, "threshold": 2.0})
         assert r.value == pytest.approx(200.0 * 0.1 / 2.5, abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"constants": 5}, "constants must map names to values, got 5"),
+        ({"constants": ["epsilon"]}, "constants must map names to values, got ['epsilon']"),
+        ({"series_summary": [1]}, "series_summary must be one of mean, median, geometric-mean; got [1]"),
+        ({"series_summary": "mode"}, "series_summary must be one of mean, median, geometric-mean; got 'mode'"),
+    ])
+    def test_malformed_constants_and_summary_rejected(self, kwargs, fragment):
+        with pytest.raises(ValidationError, match=f"^msMAPE: {re.escape(fragment)}$"):
+            evaluate("msMAPE", frame([0.2], [0.1]), **kwargs)
 
     @pytest.mark.parametrize("policy", ["propagate", "skip", "error"])
     def test_msmape_constants_must_keep_denominator_positive(self, policy):
