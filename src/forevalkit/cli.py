@@ -4,9 +4,15 @@ Subcommands: evaluate, backtest, compare, advise, simulate, pitfalls.
 Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
+``compare`` checks every report it reads before testing; a malformed
+report is a usage problem. For Diebold-Mariano pairs it reads each
+model's per-row errors into columns once and sorts the rows of all
+compared models together once; a pair's common rows are then an
+intersection of sorted key ids, with no per-pair Python join or sort.
+
 Exit codes: 0 success, 2 usage/config problems (including unreadable
-input files), 3 leakage or data validation failures (``LeakageError`` and
-the other ``DataValidationError``s).
+input files and malformed compare reports), 3 leakage or data validation
+failures (``LeakageError`` and the other ``DataValidationError``s).
 """
 
 from __future__ import annotations
@@ -15,16 +21,19 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
-from .core import DataValidationError, Forecaster, ValidationError, benchmark_frame, json_object
+from .core import (DataValidationError, Forecaster, ValidationError, _key_index, _repeats,
+                   benchmark_frame, json_object)
 from .io import (
     build_frame,
     read_forecast_csv,
@@ -222,11 +231,87 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class _ErrorRows:
+    """One model's per-row errors from a report, as columns: row i has the key
+    ``(series[codes[i]], origins[i], steps[i])`` and the error ``errors[i]``."""
+
+    series: list
+    codes: np.ndarray
+    origins: np.ndarray
+    steps: np.ndarray
+    errors: np.ndarray
+
+
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
+def _is_key(key) -> bool:
+    """``[series_id, origin, step]``: a string and two integers that fit int64."""
+    return (type(key) is list and len(key) == 3 and type(key[0]) is str
+            and type(key[1]) is int and _INT64_MIN <= key[1] <= _INT64_MAX
+            and type(key[2]) is int and _INT64_MIN <= key[2] <= _INT64_MAX)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number (bools are not numbers) that converts to a finite float."""
+    if type(x) is float:
+        return math.isfinite(x)
+    return type(x) is int and -sys.float_info.max <= x <= sys.float_info.max
+
+
+def _error_rows(where: str, entry) -> _ErrorRows:
+    """An ``errors`` entry as columns. Its ``keys`` and ``errors`` must be lists of
+    equal length, of ``[series_id, origin, step]`` keys and finite numbers, with no
+    key repeated; a ``ValidationError`` names a row that breaks this."""
+    entry = entry if isinstance(entry, dict) else {}
+    keys, errors = entry.get("keys"), entry.get("errors")
+    if not (isinstance(keys, list) and isinstance(errors, list) and len(keys) == len(errors)):
+        raise ValidationError(f"{where} needs 'keys' and 'errors' lists of equal length")
+    for what, rows, valid, want in (("key", keys, _is_key, "[series_id, origin, step]"),
+                                    ("error", errors, _is_finite_number, "a finite number")):
+        if not all(map(valid, rows)):
+            i = next(i for i, row in enumerate(rows) if not valid(row))
+            raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
+    n = len(keys)
+    sids = list(map(itemgetter(0), keys))
+    series = list(dict.fromkeys(sids))
+    code = dict(zip(series, range(len(series))))
+    rows = _ErrorRows(series, np.fromiter(map(code.__getitem__, sids), np.int64, n),
+                      np.fromiter(map(itemgetter(1), keys), np.int64, n),
+                      np.fromiter(map(itemgetter(2), keys), np.int64, n),
+                      np.array(errors, dtype=float))
+    key_order, sorted_keys, _ = _key_index(rows.codes, rows.origins, rows.steps)
+    repeated = _repeats(sorted_keys)
+    if repeated.any():
+        i = int(key_order[repeated.argmax() + 1])
+        raise ValidationError(f"{where}: key {i} {keys[i]!r} repeats an earlier key")
+    return rows
+
+
 def _read_report(path) -> dict:
+    """A compared report, checked: ``results`` is a list of entries with a string
+    ``measure`` and ``model`` and a ``per_series`` object of numbers or nulls, and
+    ``errors`` an object whose entries become ``_ErrorRows``. A malformed part is
+    a ``ValidationError`` that names the path, the model and the entry or row."""
     report = _read_json(path)
-    for i, entry in enumerate(report.get("results", [])):
+    results = report.get("results", [])
+    if not isinstance(results, list):
+        raise ValidationError(f"{path}: 'results' must be a list")
+    for i, entry in enumerate(results):
         if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("measure", "model"))):
             raise ValidationError(f"{path}: results entry {i} needs a string 'measure' and 'model'")
+        per_series = entry.get("per_series")
+        if per_series is not None and not (
+                isinstance(per_series, dict)
+                and all(v is None or type(v) in (int, float) for v in per_series.values())):
+            raise ValidationError(f"{path}: results entry {i} (model {entry['model']!r}): "
+                                  "'per_series' must be an object of numbers or nulls")
+    errors = report.get("errors", {})
+    if not isinstance(errors, dict):
+        raise ValidationError(f"{path}: 'errors' must be an object")
+    report["errors"] = {model: _error_rows(f"{path}: errors of model {model!r}", entry)
+                        for model, entry in errors.items()}
     return report
 
 
@@ -248,6 +333,27 @@ def _collect_scores(reports: list[dict], measure: str):
         raise ValidationError("no common series with defined scores across models")
     series = sorted(common)
     return {m: [per_model[m][sid] for sid in series] for m in per_model}, series
+
+
+def _squared_errors_by_key(rows: dict[str, _ErrorRows], models: list[str]) -> dict:
+    """Each model's squared errors in ``(series_id, origin, step)`` order, with
+    each row's key id. Ids increase along that order and equal keys share one
+    across models, so a pair's common rows are one ``intersect1d`` of ids. One
+    sort of every model's rows together; series codes follow sorted series ids,
+    so the order is that of the key tuples."""
+    if any(m not in rows for m in models):
+        raise ValidationError("pairwise DM needs per-row errors in the reports")
+    parts = [rows[m] for m in models]
+    labels = sorted(set().union(*(p.series for p in parts)))
+    code = dict(zip(labels, range(len(labels))))
+    codes = np.concatenate([np.array([code[s] for s in p.series], dtype=np.int64)[p.codes]
+                            for p in parts])
+    key_order, sorted_keys, _ = _key_index(codes, np.concatenate([p.origins for p in parts]),
+                                           np.concatenate([p.steps for p in parts]))
+    key_id = np.concatenate(([0], np.cumsum(~_repeats(sorted_keys))))
+    owner = np.repeat(np.arange(len(parts)), [p.codes.size for p in parts])[key_order]
+    losses = np.concatenate([p.errors for p in parts])[key_order] ** 2
+    return {m: (key_id[owner == j], losses[owner == j]) for j, m in enumerate(models)}
 
 
 def cmd_compare(args) -> int:
@@ -285,25 +391,23 @@ def cmd_compare(args) -> int:
             writer.writerow([sid] + [repr(float(r)) for r in row])
         writer.writerow(["mean_rank"] + [repr(table.mean_ranks[m]) for m in table.models])
 
-    losses = {}
-    for report in reports:
-        for model, entry in report.get("errors", {}).items():
-            losses[model] = {tuple(k): e for k, e in zip(entry["keys"], entry["errors"])}
     models = list(scores)
+    if pairwise_kind == "dm":
+        rows = {}
+        for report in reports:  # a later report's rows for a model replace an earlier one's
+            rows.update(report["errors"])
+        losses = _squared_errors_by_key(rows, models)
     raw_p = {}
     pair_details = {}
     for i in range(len(models)):
         for j in range(i + 1, len(models)):
             a, b = models[i], models[j]
             if pairwise_kind == "dm":
-                if a not in losses or b not in losses:
-                    raise ValidationError("pairwise DM needs per-row errors in the reports")
-                keys = sorted(set(losses[a]) & set(losses[b]))
-                if len(keys) < 4:
+                (ids_a, la), (ids_b, lb) = losses[a], losses[b]
+                _, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
+                if ia.size < 4:
                     raise ValidationError("pairwise DM needs at least 4 aligned errors")
-                la = np.array([losses[a][k] for k in keys]) ** 2
-                lb = np.array([losses[b][k] for k in keys]) ** 2
-                res = diebold_mariano(la, lb, horizon=horizon, alpha=alpha)
+                res = diebold_mariano(la[ia], lb[ib], horizon=horizon, alpha=alpha)
             else:
                 res = wilcoxon_rank_sum(scores[a], scores[b], alpha=alpha)
             raw_p[(a, b)] = 1.0 if res.p_value != res.p_value else res.p_value

@@ -398,6 +398,12 @@ def _as_ints(keys: np.ndarray) -> np.ndarray:
     return keys.view(np.int64).reshape(-1, 3)
 
 
+def _repeats(sorted_keys: np.ndarray) -> np.ndarray:
+    """For each sorted key after the first, whether it equals the key before it."""
+    keys = _as_ints(sorted_keys)
+    return (keys[1:] == keys[:-1]).all(axis=1)
+
+
 def _key_index(codes, origins, steps):
     """Read-only rows sorted by (series code, origin, step), their keys, and the
     rows grouped by (series, origin) in that order, labelled (series code, origin)."""
@@ -457,8 +463,7 @@ class EvaluationFrame:
         self.series_index = Groups.of(self.series_ids.tolist())
         self.key_order, self.sorted_keys, self.windows = _key_index(
             self.series_index.codes, self.origins, self.steps)
-        keys = _as_ints(self.sorted_keys)
-        repeated = (keys[1:] == keys[:-1]).all(axis=1)
+        repeated = _repeats(self.sorted_keys)
         if repeated.any():
             i = self.key_order[int(repeated.argmax())]
             key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))

@@ -144,10 +144,15 @@ def diebold_mariano(
 
     The statistic is the mean loss differential over its long-run variance
     estimated with a rectangular lag window of length horizon - 1. With the
-    small-sample correction the statistic is rescaled and referred to a
-    t distribution with n - 1 degrees of freedom; otherwise to the normal.
-    A negative statistic favours the first model. Zero differential variance
-    is reported as a tie rather than a statistic.
+    small-sample correction the statistic is rescaled by
+    sqrt((n + 1 - 2h + h(h - 1)/n) / n) and referred to a t distribution with
+    n - 1 degrees of freedom; otherwise to the normal. A negative statistic
+    favours the first model. Zero differential variance is reported as a tie
+    rather than a statistic.
+
+    ``horizon`` must be below the number of losses n: the correction factor
+    is 0 at h = n and h = n + 1 and grows again beyond, which would make the
+    statistic spurious.
     """
     a = _as_clean_array(loss_a, "diebold_mariano")
     b = _as_clean_array(loss_b, "diebold_mariano")
@@ -158,6 +163,9 @@ def diebold_mariano(
         raise ValidationError("diebold_mariano: need at least 4 aligned losses")
     if horizon < 1:
         raise ValidationError("diebold_mariano: horizon must be >= 1")
+    if horizon >= n:
+        raise ValidationError(
+            f"diebold_mariano: horizon {horizon} must be below the {n} aligned losses")
     d = a - b
     dbar = d.mean()
     dc = d - dbar
@@ -168,7 +176,7 @@ def diebold_mariano(
             reject=False, details={"tie": True, "n": n},
         )
     v = gamma0
-    for k in range(1, min(horizon, n)):
+    for k in range(1, horizon):
         v += 2.0 * _lagged_sum(dc, k) / n
     details: dict = {"n": n, "horizon": horizon, "mean_differential": float(dbar)}
     if v <= 0:

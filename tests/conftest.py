@@ -4,11 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import forevalkit
 from forevalkit import EvaluationFrame
+
+# CI runs derandomized, so a property that fails there fails the same way on a
+# checkout run with CI set; print_blob prints the failing example for replay.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_frame(rng, n_series=None, n_steps=None, with_origins=1):

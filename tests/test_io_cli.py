@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -17,6 +19,7 @@ from forevalkit import (
     TimeSeries,
     ValidationError,
     benchmark_frame,
+    diebold_mariano,
 )
 from forevalkit.cli import main
 from forevalkit.io import (
@@ -375,6 +378,114 @@ class TestCliCompare:
         assert main(["compare", str(out / "report.json"), "--out", str(workdir / "c")]) == 2
 
 
+def _dm_reference(errors_by_model: dict, models: list, horizon: int) -> dict:
+    """Pairwise DM on squared errors joined per pair through key dicts: the
+    common keys of two models, sorted as ``(series_id, origin, step)`` tuples.
+    Returns {"a vs b": (statistic, p_value)}, or the message of the first
+    pair's ``ValidationError``."""
+    losses = {m: {tuple(k): e for k, e in zip(entry["keys"], entry["errors"])}
+              for m, entry in errors_by_model.items()}
+    out = {}
+    for i, a in enumerate(models):
+        for b in models[i + 1:]:
+            keys = sorted(set(losses[a]) & set(losses[b]))
+            if len(keys) < 4:
+                return "pairwise DM needs at least 4 aligned errors"
+            la = np.array([losses[a][k] for k in keys]) ** 2
+            lb = np.array([losses[b][k] for k in keys]) ** 2
+            try:
+                res = diebold_mariano(la, lb, horizon=horizon, alpha=0.05)
+            except ValidationError as exc:
+                return str(exc)
+            out[f"{a} vs {b}"] = (res.statistic, res.p_value)
+    return out
+
+
+_DM_KEYS = [[sid, origin, step] for sid in ("b", "a", "aa", "B", "10", "9")
+            for origin in (-1, 3, 10) for step in (1, 2, 3)]
+
+
+@st.composite
+def _dm_reports(draw):
+    """Reports for ``compare --pairwise dm``: 2-4 models with shuffled, partly
+    overlapping keys, and one model's errors replaced by a second report."""
+    models = [f"m{j}" for j in range(draw(st.integers(2, 4)))]
+    error = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.integers(-3, 3),
+                      st.sampled_from([0.5, -0.5, 2.0]))
+
+    pool = draw(st.lists(st.sampled_from(_DM_KEYS), min_size=4, max_size=24, unique_by=tuple))
+
+    def entry():
+        # most of the shared pool plus a few keys of this model's own, shuffled
+        dropped = draw(st.sets(st.integers(0, max(len(pool) - 1, 0)), max_size=3))
+        extra = draw(st.lists(st.sampled_from(_DM_KEYS), max_size=4, unique_by=tuple))
+        keys = [k for i, k in enumerate(pool) if i not in dropped] + [k for k in extra if k not in pool]
+        keys = draw(st.permutations(keys))
+        return {"keys": keys, "errors": draw(st.lists(error, min_size=len(keys), max_size=len(keys)))}
+
+    results = [{"measure": "RMSE", "model": m, "per_series": {"s1": 1.0 + j, "s2": 2.0 - j, "s3": 0.5}}
+               for j, m in enumerate(models)]
+    first = {"results": results, "errors": {m: entry() for m in models}}
+    replaced = draw(st.sampled_from(models))
+    second = {"results": [], "errors": {replaced: entry()}}
+    final = {**first["errors"], **second["errors"]}
+    return models, first, second, final, draw(st.sampled_from([1, 2, 3]))
+
+
+class TestCliCompareDm:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_dm_reports())
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_matches_per_pair_dict_join(self, case, tmp_path_factory):
+        models, first, second, final, horizon = case
+        work = tmp_path_factory.mktemp("dm")
+        reports = []
+        for i, report in enumerate((first, second)):
+            reports.append(work / f"report{i}.json")
+            reports[-1].write_text(json.dumps(report))
+        (work / "test.json").write_text(json.dumps({"pairwise": "dm", "horizon": horizon}))
+        want = _dm_reference(final, models, horizon)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["compare", *map(str, reports), "--config", str(work / "test.json"),
+                         "--out", str(work / "cmp")])
+        if isinstance(want, str):
+            assert (code, err.getvalue()) == (2, f"error: {want}\n")
+            return
+        assert code == 0, err.getvalue()
+        pairs = json.loads((work / "cmp" / "tests.json").read_text())["pairwise"]
+        assert list(pairs) == list(want)
+        for name, (stat, p) in want.items():
+            assert pairs[name]["test"] == "diebold-mariano"
+            assert (pairs[name]["statistic"].hex(), pairs[name]["p_value"].hex()) == (stat.hex(), p.hex())
+
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_evaluate_then_compare(self, workdir, capsys):
+        out = workdir / "out"
+        assert main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
+                     str(suite_json(workdir)), "--out", str(out)]) == 0
+        cfg = workdir / "test.json"
+        cfg.write_text(json.dumps({"measure": "RMSE", "pairwise": "dm"}))
+        assert main(["compare", str(out / "report.json"), "--config", str(cfg),
+                     "--out", str(workdir / "cmp")]) == 0
+        tests = json.loads((workdir / "cmp" / "tests.json").read_text())
+        # errors in (a,3,1), (a,3,2), (b,3,1), (b,3,2) order: actuals 13, 14, 103, 104
+        e1 = np.array([13 - 12.5, 14 - 12.0, 103 - 102.0, 104 - 103.0])
+        e2 = np.array([13 - 11.0, 14 - 14.0, 103 - 103.0, 104 - 104.5])
+        want = diebold_mariano(e1 ** 2, e2 ** 2)
+        assert tests["pairwise"]["m1 vs m2"] == {"test": "diebold-mariano",
+                                                 "statistic": want.statistic,
+                                                 "p_value": want.p_value}
+        assert tests["adjusted_p"]["m1 vs m2"] == want.p_value
+
+        cfg.write_text(json.dumps({"measure": "RMSE", "pairwise": "dm", "horizon": 4}))
+        capsys.readouterr()
+        assert main(["compare", str(out / "report.json"), "--config", str(cfg),
+                     "--out", str(workdir / "cmp")]) == 2
+        assert capsys.readouterr().err == (
+            "error: diebold_mariano: horizon 4 must be below the 4 aligned losses\n")
+
+
 class TestCliAdvise:
     def test_intermittency_profile(self, tmp_path):
         profile = tmp_path / "profile.json"
@@ -552,6 +663,69 @@ class TestCliInputErrors:
         report.write_text(json.dumps({"results": [{"measure": "RMSE", "model": "m1"}, {}]}))
         self._fails_with_message(capsys, ["compare", str(report), "--out", str(workdir / "o")],
                                  f"{report}: results entry 1 needs a string 'measure' and 'model'")
+
+    @staticmethod
+    def _report(**changes) -> dict:
+        """A valid two-model report with per-row errors, with ``changes`` applied:
+        a top-level value, or ``("m2", field)`` for a field of m2's errors entry."""
+        keys = [["a", 3, 1], ["a", 3, 2], ["b", 3, 1], ["b", 3, 2]]
+        report = {
+            "results": [{"measure": "RMSE", "model": m, "per_series": {"a": 1.0 + j, "b": 2.0 - j}}
+                        for j, m in enumerate(("m1", "m2"))],
+            "errors": {m: {"keys": keys, "errors": [0.5, -1.0 + j, 2.0, 0.25 * j]}
+                       for j, m in enumerate(("m1", "m2"))},
+        }
+        for field, value in changes.items():
+            if field.startswith("m2_"):
+                report["errors"]["m2"][field[3:]] = value
+            elif field == "per_series":
+                report["results"][1]["per_series"] = value
+            else:
+                report[field] = value
+        return report
+
+    @pytest.mark.parametrize("pairwise", ["wilcoxon", "dm"])
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_valid_report_accepted(self, workdir, pairwise):
+        report, cfg = workdir / "report.json", workdir / "test.json"
+        report.write_text(json.dumps(self._report()))
+        cfg.write_text(json.dumps({"pairwise": pairwise}))
+        assert main(["compare", str(report), "--config", str(cfg), "--out", str(workdir / "o")]) == 0
+
+    @pytest.mark.parametrize("changes, fragment", [
+        ({"results": 5}, "'results' must be a list"),
+        ({"per_series": [1.0, 2.0]},
+         "results entry 1 (model 'm2'): 'per_series' must be an object of numbers or nulls"),
+        ({"per_series": {"a": "1.0", "b": 2.0}}, "results entry 1 (model 'm2'): 'per_series'"),
+        ({"per_series": {"a": True, "b": 2.0}}, "results entry 1 (model 'm2'): 'per_series'"),
+        ({"errors": [1, 2]}, "'errors' must be an object"),
+        ({"m2_keys": 5}, "errors of model 'm2' needs 'keys' and 'errors' lists of equal length"),
+        ({"m2_errors": [0.5, 1.0, 2.0]}, "errors of model 'm2' needs 'keys' and 'errors' lists"),
+        ({"m2_keys": [["a", 3, 1], ["a", 3, 2], ["b", 3, 1], ["b", 3, 2], ["b", 3, 3]]},
+         "errors of model 'm2' needs 'keys' and 'errors' lists of equal length"),
+        ({"m2_keys": [["a", 3, 1], ["a", True, 2], ["b", 3, 1], ["b", 3, 2]]},
+         "errors of model 'm2': key 1 is ['a', True, 2], not [series_id, origin, step]"),
+        ({"m2_keys": [["a", 3, 1], ["a", 3, 2], ["b", 3.0, 1], ["b", 3, 2]]},
+         "errors of model 'm2': key 2 is ['b', 3.0, 1], not [series_id, origin, step]"),
+        ({"m2_keys": [["a", 3, 1], ["a", 3, 2], [7, 3, 1], ["b", 3, 2]]}, "errors of model 'm2': key 2 is [7, 3, 1]"),
+        ({"m2_keys": [["a", 3, 1], ["a", 3], ["b", 3, 1], ["b", 3, 2]]}, "errors of model 'm2': key 1 is ['a', 3]"),
+        ({"m2_keys": ["a,3,1", ["a", 3, 2], ["b", 3, 1], ["b", 3, 2]]}, "errors of model 'm2': key 0 is 'a,3,1'"),
+        ({"m2_keys": [["a", 3, 1], ["a", 3, 2], ["b", 3, 1], ["b", 3, 2 ** 63]]},
+         f"errors of model 'm2': key 3 is ['b', 3, {2 ** 63}]"),
+        ({"m2_errors": [0.5, "1.0", 2.0, 0.0]},
+         "errors of model 'm2': error 1 is '1.0', not a finite number"),
+        ({"m2_errors": [0.5, 1.0, None, 0.0]}, "errors of model 'm2': error 2 is None, not a finite number"),
+        ({"m2_errors": [0.5, 1.0, 2.0, float("nan")]}, "errors of model 'm2': error 3 is nan, not a finite number"),
+        ({"m2_errors": [False, 1.0, 2.0, 0.0]}, "errors of model 'm2': error 0 is False, not a finite number"),
+        ({"m2_errors": [0.5, 10 ** 400, 2.0, 0.0]}, "errors of model 'm2': error 1 is 1000"),
+        ({"m2_keys": [["a", 3, 1], ["b", 3, 2], ["b", 3, 1], ["b", 3, 2]]},
+         "errors of model 'm2': key 3 ['b', 3, 2] repeats an earlier key"),
+    ])
+    def test_malformed_compare_report(self, workdir, capsys, changes, fragment):
+        report = workdir / "report.json"
+        report.write_text(json.dumps(self._report(**changes)))
+        self._fails_with_message(capsys, ["compare", str(report), "--out", str(workdir / "o")],
+                                 f"{report}: {fragment}")
 
     @pytest.mark.parametrize("config, fragment", [
         ({"pairwise": "DM"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'DM'"),

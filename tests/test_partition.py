@@ -236,8 +236,8 @@ class TestLeakageChecks:
             if how == "overlap":  # pull a test index into train, out of order
                 train = np.concatenate([fold.test_indices[-1:], fold.train_indices])
                 test = fold.test_indices
-            elif how == "order":  # a train index past the test region, no overlap
-                train = np.append(fold.train_indices, fold.test_indices.max() + 10_000)
+            elif how == "order":  # a train index past the test region (if any), no overlap
+                train = np.append(fold.train_indices, fold.test_indices.max(initial=0) + 10_000)
                 test = fold.test_indices
             else:  # unsorted, repeated, non-contiguous indices, possibly empty
                 train = rng.integers(1, 40, size=int(rng.integers(0, 20)))

@@ -89,6 +89,15 @@ class TestDieboldMariano:
         with pytest.raises(ValidationError):
             diebold_mariano([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("horizon", [6, 7, 50])
+    def test_horizon_at_or_above_n_rejected(self, rng, horizon):
+        # the small-sample factor (n + 1 - 2h + h(h - 1)/n)/n is 0 at h = n, n + 1
+        # and grows again beyond, so the statistic would be spurious
+        a, b = rng.normal(0, 1, (2, 6)) ** 2
+        with pytest.raises(ValidationError, match=f"horizon {horizon} must be below the 6 aligned"):
+            diebold_mariano(a, b, horizon=horizon)
+        diebold_mariano(a, b, horizon=5)
+
     def test_harvey_correction_shrinks_statistic(self, rng):
         a = rng.normal(0, 1, 60) ** 2
         b = rng.normal(0, 1, 60) ** 2 + 0.5
