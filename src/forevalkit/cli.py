@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +259,30 @@ def _is_finite_number(x) -> bool:
     return type(x) is int and -sys.float_info.max <= x <= sys.float_info.max
 
 
+def _error_columns(keys: list, errors: list):
+    """Series ids, origins and steps (int64) and errors (float64) of a report's
+    equal-length ``keys`` and ``errors``, each column checked at once: None when
+    some row breaks ``_is_key`` or ``_is_finite_number``."""
+    if not keys:
+        return [], np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    if set(map(type, keys)) != {list} or set(map(len, keys)) != {3}:
+        return None
+    sids, origins, steps = zip(*keys)
+    if (set(map(type, sids)) != {str} or set(map(type, origins)) | set(map(type, steps)) != {int}
+            or not set(map(type, errors)) <= {int, float}):
+        return None
+    try:
+        origins, steps = np.array(origins, dtype=np.int64), np.array(steps, dtype=np.int64)
+        values = np.array(errors, dtype=float)
+    except OverflowError:  # beyond int64, or an int beyond the float range
+        return None
+    # below the largest float is finite; at it, an int may have rounded down to it
+    at_limit = np.flatnonzero(~(np.abs(values) < sys.float_info.max)).tolist()
+    if not all(_is_finite_number(errors[i]) for i in at_limit):
+        return None
+    return list(sids), origins, steps, values
+
+
 def _error_rows(where: str, entry) -> _ErrorRows:
     """An ``errors`` entry as columns. Its ``keys`` and ``errors`` must be lists of
     equal length, of ``[series_id, origin, step]`` keys and finite numbers, with no
@@ -268,19 +291,18 @@ def _error_rows(where: str, entry) -> _ErrorRows:
     keys, errors = entry.get("keys"), entry.get("errors")
     if not (isinstance(keys, list) and isinstance(errors, list) and len(keys) == len(errors)):
         raise ValidationError(f"{where} needs 'keys' and 'errors' lists of equal length")
-    for what, rows, valid, want in (("key", keys, _is_key, "[series_id, origin, step]"),
-                                    ("error", errors, _is_finite_number, "a finite number")):
-        if not all(map(valid, rows)):
-            i = next(i for i, row in enumerate(rows) if not valid(row))
-            raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
-    n = len(keys)
-    sids = list(map(itemgetter(0), keys))
+    columns = _error_columns(keys, errors)
+    if columns is None:  # name the first row that breaks the rules
+        for what, rows, valid, want in (("key", keys, _is_key, "[series_id, origin, step]"),
+                                        ("error", errors, _is_finite_number, "a finite number")):
+            if not all(map(valid, rows)):
+                i = next(i for i, row in enumerate(rows) if not valid(row))
+                raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
+    sids, origins, steps, values = columns
     series = list(dict.fromkeys(sids))
     code = dict(zip(series, range(len(series))))
-    rows = _ErrorRows(series, np.fromiter(map(code.__getitem__, sids), np.int64, n),
-                      np.fromiter(map(itemgetter(1), keys), np.int64, n),
-                      np.fromiter(map(itemgetter(2), keys), np.int64, n),
-                      np.array(errors, dtype=float))
+    rows = _ErrorRows(series, np.fromiter(map(code.__getitem__, sids), np.int64, len(sids)),
+                      origins, steps, values)
     key_order, sorted_keys, _ = _key_index(rows.codes, rows.origins, rows.steps)
     repeated = _repeats(sorted_keys)
     if repeated.any():

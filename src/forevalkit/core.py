@@ -80,11 +80,11 @@ class TimeSeries:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValidationError(f"series {self.id!r}: values must be a non-empty 1-d sequence")
-        if np.isnan(values).any():
-            raise ValidationError(
-                f"series {self.id!r}: missing values are rejected at ingestion"
-            )
         if not np.isfinite(values).all():
+            if np.isnan(values).any():
+                raise ValidationError(
+                    f"series {self.id!r}: missing values are rejected at ingestion"
+                )
             raise ValidationError(f"series {self.id!r}: values must be finite")
         if self.timestamps is None:
             ts = np.arange(1, values.size + 1, dtype=np.int64)
@@ -92,7 +92,7 @@ class TimeSeries:
             ts = np.array(self.timestamps, dtype=np.int64)
             if ts.shape != values.shape:
                 raise ValidationError(f"series {self.id!r}: timestamps/values length mismatch")
-            if ts.size > 1 and not (np.diff(ts) > 0).all():
+            if not (ts[1:] > ts[:-1]).all():
                 raise ValidationError(f"series {self.id!r}: timestamps must be strictly increasing")
         if self.frequency is not None and self.frequency < 2:
             raise ValidationError(f"series {self.id!r}: frequency must be >= 2 when given")
@@ -314,9 +314,8 @@ class Groups:
     @classmethod
     def of(cls, keys: list) -> "Groups":
         """Rows grouped by equal key: groups in first-appearance order, rows in frame order."""
-        position: dict = {}
-        codes = np.fromiter((position.setdefault(k, len(position)) for k in keys),
-                            dtype=np.int64, count=len(keys))
+        position = dict(zip(dict.fromkeys(keys), range(len(keys))))
+        codes = np.fromiter(map(position.__getitem__, keys), dtype=np.int64, count=len(keys))
         starts = np.zeros(len(position) + 1, dtype=np.int64)
         np.cumsum(np.bincount(codes), out=starts[1:])
         return cls(tuple(position), codes, np.argsort(codes, kind="stable"), starts)

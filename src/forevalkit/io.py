@@ -5,21 +5,31 @@ Forecast CSV: columns ``series_id,origin,step,model,forecast`` where
 ``origin`` is the 1-based position of the forecast origin within its series
 and ``step`` is the 1-based horizon step, so the forecast targets position
 origin + step. Both files are UTF-8 with a mandatory header row.
+
+The readers accept what ``csv.reader`` reads, with every cell stripped of
+surrounding whitespace and blank rows skipped. They split the file a block
+of rows at a time and convert it column by column. A file that a plain
+split might read differently from ``csv.reader`` (quotes, a lone carriage
+return, ...), or whose cells do not all convert, is read again row by row;
+that loop decides what is accepted and names a bad row as ``path:line``.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import DataValidationError, Dataset, EvaluationFrame, TimeSeries, ValidationError
+from .core import (DataValidationError, Dataset, EvaluationFrame, Groups, TimeSeries, ValidationError,
+                   _key_index, _repeats)
 
 __all__ = [
     "read_series_csv",
     "write_series_csv",
     "read_forecast_csv",
+    "ForecastColumns",
     "build_frame",
     "write_matrix_csv",
     "write_folds_csv",
@@ -37,42 +47,104 @@ def _check_header(actual: list[str] | None, expected: list[str], path) -> None:
         raise ValidationError(f"{path}: expected header {','.join(expected)}, got {','.join(got)}")
 
 
-def read_series_csv(path, frequency: int | None = None) -> Dataset:
-    """Read a long-form series CSV into a dataset.
+_BLOCK = 1 << 16  # bytes of rows split at once: bounds the cells and arrays alive together
 
-    Rows may arrive in any order; within a series they are sorted by
-    timestamp. Blank/missing values are rejected rather than imputed.
-    """
-    path = Path(path)
-    rows: dict[str, list[tuple[int, float]]] = {}
+
+def _split(raw: bytes, header: list[str], parsers) -> list | None:
+    """The data rows as columns, ``parsers[j]`` mapped over column j's cells a
+    block of rows at a time: ``str.strip`` gives a list, ``int`` or ``float``
+    an array (these strip what ``str.strip`` strips, or reject the cell).
+    None where a plain split might not read the file as ``csv.reader`` does
+    (quotes, a lone carriage return, NUL, a cell over ``csv``'s size limit,
+    bytes that are not UTF-8), and for a wrong header, no data rows, a row of
+    another width (blank ones too) or a cell that does not convert."""
+    n = len(header)
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    start = raw.find(b"\n") + 1
+    head = raw[:start - 1]
+    if (b'"' in raw or b"\0" in raw or b"\r" in head[:-1] or start == len(raw)
+            or [c.strip() for c in head.decode("utf-8", "replace").split(",")] != header):
+        return None
+    row = np.array([ord(",")] * (n - 1) + [ord("\n")], dtype=np.uint8)  # n - 1 commas, a line end
+    columns = [[] for _ in parsers]
+    stored = [{} if parse is str.strip else None for parse in parsers]  # each string once
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _BLOCK) + 1 or len(raw)
+        block = raw[start:stop]
+        data = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # where each cell ends
+        crs = np.flatnonzero(data == ord("\r"))
+        if (ends.size % n or (data[ends].reshape(-1, n) != row).any() or (data[crs + 1] != ord("\n")).any()
+                or (np.diff(ends, prepend=-1) - 1).max() > csv.field_size_limit()):
+            return None
+        try:
+            # a "\r" of a "\r\n" stays at the end of a row's last cell, for the strip to drop
+            cells = block.decode("utf-8").replace("\n", ",").split(",")
+            for parse, column, known, j in zip(parsers, columns, stored, range(n)):
+                if known is None:
+                    column.append(np.fromiter(map(parse, cells[j:ends.size:n]),
+                                              np.int64 if parse is int else float, ends.size // n))
+                else:
+                    values = list(map(parse, cells[j:ends.size:n]))
+                    column.extend(map(known.setdefault, values, values))
+        except (ValueError, OverflowError):  # OverflowError: an int beyond int64
+            return None
+        start = stop
+    return [column if known is not None else np.concatenate(column) for column, known in zip(columns, stored)]
+
+
+def _read_rows(path: Path, header: list[str], parse_row) -> list[list]:
+    """The data rows, read one at a time by ``csv.reader`` and converted by
+    ``parse_row``, as columns. A row that breaks the format is named."""
+    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), _SERIES_HEADER, path)
+        _check_header(next(reader, None), header, path)
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != 3:
-                raise ValidationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            sid, ts, value = (c.strip() for c in row)
-            if not value:
-                raise ValidationError(f"{path}:{lineno}: missing value (imputation is not supported)")
+            if len(row) != len(header):
+                raise ValidationError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             try:
-                rows.setdefault(sid, []).append((int(ts), float(value)))
+                rows.append(parse_row(*(c.strip() for c in row)))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    series = []
-    for sid, pairs in rows.items():
-        pairs.sort(key=lambda p: p[0])
-        ts = np.array([p[0] for p in pairs], dtype=np.int64)
-        series.append(TimeSeries(
-            id=sid,
-            values=np.array([p[1] for p in pairs]),
-            timestamps=ts,
-            frequency=frequency,
-        ))
-    return Dataset(tuple(series))
+    return [list(col) for col in zip(*rows)]
+
+
+def _read_columns(path: Path, header: list[str], parsers, parse_row) -> list:
+    """The data rows as columns. ``parsers`` convert the cells column by column
+    and accept what ``parse_row`` accepts of a stripped row; when the split or a
+    conversion fails, the row-by-row loop reads the file again, once."""
+    return _split(path.read_bytes(), header, parsers) or _read_rows(path, header, parse_row)
+
+
+def _series_row(sid: str, timestamp: str, value: str):
+    if not value:
+        raise ValueError("missing value (imputation is not supported)")
+    return sid, int(timestamp), float(value)
+
+
+def read_series_csv(path, frequency: int | None = None) -> Dataset:
+    """Read a long-form series CSV into a dataset.
+
+    Rows may arrive in any order. One stable sort on (series, timestamp)
+    groups them: series in order of first appearance, each sorted by
+    timestamp. Blank/missing values are rejected rather than imputed.
+    """
+    path = Path(path)
+    sids, timestamps, values = _read_columns(path, _SERIES_HEADER, (str.strip, int, float), _series_row)
+    index = Groups.of(sids)
+    timestamps, values = np.asarray(timestamps, dtype=np.int64), np.asarray(values, dtype=float)
+    order = np.lexsort((timestamps, index.codes))
+    bounds = index.starts.tolist()
+    return Dataset(tuple(
+        TimeSeries(id=sid, values=values[rows], timestamps=timestamps[rows], frequency=frequency)
+        for sid, rows in zip(index.labels, map(order.__getitem__, map(slice, bounds, bounds[1:])))
+    ))
 
 
 def write_series_csv(path, dataset: Dataset) -> None:
@@ -85,73 +157,115 @@ def write_series_csv(path, dataset: Dataset) -> None:
                 writer.writerow([s.id, ts, repr(v)])
 
 
-def read_forecast_csv(path):
-    """Read forecast rows as a list of (series_id, origin, step, model, forecast)."""
+@dataclass(frozen=True)
+class ForecastColumns:
+    """The data rows of a forecast CSV as columns, in file order: row i is the
+    forecast ``forecasts[i]`` of model ``models[i]`` for the key
+    ``(series_ids[i], origins[i], steps[i])``. ``origins`` and ``steps`` are
+    int64, or Python ints (object) when one does not fit int64."""
+
+    series_ids: list
+    origins: np.ndarray
+    steps: np.ndarray
+    models: list
+    forecasts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.series_ids)
+
+
+def _int_column(values) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _forecast_row(sid: str, origin: str, step: str, model: str, forecast: str):
+    return sid, int(origin), int(step), model, float(forecast)
+
+
+def read_forecast_csv(path) -> ForecastColumns:
+    """Read the forecast rows as columns."""
     path = Path(path)
-    out = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), _FORECAST_HEADER, path)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise ValidationError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            sid, origin, step, model, fc = (c.strip() for c in row)
-            try:
-                out.append((sid, int(origin), int(step), model, float(fc)))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not out:
-        raise ValidationError(f"{path}: no data rows")
-    return out
+    sids, origins, steps, models, forecasts = _read_columns(
+        path, _FORECAST_HEADER, (str.strip, int, int, str.strip, float), _forecast_row)
+    return ForecastColumns(sids, _int_column(origins), _int_column(steps), models,
+                           np.asarray(forecasts, dtype=float))
 
 
-def build_frame(dataset: Dataset, forecast_rows) -> EvaluationFrame:
+def build_frame(dataset: Dataset, rows: ForecastColumns) -> EvaluationFrame:
     """Join forecast rows against the dataset actuals into an evaluation frame.
 
     Every (series, origin, step) key must target an existing observation and
-    carry a forecast for every model; violations are reported per row.
+    carry a forecast for every model; violations are reported per row. The
+    frame holds the keys in order of first appearance. One sort of the rows
+    by (key, model) finds each key's rows, its models and repeated forecasts.
     """
-    models = sorted({r[3] for r in forecast_rows})
-    by_key: dict[tuple[str, int, int], dict[str, float]] = {}
-    problems: list[str] = []
-    for sid, origin, step, model, fc in forecast_rows:
-        key = (sid, origin, step)
-        slot = by_key.setdefault(key, {})
-        if model in slot:
-            problems.append(f"duplicate forecast for key {key} model {model!r}")
-        slot[model] = fc
+    models = sorted(set(rows.models))
+    position = dict(zip(models, range(len(models))))
+    model_codes = np.fromiter(map(position.__getitem__, rows.models), np.int64, len(rows))
+    series = Groups.of(rows.series_ids)
+    origins, steps = rows.origins, rows.steps
+    # an origin or step beyond int64 targets no position; its rank keeps it distinct
+    ranked = [x if x.dtype != object else np.unique(x, return_inverse=True)[1] for x in (origins, steps)]
+    by_model = np.argsort(model_codes, kind="stable")
+    key_order, sorted_keys, _ = _key_index(*(x[by_model] for x in (series.codes, *ranked)))
+    order = by_model[key_order]  # rows by key, then model, then file position
+    new_key = np.append(True, ~_repeats(sorted_keys))
+    sorted_models = model_codes[order]
+    repeated = order[1:][~new_key[1:] & (sorted_models[1:] == sorted_models[:-1])]
 
-    sids, origins, steps, actuals = [], [], [], []
-    cols: dict[str, list[float]] = {m: [] for m in models}
-    for key in by_key:
-        sid, origin, step = key
-        slot = by_key[key]
-        missing = [m for m in models if m not in slot]
-        if missing:
-            problems.append(f"key {key}: missing forecasts for models {missing}")
-            continue
-        try:
-            series = dataset[sid]
-        except KeyError:
-            problems.append(f"key {key}: series {sid!r} not in the series file")
-            continue
-        target = origin + step
-        if not 1 <= origin <= len(series) or target > len(series):
-            problems.append(
-                f"key {key}: target position {target} outside series {sid!r} (length {len(series)})"
-            )
-            continue
-        sids.append(sid)
-        origins.append(origin)
-        steps.append(step)
-        actuals.append(series.value_at(target))
-        for m in models:
-            cols[m].append(slot[m])
+    key_ids = np.cumsum(new_key) - 1
+    present = np.zeros((len(models), key_ids[-1] + 1), dtype=bool)
+    present[sorted_models, key_ids] = True
+    table = np.empty(present.shape)
+    table[sorted_models, key_ids] = rows.forecasts[order]
+    firsts = np.minimum.reduceat(order, np.flatnonzero(new_key))
+    appearance = np.argsort(firsts)
+    first, present, table = firsts[appearance], present[:, appearance], table[:, appearance]
+
+    by_id = {s.id: s for s in dataset}
+    # length 0: not in the series file (a series holds at least one value)
+    lengths = np.array([len(by_id[sid]) if sid in by_id else 0 for sid in series.labels])
+    codes, origins, steps = series.codes[first], origins[first], steps[first]
+    length = lengths[codes]
+    missing = ~present.all(axis=0)
+    unknown = length == 0
+    inside = ~missing & ~unknown & (origins >= 1) & (origins <= length)
+    # each target origin + step is compared, not formed: int64 could wrap
+    at = np.flatnonzero(inside)
+    past_end = steps[at] > length[at] - origins[at]
+    inside[at[past_end]] = False
+    at = at[~past_end]
+    before_start = at[steps[at] < 1 - origins[at]]
+
+    def key(r):
+        return rows.series_ids[r], int(rows.origins[r]), int(rows.steps[r])
+
+    if before_start.size:
+        j = before_start[0]
+        raise ValidationError(f"position {int(origins[j]) + int(steps[j])} outside series "
+                              f"{series.labels[codes[j]]!r} (length {length[j]})")
+    problems = [f"duplicate forecast for key {key(r)} model {rows.models[r]!r}"
+                for r in np.sort(repeated).tolist()]
+    for j in np.flatnonzero(~inside).tolist():
+        k, sid = key(first[j]), series.labels[codes[j]]
+        if missing[j]:
+            problems.append(f"key {k}: missing forecasts for models "
+                            f"{[m for m, p in zip(models, present[:, j]) if not p]}")
+        elif unknown[j]:
+            problems.append(f"key {k}: series {sid!r} not in the series file")
+        else:
+            problems.append(f"key {k}: target position {k[1] + k[2]} outside series {sid!r} "
+                            f"(length {length[j]})")
     if problems:
         raise DataValidationError("misaligned evaluation inputs:\n  " + "\n  ".join(problems))
-    return EvaluationFrame(sids, origins, steps, actuals, {m: np.array(v) for m, v in cols.items()})
+    origins, steps = origins.astype(np.int64), steps.astype(np.int64)  # object beside an int beyond int64
+    offsets = np.cumsum(lengths) - lengths
+    values = np.concatenate([by_id[sid].values for sid in series.labels])
+    return EvaluationFrame(np.array(series.labels, dtype=object)[codes], origins, steps,
+                           values[offsets[codes] + origins + steps - 1], dict(zip(models, table)))
 
 
 def write_matrix_csv(path, per_series: dict[str, dict[tuple[str, str], float]]) -> None:

@@ -3,6 +3,8 @@ import csv
 import hashlib
 import io
 import json
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forevalkit.cli
+import forevalkit.io
 from forevalkit import (
     CharacteristicProfile,
+    DataValidationError,
     Dataset,
     DgpSpec,
+    EvaluationFrame,
     LeakageError,
     SplitSpec,
     TimeSeries,
@@ -77,6 +82,20 @@ class TestSeriesCsv:
         with pytest.raises(ValidationError, match="header"):
             read_series_csv(p)
 
+    @pytest.mark.parametrize("head, got", [(b"series_id,time,value", "series_id,time,value"),
+                                           (b"series_id\r,timestamp,value", "series_id")])
+    def test_wrong_header_rejected(self, tmp_path, head, got):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(head + b"\na,1,10\n")  # a lone carriage return ends the header row
+        with pytest.raises(ValidationError, match=f"expected header series_id,timestamp,value, got {got}$"):
+            read_series_csv(p)
+
+    def test_lone_carriage_return_ends_a_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"series_id,timestamp,value\r\na\rb,1,10\r\n")
+        with pytest.raises(ValidationError, match=r"bad\.csv:2: expected 3 columns, got 1$"):
+            read_series_csv(p)
+
     def test_missing_value_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("series_id,timestamp,value\na,1,\n")
@@ -88,6 +107,16 @@ class TestSeriesCsv:
         p.write_text("series_id,timestamp,value\na,2,20\na,1,10\n")
         ds = read_series_csv(p)
         assert ds["a"].values.tolist() == [10.0, 20.0]
+
+    def test_cell_over_csv_field_limit_fails_as_csv_does(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("series_id,timestamp,value\nabcdefghij,1,1.5\n")
+        limit = csv.field_size_limit(8)
+        try:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                read_series_csv(p)
+        finally:
+            csv.field_size_limit(limit)
 
 
 def _csv_writer_folds(path, folds):
@@ -134,20 +163,308 @@ class TestBuildFrame:
         assert frame.actuals[idx] == 13.0
 
     def test_misaligned_keys_row_level_report(self, workdir):
+        with open(workdir / "forecasts.csv", "a") as fh:
+            fh.write("a,5,3,m1,1.0\na,5,3,m2,1.0\n")  # target position 8 beyond series
         rows = read_forecast_csv(workdir / "forecasts.csv")
-        rows.append(("a", 5, 3, "m1", 1.0))  # target position 8 beyond series
-        rows.append(("a", 5, 3, "m2", 1.0))
         ds = read_series_csv(workdir / "series.csv")
         with pytest.raises(ValidationError, match="misaligned") as err:
             build_frame(ds, rows)
         assert "target position 8" in str(err.value)
 
+    @pytest.mark.parametrize("origin, step", [(1, 2 ** 63 - 1), (2 ** 64, 1), (3, 2 ** 64)])
+    def test_key_beyond_int64_reported_exactly(self, workdir, origin, step):
+        with open(workdir / "forecasts.csv", "a") as fh:
+            fh.write(f"a,{origin},{step},m1,1.0\na,{origin},{step},m2,1.0\n")
+        ds = read_series_csv(workdir / "series.csv")
+        with pytest.raises(DataValidationError) as err:
+            build_frame(ds, read_forecast_csv(workdir / "forecasts.csv"))
+        assert str(err.value) == ("misaligned evaluation inputs:\n  key ('a', %d, %d): target position %d "
+                                  "outside series 'a' (length 5)" % (origin, step, origin + step))
+
     def test_missing_model_for_key(self, workdir):
         ds = read_series_csv(workdir / "series.csv")
+        with open(workdir / "forecasts.csv", "a") as fh:
+            fh.write("a,4,1,m1,1.0\n")  # m2 missing for this key
         rows = read_forecast_csv(workdir / "forecasts.csv")
-        rows.append(("a", 4, 1, "m1", 1.0))  # m2 missing for this key
         with pytest.raises(ValidationError, match="missing forecasts"):
             build_frame(ds, rows)
+
+
+def _reference_series(path, frequency=None):
+    """The series reader as it was before whole-file splitting: csv.reader row by row."""
+    rows = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        _reference_header(next(reader, None), ["series_id", "timestamp", "value"], path)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 3:
+                raise ValidationError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            sid, ts, value = (c.strip() for c in row)
+            if not value:
+                raise ValidationError(f"{path}:{lineno}: missing value (imputation is not supported)")
+            try:
+                rows.setdefault(sid, []).append((int(ts), float(value)))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    series = []
+    for sid, pairs in rows.items():
+        pairs.sort(key=lambda p: p[0])
+        series.append(TimeSeries(id=sid, values=np.array([p[1] for p in pairs]),
+                                 timestamps=np.array([p[0] for p in pairs], dtype=np.int64),
+                                 frequency=frequency))
+    return Dataset(tuple(series))
+
+
+def _reference_forecasts(path):
+    """The forecast reader as it was: a list of (series_id, origin, step, model, forecast)."""
+    out = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        _reference_header(next(reader, None), ["series_id", "origin", "step", "model", "forecast"], path)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 5:
+                raise ValidationError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
+            sid, origin, step, model, fc = (c.strip() for c in row)
+            try:
+                out.append((sid, int(origin), int(step), model, float(fc)))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    if not out:
+        raise ValidationError(f"{path}: no data rows")
+    return out
+
+
+def _reference_header(actual, expected, path):
+    if actual is None:
+        raise ValidationError(f"{path}: empty file, expected header {','.join(expected)}")
+    got = [c.strip() for c in actual]
+    if got != expected:
+        raise ValidationError(f"{path}: expected header {','.join(expected)}, got {','.join(got)}")
+
+
+def _reference_join(dataset, forecast_rows):
+    """build_frame as it was: a dict per (series, origin, step) key, in first-appearance order."""
+    models = sorted({r[3] for r in forecast_rows})
+    by_key, problems = {}, []
+    for sid, origin, step, model, fc in forecast_rows:
+        key = (sid, origin, step)
+        slot = by_key.setdefault(key, {})
+        if model in slot:
+            problems.append(f"duplicate forecast for key {key} model {model!r}")
+        slot[model] = fc
+    sids, origins, steps, actuals = [], [], [], []
+    cols = {m: [] for m in models}
+    for key, slot in by_key.items():
+        sid, origin, step = key
+        missing = [m for m in models if m not in slot]
+        if missing:
+            problems.append(f"key {key}: missing forecasts for models {missing}")
+            continue
+        try:
+            series = dataset[sid]
+        except KeyError:
+            problems.append(f"key {key}: series {sid!r} not in the series file")
+            continue
+        target = origin + step
+        if not 1 <= origin <= len(series) or target > len(series):
+            problems.append(f"key {key}: target position {target} outside series {sid!r} (length {len(series)})")
+            continue
+        sids.append(sid)
+        origins.append(origin)
+        steps.append(step)
+        actuals.append(series.value_at(target))
+        for m in models:
+            cols[m].append(slot[m])
+    if problems:
+        raise DataValidationError("misaligned evaluation inputs:\n  " + "\n  ".join(problems))
+    return EvaluationFrame(sids, origins, steps, actuals, {m: np.array(v) for m, v in cols.items()})
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the reference and the reader must fail alike, whatever the type
+        return type(exc).__name__, str(exc)
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+# cells that int() and float() read differently from numpy's parsers, or reject
+_ODD_CELLS = ["1_000", "+5", "5.0", "nan", "inf", "-inf", "1e400", "", " ", "x", "0x10", "\u0661\u0662",
+              str(2 ** 63), str(-(2 ** 64)), "1e-400", "+.5", "-0"]
+_PADS = ["", "", "", " ", "\t", "\u00a0", "\x1c"]  # str.strip strips all; int and float not \x1c
+
+
+@st.composite
+def _csv_file(draw, header, rows):
+    """CSV text for ``rows`` (lists of cell strings), shuffled, with a few odd cells,
+    blank and all-comma rows, rows of another width, whitespace around cells,
+    quoted cells (ids with commas and quotes must be) and CRLF or LF line ends."""
+    header, rows = list(header), [list(r) for r in draw(st.permutations(rows))]
+    for what, i, j, cell in draw(st.lists(st.tuples(
+            st.sampled_from(["odd", "blank", "commas", "wider", "narrower", "lone-cr", "header"]),
+            st.integers(0, 99), st.integers(0, 9), st.sampled_from(_ODD_CELLS)), max_size=3)):
+        at = i % (len(rows) + 1)
+        row = rows[at % len(rows)] if rows else []
+        if what == "header":
+            header[j % len(header)] = cell
+        elif what == "blank":
+            rows.insert(at, [])
+        elif what == "commas":
+            rows.insert(at, [" "] * len(header))
+        elif not row:
+            continue
+        elif what == "odd":
+            row[j % len(row)] = cell
+        elif what == "wider":
+            row.append(cell)
+        elif what == "narrower":
+            row.pop()
+        elif what == "lone-cr":  # csv.reader ends a row at a lone carriage return
+            row[0] += "\r" + cell
+
+    quote, pads = draw(st.booleans()), draw(st.sampled_from([[""], ["", " ", "\t"], _PADS]))
+
+    def cell(c):
+        pad = draw(st.sampled_from(pads))
+        if any(ch in c for ch in ',"') or (quote and draw(st.booleans())):
+            return '"' + (pad + c + pad).replace('"', '""') + '"'
+        return pad + c + pad
+
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(map(cell, header))] + [",".join(map(cell, r)) for r in rows]
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+_IDS = ["a", "b", "s 1", "e,f", 'g"h']  # the last two must be quoted
+
+
+@st.composite
+def _series_csv(draw):
+    ids = draw(st.sampled_from([_IDS[:3], _IDS]))
+    keys = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(-3, 30)),
+                         max_size=14, unique=True))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(keys), max_size=len(keys)))
+    rows = [[sid, str(t), repr(v)] for (sid, t), v in zip(keys, values)]
+    return draw(_csv_file(["series_id", "timestamp", "value"], rows))
+
+
+@st.composite
+def _forecast_csv(draw):
+    ids = draw(st.sampled_from([_IDS[:3], _IDS]))
+    rows = draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(-2, 12), st.integers(-1, 4),
+                                   st.sampled_from(["m1", "m2", "m 3"]),
+                                   st.floats(allow_nan=False, allow_infinity=False)), max_size=14))
+    rows = [[sid, str(o), str(s), m, repr(f)] for sid, o, s, m, f in rows]
+    return draw(_csv_file(["series_id", "origin", "step", "model", "forecast"], rows))
+
+
+# bytes per block of rows split at once: the default, and sizes that put a few
+# rows, or one, in each block
+_BLOCKS = st.sampled_from([forevalkit.io._BLOCK, 1, 40])
+
+
+class TestReadersMatchRowByRow:
+    """The whole-file readers give what csv.reader row by row gives: the same ids,
+    timestamps and values, bit for bit, or the same error and text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_series_csv(), frequency=st.sampled_from([None, 4]), block=_BLOCKS)
+    def test_series(self, text, frequency, block, tmp_path_factory):
+        path = tmp_path_factory.mktemp("series") / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+
+        def summary(ds):
+            if isinstance(ds, tuple):
+                return ds
+            return [(s.id, s.timestamps.tolist(), _bits(s.values), s.frequency) for s in ds]
+
+        with mock.patch.object(forevalkit.io, "_BLOCK", block):
+            got = _outcome(read_series_csv, path, frequency)
+        assert summary(got) == summary(_outcome(_reference_series, path, frequency))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_forecast_csv(), block=_BLOCKS)
+    def test_forecasts(self, text, block, tmp_path_factory):
+        path = tmp_path_factory.mktemp("forecasts") / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(forevalkit.io, "_BLOCK", block):
+            got = _outcome(read_forecast_csv, path)
+        want = _outcome(_reference_forecasts, path)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        assert (got.series_ids, got.origins.tolist(), got.steps.tolist(), got.models,
+                _bits(got.forecasts)) == ([r[0] for r in want], [r[1] for r in want],
+                                          [r[2] for r in want], [r[3] for r in want],
+                                          _bits([r[4] for r in want]))
+
+    def test_quoted_crlf_file_matches(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b'series_id, timestamp ,value\r\n"x,1", 2 ,1.5\r\n\r\n"x,1",1,+5\r\n')
+        ds = read_series_csv(path)
+        assert ds["x,1"].values.tolist() == [5.0, 1.5] and ds["x,1"].timestamps.tolist() == [1, 2]
+
+
+_JOIN_ORIGINS = [-1, 0, 1, 2, 3, 5, 2 ** 63, -(2 ** 63) - 1]
+_JOIN_STEPS = [-9, -1, 0, 1, 2, 2 ** 63 - 1, 2 ** 64, -(2 ** 63) - 5]
+
+
+@st.composite
+def _join_case(draw):
+    """A dataset and forecast rows: keys with a forecast for every model, some
+    naming an unknown series or targeting outside it (origins and steps beyond
+    int64 included), then a row left out, repeated rows and rows of a model
+    no other key has, in any order."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    value = st.floats(-1e6, 1e6)
+    dataset = Dataset(tuple(
+        TimeSeries(id=f"s{i}", values=draw(st.lists(value, min_size=n, max_size=n)))
+        for i, n in enumerate(lengths)))
+    models = draw(st.lists(st.sampled_from(["m2", "m1", "b"]), min_size=1, max_size=2, unique=True))
+    keys = draw(st.lists(st.tuples(st.integers(0, len(lengths) - 1), st.integers(1, 5), st.integers(1, 3)),
+                         max_size=6, unique=True))
+    keys = [(f"s{i}", o, k) for i, o, k in keys if o + k <= lengths[i]]
+    keys += draw(st.lists(st.tuples(st.sampled_from(["s0", "s1", "s2", "zz"]), st.sampled_from(_JOIN_ORIGINS),
+                                    st.sampled_from(_JOIN_STEPS)), min_size=0 if keys else 1, max_size=2))
+    rows = [(*key, m, draw(value)) for key in keys for m in models]
+    if len(rows) > 1 and draw(st.booleans()):
+        rows.pop(draw(st.integers(0, len(rows) - 1)))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows += [(*key, "m9", draw(value)) for key in draw(st.lists(st.sampled_from(keys), max_size=1))]
+    return dataset, draw(st.permutations(rows))
+
+
+class TestBuildFrameMatchesDictJoin:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_join_case())
+    def test_frame_or_message(self, case, tmp_path_factory):
+        dataset, rows = case
+        path = tmp_path_factory.mktemp("join") / "f.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["series_id", "origin", "step", "model", "forecast"])
+            writer.writerows([sid, o, k, m, repr(f)] for sid, o, k, m, f in rows)
+
+        def summary(frame):
+            if isinstance(frame, tuple):
+                return frame
+            return (frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist(),
+                    _bits(frame.actuals), [(m, _bits(f)) for m, f in frame.forecasts.items()])
+
+        assert summary(_outcome(build_frame, dataset, read_forecast_csv(path))) == \
+            summary(_outcome(_reference_join, dataset, rows))
 
 
 def suite_json(tmp_path, **extra):
@@ -236,6 +553,35 @@ class TestCliEvaluate:
         code = main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
                      str(suite_json(workdir)), "--out", str(workdir / "o")])
         assert code == 3
+
+    def test_results_independent_of_row_order(self, tmp_path):
+        rng = np.random.default_rng(11)
+        series = [f"s{i},{t},{v!r}" for i in range(5)
+                  for t, v in enumerate((100 + np.cumsum(rng.normal(size=12))).tolist(), start=1)]
+        forecasts = [f"s{i},{o},{k},{m},{float(100 + rng.normal())!r}" for i in range(5)
+                     for o in (8, 9) for k in (1, 2, 3) for m in ("m1", "m2")]
+
+        def evaluate(name, series_rows, forecast_rows):
+            d = tmp_path / name
+            d.mkdir()
+            (d / "s.csv").write_text("series_id,timestamp,value\n" + "\n".join(series_rows) + "\n")
+            (d / "f.csv").write_text("series_id,origin,step,model,forecast\n" + "\n".join(forecast_rows) + "\n")
+            assert main(["evaluate", str(d / "s.csv"), str(d / "f.csv"), str(suite_json(d)),
+                         "--out", str(d / "o")]) == 0
+            results = json.loads((d / "o" / "report.json").read_text())["results"]
+            with open(d / "o" / "matrix.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            return ({(r["measure"], r["model"], sid): v for r in results for sid, v in r["per_series"].items()},
+                    {(col, row[0]): float(cell) for row in rows for col, cell in zip(header[1:], row[1:])},
+                    {(r["measure"], r["model"]): r["value"] for r in results})
+
+        ordered = evaluate("ordered", series, forecasts)
+        shuffled = evaluate("shuffled", rng.permutation(series).tolist(), rng.permutation(forecasts).tolist())
+        assert len(ordered[0]) == len(ordered[1]) == 7 * 2 * 5
+        # the frame keeps the file's key order, so sums run in another order: equal
+        # up to rounding, a few ulps for these 6-60 term sums
+        for got, want in zip(shuffled, ordered):
+            assert got == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0)
 
 
 class TestCliBacktest:
@@ -718,6 +1064,9 @@ class TestCliInputErrors:
         ({"m2_errors": [0.5, 1.0, 2.0, float("nan")]}, "errors of model 'm2': error 3 is nan, not a finite number"),
         ({"m2_errors": [False, 1.0, 2.0, 0.0]}, "errors of model 'm2': error 0 is False, not a finite number"),
         ({"m2_errors": [0.5, 10 ** 400, 2.0, 0.0]}, "errors of model 'm2': error 1 is 1000"),
+        # rounds down to the largest float, but is beyond it
+        ({"m2_errors": [0.5, 1.0, -(int(sys.float_info.max) + 1), 0.0]},
+         f"errors of model 'm2': error 2 is {-(int(sys.float_info.max) + 1)}, not a finite number"),
         ({"m2_keys": [["a", 3, 1], ["b", 3, 2], ["b", 3, 1], ["b", 3, 2]]},
          "errors of model 'm2': key 3 ['b', 3, 2] repeats an earlier key"),
     ])
