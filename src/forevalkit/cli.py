@@ -114,10 +114,7 @@ def _result_dict(r) -> dict:
         "n_used": r.n_used,
         "n_undefined": r.n_undefined,
         "flags": list(r.flags),
-        "per_series": (
-            None if r.per_series is None
-            else {sid: (None if v != v else v) for sid, v in r.per_series.items()}
-        ),
+        "per_series": {sid: (None if v != v else v) for sid, v in r.per_series.items()},
     }
 
 
@@ -145,15 +142,11 @@ def cmd_evaluate(args) -> int:
         bench_frame = benchmark_frame(dataset, keys, kind=bench_kind,
                                       period=suite.get("seasonal_period"))
 
-    train = None
-    if suite.get("train_from_series", True):
-        index = frame.series_index
-        first_origins = frame.origins[frame.key_order[index.starts[:-1]]]
-        train = {sid: dataset[sid].prefix(origin)
-                 for sid, origin in zip(index.labels, first_origins.tolist())}
+    index = frame.series_index
+    first_origins = frame.origins[frame.key_order[index.starts[:-1]]]
+    train = {sid: dataset[sid].prefix(origin) for sid, origin in zip(index.labels, first_origins.tolist())}
 
     results = []
-    per_series_matrix: dict[str, dict] = {sid: {} for sid in frame.unique_series()}
     errors_by_model: dict[str, dict] = {}
     for model in frame.models:
         yhat = frame.model_column(model)
@@ -167,13 +160,10 @@ def cmd_evaluate(args) -> int:
                 )
             result = evaluate(
                 name, frame, model=model, benchmark=bench_frame, train=train,
-                policy=policy, constants=entry.get("constants"), breakdown=True,
+                policy=policy, constants=entry.get("constants"),
                 series_summary=entry.get("series_summary", "mean"),
             )
             results.append(result)
-            if result.per_series:
-                for sid, v in result.per_series.items():
-                    per_series_matrix[sid][(name, model)] = v
 
     report = {
         "policy": policy,
@@ -182,7 +172,7 @@ def cmd_evaluate(args) -> int:
         "errors": errors_by_model,
     }
     _write_json(out_dir / "report.json", report)
-    write_matrix_csv(out_dir / "matrix.csv", per_series_matrix)
+    write_matrix_csv(out_dir / "matrix.csv", frame.unique_series(), results)
     _write_manifest(out_dir, "evaluate", [Path(args.series), Path(args.forecasts), Path(args.suite)],
                     {"suite": suite, "policy": policy}, None)
     print(f"evaluate: {len(results)} measure results for {len(frame.models)} model(s) -> {out_dir}")

@@ -590,9 +590,13 @@ def benchmark_frame(
     forecasts = np.empty((len(windows), int(steps.max(initial=1))))
     targets, actuals = origins + steps, np.empty(len(keys))
     for j, sid in enumerate(index.labels):
-        series, at = dataset[sid], slice(bounds[j], bounds[j + 1])
+        rows, at = index.order[index.starts[j]:index.starts[j + 1]], slice(bounds[j], bounds[j + 1])
+        try:
+            series = dataset[sid]
+        except KeyError:
+            raise ValidationError(
+                f"benchmark key {keys[rows[0]]!r}: series {sid!r} not in the dataset") from None
         forecasts[at] = fc.forecast_origins(series, window_origins[at], forecasts.shape[1])
-        rows = index.order[index.starts[j]:index.starts[j + 1]]
         # clipped: out-of-range targets are reported below, after every forecast
         actuals[rows] = series.values.take(targets[rows] - 1, mode="clip")
     col = forecasts[windows.codes, steps - 1]

@@ -125,7 +125,10 @@ def _read_columns(path: Path, header: list[str], parsers, parse_row) -> list:
 def _series_row(sid: str, timestamp: str, value: str):
     if not value:
         raise ValueError("missing value (imputation is not supported)")
-    return sid, int(timestamp), float(value)
+    ts = int(timestamp)
+    if not -2 ** 63 <= ts < 2 ** 63:
+        raise ValueError(f"timestamp {ts} does not fit a 64-bit integer")
+    return sid, ts, float(value)
 
 
 def read_series_csv(path, frequency: int | None = None) -> Dataset:
@@ -268,22 +271,20 @@ def build_frame(dataset: Dataset, rows: ForecastColumns) -> EvaluationFrame:
                            values[offsets[codes] + origins + steps - 1], dict(zip(models, table)))
 
 
-def write_matrix_csv(path, per_series: dict[str, dict[tuple[str, str], float]]) -> None:
-    """Write the series x (measure, model) value matrix.
+def write_matrix_csv(path, series_ids: list, results) -> None:
+    """Write the series x (measure, model) matrix of the results' per-series values.
 
-    ``per_series`` maps series_id -> {(measure, model): value}.
+    Columns are sorted by (measure, model); a later result for the same pair
+    replaces an earlier one. An undefined value is an empty cell.
     """
     path = Path(path)
-    columns = sorted({col for row in per_series.values() for col in row})
+    columns = {(r.name, r.model): r.per_series for r in results}
+    keys = sorted(columns)
+    cells = [["" if v != v else repr(v) for v in map(columns[k].__getitem__, series_ids)] for k in keys]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["series_id"] + [f"{measure}:{model}" for measure, model in columns])
-        for sid in per_series:
-            row = per_series[sid]
-            writer.writerow([sid] + [
-                "" if col not in row or row[col] != row[col] else repr(row[col])
-                for col in columns
-            ])
+        writer.writerow(["series_id"] + [f"{measure}:{model}" for measure, model in keys])
+        writer.writerows(zip(series_ids, *cells))
 
 
 def write_folds_csv(path, folds) -> None:

@@ -5,8 +5,9 @@ The measure's registry entry names its term function in one of three
 tables: step terms, summarised under the undefined-value policy; per-series
 values; and pooled ratios of sums. The engine handles the policy, per-series
 scale factors computed strictly from supplied train values, benchmark
-alignment, and weighting. Summaries are ``core.Groups`` reductions; the
-pooled value is the one-group case of a breakdown.
+alignment, and weighting. Summaries are ``core.Groups`` reductions: the
+pooled value is the one-group case, and every result also carries the
+measure per series from the same terms.
 """
 
 from __future__ import annotations
@@ -60,14 +61,15 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """Computed measure value plus undefined-term diagnostics."""
+    """Computed measure value, its value per series (series id -> value, NaN
+    where undefined) and undefined-term diagnostics."""
 
     name: str
     model: str | None
     value: float
     n_used: int
     n_undefined: int
-    per_series: dict | None = None
+    per_series: dict
     flags: tuple[str, ...] = ()
 
     @property
@@ -118,11 +120,12 @@ def _count_undefined(x: _Inputs, n_undef: int, total: int, policy: str, what: st
 
 
 def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False,
-            series: Groups | None = None, per_series: dict | None = None) -> MeasureResult:
+            per_series: dict | None = None) -> MeasureResult:
     """Aggregate terms (all defined when ``defined`` is None) under a policy.
 
-    With row-level ``series`` groups, the same terms are also summarised per
-    series; within a series the ``error`` policy counts as ``skip``.
+    Row terms are also summarised per series, where the ``error`` policy
+    counts as ``skip``; terms that are one value per series come with their
+    ``per_series`` values.
     """
     total = terms.size
     n_undef = 0 if defined is None else int(total - np.count_nonzero(defined))
@@ -131,33 +134,36 @@ def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool =
     value = float(_summarise(Groups.pooled(total), terms, defined, op, skip, sqrt_after)[0])
     if op == "geometric-mean" and value == value and not np.all(terms if defined is None else terms[defined]):
         x.flags.append(_GM_ZERO_FLAG)
-    if series is not None:
-        per_series = series.as_dict(_summarise(series, terms, defined, op, skip, sqrt_after))
+    if per_series is None:
+        per_series = x.groups.as_dict(_summarise(x.groups, terms, defined, op, skip, sqrt_after))
     return x.result(value, total - n_undef, n_undef, per_series)
 
 
-def _pooled_ratio(x: _Inputs, ratio, policy: str, series: Groups | None) -> MeasureResult:
+def _ratios(x: _Inputs, fn, groups: Groups):
+    """Per group, ``num / den`` of ``fn(x, groups)`` and whether ``den`` is not 0.
+    A zero ``den`` leaves that group's ratio undefined and is flagged ``zero-scale``."""
+    num, den = fn(x, groups)
+    defined = den != 0
+    if not defined.all():
+        x.flags.append(_ZERO_SCALE_FLAG)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, defined
+
+
+def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResult:
     """A ratio of sums over all rows, and per series the same ratio over its rows.
 
-    ``ratio(x, groups)`` returns (value, denominator) per group. A zero pooled
-    denominator leaves every term undefined; a zero per-series one leaves
-    that series' value undefined. Either is flagged ``zero-scale``.
+    A zero pooled denominator leaves every row undefined; a series' zero
+    denominator leaves only its per-series value undefined (NaN).
     """
     n_rows = x.e.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value, den = ratio(x, Groups.pooled(n_rows))
-        if den[0] == 0:
-            x.flags.append(_ZERO_SCALE_FLAG)
-            return _finish(x, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean", policy,
-                           series=series)
-        per_series = None
-        if series is not None:
-            values, dens = ratio(x, series)
-            defined = dens != 0
-            if not defined.all():
-                x.flags.append(_ZERO_SCALE_FLAG)
-            per_series = series.as_dict(np.where(defined, values, np.nan))
-    return x.result(float(value[0]), n_rows, 0, per_series)
+    (value,), (defined,) = _ratios(x, fn, Groups.pooled(n_rows))
+    if not defined:
+        return _finish(x, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean", policy)
+    values, defined = _ratios(x, fn, x.groups)
+    if sqrt_after:
+        value, values = np.sqrt(value), np.sqrt(values)
+    return x.result(float(value), n_rows, 0, x.groups.as_dict(np.where(defined, values, np.nan)))
 
 
 def _weighted_geometric_mean(x: _Inputs, ratios, defined, policy: str) -> MeasureResult:
@@ -392,14 +398,7 @@ _STEP_TERMS = {
 
 def _ratio_of(fn):
     """Per-series ``num / den`` of ``fn(x, groups)``, defined where ``den`` is not 0."""
-    def values(x: _Inputs):
-        num, den = fn(x, x.groups)
-        defined = den != 0
-        if not defined.all():
-            x.flags.append(_ZERO_SCALE_FLAG)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den, defined
-    return values
+    return lambda x: _ratios(x, fn, x.groups)
 
 
 def _rtae(x: _Inputs, g: Groups):
@@ -435,24 +434,23 @@ _SERIES_VALUES = {
 }
 
 
-# ---- pooled ratios: (value, denominator) per group of rows -------------------
+# ---- pooled ratios: (numerator, denominator) per group of rows ---------------
 
 def _rse(x: _Inputs, g: Groups):
-    den = g.sum((x.y - g.expand(g.mean(x.y))) ** 2)
-    return np.sqrt(g.sum(x.e * x.e)) / np.sqrt(den), den
+    return np.sqrt(g.sum(x.e * x.e)), np.sqrt(g.sum((x.y - g.expand(g.mean(x.y))) ** 2))
 
 
 def _nwrmsle(x: _Inputs, g: Groups):
     l, w = _log(x)[0], x.w
-    return np.sqrt(g.sum(w * l * l) / g.sum(w)), g.sum(w)
+    return g.sum(w * l * l), g.sum(w)
 
 
 _POOLED_RATIOS = {
-    "pooled:nd": lambda x, g: (g.sum(np.abs(x.e)) / g.sum(np.abs(x.y)), g.sum(np.abs(x.y))),
-    "pooled:nrmse": lambda x, g: (np.sqrt(g.mean(x.e * x.e)) / g.mean(np.abs(x.y)), g.mean(np.abs(x.y))),
+    "pooled:nd": lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y))),
+    "pooled:nrmse": lambda x, g: (np.sqrt(g.mean(x.e * x.e)), g.mean(np.abs(x.y))),
     "pooled:rse": _rse,
     "pooled:nwrmsle": _nwrmsle,
-    "pooled:wmae": lambda x, g: (g.sum(x.w * np.abs(x.e)) / g.sum(x.w), g.sum(x.w)),
+    "pooled:wmae": lambda x, g: (g.sum(x.w * np.abs(x.e)), g.sum(x.w)),
 }
 
 
@@ -467,7 +465,6 @@ def evaluate(
     policy: str = UndefinedPolicy.PROPAGATE,
     constants: dict | None = None,
     series_summary: str = "mean",
-    breakdown: bool = False,
 ) -> MeasureResult:
     """Evaluate one measure for one model on an evaluation frame.
 
@@ -485,10 +482,13 @@ def evaluate(
     constants : overrides for the measure's constants (epsilon, clamp, ...).
     series_summary : operator combining per-series values of per-series
         measures (mean | median | geometric-mean).
-    breakdown : additionally give the measure per series, in first-appearance
-        order, from the same terms as the pooled value. Each equals the
-        measure on that series' rows alone, where ``error`` counts as
-        ``skip``. Measures with one value per series always give it.
+
+    The result's ``per_series`` holds the measure per series, in first-appearance
+    order, from the same terms as the pooled value; each equals the measure on
+    that series' rows alone, where ``error`` counts as ``skip``. For ND, NRMSE,
+    RSE, NWRMSLE and WMAE, ``n_used`` and ``n_undefined`` count the pooled
+    ratio's rows: a series whose own denominator is 0 is NaN in ``per_series``
+    and sets ``zero-scale``, but is not counted as undefined.
     """
     spec = spec_for(name)
     policy = _resolve_policy(policy)
@@ -507,13 +507,12 @@ def evaluate(
             )
         consts.update(constants)
     x = _Inputs(spec, frame, model, benchmark, train, weights, consts)
-    series = x.groups if breakdown else None
 
     if spec.terms in _STEP_TERMS:
         terms, defined = _STEP_TERMS[spec.terms](x)
-        return _finish(x, terms, defined, spec.summary, policy, spec.sqrt_after, series)
+        return _finish(x, terms, defined, spec.summary, policy, spec.sqrt_after)
     if spec.terms in _POOLED_RATIOS:
-        return _pooled_ratio(x, _POOLED_RATIOS[spec.terms], policy, series)
+        return _pooled_ratio(x, _POOLED_RATIOS[spec.terms], policy, spec.sqrt_after)
     values, defined = _SERIES_VALUES[spec.terms](x)
     if spec.sqrt_after:
         values = np.sqrt(values)

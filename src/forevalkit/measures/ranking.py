@@ -49,6 +49,16 @@ def _apply(values: np.ndarray, op: str, weights: np.ndarray | None = None) -> fl
     return float(np.exp((weights * np.log(values)).sum() / weights.sum()))
 
 
+def _step_weights(weights: WeightVector | None, n: int) -> np.ndarray | None:
+    """Weights of horizon steps 1..n; None unless ``weights`` are step weights."""
+    if weights is None or weights.axis != "step":
+        return None
+    w = np.array([weights.weights.get(k, np.nan) for k in range(1, n + 1)], dtype=float)
+    if np.isnan(w).any():
+        raise ValidationError("step weights must cover every horizon step")
+    return w
+
+
 def summarize(
     values: dict,
     order: str = "horizon-then-series",
@@ -70,38 +80,24 @@ def summarize(
     if any(a.size == 0 for a in arrays.values()):
         raise ValidationError("empty per-series value sequence")
 
-    step_w = series_w = None
-    if weights is not None:
-        if weights.axis == "series":
-            try:
-                series_w = np.array([weights.weights[sid] for sid in arrays], dtype=float)
-            except KeyError as exc:
-                raise ValidationError(f"no weight for series {exc.args[0]!r}") from None
-        else:
-            step_w = weights
+    series_w = None
+    if weights is not None and weights.axis == "series":
+        try:
+            series_w = np.array([weights.weights[sid] for sid in arrays], dtype=float)
+        except KeyError as exc:
+            raise ValidationError(f"no weight for series {exc.args[0]!r}") from None
 
     if order == "pooled":
-        flat, flat_w = [], []
-        for sid, a in arrays.items():
-            flat.append(a)
-            if step_w is not None:
-                flat_w.append(np.array([step_w.weights.get(k + 1, None) for k in range(a.size)], dtype=float))
-                if np.isnan(flat_w[-1]).any():
-                    raise ValidationError("step weights must cover every horizon step")
-            elif series_w is not None:
-                flat_w.append(np.full(a.size, weights.weights[sid], dtype=float))
-        w = np.concatenate(flat_w) if flat_w else None
-        return _apply(np.concatenate(flat), op_horizon, w)
+        sizes = [a.size for a in arrays.values()]
+        w = None
+        if series_w is not None:
+            w = np.repeat(series_w, sizes)
+        elif weights is not None:
+            w = np.concatenate([_step_weights(weights, n) for n in sizes])
+        return _apply(np.concatenate(list(arrays.values())), op_horizon, w)
 
     if order == "horizon-then-series":
-        per_series = []
-        for sid, a in arrays.items():
-            w = None
-            if step_w is not None:
-                w = np.array([step_w.weights.get(k + 1, np.nan) for k in range(a.size)], dtype=float)
-                if np.isnan(w).any():
-                    raise ValidationError("step weights must cover every horizon step")
-            per_series.append(_apply(a, op_horizon, w))
+        per_series = [_apply(a, op_horizon, _step_weights(weights, a.size)) for a in arrays.values()]
         return _apply(np.asarray(per_series), op_series, series_w)
 
     if order == "series-then-horizon":
@@ -110,12 +106,7 @@ def summarize(
             raise ValidationError("series-then-horizon needs equal horizon lengths")
         mat = np.vstack(list(arrays.values()))  # series x steps
         per_step = np.array([_apply(mat[:, j], op_series, series_w) for j in range(mat.shape[1])])
-        w = None
-        if step_w is not None:
-            w = np.array([step_w.weights.get(k + 1, np.nan) for k in range(per_step.size)], dtype=float)
-            if np.isnan(w).any():
-                raise ValidationError("step weights must cover every horizon step")
-        return _apply(per_step, op_horizon, w)
+        return _apply(per_step, op_horizon, _step_weights(weights, per_step.size))
 
     raise ValidationError(
         f"unknown aggregation order {order!r}; expected horizon-then-series, series-then-horizon or pooled"

@@ -50,7 +50,7 @@ class UndefinedPolicy:
 @dataclass(frozen=True)
 class MeasureSpec:
     """One error measure. ``sqrt_after`` takes the square root after the
-    summary, or of each series' value; the engine hands a measure only the
+    summary, or of each series' value or ratio of sums; the engine hands a measure only the
     extra inputs its ``needs_*`` declare; ``constants`` are call defaults.
     """
 
@@ -117,7 +117,7 @@ _SPECS = [
     MeasureSpec("RMSSE", "q2", sqrt_after=True, needs_train=True, constants=_naive_scale()),
     # --- transformations ---------------------------------------------------
     MeasureSpec("RMSLE", "l2", sqrt_after=True),
-    MeasureSpec("NWRMSLE", "pooled:nwrmsle", "ratio-of-sums", needs_weights=True),
+    MeasureSpec("NWRMSLE", "pooled:nwrmsle", "ratio-of-sums", sqrt_after=True, needs_weights=True),
     # --- other ---------------------------------------------------------------
     MeasureSpec("MSR", "c2"),
     MeasureSpec("MAR", "|c|"),

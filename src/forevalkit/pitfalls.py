@@ -124,17 +124,19 @@ def _peak_trough_miss(series: TimeSeries, origin: int, h: int, miss: float):
 )
 def _naive_vs_ar(seed: int):
     n, h, reps, order = 1000, 10, 200, 5
-    mse_naive, mse_ar = [], []
+    actual, naive, ar = [], [], []
     for i in range(reps):
         series = generate(DgpSpec(kind="random-walk", length=n, seed=derive_seed(seed, i)))
         train = series.values[: n - h]
-        actual = series.values[n - h:]
-        naive = np.full(h, train[-1])
-        fit = fit_ar(train, order)
-        ar = recursive_forecast(fit, train, h)
-        mse_naive.append(float(((actual - naive) ** 2).mean()))
-        mse_ar.append(float(((actual - ar) ** 2).mean()))
-    mean_naive, mean_ar = float(np.mean(mse_naive)), float(np.mean(mse_ar))
+        actual.append(series.values[n - h:])
+        naive.append(np.full(h, train[-1]))
+        ar.append(recursive_forecast(fit_ar(train, order), train, h))
+    # replication i is series i of one frame
+    frame = EvaluationFrame(np.repeat(np.arange(reps), h), np.full(reps * h, n - h),
+                            np.tile(np.arange(1, h + 1), reps), np.concatenate(actual),
+                            {"naive": np.concatenate(naive), "ar": np.concatenate(ar)})
+    mean_naive, mean_ar = (float(np.mean(list(evaluate("MSE", frame, model=m).per_series.values())))
+                           for m in ("naive", "ar"))
     return mean_naive <= mean_ar, {"replications": reps, "mean_mse_naive": mean_naive,
                                    "mean_mse_ar": mean_ar}
 

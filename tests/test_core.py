@@ -429,7 +429,7 @@ class TestGroups:
         assert sorted(set(zip(sids, origins))) == sorted(
             {(sids[i], origins[i]) for i in windows.order[windows.starts[:-1]]})
         assert (windows.codes[windows.order] == np.repeat(np.arange(len(windows)), windows.sizes)).all()
-        r = evaluate("MAR", frame, breakdown=True)
+        r = evaluate("MAR", frame)
         assert r.value == np.abs(want).mean()
         for sid, got in r.per_series.items():
             assert got == np.abs(want[np.array(sids) == sid]).mean()
@@ -463,6 +463,11 @@ class TestBenchmarkFrame:
                 want = _one_origin(kind, ds[sid].values, origin, step, 4)[-1]
                 assert bf.forecasts[kind][i].tobytes() == want.tobytes()
                 assert bf.actuals[i] == ds[sid].values[origin + step - 1]
+
+    def test_unknown_series_rejected(self):
+        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
+        with pytest.raises(ValidationError, match=r"^benchmark key \('zz', 1, 1\): series 'zz' not in the"):
+            benchmark_frame(ds, [("a", 2, 1), ("zz", 1, 1), ("zz", 2, 1)])
 
     def test_step_below_one_rejected(self):
         ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))

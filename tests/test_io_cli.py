@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import forevalkit.cli
@@ -101,6 +101,15 @@ class TestSeriesCsv:
         p.write_text("series_id,timestamp,value\na,1,\n")
         with pytest.raises(ValidationError, match="missing value"):
             read_series_csv(p)
+
+    @pytest.mark.parametrize("ts", [2 ** 63, -(2 ** 63) - 1])
+    def test_timestamp_beyond_int64_exit_2(self, workdir, capsys, ts):
+        (workdir / "series.csv").write_text(f"series_id,timestamp,value\na,1,1.0\na,{ts},2.0\n")
+        code = main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
+                     str(suite_json(workdir)), "--out", str(workdir / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'series.csv'}:3: timestamp {ts} does not fit a 64-bit integer\n")
 
     def test_rows_sorted_by_timestamp(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -205,7 +214,10 @@ def _reference_series(path, frequency=None):
             if not value:
                 raise ValidationError(f"{path}:{lineno}: missing value (imputation is not supported)")
             try:
-                rows.setdefault(sid, []).append((int(ts), float(value)))
+                t = int(ts)
+                if not -2 ** 63 <= t < 2 ** 63:
+                    raise ValueError(f"timestamp {t} does not fit a 64-bit integer")
+                rows.setdefault(sid, []).append((t, float(value)))
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not rows:
@@ -380,6 +392,9 @@ class TestReadersMatchRowByRow:
 
     @settings(max_examples=300, deadline=None)
     @given(text=_series_csv(), frequency=st.sampled_from([None, 4]), block=_BLOCKS)
+    # a NaN in series a, read first by the reference, and a timestamp beyond int64 in b
+    @example(text="series_id,timestamp,value\na,1,nan\nb,9223372036854775808,0.0\na,-1,0.0\na,0,0.0",
+             frequency=None, block=forevalkit.io._BLOCK)
     def test_series(self, text, frequency, block, tmp_path_factory):
         path = tmp_path_factory.mktemp("series") / "s.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -500,6 +515,28 @@ class TestCliEvaluate:
         # constants override is echoed in the manifest config
         assert manifest["config"]["suite"]["measures"][3]["constants"]["epsilon"] == 0.25
         assert len(manifest["inputs"]) == 3
+
+    def test_matrix_keeps_the_later_of_repeated_measures(self, workdir):
+        # b's naive forecast from origin 3 is exact at step 1, so its MRAE is undefined
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": [{"name": "msMAPE", "constants": {"epsilon": 0.25}},
+                                                  "msMAPE", "MRAE"], "benchmark": "naive"}))
+        (workdir / "series.csv").write_text(SERIES_CSV.replace("b,4,103", "b,4,101"))
+        out = workdir / "out"
+        assert main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
+                     str(suite), "--out", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        with open(out / "matrix.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["series_id", "MRAE:m1", "MRAE:m2", "msMAPE:m1", "msMAPE:m2"]
+        later = {(r["measure"], r["model"]): r["per_series"] for r in results}
+        assert later[("msMAPE", "m1")] != results[0]["per_series"]
+        assert [row[0] for row in rows] == ["a", "b"]
+        assert later[("MRAE", "m1")]["b"] is None
+        for row in rows:
+            for col, cell in zip(header[1:], row[1:]):
+                want = later[tuple(col.split(":"))][row[0]]
+                assert cell == ("" if want is None else repr(want))
 
     def test_perfect_forecasts_all_zero(self, tmp_path):
         (tmp_path / "series.csv").write_text(SERIES_CSV)

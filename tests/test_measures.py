@@ -433,6 +433,17 @@ class TestSummarize:
         w = WeightVector(axis="series", weights={"a": 3.0, "b": 1.0})
         assert summarize(values, "horizon-then-series", "mean", "mean", weights=w) == 2.5
 
+    def test_step_weights_in_every_order(self):
+        values = {"a": [1.0, 2.0, 4.0], "b": [8.0, 16.0, 0.5]}
+        w = WeightVector(axis="step", weights={1: 1.0, 2: 2.0, 3: 5.0})
+        assert summarize(values, "pooled", weights=w) == (1 + 4 + 20 + 8 + 32 + 2.5) / 16
+        assert summarize(values, "horizon-then-series", weights=w) == ((1 + 4 + 20) / 8 + (8 + 32 + 2.5) / 8) / 2
+        assert summarize(values, "series-then-horizon", weights=w) == (4.5 + 2 * 9.0 + 5 * 2.25) / 8
+        short = WeightVector(axis="step", weights={1: 1.0, 2: 2.0})
+        for order in ("pooled", "horizon-then-series", "series-then-horizon"):
+            with pytest.raises(ValidationError, match="^step weights must cover every horizon step$"):
+                summarize(values, order, weights=short)
+
     def test_ragged_series_then_horizon_rejected(self):
         with pytest.raises(ValidationError):
             summarize({"a": [1.0], "b": [1.0, 2.0]}, "series-then-horizon")
@@ -472,17 +483,21 @@ class TestRanking:
 class TestBreakdown:
     def test_per_series_breakdown(self):
         fr = two_series([10, 10], [9, 12], [100, 100], [98, 104])
-        r = evaluate("MAE", fr, breakdown=True)
+        r = evaluate("MAE", fr)
         assert r.per_series == {"a": 1.5, "b": 3.0}
         assert r.value == 2.25
+        with pytest.raises(TypeError, match="breakdown"):  # per-series values are not optional
+            evaluate("MAE", fr, breakdown=True)
 
     @pytest.mark.parametrize("name", ["ND", "NRMSE", "RSE", "WMAE", "NWRMSLE"])
     def test_zero_series_denominator_flagged(self, name):
         # series b: all-zero actuals for ND, NRMSE and RSE, zero weight for WMAE and NWRMSLE
         fr = two_series([1.0, 3.0], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0])
         weights = WeightVector("series", {"a": 1.0, "b": 0.0}) if spec_for(name).needs_weights else None
-        r = evaluate(name, fr, weights=weights, breakdown=True)
+        r = evaluate(name, fr, weights=weights)
         assert r.defined and math.isnan(r.per_series["b"]) and "zero-scale" in r.flags
+        # the counts are the pooled ratio's rows: series b's zero denominator is not undefined
+        assert (r.n_used, r.n_undefined) == (4, 0)
 
     @pytest.mark.parametrize("name", measure_names())
     def test_no_sub_frames_and_one_alignment(self, name, rng, monkeypatch):
@@ -505,7 +520,7 @@ class TestBreakdown:
 
         monkeypatch.setattr(EvaluationFrame, "__init__", counting_init)
         monkeypatch.setattr(EvaluationFrame, "align_benchmark", counting_align)
-        r = evaluate(name, fr, benchmark=bench_frame, train=train, breakdown=True)
+        r = evaluate(name, fr, benchmark=bench_frame, train=train)
         assert len(r.per_series) == 50
         assert calls == {"init": 0, "align": int(spec_for(name).needs_benchmark)}
 
@@ -549,9 +564,9 @@ class TestDeclaredInputs:
                 return _real(*args)
             monkeypatch.setattr(engine, fn, spy)
         fr, inputs = self.case()
-        offered = evaluate(name, fr, breakdown=True, **inputs)
+        offered = evaluate(name, fr, **inputs)
         assert reads == declared
-        given_only = evaluate(name, fr, breakdown=True, **{k: inputs[k] for k in declared})
+        given_only = evaluate(name, fr, **{k: inputs[k] for k in declared})
         assert given_only.defined and given_only == offered
         for key in declared - {"weights"}:
             with pytest.raises(ValidationError, match=key):
@@ -622,8 +637,7 @@ class TestBreakdownConsistency:
         fr, bench_frame, train = data.draw(breakdown_case(nonnegative=name in ("RMSLE", "NWRMSLE")))
         benchmark = "b" if bench_by_name else bench_frame
         try:
-            r = evaluate(name, fr, model="m", benchmark=benchmark, train=train,
-                         policy=policy, breakdown=True)
+            r = evaluate(name, fr, model="m", benchmark=benchmark, train=train, policy=policy)
         except UndefinedValueError:
             assert policy == "error"
             return
