@@ -8,6 +8,7 @@ workspace, then chains simulate -> evaluate -> compare -> advise ->
 pitfalls exactly as a shell user would.
 """
 
+import atexit
 import json
 import subprocess
 import sys
@@ -28,7 +29,10 @@ def run(*args):
         raise SystemExit(proc.returncode)
 
 
-work = Path(tempfile.mkdtemp(prefix="forevalkit-demo-"))
+# removed when the script exits, also after a failed step
+workspace = tempfile.TemporaryDirectory(prefix="forevalkit-demo-")
+atexit.register(workspace.cleanup)
+work = Path(workspace.name)
 print("workspace:", work, "\n")
 
 # --- simulate three random-walk series -------------------------------------

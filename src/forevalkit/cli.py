@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
-from .core import (DataValidationError, Forecaster, ValidationError, _key_index, _repeats,
+from .core import (DataValidationError, Forecaster, Groups, ValidationError, _key_index,
                    benchmark_frame, json_object)
 from .io import (
     build_frame,
@@ -118,12 +118,20 @@ def _result_dict(r) -> dict:
     }
 
 
+def _reject_unknown(config: dict, allowed: tuple, what: str) -> None:
+    """A key of ``config`` outside ``allowed`` is a ``ValidationError``, so a misspelt key is not ignored."""
+    unknown = [k for k in config if k not in allowed]
+    if unknown:
+        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; allowed keys are {list(allowed)}")
+
+
 def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = read_series_csv(args.series)
     frame = build_frame(dataset, read_forecast_csv(args.forecasts))
     suite = _read_json(args.suite)
+    _reject_unknown(suite, ("measures", "policy", "benchmark", "seasonal_period"), "suite config")
     policy = UndefinedPolicy.parse(args.policy or suite.get("policy", "propagate"))
 
     measures = suite.get("measures")
@@ -134,6 +142,8 @@ def cmd_evaluate(args) -> int:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValidationError(
                 f"suite measures entry {entry!r} is neither a name nor an object with 'name'")
+        _reject_unknown(entry, ("name", "constants", "series_summary"),
+                        f"suite measures entry {entry['name']!r}")
 
     keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
     bench_frame = None
@@ -225,7 +235,7 @@ class _ErrorRows:
     """One model's per-row errors from a report, as columns: row i has the key
     ``(series[codes[i]], origins[i], steps[i])`` and the error ``errors[i]``."""
 
-    series: list
+    series: tuple
     codes: np.ndarray
     origins: np.ndarray
     steps: np.ndarray
@@ -289,12 +299,10 @@ def _error_rows(where: str, entry) -> _ErrorRows:
                 i = next(i for i, row in enumerate(rows) if not valid(row))
                 raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
     sids, origins, steps, values = columns
-    series = list(dict.fromkeys(sids))
-    code = dict(zip(series, range(len(series))))
-    rows = _ErrorRows(series, np.fromiter(map(code.__getitem__, sids), np.int64, len(sids)),
-                      origins, steps, values)
-    key_order, sorted_keys, _ = _key_index(rows.codes, rows.origins, rows.steps)
-    repeated = _repeats(sorted_keys)
+    series = Groups.of(sids)
+    rows = _ErrorRows(series.labels, series.codes, origins, steps, values)
+    key_order, key_ids, _ = _key_index(rows.codes, rows.origins, rows.steps)
+    repeated = key_ids[1:] == key_ids[:-1]
     if repeated.any():
         i = int(key_order[repeated.argmax() + 1])
         raise ValidationError(f"{where}: key {i} {keys[i]!r} repeats an earlier key")
@@ -360,9 +368,8 @@ def _squared_errors_by_key(rows: dict[str, _ErrorRows], models: list[str]) -> di
     code = dict(zip(labels, range(len(labels))))
     codes = np.concatenate([np.array([code[s] for s in p.series], dtype=np.int64)[p.codes]
                             for p in parts])
-    key_order, sorted_keys, _ = _key_index(codes, np.concatenate([p.origins for p in parts]),
-                                           np.concatenate([p.steps for p in parts]))
-    key_id = np.concatenate(([0], np.cumsum(~_repeats(sorted_keys))))
+    key_order, key_id, _ = _key_index(codes, np.concatenate([p.origins for p in parts]),
+                                      np.concatenate([p.steps for p in parts]))
     owner = np.repeat(np.arange(len(parts)), [p.codes.size for p in parts])[key_order]
     losses = np.concatenate([p.errors for p in parts])[key_order] ** 2
     return {m: (key_id[owner == j], losses[owner == j]) for j, m in enumerate(models)}

@@ -382,40 +382,23 @@ def _row_mean(a):
     return np.add.reduce(a, axis=1) / a.shape[1]
 
 
-_KEY_DTYPE = np.dtype([("series", np.int64), ("origin", np.int64), ("step", np.int64)])
-
-
-def _keys(codes, origins, steps) -> np.ndarray:
-    """(series code, origin, step) records; they compare field by field."""
-    keys = np.empty(codes.size, dtype=_KEY_DTYPE)
-    keys["series"], keys["origin"], keys["step"] = codes, origins, steps
-    return keys
-
-
-def _as_ints(keys: np.ndarray) -> np.ndarray:
-    """Keys as an (n, 3) integer array, for fast element-wise comparison."""
-    return keys.view(np.int64).reshape(-1, 3)
-
-
-def _repeats(sorted_keys: np.ndarray) -> np.ndarray:
-    """For each sorted key after the first, whether it equals the key before it."""
-    keys = _as_ints(sorted_keys)
-    return (keys[1:] == keys[:-1]).all(axis=1)
-
-
 def _key_index(codes, origins, steps):
-    """Read-only rows sorted by (series code, origin, step), their keys, and the
-    rows grouped by (series, origin) in that order, labelled (series code, origin)."""
+    """One sort of the rows by (series code, origin, step): the rows in that order,
+    the dense id (0, 1, ...) of each sorted row's key, equal keys sharing one, and
+    the rows grouped by (series, origin) in that order, labelled (series code, origin).
+    Every key check and join compares these ids. All read-only."""
     key_order = np.lexsort((steps, origins, codes))
-    sorted_keys = _keys(codes, origins, steps)[key_order]
-    sorted_keys.setflags(write=False)
-    keys = _as_ints(sorted_keys)
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = (keys[1:, :2] != keys[:-1, :2]).any(axis=1)
+    codes, origins, steps = codes[key_order], origins[key_order], steps[key_order]
+    new_window, new_key = np.ones((2, codes.size), dtype=bool)
+    new_window[1:] = (codes[1:] != codes[:-1]) | (origins[1:] != origins[:-1])
+    new_key[1:] = new_window[1:] | (steps[1:] != steps[:-1])
+    key_ids = np.cumsum(new_key) - 1
+    key_ids.setflags(write=False)
     window = np.empty(codes.size, dtype=np.int64)
-    window[key_order] = np.cumsum(first) - 1
-    starts = np.append(np.flatnonzero(first), codes.size)
-    return key_order, sorted_keys, Groups(keys[first, :2], window, key_order, starts)
+    window[key_order] = np.cumsum(new_window) - 1
+    starts = np.append(np.flatnonzero(new_window), codes.size)
+    labels = np.stack((codes[new_window], origins[new_window]), axis=1)
+    return key_order, key_ids, Groups(labels, window, key_order, starts)
 
 
 class EvaluationFrame:
@@ -428,8 +411,9 @@ class EvaluationFrame:
 
     The key index is built at construction and is read-only: ``series_index``
     and ``windows`` group the rows by series and by (series, origin), the
-    latter in step order; ``key_order`` lists the rows sorted by (series
-    code, origin, step), and ``sorted_keys`` holds those keys in that order.
+    latter in step order, and ``key_order`` lists the rows sorted by (series
+    code, origin, step). A repeated key is found, and a benchmark is joined,
+    through the integer key ids of ``_key_index``.
     """
 
     def __init__(
@@ -460,9 +444,9 @@ class EvaluationFrame:
         if self.steps.min() < 1:
             raise ValidationError("horizon steps must be >= 1")
         self.series_index = Groups.of(self.series_ids.tolist())
-        self.key_order, self.sorted_keys, self.windows = _key_index(
+        self.key_order, key_ids, self.windows = _key_index(
             self.series_index.codes, self.origins, self.steps)
-        repeated = _repeats(self.sorted_keys)
+        repeated = key_ids[1:] == key_ids[:-1]
         if repeated.any():
             i = self.key_order[int(repeated.argmax())]
             key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
@@ -511,25 +495,31 @@ class EvaluationFrame:
         """Benchmark forecast column re-ordered to this frame's keys.
 
         The benchmark frame must hold exactly one model and cover every key;
-        it may hold more keys, in any order. The join searches this frame's
-        keys in the benchmark's sorted keys.
+        it may hold more keys, in any order. One ``_key_index`` over the
+        benchmark's keys followed by this frame's gives each row a key id;
+        each of this frame's rows takes the benchmark row with its id.
         """
         if len(benchmark.forecasts) != 1:
             raise ValidationError("benchmark frame must carry exactly one model")
         col = next(iter(benchmark.forecasts.values()))
-        sorted_keys, own = benchmark.sorted_keys, self.series_index
-        position = dict(zip(benchmark.series_index.labels, range(len(benchmark.series_index))))
-        bench_codes = np.array([position.get(sid, -1) for sid in own.labels], dtype=np.int64)
-        wanted = _keys(bench_codes[own.codes], self.origins, self.steps)
-        pos = np.minimum(np.searchsorted(sorted_keys, wanted), sorted_keys.size - 1)
-        found = (_as_ints(sorted_keys[pos]) == _as_ints(wanted)).all(axis=1)
-        if not found.all():
-            i = int(found.argmin())
+        theirs, own, n = benchmark.series_index, self.series_index, benchmark.n_rows
+        series = Groups.of([*theirs.labels, *own.labels]).codes
+        key_order, key_ids, _ = _key_index(
+            np.concatenate((series[:len(theirs)][theirs.codes], series[len(theirs):][own.codes])),
+            np.concatenate((benchmark.origins, self.origins)),
+            np.concatenate((benchmark.steps, self.steps)))
+        ids = np.empty_like(key_ids)
+        ids[key_order] = key_ids
+        row = np.full(key_ids[-1] + 1, -1)
+        row[ids[:n]] = np.arange(n)  # a benchmark frame's keys are unique
+        pos = row[ids[n:]]
+        if (pos < 0).any():
+            i = int((pos < 0).argmax())
             raise ValidationError(
                 f"benchmark frame is missing key ({self.series_ids[i]!r}, "
                 f"{int(self.origins[i])}, {int(self.steps[i])})"
             )
-        return col[benchmark.key_order[pos]]
+        return col[pos]
 
 
 def frame_from_records(records, models: list[str] | None = None) -> EvaluationFrame:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (DataValidationError, Dataset, EvaluationFrame, Groups, TimeSeries, ValidationError,
-                   _key_index, _repeats)
+                   _key_index)
 
 __all__ = [
     "read_series_csv",
@@ -213,18 +213,16 @@ def build_frame(dataset: Dataset, rows: ForecastColumns) -> EvaluationFrame:
     # an origin or step beyond int64 targets no position; its rank keeps it distinct
     ranked = [x if x.dtype != object else np.unique(x, return_inverse=True)[1] for x in (origins, steps)]
     by_model = np.argsort(model_codes, kind="stable")
-    key_order, sorted_keys, _ = _key_index(*(x[by_model] for x in (series.codes, *ranked)))
+    key_order, key_ids, _ = _key_index(*(x[by_model] for x in (series.codes, *ranked)))
     order = by_model[key_order]  # rows by key, then model, then file position
-    new_key = np.append(True, ~_repeats(sorted_keys))
     sorted_models = model_codes[order]
-    repeated = order[1:][~new_key[1:] & (sorted_models[1:] == sorted_models[:-1])]
+    repeated = order[1:][(key_ids[1:] == key_ids[:-1]) & (sorted_models[1:] == sorted_models[:-1])]
 
-    key_ids = np.cumsum(new_key) - 1
     present = np.zeros((len(models), key_ids[-1] + 1), dtype=bool)
     present[sorted_models, key_ids] = True
     table = np.empty(present.shape)
     table[sorted_models, key_ids] = rows.forecasts[order]
-    firsts = np.minimum.reduceat(order, np.flatnonzero(new_key))
+    firsts = np.minimum.reduceat(order, np.flatnonzero(np.diff(key_ids, prepend=-1)))
     appearance = np.argsort(firsts)
     first, present, table = firsts[appearance], present[:, appearance], table[:, appearance]
 

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from forevalkit import (
@@ -20,7 +20,7 @@ from forevalkit import (
     naive_forecast,
     seasonal_naive_forecast,
 )
-from forevalkit.core import Groups, _row_sum
+from forevalkit.core import Groups, _key_index, _row_sum
 from forevalkit.measures import evaluate
 from forevalkit.measures.engine import _SUMMARISERS
 from forevalkit.olsar import ArFit, fit_ar, one_step_predictions
@@ -275,6 +275,28 @@ class TestOlsAr:
             one_step_predictions(ArFit(3, 0.0, np.zeros(3)), [1.0, 2.0])
 
 
+_BENCHMARK_KEY = st.tuples(
+    st.sampled_from("abcd"),
+    st.sampled_from([-2 ** 63, -7, 0, 1, 2, 5, 2 ** 62, 2 ** 63 - 1]),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def benchmark_keys(draw):
+    """A frame's keys in any order, and a shuffled benchmark's: a superset with
+    extra keys and extra series, or one that lacks some keys or a whole series."""
+    own = draw(st.lists(_BENCHMARK_KEY, min_size=1, max_size=12, unique=True))
+    theirs = list(dict.fromkeys(own + draw(st.lists(_BENCHMARK_KEY, max_size=8))))
+    lack = draw(st.sampled_from(["nothing", "keys", "series"]))
+    if lack == "keys":
+        gone = set(draw(st.lists(st.sampled_from(own), min_size=1)))
+    else:
+        sid = draw(st.sampled_from(own))[0]
+        gone = {k for k in theirs if k[0] == sid} if lack == "series" else set()
+    return own, draw(st.permutations([k for k in theirs if k not in gone]))
+
+
 class TestEvaluationFrame:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValidationError, match=r"key \('a', 1, 1\)"):
@@ -313,6 +335,24 @@ class TestEvaluationFrame:
         ])
         assert frame.align_benchmark(superset).tolist() == [10.0, 20.0]
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=benchmark_keys())
+    def test_align_benchmark_matches_dict_join(self, case):
+        own, theirs = case
+        assume(theirs)
+        frame = EvaluationFrame(*zip(*own), np.zeros(len(own)), {"m": np.zeros(len(own))})
+        values = np.arange(len(theirs)) * 1.1 + 0.1
+        bench = EvaluationFrame(*zip(*theirs), np.zeros(len(theirs)), {"b": values})
+        join = dict(zip(theirs, values.tolist()))
+        missing = [k for k in own if k not in join]
+        if missing:
+            with pytest.raises(ValidationError) as info:
+                frame.align_benchmark(bench)
+            assert str(info.value) == f"benchmark frame is missing key {missing[0]!r}"
+        else:
+            expected = np.array([join[k] for k in own])
+            assert frame.align_benchmark(bench).tobytes() == expected.tobytes()
+
     def test_series_index(self):
         frame = EvaluationFrame(["b", "a", "b", "c", "a"], [1] * 5, [1, 1, 2, 1, 2],
                                 [1.0] * 5, {"m": np.ones(5)})
@@ -327,11 +367,18 @@ class TestEvaluationFrame:
         frame = EvaluationFrame(["b", "a", "b", "a"], [2, 1, 1, 1], [1, 2, 1, 1],
                                 [1.0] * 4, {"m": np.ones(4)})
         assert frame.key_order.tolist() == [2, 0, 3, 1]
-        assert frame.sorted_keys.tolist() == [(0, 1, 1), (0, 2, 1), (1, 1, 1), (1, 1, 2)]
-        for arr in (frame.key_order, frame.sorted_keys, frame.series_index.codes,
+        for arr in (frame.key_order, frame.series_index.codes,
                     frame.series_index.order, frame.series_index.starts):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
+        # equal keys share one dense id, numbered in sorted key order
+        key_order, key_ids, windows = _key_index(
+            np.array([1, 0, 1, 0, 0]), np.array([1, 2, 1, 2, 2]), np.array([1, 1, 1, 2, 1]))
+        assert key_order.tolist() == [1, 4, 3, 0, 2]
+        assert key_ids.tolist() == [0, 0, 1, 2, 2]
+        assert windows.labels.tolist() == [[0, 2], [1, 1]]
+        with pytest.raises(ValueError, match="read-only"):
+            key_ids[0] = 1
 
     @pytest.mark.parametrize("column", ["actual", "forecast"])
     def test_non_finite_values_rejected(self, column):

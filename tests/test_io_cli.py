@@ -1026,12 +1026,29 @@ class TestCliInputErrors:
         (["MAE", ["RMSE"]], "entry ['RMSE'] is neither"),
         ([{"constants": {}}], "entry {'constants': {}} is neither"),
         ([{"name": 3}], "entry {'name': 3} is neither"),
+        ([{"name": "msMAPE", "constant": {"epsilon": 0.1}}],
+         "suite measures entry 'msMAPE' has unknown key 'constant'; allowed keys are "
+         "['name', 'constants', 'series_summary']"),
     ])
     def test_bad_suite_measures(self, workdir, capsys, measures, fragment):
         suite = workdir / "suite.json"
         suite.write_text(json.dumps({"measures": measures}))
         self._fails_with_message(capsys, [
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+            "--out", str(workdir / "o")], fragment)
+
+    @pytest.mark.parametrize("suite, fragment", [
+        ({"measures": ["MAPE"], "polcy": "error"},
+         "suite config has unknown key 'polcy'; allowed keys are "
+         "['measures', 'policy', 'benchmark', 'seasonal_period']"),
+        ({"measures": ["MASE"], "train_from_series": True},
+         "suite config has unknown key 'train_from_series'"),
+    ])
+    def test_unknown_suite_keys(self, workdir, capsys, suite, fragment):
+        path = workdir / "suite.json"
+        path.write_text(json.dumps(suite))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(path),
             "--out", str(workdir / "o")], fragment)
 
     def test_malformed_suite_constants(self, workdir, capsys):
