@@ -10,6 +10,9 @@ model's per-row errors into columns once and sorts the rows of all
 compared models together once; a pair's common rows are then an
 intersection of sorted key ids, with no per-pair Python join or sort.
 
+Each command imports the modules it uses when it runs, so an invocation
+runs only its own command's modules (see the package docstring).
+
 Exit codes: 0 success, 2 usage/config problems (including unreadable
 input files and malformed compare reports), 3 leakage or data validation
 failures (``LeakageError`` and the other ``DataValidationError``s).
@@ -30,31 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
-from .core import (DataValidationError, Forecaster, Groups, ValidationError, _key_index,
+from .core import (DataValidationError, Dataset, Forecaster, Groups, ValidationError, _key_index,
                    benchmark_frame, json_object)
-from .io import (
-    build_frame,
-    read_forecast_csv,
-    read_series_csv,
-    write_folds_csv,
-    write_matrix_csv,
-    write_series_csv,
-)
-from .measures import UndefinedPolicy, evaluate, rank_models, spec_for
-from .partition import LeakageError, SplitSpec, leakage_checks, splits_for_series
-from .pitfalls import DEFAULT_SEED, list_scenarios, run_all, run_scenario
-from .stats import (
-    cd_diagram_data,
-    diebold_mariano,
-    friedman,
-    nemenyi_cd,
-    p_adjust,
-    render_cd_svg,
-    render_cd_text,
-    wilcoxon_rank_sum,
-)
-from .synth import DgpSpec, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,6 +79,8 @@ def _default_seed(args_seed) -> int:
         return args_seed
     env = os.environ.get("FOREVALKIT_SEED")
     if not env:
+        from .pitfalls import DEFAULT_SEED
+
         return DEFAULT_SEED
     try:
         return int(env)
@@ -126,6 +108,9 @@ def _reject_unknown(config: dict, allowed: tuple, what: str) -> None:
 
 
 def cmd_evaluate(args) -> int:
+    from .io import build_frame, read_forecast_csv, read_series_csv, write_matrix_csv
+    from .measures import UndefinedPolicy, evaluate, spec_for
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = read_series_csv(args.series)
@@ -190,6 +175,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_backtest(args) -> int:
+    from .io import read_series_csv, write_folds_csv
+    from .partition import LeakageError, SplitSpec, leakage_checks, splits_for_series
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = read_series_csv(args.series)
@@ -376,9 +364,14 @@ def _squared_errors_by_key(rows: dict[str, _ErrorRows], models: list[str]) -> di
 
 
 def cmd_compare(args) -> int:
+    from .measures import rank_models, spec_for
+    from .stats import (cd_diagram_data, diebold_mariano, friedman, nemenyi_cd, p_adjust,
+                        render_cd_svg, render_cd_text, wilcoxon_rank_sum)
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _read_json(args.config) if args.config else {}
+    _reject_unknown(config, ("measure", "alpha", "horizon", "adjust", "pairwise"), "compare config")
     measure = config.get("measure", "RMSE")
     alpha = config.get("alpha", 0.05)
     horizon = config.get("horizon", 1)
@@ -457,6 +450,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_advise(args) -> int:
+    from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _read_json(args.profile)
@@ -476,12 +471,13 @@ def cmd_advise(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .io import write_series_csv
+    from .synth import DgpSpec, generate
+
     out_path = Path(args.out_csv)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     spec = DgpSpec.from_json(Path(args.dgp).read_text(encoding="utf-8"))
     series = generate(spec)
-    from .core import Dataset
-
     write_series_csv(out_path, Dataset((series,)))
     out_dir = out_path.parent
     _write_manifest(out_dir, "simulate", [Path(args.dgp)],
@@ -491,6 +487,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pitfalls(args) -> int:
+    from .pitfalls import list_scenarios, run_all, run_scenario
+
     seed = _default_seed(args.seed)
     if args.list:
         for scenario in list_scenarios():

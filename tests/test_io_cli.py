@@ -695,7 +695,7 @@ class TestCliBacktest:
                 folds[2] = Fold(np.arange(1, 5), np.arange(4, 5), origin=3)
             return folds
 
-        monkeypatch.setattr(forevalkit.cli, "splits_for_series", splits)
+        monkeypatch.setattr(forevalkit.partition, "splits_for_series", splits)
         (workdir / "series.csv").write_text(SERIES_CSV.replace("b,5,104\n", "")
                                             + "".join(f"c,{t},{t}\n" for t in range(1, 41)))
         split = workdir / "split.json"
@@ -1135,6 +1135,7 @@ class TestCliInputErrors:
         ({"pairwise": "signed-rank"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'signed-rank'"),
         ({"alpha": "0.05x"}, "'alpha' must be a number, got '0.05x'"),
         ({"pairwise": "dm", "horizon": "two"}, "'horizon' must be an integer, got 'two'"),
+        ({"pairwsie": "dm"}, "compare config has unknown key 'pairwsie'"),
     ])
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_malformed_compare_config(self, workdir, capsys, config, fragment):
