@@ -51,9 +51,8 @@ print("sMAPE close:", round(evaluate("sMAPE", frame, model="close").value, 3))
 
 # --- benchmark-relative measures need a benchmark column ----------------
 
-ds = Dataset((series,))
-keys = [("sales", origin, k) for k in range(1, h + 1)]
-naive = benchmark_frame(ds, keys, kind="naive")
+# the naive benchmark forecasts every (series, origin, step) key of the frame
+naive = benchmark_frame(Dataset((series,)), frame, kind="naive")
 print("\nMRAE vs naive, close :", round(evaluate("MRAE", frame, model="close",
                                                  benchmark=naive).value, 3))
 print("RelMAE vs naive, close:", round(evaluate("RelMAE", frame, model="close",

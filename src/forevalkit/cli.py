@@ -5,10 +5,11 @@ Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
 ``compare`` checks every report it reads before testing; a malformed
-report is a usage problem. For Diebold-Mariano pairs it reads each
-model's per-row errors into columns once and sorts the rows of all
-compared models together once; a pair's common rows are then an
-intersection of sorted key ids, with no per-pair Python join or sort.
+report is a usage problem. It reads each model's per-row errors into
+columns once and sorts the rows of every report together once: that one
+sort finds a key repeated within a model's errors, and for
+Diebold-Mariano pairs a pair's common rows are then an intersection of
+sorted key ids, with no per-pair Python join or sort.
 
 Each command imports the modules it uses when it runs, so an invocation
 runs only its own command's modules (see the package docstring).
@@ -27,13 +28,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import (DataValidationError, Dataset, Forecaster, Groups, ValidationError, _key_index,
+from .core import (DataValidationError, Dataset, Forecaster, ValidationError, _key_index,
                    benchmark_frame, json_object)
 
 EXIT_OK = 0
@@ -130,11 +131,10 @@ def cmd_evaluate(args) -> int:
         _reject_unknown(entry, ("name", "constants", "series_summary"),
                         f"suite measures entry {entry['name']!r}")
 
-    keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
     bench_frame = None
     bench_kind = suite.get("benchmark")
     if bench_kind:
-        bench_frame = benchmark_frame(dataset, keys, kind=bench_kind,
+        bench_frame = benchmark_frame(dataset, frame, kind=bench_kind,
                                       period=suite.get("seasonal_period"))
 
     index = frame.series_index
@@ -143,6 +143,7 @@ def cmd_evaluate(args) -> int:
 
     results = []
     errors_by_model: dict[str, dict] = {}
+    keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
     for model in frame.models:
         yhat = frame.model_column(model)
         e = frame.actuals - yhat
@@ -218,18 +219,6 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class _ErrorRows:
-    """One model's per-row errors from a report, as columns: row i has the key
-    ``(series[codes[i]], origins[i], steps[i])`` and the error ``errors[i]``."""
-
-    series: tuple
-    codes: np.ndarray
-    origins: np.ndarray
-    steps: np.ndarray
-    errors: np.ndarray
-
-
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
@@ -271,37 +260,14 @@ def _error_columns(keys: list, errors: list):
     return list(sids), origins, steps, values
 
 
-def _error_rows(where: str, entry) -> _ErrorRows:
-    """An ``errors`` entry as columns. Its ``keys`` and ``errors`` must be lists of
-    equal length, of ``[series_id, origin, step]`` keys and finite numbers, with no
-    key repeated; a ``ValidationError`` names a row that breaks this."""
-    entry = entry if isinstance(entry, dict) else {}
-    keys, errors = entry.get("keys"), entry.get("errors")
-    if not (isinstance(keys, list) and isinstance(errors, list) and len(keys) == len(errors)):
-        raise ValidationError(f"{where} needs 'keys' and 'errors' lists of equal length")
-    columns = _error_columns(keys, errors)
-    if columns is None:  # name the first row that breaks the rules
-        for what, rows, valid, want in (("key", keys, _is_key, "[series_id, origin, step]"),
-                                        ("error", errors, _is_finite_number, "a finite number")):
-            if not all(map(valid, rows)):
-                i = next(i for i, row in enumerate(rows) if not valid(row))
-                raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
-    sids, origins, steps, values = columns
-    series = Groups.of(sids)
-    rows = _ErrorRows(series.labels, series.codes, origins, steps, values)
-    key_order, key_ids, _ = _key_index(rows.codes, rows.origins, rows.steps)
-    repeated = key_ids[1:] == key_ids[:-1]
-    if repeated.any():
-        i = int(key_order[repeated.argmax() + 1])
-        raise ValidationError(f"{where}: key {i} {keys[i]!r} repeats an earlier key")
-    return rows
-
-
 def _read_report(path) -> dict:
     """A compared report, checked: ``results`` is a list of entries with a string
     ``measure`` and ``model`` and a ``per_series`` object of numbers or nulls, and
-    ``errors`` an object whose entries become ``_ErrorRows``. A malformed part is
-    a ``ValidationError`` that names the path, the model and the entry or row."""
+    ``errors`` an object of entries whose ``keys`` and ``errors`` are lists of
+    equal length, of ``[series_id, origin, step]`` keys and finite numbers. Each
+    entry becomes ``(where, keys, series ids, origins, steps, errors)``, the last
+    three as arrays. A malformed part is a ``ValidationError`` that names the
+    path, the model and the entry or row; ``_losses_by_key`` finds repeated keys."""
     report = _read_json(path)
     results = report.get("results", [])
     if not isinstance(results, list):
@@ -315,11 +281,23 @@ def _read_report(path) -> dict:
                 and all(v is None or type(v) in (int, float) for v in per_series.values())):
             raise ValidationError(f"{path}: results entry {i} (model {entry['model']!r}): "
                                   "'per_series' must be an object of numbers or nulls")
-    errors = report.get("errors", {})
+    errors = report.setdefault("errors", {})
     if not isinstance(errors, dict):
         raise ValidationError(f"{path}: 'errors' must be an object")
-    report["errors"] = {model: _error_rows(f"{path}: errors of model {model!r}", entry)
-                        for model, entry in errors.items()}
+    for model, entry in errors.items():
+        where = f"{path}: errors of model {model!r}"
+        entry = entry if isinstance(entry, dict) else {}
+        keys, values = entry.get("keys"), entry.get("errors")
+        if not (isinstance(keys, list) and isinstance(values, list) and len(keys) == len(values)):
+            raise ValidationError(f"{where} needs 'keys' and 'errors' lists of equal length")
+        columns = _error_columns(keys, values)
+        if columns is None:  # name the first row that breaks the rules
+            for what, rows, valid, want in (("key", keys, _is_key, "[series_id, origin, step]"),
+                                            ("error", values, _is_finite_number, "a finite number")):
+                if not all(map(valid, rows)):
+                    i = next(i for i, row in enumerate(rows) if not valid(row))
+                    raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
+        errors[model] = (where, keys, *columns)
     return report
 
 
@@ -343,24 +321,35 @@ def _collect_scores(reports: list[dict], measure: str):
     return {m: [per_model[m][sid] for sid in series] for m in per_model}, series
 
 
-def _squared_errors_by_key(rows: dict[str, _ErrorRows], models: list[str]) -> dict:
-    """Each model's squared errors in ``(series_id, origin, step)`` order, with
-    each row's key id. Ids increase along that order and equal keys share one
-    across models, so a pair's common rows are one ``intersect1d`` of ids. One
-    sort of every model's rows together; series codes follow sorted series ids,
-    so the order is that of the key tuples."""
-    if any(m not in rows for m in models):
-        raise ValidationError("pairwise DM needs per-row errors in the reports")
-    parts = [rows[m] for m in models]
-    labels = sorted(set().union(*(p.series for p in parts)))
-    code = dict(zip(labels, range(len(labels))))
-    codes = np.concatenate([np.array([code[s] for s in p.series], dtype=np.int64)[p.codes]
-                            for p in parts])
-    key_order, key_id, _ = _key_index(codes, np.concatenate([p.origins for p in parts]),
-                                      np.concatenate([p.steps for p in parts]))
-    owner = np.repeat(np.arange(len(parts)), [p.codes.size for p in parts])[key_order]
-    losses = np.concatenate([p.errors for p in parts])[key_order] ** 2
-    return {m: (key_id[owner == j], losses[owner == j]) for j, m in enumerate(models)}
+def _losses_by_key(reports: list[dict]) -> dict:
+    """Each model's squared errors in ``(series_id, origin, step)`` order, with each
+    row's key id, from the last report that holds the model's errors.
+
+    One sort covers the error rows of every (report, model) entry, with series
+    ids coded in sorted order, so ids increase along the key order and equal keys
+    share one across entries: a pair's common rows are one ``intersect1d`` of ids.
+    The sort keeps read order among equal keys, so a key repeated within an entry
+    shows as adjacent rows of that entry with one id; the first such entry in
+    read order is reported, at its first row that repeats an earlier key."""
+    entries = [(model, *rows) for report in reports for model, rows in report["errors"].items()]
+    if not entries:
+        return {}
+    models, wheres, keys, sids, origins, steps, errors = zip(*entries)
+    sizes = list(map(len, sids))
+    sids = [sid for part in sids for sid in part]
+    labels = sorted(set(sids))
+    codes = np.fromiter(map(dict(zip(labels, range(len(labels)))).__getitem__, sids),
+                        dtype=np.int64, count=len(sids))
+    key_order, key_id, _ = _key_index(codes, np.concatenate(origins), np.concatenate(steps))
+    owner = np.repeat(np.arange(len(entries)), sizes)[key_order]
+    repeated = (key_id[1:] == key_id[:-1]) & (owner[1:] == owner[:-1])
+    if repeated.any():
+        j = int(owner[1:][repeated].min())
+        i = int(key_order[1:][repeated & (owner[1:] == j)].min()) - sum(sizes[:j])
+        raise ValidationError(f"{wheres[j]}: key {i} {keys[j][i]!r} repeats an earlier key")
+    losses = np.concatenate(errors)[key_order] ** 2
+    last = {model: j for j, model in enumerate(models)}
+    return {model: (key_id[owner == j], losses[owner == j]) for model, j in last.items()}
 
 
 def cmd_compare(args) -> int:
@@ -386,6 +375,7 @@ def cmd_compare(args) -> int:
     alpha = float(alpha)
 
     reports = [_read_report(p) for p in args.reports]
+    losses = _losses_by_key(reports)
     scores, series = _collect_scores(reports, measure)
     ascending = not spec_for(measure).higher_is_better
     table = rank_models(scores, ascending=ascending)
@@ -404,11 +394,8 @@ def cmd_compare(args) -> int:
         writer.writerow(["mean_rank"] + [repr(table.mean_ranks[m]) for m in table.models])
 
     models = list(scores)
-    if pairwise_kind == "dm":
-        rows = {}
-        for report in reports:  # a later report's rows for a model replace an earlier one's
-            rows.update(report["errors"])
-        losses = _squared_errors_by_key(rows, models)
+    if pairwise_kind == "dm" and any(m not in losses for m in models):
+        raise ValidationError("pairwise DM needs per-row errors in the reports")
     raw_p = {}
     pair_details = {}
     for i in range(len(models)):

@@ -11,8 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import copy
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +191,9 @@ class Forecaster:
     def __post_init__(self):
         if self.kind not in _BENCHMARK_KINDS:
             raise ValidationError(f"unknown forecaster kind {self.kind!r}; expected one of {_BENCHMARK_KINDS}")
+        if self.period is not None and (isinstance(self.period, bool)
+                                        or not isinstance(self.period, (int, np.integer))):
+            raise ValidationError(f"seasonal period must be an integer, got {self.period!r}")
         if self.kind == "seasonal-naive" and (self.period is None or self.period < 1):
             raise ValidationError("seasonal-naive requires a positive seasonal period")
 
@@ -413,7 +416,8 @@ class EvaluationFrame:
     and ``windows`` group the rows by series and by (series, origin), the
     latter in step order, and ``key_order`` lists the rows sorted by (series
     code, origin, step). A repeated key is found, and a benchmark is joined,
-    through the integer key ids of ``_key_index``.
+    through the integer key ids of ``_key_index``. A ``benchmark_frame`` on
+    this frame's keys shares its index.
     """
 
     def __init__(
@@ -452,15 +456,29 @@ class EvaluationFrame:
             key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
             raise ValidationError(f"duplicate (series, origin, step) key {key} in evaluation frame")
         for model, col in ((None, self.actuals), *self.forecasts.items()):
-            finite = np.isfinite(col)
-            if not finite.all():
-                i = int(finite.argmin())
-                what = "actual" if model is None else f"model {model!r}: forecast"
-                key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
-                raise DataValidationError(f"{what} at key {key} is not finite: {col[i]}")
+            self._check_finite(model, col)
 
         for arr in (self.series_ids, self.origins, self.steps, self.actuals, *self.forecasts.values()):
             arr.setflags(write=False)
+
+    def _check_finite(self, model: str | None, col: np.ndarray) -> None:
+        """The first non-finite value of a column (``model`` None: the actuals) is reported."""
+        finite = np.isfinite(col)
+        if not finite.all():
+            i = int(finite.argmin())
+            what = "actual" if model is None else f"model {model!r}: forecast"
+            key = (self.series_ids[i], int(self.origins[i]), int(self.steps[i]))
+            raise DataValidationError(f"{what} at key {key} is not finite: {col[i]}")
+
+    def _with_forecasts(self, forecasts: dict[str, np.ndarray]) -> "EvaluationFrame":
+        """A frame on this frame's keys, actuals and key index whose models are
+        ``forecasts``, one value per row in frame order."""
+        frame = copy.copy(self)
+        frame.forecasts = forecasts
+        for model, col in forecasts.items():
+            frame._check_finite(model, col)
+            col.setflags(write=False)
+        return frame
 
     @property
     def models(self) -> list[str]:
@@ -543,56 +561,44 @@ def frame_from_records(records, models: list[str] | None = None) -> EvaluationFr
     return EvaluationFrame(sids, origins, steps, actuals, {m: np.array(v) for m, v in cols.items()})
 
 
-def _integer_field(keys: list, i: int, what: str) -> np.ndarray:
-    """Field ``i`` of every key as int64; a key whose field is not an integer is reported."""
-    try:
-        return np.array([operator.index(k[i]) for k in keys], dtype=np.int64)
-    except TypeError:
-        bad = next(k for k in keys if not hasattr(type(k[i]), "__index__"))
-        raise ValidationError(f"benchmark key {bad!r}: {what} must be an integer") from None
-
-
 def benchmark_frame(
     dataset: Dataset,
-    keys,
+    frame: EvaluationFrame,
     kind: str = "naive",
     period: int | None = None,
     name: str | None = None,
 ) -> EvaluationFrame:
-    """Generate benchmark forecasts for the given (series, origin, step) keys.
+    """Benchmark forecasts on the keys of ``frame``: a single-model frame on the
+    frame's series ids, origins, steps and actuals, in frame order.
 
     Forecasts are produced per origin from the series prefix only, so no
-    information after the origin leaks into the benchmark. Each series'
-    origins are forecast in one ``Forecaster.forecast_origins`` call.
+    information after the origin leaks into the benchmark. The frame's own
+    index supplies the series and their (series, origin) windows: each series'
+    windows are forecast in one ``Forecaster.forecast_origins`` call, and no
+    key is grouped or sorted again. Every target is checked to lie inside its
+    series before the (windows x horizon) forecast table is allocated.
     """
     fc = Forecaster(kind=kind, period=period)
-    keys = list(keys)
-    sids = [k[0] for k in keys]
-    origins = _integer_field(keys, 1, "origin")
-    steps = _integer_field(keys, 2, "step")
-    if (steps < 1).any():
-        raise ValidationError("horizon steps must be >= 1")
-    index = Groups.of(sids)
-    # one forecast row per (series, origin) window; windows run by series code, then origin
-    windows = _key_index(index.codes, origins, steps)[2]
-    window_codes, window_origins = windows.labels.T
-    bounds = np.searchsorted(window_codes, np.arange(len(index) + 1))
-    forecasts = np.empty((len(windows), int(steps.max(initial=1))))
-    targets, actuals = origins + steps, np.empty(len(keys))
-    for j, sid in enumerate(index.labels):
-        rows, at = index.order[index.starts[j]:index.starts[j + 1]], slice(bounds[j], bounds[j + 1])
+    index, windows = frame.series_index, frame.windows
+    series = []
+    for sid, first in zip(index.labels, index.order[index.starts[:-1]].tolist()):
         try:
-            series = dataset[sid]
+            series.append(dataset[sid])
         except KeyError:
-            raise ValidationError(
-                f"benchmark key {keys[rows[0]]!r}: series {sid!r} not in the dataset") from None
-        forecasts[at] = fc.forecast_origins(series, window_origins[at], forecasts.shape[1])
-        # clipped: out-of-range targets are reported below, after every forecast
-        actuals[rows] = series.values.take(targets[rows] - 1, mode="clip")
-    col = forecasts[windows.codes, steps - 1]
-    lengths = index.expand(np.array([len(dataset[sid]) for sid in index.labels]))
+            key = (sid, int(frame.origins[first]), int(frame.steps[first]))
+            raise ValidationError(f"benchmark key {key!r}: series {sid!r} not in the dataset") from None
+    lengths = index.expand(np.array([len(s) for s in series]))
+    targets = frame.origins + frame.steps
     outside = (targets < 1) | (targets > lengths)
     if outside.any():
-        i = int(outside.argmax())
-        raise ValidationError(f"position {targets[i]} outside series {sids[i]!r} (length {lengths[i]})")
-    return EvaluationFrame(sids, origins, steps, actuals, {name or kind: col})
+        i = int(outside.argmax())  # a target beyond int64 wraps below 1, so it is found too
+        raise ValidationError(f"position {int(frame.origins[i]) + int(frame.steps[i])} outside "
+                              f"series {frame.series_ids[i]!r} (length {lengths[i]})")
+    # one forecast row per window; windows run by series code, then origin
+    window_codes, window_origins = windows.labels.T
+    bounds = np.searchsorted(window_codes, np.arange(len(index) + 1)).tolist()
+    forecasts = np.empty((len(windows), frame.horizon))
+    for j, s in enumerate(series):
+        at = slice(bounds[j], bounds[j + 1])
+        forecasts[at] = fc.forecast_origins(s, window_origins[at], frame.horizon)
+    return frame._with_forecasts({name or kind: forecasts[windows.codes, frame.steps - 1]})

@@ -77,13 +77,6 @@ class MeasureResult:
         return self.value == self.value  # not NaN
 
 
-def _resolve_policy(policy) -> str:
-    try:
-        return UndefinedPolicy.parse(policy)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-
 def _row_geometric_mean(a):
     a = np.abs(a)
     nonzero = a != 0
@@ -491,7 +484,7 @@ def evaluate(
     and sets ``zero-scale``, but is not counted as undefined.
     """
     spec = spec_for(name)
-    policy = _resolve_policy(policy)
+    policy = UndefinedPolicy.parse(policy)
     if constants is not None and not isinstance(constants, dict):
         raise ValidationError(f"{name}: constants must map names to values, got {constants!r}")
     if not isinstance(series_summary, str) or series_summary not in _SUMMARISERS:

@@ -38,13 +38,11 @@ class UndefinedPolicy:
     _ALIASES = {"propagate": PROPAGATE, "skip": SKIP, "skip-and-count": SKIP, "error": ERROR}
 
     @classmethod
-    def parse(cls, value: str) -> str:
-        try:
-            return cls._ALIASES[value]
-        except KeyError:
-            raise ValueError(
-                f"unknown undefined-value policy {value!r}; expected propagate, skip or error"
-            ) from None
+    def parse(cls, value) -> str:
+        if not isinstance(value, str) or value not in cls._ALIASES:
+            raise ValidationError(
+                f"unknown undefined-value policy {value!r}; expected propagate, skip or error")
+        return cls._ALIASES[value]
 
 
 @dataclass(frozen=True)

@@ -91,8 +91,7 @@ def _mae_and_naive_mrae(dataset: Dataset, frames: dict) -> dict:
     """
     mae, mrae = {}, {}
     for label, frame in frames.items():
-        keys = zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist())
-        bench = benchmark_frame(dataset, keys, kind="naive")
+        bench = benchmark_frame(dataset, frame, kind="naive")
         mae[f"mae_{label}"] = evaluate("MAE", frame).value
         mrae[f"mrae_{label}"] = evaluate("MRAE", frame, benchmark=bench).value
     return mae | mrae

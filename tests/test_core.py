@@ -1,10 +1,9 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import forevalkit.core
 from forevalkit import (
     DataValidationError,
     Dataset,
@@ -353,6 +352,11 @@ class TestEvaluationFrame:
             expected = np.array([join[k] for k in own])
             assert frame.align_benchmark(bench).tobytes() == expected.tobytes()
 
+    def test_step_below_one_rejected(self):
+        for bad in (0, -20):
+            with pytest.raises(ValidationError, match=r"^horizon steps must be >= 1$"):
+                _keys_frame([("a", 3, 1), ("a", 4, bad)])
+
     def test_series_index(self):
         frame = EvaluationFrame(["b", "a", "b", "c", "a"], [1] * 5, [1, 1, 2, 1, 2],
                                 [1.0] * 5, {"m": np.ones(5)})
@@ -482,48 +486,87 @@ class TestGroups:
             assert got == np.abs(want[np.array(sids) == sid]).mean()
 
 
+def _keys_frame(keys, actuals=None):
+    """A one-model frame on ``keys`` (zero forecasts; zero actuals unless given)."""
+    actuals = np.zeros(len(keys)) if actuals is None else actuals
+    return EvaluationFrame(*zip(*keys), actuals, {"m": np.zeros(len(keys))})
+
+
+@st.composite
+def benchmark_cases(draw):
+    """Series of several lengths, a seasonal period, and a frame's unique keys over
+    them in shuffled order, each origin at least one period in and each target
+    inside its series, with actuals of the frame's own."""
+    m = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.integers(m + 1, 30), min_size=1, max_size=4))
+    values = [draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n))
+              for n in lengths]
+    key = st.integers(0, len(lengths) - 1).flatmap(lambda j: st.integers(m, lengths[j] - 1).flatmap(
+        lambda o: st.tuples(st.just(f"s{j}"), st.just(o), st.integers(1, lengths[j] - o))))
+    keys = draw(st.permutations(draw(st.lists(key, min_size=1, max_size=40, unique=True))))
+    actuals = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=len(keys),
+                            max_size=len(keys)))
+    return m, values, keys, np.array(actuals)
+
+
 class TestBenchmarkFrame:
     def test_naive_keys(self):
         ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
-        bf = benchmark_frame(ds, [("a", 3, 1), ("a", 3, 2)], kind="naive")
+        bf = benchmark_frame(ds, _keys_frame([("a", 3, 1), ("a", 3, 2)], np.array([4.0, 5.0])),
+                             kind="naive")
         assert bf.forecasts["naive"].tolist() == [3.0, 3.0]
         assert bf.actuals.tolist() == [4.0, 5.0]
 
     def test_target_past_series_end(self):
         ds = Dataset((ts([1, 2, 3, 4, 5], id="a"), ts([1, 2, 3], id="b")))
         with pytest.raises(ValidationError, match=r"^position 4 outside series 'b' \(length 3\)$"):
-            benchmark_frame(ds, [("a", 3, 2), ("b", 2, 1), ("a", 4, 1), ("b", 2, 2), ("a", 4, 2)])
+            benchmark_frame(ds, _keys_frame(
+                [("a", 3, 2), ("b", 2, 1), ("a", 4, 1), ("b", 2, 2), ("a", 4, 2)]))
+
+    @pytest.mark.parametrize("origin, step", [(3, 2 ** 40), (2 ** 63 - 2, 5)])
+    def test_far_target_rejected_before_the_forecast_table(self, origin, step):
+        # a (windows x 2**40) table would need 8 TiB: the target check comes first;
+        # origin + step beyond int64 is reported as the position it names
+        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
+        with pytest.raises(ValidationError,
+                           match=rf"^position {origin + step} outside series 'a' \(length 5\)$"):
+            benchmark_frame(ds, _keys_frame([("a", 2, 1), ("a", origin, step)]))
 
     def test_mean_uses_prefix_only(self):
         ds = Dataset((ts([2, 4, 100, 100], id="a"),))
-        bf = benchmark_frame(ds, [("a", 2, 1)], kind="mean")
+        bf = benchmark_frame(ds, _keys_frame([("a", 2, 1)]), kind="mean")
         assert bf.forecasts["mean"].tolist() == [3.0]
 
-    def test_interleaved_keys_match_one_origin_forecasts(self, rng):
-        ds = Dataset(tuple(ts(rng.normal(0, 5, 30), id=sid) for sid in "abc"))
-        keys = [(str(rng.choice(list("abc"))), int(rng.integers(4, 20)), int(rng.integers(1, 9)))
-                for _ in range(200)]
-        keys = list(dict.fromkeys(keys))
+    @settings(max_examples=150, deadline=None)
+    @given(case=benchmark_cases())
+    def test_interleaved_keys_match_one_origin_forecasts(self, case):
+        m, values, keys, actuals = case
+        ds = Dataset(tuple(ts(v, id=f"s{j}") for j, v in enumerate(values)))
+        frame = _keys_frame(keys, actuals)
         for kind in ("naive", "seasonal-naive", "mean"):
-            bf = benchmark_frame(ds, keys, kind=kind, period=4)
+            bf = benchmark_frame(ds, frame, kind=kind, period=m)
+            assert bf.models == [kind]
+            for col in ("series_ids", "origins", "steps", "actuals"):
+                assert getattr(bf, col) is getattr(frame, col)
             for i, (sid, origin, step) in enumerate(keys):
-                want = _one_origin(kind, ds[sid].values, origin, step, 4)[-1]
+                want = _one_origin(kind, ds[sid].values, origin, step, m)[-1]
                 assert bf.forecasts[kind][i].tobytes() == want.tobytes()
-                assert bf.actuals[i] == ds[sid].values[origin + step - 1]
+
+    def test_reuses_the_frame_index(self, monkeypatch):
+        frame = _keys_frame([("b", 3, 2), ("a", 2, 1), ("b", 3, 1), ("a", 4, 1)])
+        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"), ts([6, 7, 8, 9, 10], id="b")))
+        calls = []
+        monkeypatch.setattr(Groups, "of", lambda keys: calls.append("Groups.of"))
+        monkeypatch.setattr(forevalkit.core, "_key_index", lambda *a: calls.append("_key_index"))
+        bf = benchmark_frame(ds, frame, kind="naive", name="nv")
+        assert calls == []
+        for index in ("series_index", "windows", "key_order"):
+            assert getattr(bf, index) is getattr(frame, index)
+        assert bf.forecasts["nv"].tolist() == [8.0, 2.0, 8.0, 4.0]
+        assert not bf.forecasts["nv"].flags.writeable
+        assert frame.models == ["m"]
 
     def test_unknown_series_rejected(self):
         ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
         with pytest.raises(ValidationError, match=r"^benchmark key \('zz', 1, 1\): series 'zz' not in the"):
-            benchmark_frame(ds, [("a", 2, 1), ("zz", 1, 1), ("zz", 2, 1)])
-
-    def test_step_below_one_rejected(self):
-        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
-        for bad in (0, -20):
-            with pytest.raises(ValidationError, match=r"^horizon steps must be >= 1$"):
-                benchmark_frame(ds, [("a", 3, 1), ("a", 4, bad)])
-
-    @pytest.mark.parametrize("key, what", [(("a", 3.7, 1), "origin"), (("a", 3, 1.5), "step")])
-    def test_fractional_key_rejected(self, key, what):
-        ds = Dataset((ts([1, 2, 3, 4, 5], id="a"),))
-        with pytest.raises(ValidationError, match=rf"^benchmark key {re.escape(repr(key))}: {what} "):
-            benchmark_frame(ds, [("a", 2, 1), key])
+            benchmark_frame(ds, _keys_frame([("a", 2, 1), ("zz", 1, 1), ("zz", 2, 1)]))

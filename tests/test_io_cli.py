@@ -672,9 +672,11 @@ class TestCliBacktest:
         folds = json.loads((out / "report.json").read_text())["folds"]
         assert len(folds) == 4
         for entry in folds:
-            keys = [(entry["series"], entry["origin"], k) for k in range(1, entry["test_size"] + 1)]
+            sid, origin, steps = entry["series"], entry["origin"], np.arange(1, entry["test_size"] + 1)
+            frame = EvaluationFrame([sid] * steps.size, [origin] * steps.size, steps,
+                                    ds[sid].values[origin + steps - 1], {"m": np.zeros(steps.size)})
             for kind in kinds:
-                bf = benchmark_frame(ds, keys, kind=kind, period=2)
+                bf = benchmark_frame(ds, frame, kind=kind, period=2)
                 e = bf.actuals - bf.forecasts[kind]
                 assert entry["models"][kind] == {"MAE": float(np.abs(e).mean()),
                                                  "RMSE": float(np.sqrt((e * e).mean()))}
@@ -868,6 +870,68 @@ class TestCliCompareDm:
         assert capsys.readouterr().err == (
             "error: diebold_mariano: horizon 4 must be below the 4 aligned losses\n")
 
+    @staticmethod
+    def _compare(work, *reports, pairwise="dm"):
+        """``compare`` on ``reports`` written in order; returns the exit code and
+        the parsed ``tests.json`` (None on failure)."""
+        paths = [work / f"report{i}.json" for i in range(len(reports))]
+        for path, report in zip(paths, reports):
+            path.write_text(json.dumps(report))
+        (work / "test.json").write_text(json.dumps({"pairwise": pairwise}))
+        code = main(["compare", *map(str, paths), "--config", str(work / "test.json"),
+                     "--out", str(work / "cmp")])
+        return code, (json.loads((work / "cmp" / "tests.json").read_text()) if code == 0 else None)
+
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_second_report_replaces_a_models_rows(self, tmp_path):
+        first = TestCliInputErrors._report()
+        second = {"results": [], "errors": {"m2": {
+            "keys": [["b", 3, 2], ["a", 3, 1], ["b", 3, 1], ["a", 3, 2]],
+            "errors": [1.5, -0.25, 3.0, 0.75]}}}
+        code, tests = self._compare(tmp_path, first, second)
+        assert code == 0
+        # m1 from the first report, m2 from the second, both in (series, origin, step) order
+        want = diebold_mariano(np.array([0.5, -1.0, 2.0, 0.0]) ** 2,
+                               np.array([-0.25, 0.75, 3.0, 1.5]) ** 2)
+        assert tests["pairwise"]["m1 vs m2"] == {"test": "diebold-mariano",
+                                                 "statistic": want.statistic,
+                                                 "p_value": want.p_value}
+
+    def test_repeated_key_in_replaced_rows_is_reported(self, tmp_path, capsys):
+        first = TestCliInputErrors._report(m2_keys=[["a", 3, 1], ["b", 3, 2], ["b", 3, 1], ["b", 3, 2]])
+        second = {"results": [], "errors": {"m2": TestCliInputErrors._report()["errors"]["m2"]}}
+        assert self._compare(tmp_path, first, second)[0] == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'report0.json'}: errors of model "
+                                           "'m2': key 3 ['b', 3, 2] repeats an earlier key\n")
+
+    @pytest.mark.parametrize("pairwise", ["dm", "wilcoxon"])
+    def test_first_entry_read_with_a_repeated_key_is_named(self, tmp_path, capsys, pairwise):
+        repeats = [["a", 3, 1], ["a", 3, 2], ["a", 3, 1], ["b", 3, 2]]
+        first = TestCliInputErrors._report(m2_keys=repeats)
+        second = TestCliInputErrors._report()
+        second["errors"]["m1"]["keys"] = repeats[::-1]
+        assert self._compare(tmp_path, second, first, pairwise=pairwise)[0] == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'report0.json'}: errors of model "
+                                           "'m1': key 3 ['a', 3, 1] repeats an earlier key\n")
+        assert self._compare(tmp_path, first, second, pairwise=pairwise)[0] == 2
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'report0.json'}: errors of model "
+                                           "'m2': key 2 ['a', 3, 1] repeats an earlier key\n")
+
+    @pytest.mark.parametrize("pairwise", ["dm", "wilcoxon"])
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_one_key_index_per_invocation(self, tmp_path, monkeypatch, pairwise):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return key_index(*args)
+
+        key_index = forevalkit.cli._key_index
+        monkeypatch.setattr(forevalkit.cli, "_key_index", counted)
+        second = {"results": [], "errors": {"m2": TestCliInputErrors._report()["errors"]["m2"]}}
+        assert self._compare(tmp_path, TestCliInputErrors._report(), second, pairwise=pairwise)[0] == 0
+        assert calls == [12]  # every row of the three entries, in one sort
+
 
 class TestCliAdvise:
     def test_intermittency_profile(self, tmp_path):
@@ -1043,6 +1107,10 @@ class TestCliInputErrors:
          "['measures', 'policy', 'benchmark', 'seasonal_period']"),
         ({"measures": ["MASE"], "train_from_series": True},
          "suite config has unknown key 'train_from_series'"),
+        ({"measures": ["MAE"], "policy": "skipp"},
+         "unknown undefined-value policy 'skipp'; expected propagate, skip or error"),
+        ({"measures": ["MAE"], "policy": ["skip"]},
+         "unknown undefined-value policy ['skip']; expected propagate, skip or error"),
     ])
     def test_unknown_suite_keys(self, workdir, capsys, suite, fragment):
         path = workdir / "suite.json"
@@ -1050,6 +1118,15 @@ class TestCliInputErrors:
         self._fails_with_message(capsys, [
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(path),
             "--out", str(workdir / "o")], fragment)
+
+    @pytest.mark.parametrize("period", ["12", 2.5, True])
+    def test_non_integer_seasonal_period(self, workdir, capsys, period):
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": ["MRAE"], "benchmark": "seasonal-naive",
+                                     "seasonal_period": period}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+            "--out", str(workdir / "o")], f"seasonal period must be an integer, got {period!r}")
 
     def test_malformed_suite_constants(self, workdir, capsys):
         suite = workdir / "suite.json"

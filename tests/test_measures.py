@@ -109,6 +109,12 @@ class TestPercentage:
         with pytest.raises(ValidationError, match=f"^msMAPE: {re.escape(fragment)}$"):
             evaluate("msMAPE", frame([0.2], [0.1]), **kwargs)
 
+    @pytest.mark.parametrize("policy", ["skipp", ["skip"], None, True])
+    def test_malformed_policy_rejected(self, policy):
+        with pytest.raises(ValidationError, match=f"^unknown undefined-value policy "
+                                                  f"{re.escape(repr(policy))}; expected propagate, "):
+            evaluate("MAE", frame([0.2], [0.1]), policy=policy)
+
     @pytest.mark.parametrize("policy", ["propagate", "skip", "error"])
     def test_msmape_constants_must_keep_denominator_positive(self, policy):
         f = frame([0.0, 1.0], [0.0, 2.0])

@@ -1,9 +1,12 @@
-"""The package namespace, and which of its modules each CLI subcommand runs."""
+"""The package namespace, which of its modules each CLI subcommand runs, and the
+README's code."""
 
 import importlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +121,17 @@ class TestStartup:
                 "stats"], False)
         assert run("pitfalls", "--list") == (
             0, ["cli", "core", *MEASURES, "olsar", "pitfalls", "synth"], False)
+
+
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
+
+
+class TestReadme:
+    def test_has_python_blocks(self):
+        assert README_BLOCKS
+
+    @pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+    def test_python_block_runs(self, block):
+        exec(compile(README_BLOCKS[block], f"README.md python block {block}", "exec"), {})
