@@ -18,6 +18,11 @@ from importlib.machinery import PathFinder
 
 __version__ = "0.1.0"
 
+# every submodule needs numpy; without this check, Python 3.10-3.12 report its absence as an
+# ImportError naming another submodule (see the lazy loading below); find_spec imports nothing
+if importlib.util.find_spec("numpy") is None:
+    raise ModuleNotFoundError("forevalkit needs numpy, which is not installed", name="numpy")
+
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in {
     "core": "DataValidationError Dataset EmbeddedMatrix EvaluationFrame Forecaster ForevalError "

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ValidationError, json_object
+from .core import ValidationError, check_fields, json_object
 from .measures.registry import REGISTRY
 from .stats import TestResult
 
@@ -57,7 +57,8 @@ class CharacteristicProfile:
     ``structural_breaks`` is a set drawn from {"in_horizon", "in_training",
     "at_origin"}. ``outlier_preference`` chooses between robustness against
     outliers (the checklist's default reading) and capturing them, which
-    flips the outlier column's polarity.
+    flips the outlier column's polarity. Each field must hold a value of its
+    declared type: the flags ``true`` or ``false``, ``structural_breaks`` a list.
     """
 
     stationary_count_data: bool = False
@@ -65,7 +66,7 @@ class CharacteristicProfile:
     trend: str = "none"  # none | linear | exponential
     unit_roots: bool = False
     heteroscedasticity: bool = False
-    structural_breaks: frozenset = frozenset()
+    structural_breaks: frozenset[str] = frozenset()
     intermittency: bool = False
     outliers: bool = False
     outlier_preference: str = "robust"  # robust | capture
@@ -74,6 +75,7 @@ class CharacteristicProfile:
     scale_meaningful: bool = True
 
     def __post_init__(self):
+        check_fields(self, "profile")
         if self.trend not in ("none", "linear", "exponential"):
             raise ValidationError("trend must be none, linear or exponential")
         breaks = frozenset(self.structural_breaks)

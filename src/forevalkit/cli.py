@@ -26,7 +26,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .core import (DataValidationError, Dataset, Forecaster, ValidationError, _key_index,
-                   benchmark_frame, json_object)
+                   benchmark_frame, check_type, json_object)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,20 +74,6 @@ def _read_json(path) -> dict:
     return json_object(Path(path).read_text(encoding="utf-8"), str(path))
 
 
-def _default_seed(args_seed) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("FOREVALKIT_SEED")
-    if not env:
-        from .pitfalls import DEFAULT_SEED
-
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"FOREVALKIT_SEED must be an integer, got {env!r}") from None
-
-
 def _result_dict(r) -> dict:
     return {
         "measure": r.name,
@@ -118,7 +103,7 @@ def cmd_evaluate(args) -> int:
     frame = build_frame(dataset, read_forecast_csv(args.forecasts))
     suite = _read_json(args.suite)
     _reject_unknown(suite, ("measures", "policy", "benchmark", "seasonal_period"), "suite config")
-    policy = UndefinedPolicy.parse(args.policy or suite.get("policy", "propagate"))
+    policy = UndefinedPolicy.parse(suite.get("policy", "propagate"))
 
     measures = suite.get("measures")
     if not measures or not isinstance(measures, list):
@@ -366,10 +351,8 @@ def cmd_compare(args) -> int:
     horizon = config.get("horizon", 1)
     adjust = config.get("adjust", "holm")
     pairwise_kind = config.get("pairwise", "wilcoxon")
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise ValidationError(f"compare config 'alpha' must be a number, got {alpha!r}")
-    if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ValidationError(f"compare config 'horizon' must be an integer, got {horizon!r}")
+    check_type("compare config 'alpha'", alpha, float)
+    check_type("compare config 'horizon'", horizon, int)
     if pairwise_kind not in ("wilcoxon", "dm"):
         raise ValidationError(f"compare config 'pairwise' must be 'wilcoxon' or 'dm', got {pairwise_kind!r}")
     alpha = float(alpha)
@@ -443,6 +426,7 @@ def cmd_advise(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _read_json(args.profile)
     lengths = raw.pop("series_lengths", None)
+    check_type("profile series_lengths", lengths, float | tuple[float, ...] | None)
     model_class = raw.pop("model_class", "unknown")
     profile = CharacteristicProfile._from_dict(raw)
     recommendation = recommend_measures(profile, load_rule_table())
@@ -474,9 +458,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pitfalls(args) -> int:
-    from .pitfalls import list_scenarios, run_all, run_scenario
+    from .pitfalls import DEFAULT_SEED, list_scenarios, run_all, run_scenario
 
-    seed = _default_seed(args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.list:
         for scenario in list_scenarios():
             print(f"{scenario.name} [{scenario.topic}]: {scenario.description}")
@@ -526,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("series", help="series CSV (series_id,timestamp,value)")
     p.add_argument("forecasts", help="forecast CSV (series_id,origin,step,model,forecast)")
     p.add_argument("suite", help="measure suite JSON")
-    p.add_argument("--policy", choices=["propagate", "skip", "error"], default=None,
-                   help="undefined-value policy override")
     p.add_argument("--out", default="evaluate-out", help="output directory")
     p.set_defaults(func=cmd_evaluate)
 

@@ -12,7 +12,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,18 +65,61 @@ def json_object(text: str, what: str) -> dict:
     return data
 
 
+# per type: the classes it accepts, and one value and several described; a bool is not a number
+_TYPES = {bool: ((bool, np.bool_), "true or false", "booleans"),
+          int: ((int, np.integer), "an integer", "integers"),
+          float: ((int, float, np.integer, np.floating), "a number", "numbers"),
+          str: ((str,), "a string", "strings")}
+
+
+@functools.cache
+def _type_check(hint) -> tuple:
+    """``(classes, predicate, description)`` for values of type ``hint``: a ``_TYPES`` key,
+    a union (``X | None`` lets None through), or ``tuple[X, ...]`` or ``frozenset[X]``, given
+    as a list or tuple of X values (the frozenset also as a set). A value whose exact class
+    is in ``classes`` passes without the slower ``predicate``."""
+    args, origin = typing.get_args(hint), typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        classes, oks, what = zip(*(_type_check(a) for a in args if a is not type(None)))
+        none = {type(None)} if len(oks) < len(args) else set()
+        return frozenset(none).union(*classes), lambda v: any(ok(v) for ok in oks), " or ".join(what)
+    if origin:
+        each, several = _type_check(args[0])[1], _TYPES[args[0]][2]
+        seq = (list, tuple) if origin is tuple else (list, tuple, set, frozenset)
+        return frozenset(), lambda v: isinstance(v, seq) and all(map(each, v)), f"a list of {several}"
+    accepted, what, _ = _TYPES[hint]
+    bool_ok = hint is bool
+    return frozenset(accepted), lambda v: isinstance(v, accepted) and (bool_ok or type(v) is not bool), what
+
+
+def check_type(what: str, value, hint) -> None:
+    """A ``ValidationError`` naming ``what`` unless ``value`` is of type ``hint``."""
+    classes, ok, description = _type_check(hint)
+    if type(value) not in classes and not ok(value):
+        raise ValidationError(f"{what} must be {description}, got {value!r}")
+
+
+@functools.cache
+def _field_checks(cls) -> tuple:
+    return tuple((name, *_type_check(hint)) for name, hint in typing.get_type_hints(cls).items())
+
+
+def check_fields(obj, owner: str) -> None:
+    """``check_type`` on each field of the dataclass ``obj``, naming ``owner`` and the field.
+    Each class's annotations are resolved once."""
+    for name, classes, ok, description in _field_checks(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in classes and not ok(value):
+            raise ValidationError(f"{owner} {name} must be {description}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
-    """A single univariate series with strictly increasing integer timestamps.
-
-    ``frequency`` is the seasonal period m (e.g. 7 for daily data with a
-    weekly pattern); it is optional and never inferred.
-    """
+    """A single univariate series with strictly increasing integer timestamps."""
 
     id: str
     values: np.ndarray
     timestamps: np.ndarray | None = None
-    frequency: int | None = None
 
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
@@ -94,8 +140,6 @@ class TimeSeries:
                 raise ValidationError(f"series {self.id!r}: timestamps/values length mismatch")
             if not (ts[1:] > ts[:-1]).all():
                 raise ValidationError(f"series {self.id!r}: timestamps must be strictly increasing")
-        if self.frequency is not None and self.frequency < 2:
-            raise ValidationError(f"series {self.id!r}: frequency must be >= 2 when given")
         values.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -174,16 +218,12 @@ def mean_forecast(series: TimeSeries, origin: int, h: int) -> np.ndarray:
     return Forecaster("mean").forecast(series, origin, h)
 
 
-_BENCHMARK_KINDS = ("naive", "seasonal-naive", "mean", "external")
+_BENCHMARK_KINDS = ("naive", "seasonal-naive", "mean")
 
 
 @dataclass(frozen=True)
 class Forecaster:
-    """A benchmark forecaster, or a tag for externally supplied forecasts.
-
-    External forecasts enter the toolkit as data and are never fitted here;
-    asking an ``external`` forecaster to predict is an error.
-    """
+    """A benchmark forecaster. Forecasts of other models enter the toolkit as data."""
 
     kind: str
     period: int | None = None
@@ -191,9 +231,7 @@ class Forecaster:
     def __post_init__(self):
         if self.kind not in _BENCHMARK_KINDS:
             raise ValidationError(f"unknown forecaster kind {self.kind!r}; expected one of {_BENCHMARK_KINDS}")
-        if self.period is not None and (isinstance(self.period, bool)
-                                        or not isinstance(self.period, (int, np.integer))):
-            raise ValidationError(f"seasonal period must be an integer, got {self.period!r}")
+        check_type("seasonal period", self.period, int | None)
         if self.kind == "seasonal-naive" and (self.period is None or self.period < 1):
             raise ValidationError("seasonal-naive requires a positive seasonal period")
 
@@ -208,8 +246,6 @@ class Forecaster:
         Each row reads only positions <= its origin. The first origin out of
         range, or short of one seasonal period, is reported.
         """
-        if self.kind == "external":
-            raise ValidationError("external forecasts are read-only inputs and cannot be generated")
         if h < 1:
             raise ValidationError("horizon must be >= 1")
         values, m = series.values, self.period
@@ -540,13 +576,13 @@ class EvaluationFrame:
         return col[pos]
 
 
-def frame_from_records(records, models: list[str] | None = None) -> EvaluationFrame:
-    """Build a frame from (series_id, origin, step, actual, {model: forecast}) tuples."""
+def frame_from_records(records) -> EvaluationFrame:
+    """Build a frame from (series_id, origin, step, actual, {model: forecast}) tuples;
+    its models are every model named in some record, in sorted order."""
     records = list(records)
     if not records:
         raise ValidationError("no evaluation records")
-    if models is None:
-        models = sorted({m for *_, fc in records for m in fc})
+    models = sorted({m for *_, fc in records for m in fc})
     cols: dict[str, list[float]] = {m: [] for m in models}
     sids, origins, steps, actuals = [], [], [], []
     for sid, origin, step, actual, fc in records:

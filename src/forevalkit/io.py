@@ -131,7 +131,7 @@ def _series_row(sid: str, timestamp: str, value: str):
     return sid, ts, float(value)
 
 
-def read_series_csv(path, frequency: int | None = None) -> Dataset:
+def read_series_csv(path) -> Dataset:
     """Read a long-form series CSV into a dataset.
 
     Rows may arrive in any order. One stable sort on (series, timestamp)
@@ -145,7 +145,7 @@ def read_series_csv(path, frequency: int | None = None) -> Dataset:
     order = np.lexsort((timestamps, index.codes))
     bounds = index.starts.tolist()
     return Dataset(tuple(
-        TimeSeries(id=sid, values=values[rows], timestamps=timestamps[rows], frequency=frequency)
+        TimeSeries(id=sid, values=values[rows], timestamps=timestamps[rows])
         for sid, rows in zip(index.labels, map(order.__getitem__, map(slice, bounds, bounds[1:])))
     ))
 

@@ -35,14 +35,12 @@ class UndefinedPolicy:
     SKIP = "skip"
     ERROR = "error"
 
-    _ALIASES = {"propagate": PROPAGATE, "skip": SKIP, "skip-and-count": SKIP, "error": ERROR}
-
     @classmethod
     def parse(cls, value) -> str:
-        if not isinstance(value, str) or value not in cls._ALIASES:
+        if not isinstance(value, str) or value not in (cls.PROPAGATE, cls.SKIP, cls.ERROR):
             raise ValidationError(
                 f"unknown undefined-value policy {value!r}; expected propagate, skip or error")
-        return cls._ALIASES[value]
+        return value
 
 
 @dataclass(frozen=True)

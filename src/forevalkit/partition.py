@@ -1,8 +1,9 @@
 """Temporal and randomised data-partitioning schemes with leakage guards.
 
 Temporal schemes (fixed origin, rolling origin) index into a series of
-length n; randomised schemes (k-fold, blocked) index into the rows of an
-embedded matrix. All indices are 1-based. Folds expose indices only: the
+length n, as a ``SplitSpec`` declares them; randomised schemes
+(``kfold_splits``, ``blocked_splits``) index into the rows of an embedded
+matrix. All indices are 1-based. Folds expose indices only: the
 retrain policy for models is the caller's concern, and scaling factors for
 scaled measures must be computed from a fold's train indices only.
 
@@ -23,6 +24,7 @@ from .core import (
     EmbeddedMatrix,
     InsufficientHistoryError,
     ValidationError,
+    check_fields,
     json_object,
 )
 
@@ -40,17 +42,19 @@ __all__ = [
     "splits_for_series",
 ]
 
-_SCHEMES = ("fixed-origin", "rolling-origin", "kfold", "blocked")
+_TEMPORAL = ("fixed-origin", "rolling-origin")
+_SCHEMES = (*_TEMPORAL, "kfold", "blocked")
 _WINDOWS = ("expanding", "rolling")
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Declarative description of a partitioning scheme.
+    """Declarative description of a temporal partitioning scheme.
 
     ``stride`` lets rolling-origin evaluation skip origins. A
     ``window_length`` together with ``window="expanding"`` selects the hybrid
-    setup that expands until the window is full and then rolls.
+    setup that expands until the window is full and then rolls. Each field
+    must hold a value of its declared type.
     """
 
     scheme: str
@@ -59,13 +63,13 @@ class SplitSpec:
     stride: int = 1
     window: str = "expanding"
     window_length: int | None = None
-    k: int | None = None
-    gap: int = 0
-    shuffle_seed: int | None = None
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValidationError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
+        check_fields(self, "split spec")
+        if self.scheme not in _TEMPORAL:
+            raise ValidationError(f"split spec scheme must be one of {_TEMPORAL}, got {self.scheme!r}; k-fold "
+                                  "and blocked splits index an embedded matrix: use kfold_splits or "
+                                  "blocked_splits on embed(series, p)")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
         if self.stride < 1:
@@ -74,16 +78,8 @@ class SplitSpec:
             raise ValidationError(f"window must be one of {_WINDOWS}")
         if self.window == "rolling" and (self.window_length is None or self.window_length < 1):
             raise ValidationError("rolling window requires window_length >= 1")
-        if self.scheme in ("fixed-origin", "rolling-origin") and (
-            self.initial_train is None or self.initial_train < 1
-        ):
+        if self.initial_train is None or self.initial_train < 1:
             raise ValidationError(f"{self.scheme} requires initial_train >= 1")
-        if self.scheme == "kfold" and (self.k is None or self.k < 2):
-            raise ValidationError("kfold requires k >= 2")
-        if self.scheme == "blocked" and (self.k is None or self.k < 1):
-            raise ValidationError("blocked requires k >= 1")
-        if self.gap < 0:
-            raise ValidationError("gap must be >= 0")
 
     def to_json(self) -> str:
         return json.dumps({k: v for k, v in asdict(self).items() if v is not None}, indent=2)
@@ -288,7 +284,7 @@ def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
 
     # temporal order: max(train) against min(test)
     late = np.zeros(len(folds), dtype=bool)
-    if scheme in ("fixed-origin", "rolling-origin"):
+    if scheme in _TEMPORAL:
         t_max = _per_fold(np.maximum, train, train_starts, train_sizes)
         s_min = _per_fold(np.minimum, test, np.cumsum(test_sizes) - test_sizes, test_sizes)
         late = (train_sizes > 0) & (test_sizes > 0) & (t_max >= s_min)
@@ -314,12 +310,7 @@ def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
 
 
 def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:
-    """Apply a temporal split spec to one series (fixed or rolling origin)."""
+    """Apply a split spec to one series (fixed or rolling origin)."""
     if spec.scheme == "fixed-origin":
         return [fixed_origin_split(series_length, spec.initial_train, spec.horizon)]
-    if spec.scheme == "rolling-origin":
-        return rolling_origin_splits(series_length, spec)
-    raise ValidationError(
-        f"{spec.scheme!r} splits operate on an embedded matrix, not a raw series; "
-        "supply an embedding order p"
-    )
+    return rolling_origin_splits(series_length, spec)

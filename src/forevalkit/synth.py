@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import TimeSeries, ValidationError, json_object
+from .core import TimeSeries, ValidationError, check_fields, json_object
 
 __all__ = ["DgpSpec", "OutlierInjection", "generate", "inject_outliers", "derive_seed"]
 
@@ -49,7 +49,8 @@ class DgpSpec:
     """Parameters of one synthetic data-generating process.
 
     The ``composite`` kind layers level, linear trend, seasonal component,
-    level shift and (optionally ramped) noise additively.
+    level shift and (optionally ramped) noise additively. Each field must hold
+    a value of its declared type; ``ar_coefficients`` may be given as a list.
     """
 
     kind: str
@@ -75,6 +76,8 @@ class DgpSpec:
     series_id: str | None = None
 
     def __post_init__(self):
+        check_fields(self, "DGP spec")
+        object.__setattr__(self, "ar_coefficients", tuple(self.ar_coefficients))
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown DGP kind {self.kind!r}; expected one of {_KINDS}")
         if self.length < 1:
@@ -102,17 +105,12 @@ class DgpSpec:
             raise ValidationError("break_index must lie within the series")
 
     def to_json(self) -> str:
-        data = {k: v for k, v in asdict(self).items() if v is not None}
-        data["ar_coefficients"] = list(self.ar_coefficients)
-        return json.dumps(data, indent=2)
+        return json.dumps({k: v for k, v in asdict(self).items() if v is not None}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "DgpSpec":
-        data = json_object(text, "DGP spec")
-        if "ar_coefficients" in data:
-            data["ar_coefficients"] = tuple(data["ar_coefficients"])
         try:
-            return cls(**data)
+            return cls(**json_object(text, "DGP spec"))
         except TypeError as exc:
             raise ValidationError(f"bad DGP spec: {exc}") from None
 
@@ -252,7 +250,6 @@ def inject_outliers(
         values[i - 1] = new
         log.append((i, old, float(new)))
     return (
-        TimeSeries(id=series.id, values=values, timestamps=series.timestamps,
-                   frequency=series.frequency),
+        TimeSeries(id=series.id, values=values, timestamps=series.timestamps),
         log,
     )

@@ -40,8 +40,6 @@ class TestTimeSeries:
             TimeSeries(id="x", values=np.array([1.0, np.nan]))
         with pytest.raises(ValidationError):
             TimeSeries(id="x", values=np.array([1.0, 2.0]), timestamps=np.array([2, 1]))
-        with pytest.raises(ValidationError):
-            TimeSeries(id="x", values=np.array([1.0]), frequency=1)
 
     def test_immutable(self):
         s = ts([1, 2, 3])
@@ -149,10 +147,6 @@ class TestForecaster:
         assert Forecaster("seasonal-naive", period=2).forecast(s, 4, 1).tolist() == [3.0]
         assert Forecaster("mean").forecast(s, 4, 1).tolist() == [2.5]
 
-    def test_external_never_fits(self):
-        with pytest.raises(ValidationError):
-            Forecaster("external").forecast(ts([1]), 1, 1)
-
     def test_seasonal_requires_period(self):
         with pytest.raises(ValidationError):
             Forecaster("seasonal-naive")
@@ -217,8 +211,6 @@ class TestForecastOrigins:
                 Forecaster(kind).forecast_origins(s, [1, 0, 9], 2)
             with pytest.raises(ValidationError, match=r"^horizon must be >= 1$"):
                 Forecaster(kind).forecast_origins(s, [1], 0)
-        with pytest.raises(ValidationError, match="external forecasts"):
-            Forecaster("external").forecast_origins(s, [1], 1)
         with pytest.raises(ValidationError, match=r"^origins must be integers, got float64 values$"):
             naive_forecast(s, 2.5, 1)
 

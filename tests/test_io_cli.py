@@ -199,7 +199,7 @@ class TestBuildFrame:
             build_frame(ds, rows)
 
 
-def _reference_series(path, frequency=None):
+def _reference_series(path):
     """The series reader as it was before whole-file splitting: csv.reader row by row."""
     rows = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -226,8 +226,7 @@ def _reference_series(path, frequency=None):
     for sid, pairs in rows.items():
         pairs.sort(key=lambda p: p[0])
         series.append(TimeSeries(id=sid, values=np.array([p[1] for p in pairs]),
-                                 timestamps=np.array([p[0] for p in pairs], dtype=np.int64),
-                                 frequency=frequency))
+                                 timestamps=np.array([p[0] for p in pairs], dtype=np.int64)))
     return Dataset(tuple(series))
 
 
@@ -391,22 +390,22 @@ class TestReadersMatchRowByRow:
     timestamps and values, bit for bit, or the same error and text."""
 
     @settings(max_examples=300, deadline=None)
-    @given(text=_series_csv(), frequency=st.sampled_from([None, 4]), block=_BLOCKS)
+    @given(text=_series_csv(), block=_BLOCKS)
     # a NaN in series a, read first by the reference, and a timestamp beyond int64 in b
     @example(text="series_id,timestamp,value\na,1,nan\nb,9223372036854775808,0.0\na,-1,0.0\na,0,0.0",
-             frequency=None, block=forevalkit.io._BLOCK)
-    def test_series(self, text, frequency, block, tmp_path_factory):
+             block=forevalkit.io._BLOCK)
+    def test_series(self, text, block, tmp_path_factory):
         path = tmp_path_factory.mktemp("series") / "s.csv"
         path.write_bytes(text.encode("utf-8"))
 
         def summary(ds):
             if isinstance(ds, tuple):
                 return ds
-            return [(s.id, s.timestamps.tolist(), _bits(s.values), s.frequency) for s in ds]
+            return [(s.id, s.timestamps.tolist(), _bits(s.values)) for s in ds]
 
         with mock.patch.object(forevalkit.io, "_BLOCK", block):
-            got = _outcome(read_series_csv, path, frequency)
-        assert summary(got) == summary(_outcome(_reference_series, path, frequency))
+            got = _outcome(read_series_csv, path)
+        assert summary(got) == summary(_outcome(_reference_series, path))
 
     @settings(max_examples=300, deadline=None)
     @given(text=_forecast_csv(), block=_BLOCKS)
@@ -565,9 +564,9 @@ class TestCliEvaluate:
         (tmp_path / "fc.csv").write_text(
             "series_id,origin,step,model,forecast\na,1,1,m,1\na,2,1,m,2\n")
         suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"measures": ["MAPE"]}))
+        suite.write_text(json.dumps({"measures": ["MAPE"], "policy": "error"}))
         code = main(["evaluate", str(tmp_path / "series.csv"), str(tmp_path / "fc.csv"),
-                     str(suite), "--policy", "error", "--out", str(tmp_path / "o")])
+                     str(suite), "--out", str(tmp_path / "o")])
         assert code == 2
 
     def test_unknown_measure_exit_2(self, workdir):
@@ -723,12 +722,16 @@ class TestCliBacktest:
             "error: seasonal naive needs at least one full period of history for series 'a' "
             "(origin 3 < m 4)\n")
 
-    def test_kfold_on_raw_series_refused(self, workdir):
+    def test_kfold_on_raw_series_refused(self, workdir, capsys):
         split = workdir / "split.json"
-        split.write_text(json.dumps({"scheme": "kfold", "k": 5}))
+        split.write_text(json.dumps({"scheme": "kfold"}))
         code = main(["backtest", str(workdir / "series.csv"), str(split),
                      "--out", str(workdir / "bt")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: split spec scheme must be one of ('fixed-origin', 'rolling-origin'), got 'kfold'; "
+            "k-fold and blocked splits index an embedded matrix: use kfold_splits or blocked_splits "
+            "on embed(series, p)\n")
 
 
 class TestCliCompare:
@@ -1002,11 +1005,14 @@ class TestCliPitfalls:
         assert main(["pitfalls", "no-such-scenario"]) == 2
 
     def test_env_var_seed(self, tmp_path, monkeypatch, capsys):
+        # only --seed sets the seed; no environment variable does
+        from forevalkit.pitfalls import DEFAULT_SEED
+
         monkeypatch.setenv("FOREVALKIT_SEED", "31415")
         assert main(["pitfalls", "corr-ignores-constant-bias",
                      "--out", str(tmp_path / "p")]) == 0
         manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
-        assert manifest["seed"] == 31415
+        assert manifest["seed"] == DEFAULT_SEED
 
     def test_cross_process_determinism(self, tmp_path, subprocess_env):
         import subprocess
@@ -1232,7 +1238,36 @@ class TestCliInputErrors:
         with pytest.raises(ValidationError, match=f"{what} JSON must be an object"):
             cls.from_json("[1, 2]")
 
-    def test_non_integer_seed_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("FOREVALKIT_SEED", "abc")
-        self._fails_with_message(capsys, ["pitfalls", "corr-ignores-constant-bias"],
-                                 "FOREVALKIT_SEED must be an integer, got 'abc'")
+    @pytest.mark.parametrize("command, spec, message", [
+        ("backtest", {"scheme": "rolling-origin", "initial_train": 2.5},
+         "split spec initial_train must be an integer, got 2.5"),
+        ("backtest", {"scheme": "rolling-origin", "initial_train": 3, "stride": 1.5},
+         "split spec stride must be an integer, got 1.5"),
+        ("backtest", {"scheme": "fixed-origin", "initial_train": 3, "horizon": 1.5},
+         "split spec horizon must be an integer, got 1.5"),
+        ("backtest", {"scheme": "fixed-origin", "initial_train": 3, "horizon": True},
+         "split spec horizon must be an integer, got True"),
+        ("simulate", {"kind": "random-walk", "length": 5.5, "seed": 1},
+         "DGP spec length must be an integer, got 5.5"),
+        ("simulate", {"kind": "random-walk", "length": 5, "seed": 1.5},
+         "DGP spec seed must be an integer, got 1.5"),
+        ("simulate", {"kind": "random-walk", "length": True, "seed": 1},
+         "DGP spec length must be an integer, got True"),
+        ("simulate", {"kind": "ar", "length": 5, "seed": 1, "ar_coefficients": ["a"]},
+         "DGP spec ar_coefficients must be a list of numbers, got ['a']"),
+        ("simulate", {"kind": "seasonal", "length": 5, "seed": 1, "amplitude": 1.0, "period": 2.5},
+         "DGP spec period must be an integer, got 2.5"),
+        ("advise", {"seasonality": "no"}, "profile seasonality must be true or false, got 'no'"),
+        ("advise", {"structural_breaks": "in_horizon"},
+         "profile structural_breaks must be a list of strings, got 'in_horizon'"),
+        ("advise", {"series_lengths": [30, "x"]},
+         "profile series_lengths must be a number or a list of numbers, got [30, 'x']"),
+    ])
+    def test_mistyped_spec_field(self, workdir, capsys, command, spec, message):
+        path = workdir / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = {"backtest": [str(workdir / "series.csv"), str(path), "--out", str(workdir / "o")],
+                "simulate": [str(path), str(workdir / "sim.csv")],
+                "advise": [str(path), "--out", str(workdir / "o")]}[command]
+        assert main([command, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"

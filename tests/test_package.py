@@ -102,6 +102,19 @@ class TestStartup:
                              env=subprocess_env).stdout
         assert out == "[] False\n"
 
+    def test_missing_numpy_is_named(self):
+        # -I -S hide site-packages, so the child finds forevalkit but not numpy;
+        # -B keeps it from writing __pycache__ next to the sources
+        src = str(Path(forevalkit.__file__).resolve().parents[1])
+        code = (f"import sys, importlib.util; sys.path.insert(0, {src!r}); "
+                "print(importlib.util.find_spec('numpy') is None, flush=True); import forevalkit")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True)
+        if proc.stdout != "True\n":
+            pytest.skip("numpy is importable without site-packages")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ModuleNotFoundError: forevalkit needs numpy, which is not installed")
+
     def test_each_subcommand_runs_only_its_modules(self, inputs, subprocess_env):
         def run(*argv):  # (exit code, modules run, whether scipy was imported)
             out = subprocess.run([sys.executable, "-c", RUN, *argv], check=True, capture_output=True,

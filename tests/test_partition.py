@@ -15,7 +15,6 @@ from forevalkit import (
     leakage_check,
     leakage_checks,
     rolling_origin_splits,
-    splits_for_series,
 )
 from forevalkit.partition import Fold, LeakageReport
 
@@ -278,10 +277,10 @@ class TestSplitSpec:
         with pytest.raises(ValidationError):
             SplitSpec(scheme="rolling-origin", initial_train=10, horizon=0)
         with pytest.raises(ValidationError):
-            SplitSpec(scheme="kfold", k=1)
-        with pytest.raises(ValidationError):
             SplitSpec(scheme="rolling-origin", initial_train=10, window="rolling")
 
     def test_raw_series_kfold_refused(self):
-        with pytest.raises(ValidationError, match="embedded matrix"):
-            splits_for_series(100, SplitSpec(scheme="kfold", k=5))
+        for scheme in ("kfold", "blocked"):
+            with pytest.raises(ValidationError, match=f"got '{scheme}'; k-fold and blocked splits index an "
+                                                      "embedded matrix: use kfold_splits or blocked_splits"):
+                SplitSpec(scheme=scheme)

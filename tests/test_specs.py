@@ -1,0 +1,127 @@
+"""Every field of a split spec and of a DGP spec is read, and each holds a value
+of its declared type."""
+
+import dataclasses
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from forevalkit import (CharacteristicProfile, DgpSpec, Forecaster, SplitSpec, ValidationError,
+                        generate, splits_for_series)
+from forevalkit import core
+
+# SplitSpec field -> (a spec, another value of that field alone): the two specs
+# give different folds on a length-30 series, or only one of them is valid.
+SPLIT_CASES = {
+    "scheme": ({"scheme": "rolling-origin", "initial_train": 10}, "fixed-origin"),
+    "initial_train": ({"scheme": "rolling-origin", "initial_train": 10}, 12),
+    "horizon": ({"scheme": "fixed-origin", "initial_train": 10}, 3),
+    "stride": ({"scheme": "rolling-origin", "initial_train": 10}, 2),
+    # a rolling window of length L gives the folds of an expanding window capped at L;
+    # only its validity differs, for L > initial_train
+    "window": ({"scheme": "rolling-origin", "initial_train": 10, "window_length": 20}, "rolling"),
+    "window_length": ({"scheme": "rolling-origin", "initial_train": 10}, 5),
+}
+
+# DgpSpec field -> (changes to a 10-step random walk, another value of that field
+# alone): the two specs generate different series, or only one of them is valid.
+DGP_CASES = {
+    "kind": ({}, "linear-trend"),
+    "length": ({}, 11),
+    "seed": ({}, 2),
+    "noise_sd": ({}, 2.0),
+    "noise": ({}, "student-t"),
+    "t_df": ({"noise": "student-t"}, 10.0),
+    "level": ({}, 1.0),
+    "ar_coefficients": ({"kind": "ar", "ar_coefficients": (0.5,)}, (0.3,)),
+    "ar_intercept": ({"kind": "ar", "ar_coefficients": (0.5,)}, 1.0),
+    "allow_unit_root": ({"kind": "ar", "ar_coefficients": (1.0,)}, True),
+    "trend_slope": ({"kind": "linear-trend"}, 1.0),
+    "trend_rate": ({"kind": "exponential-trend"}, 0.1),
+    "trend_scale": ({"kind": "exponential-trend", "trend_rate": 0.1}, 2.0),
+    "period": ({"kind": "seasonal", "amplitude": 1.0}, 4),
+    "amplitude": ({"kind": "seasonal"}, 1.0),
+    "sigma_end_factor": ({"kind": "heteroscedastic"}, 3.0),
+    "break_index": ({"kind": "structural-break", "break_index": 5, "break_shift": 1.0}, 6),
+    "break_shift": ({"kind": "structural-break", "break_index": 5}, 1.0),
+    "zero_probability": ({"kind": "intermittent"}, 0.5),
+    "demand_rate": ({"kind": "intermittent"}, 6.0),
+    "series_id": ({}, "x"),
+}
+
+
+def _folds(spec: dict):
+    try:
+        return [(f.train_indices.tolist(), f.test_indices.tolist(), f.origin)
+                for f in splits_for_series(30, SplitSpec(**spec))]
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _series(spec: dict):
+    try:
+        s = generate(DgpSpec(**{"kind": "random-walk", "length": 10, "seed": 1, **spec}))
+    except ValidationError as exc:
+        return str(exc)
+    return s.id, s.values.tolist()
+
+
+@pytest.mark.parametrize("cls, cases", [(SplitSpec, SPLIT_CASES), (DgpSpec, DGP_CASES)])
+def test_each_field_has_a_case(cls, cases):
+    assert list(cases) == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls, cases, outcome, name", [
+    *((SplitSpec, SPLIT_CASES, _folds, f.name) for f in dataclasses.fields(SplitSpec)),
+    *((DgpSpec, DGP_CASES, _series, f.name) for f in dataclasses.fields(DgpSpec)),
+])
+def test_each_field_is_read(cls, cases, outcome, name):
+    if name not in cases:
+        pytest.fail(f"no case shows that {cls.__name__}.{name} is read")
+    spec, value = cases[name]
+    before, after = outcome(spec), outcome({**spec, name: value})
+    assert before != after
+    assert not (isinstance(before, str) and isinstance(after, str))
+
+
+class TestFieldTypes:
+    def test_numpy_scalars_pass(self):
+        spec = DgpSpec(kind="ar", length=np.int64(10), seed=np.uint64(2**63), noise_sd=np.float32(1),
+                       ar_coefficients=[np.float64(0.5)], allow_unit_root=np.bool_(False))
+        assert spec.ar_coefficients == (0.5,)
+        assert SplitSpec(scheme="fixed-origin", initial_train=np.int32(5)).initial_train == 5
+        assert Forecaster("seasonal-naive", np.int64(4)).period == 4
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DgpSpec(kind="random-walk", length=10, seed=1, noise_sd=True),
+         "DGP spec noise_sd must be a number, got True"),
+        (lambda: DgpSpec(kind="ar", length=10, seed=1, ar_coefficients={0.5}),
+         "DGP spec ar_coefficients must be a list of numbers, got {0.5}"),
+        (lambda: DgpSpec(kind="random-walk", length=10, seed=1, series_id=3),
+         "DGP spec series_id must be a string, got 3"),
+        (lambda: SplitSpec(scheme="rolling-origin", initial_train=5, window_length="5"),
+         "split spec window_length must be an integer, got '5'"),
+        (lambda: CharacteristicProfile(structural_breaks=["in_horizon", 1]),
+         "profile structural_breaks must be a list of strings, got ['in_horizon', 1]"),
+        (lambda: CharacteristicProfile(trend=None), "profile trend must be a string, got None"),
+    ])
+    def test_wrong_type_names_the_field(self, make, message):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_union_names_each_type(self):
+        core.check_type("lengths", [30, 40.5], float | tuple[float, ...] | None)
+        core.check_type("lengths", None, float | tuple[float, ...] | None)
+        with pytest.raises(ValidationError, match=r"^lengths must be a number or a list of numbers, "
+                                                  r"got \[30, False\]$"):
+            core.check_type("lengths", [30, False], float | tuple[float, ...] | None)
+
+    def test_annotations_resolved_once_per_class(self):
+        core._field_checks.cache_clear()
+        with mock.patch("typing.get_type_hints", wraps=core.typing.get_type_hints) as hints:
+            for seed in range(3):
+                DgpSpec(kind="random-walk", length=10, seed=seed)
+                SplitSpec(scheme="fixed-origin", initial_train=5)
+        assert [call.args for call in hints.call_args_list] == [(DgpSpec,), (SplitSpec,)]
