@@ -11,6 +11,7 @@ import numpy as np
 
 from forevalkit import (
     DgpSpec,
+    Forecaster,
     SplitSpec,
     TimeSeries,
     blocked_splits,
@@ -19,7 +20,6 @@ from forevalkit import (
     generate,
     kfold_splits,
     leakage_check,
-    naive_forecast,
     rolling_origin_splits,
 )
 
@@ -48,7 +48,7 @@ print("rolling-window train sizes:",
 for fold in folds:
     check = leakage_check(fold, "rolling-origin")
     assert check.passed, check.violations
-    forecast = naive_forecast(series, fold.origin, fold.test_size)
+    forecast = Forecaster("naive").forecast_origins(series, [fold.origin], fold.test_size)[0]
     actual = series.values[fold.test_indices - 1]
     mae = float(np.abs(actual - forecast).mean())
     print(f"origin {fold.origin}: naive MAE over h={fold.test_size} -> {mae:.3f}")

@@ -26,8 +26,7 @@ if importlib.util.find_spec("numpy") is None:
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in {
     "core": "DataValidationError Dataset EmbeddedMatrix EvaluationFrame Forecaster ForevalError "
-            "InsufficientHistoryError TimeSeries ValidationError benchmark_frame embed "
-            "frame_from_records mean_forecast naive_forecast seasonal_naive_forecast",
+            "InsufficientHistoryError TimeSeries ValidationError benchmark_frame embed",
     "measures": "MeasureResult MeasureSpec RankTable UndefinedPolicy UndefinedValueError "
                 "WeightVector critical_event_percentage evaluate measure_names percentage_better "
                 "rank_models spec_for summarize",

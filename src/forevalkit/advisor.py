@@ -309,24 +309,25 @@ def recommend_partitioning(
     series_lengths,
     model_class: str = "unknown",
     residual_check: TestResult | None = None,
-    min_length_for_rolling: int = 100,
 ) -> PartitioningAdvice:
     """Choose a partitioning scheme from data volume and model class.
 
-    Long series always get rolling-origin evaluation. Short series with a
-    pure autoregressive model can use randomised k-fold splits, but only
-    once a residual autocorrelation check passes; a failed check means the
-    model underfits and should be improved before any splitting strategy is
-    trusted. Short series with stateful or unknown models fall back to
-    rolling-origin with an expanding window.
+    Long series (every length at least 100) always get rolling-origin
+    evaluation. Short series with a pure autoregressive model can use
+    randomised k-fold splits, but only once a residual autocorrelation check
+    passes; a failed check means the model underfits and should be improved
+    before any splitting strategy is trusted. Short series with stateful or
+    unknown models fall back to rolling-origin with an expanding window.
     """
     lengths = np.atleast_1d(np.asarray(series_lengths, dtype=float))
+    if lengths.size == 0:
+        raise ValidationError("series lengths must not be empty")
     if (lengths <= 0).any():
         raise ValidationError("series lengths must be positive")
     if model_class not in ("pure-AR", "stateful", "unknown"):
         raise ValidationError("model_class must be pure-AR, stateful or unknown")
 
-    if lengths.min() >= min_length_for_rolling:
+    if lengths.min() >= 100:
         return PartitioningAdvice(
             scheme="rolling-origin",
             rationale="enough data: rolling-origin evaluation is the procedure of choice",

@@ -430,7 +430,7 @@ def cmd_advise(args) -> int:
     model_class = raw.pop("model_class", "unknown")
     profile = CharacteristicProfile._from_dict(raw)
     recommendation = recommend_measures(profile, load_rule_table())
-    if lengths:
+    if lengths is not None:
         advice = recommend_partitioning(lengths, model_class=model_class)
         recommendation = replace(recommendation, partitioning_advice=advice)
     _write_json(out_dir / "recommendation.json", recommendation.to_dict())

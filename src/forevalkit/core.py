@@ -31,9 +31,6 @@ __all__ = [
     "EvaluationFrame",
     "Groups",
     "EmbeddedMatrix",
-    "naive_forecast",
-    "seasonal_naive_forecast",
-    "mean_forecast",
     "embed",
 ]
 
@@ -193,37 +190,18 @@ class Dataset:
             raise KeyError(f"unknown series id {series_id!r}") from None
 
 
-def naive_forecast(series: TimeSeries, origin: int, h: int) -> np.ndarray:
-    """Repeat the last known observation over the horizon.
-
-    Optimal for a random walk; the baseline every comparison should include.
-    """
-    return Forecaster("naive").forecast(series, origin, h)
-
-
-def seasonal_naive_forecast(series: TimeSeries, origin: int, h: int, m: int) -> np.ndarray:
-    """Repeat the value from one seasonal period earlier, per step.
-
-    The forecast at step k is y at position origin + k - m*ceil(k/m); with
-    m = 1 this degenerates to the naive forecast.
-    """
-    return Forecaster("seasonal-naive", m).forecast(series, origin, h)
-
-
-def mean_forecast(series: TimeSeries, origin: int, h: int) -> np.ndarray:
-    """Forecast the mean of the history up to the origin, repeated over the horizon.
-
-    Uses only positions <= origin; nothing after the origin can change the output.
-    """
-    return Forecaster("mean").forecast(series, origin, h)
-
-
 _BENCHMARK_KINDS = ("naive", "seasonal-naive", "mean")
 
 
 @dataclass(frozen=True)
 class Forecaster:
-    """A benchmark forecaster. Forecasts of other models enter the toolkit as data."""
+    """A benchmark forecaster. Forecasts of other models enter the toolkit as data.
+
+    ``naive`` repeats the last known observation, which is optimal for a random
+    walk. ``seasonal-naive`` forecasts step k with y at position origin + k -
+    m*ceil(k/m), m being ``period``; m = 1 gives the naive forecast. ``mean``
+    repeats the mean of the history up to the origin.
+    """
 
     kind: str
     period: int | None = None
@@ -234,10 +212,6 @@ class Forecaster:
         check_type("seasonal period", self.period, int | None)
         if self.kind == "seasonal-naive" and (self.period is None or self.period < 1):
             raise ValidationError("seasonal-naive requires a positive seasonal period")
-
-    def forecast(self, series: TimeSeries, origin: int, h: int) -> np.ndarray:
-        """Forecasts for steps 1..h from one origin."""
-        return self.forecast_origins(series, [origin], h)[0]
 
     def forecast_origins(self, series: TimeSeries, origins, h: int) -> np.ndarray:
         """Forecasts for steps 1..h from each of several origins of one series.
@@ -521,10 +495,6 @@ class EvaluationFrame:
         return list(self.forecasts)
 
     @property
-    def horizon(self) -> int:
-        return int(self.steps.max())
-
-    @property
     def n_rows(self) -> int:
         return self.actuals.size
 
@@ -576,27 +546,6 @@ class EvaluationFrame:
         return col[pos]
 
 
-def frame_from_records(records) -> EvaluationFrame:
-    """Build a frame from (series_id, origin, step, actual, {model: forecast}) tuples;
-    its models are every model named in some record, in sorted order."""
-    records = list(records)
-    if not records:
-        raise ValidationError("no evaluation records")
-    models = sorted({m for *_, fc in records for m in fc})
-    cols: dict[str, list[float]] = {m: [] for m in models}
-    sids, origins, steps, actuals = [], [], [], []
-    for sid, origin, step, actual, fc in records:
-        sids.append(sid)
-        origins.append(origin)
-        steps.append(step)
-        actuals.append(actual)
-        for m in models:
-            if m not in fc:
-                raise ValidationError(f"record ({sid!r}, {origin}, {step}) lacks forecast for model {m!r}")
-            cols[m].append(fc[m])
-    return EvaluationFrame(sids, origins, steps, actuals, {m: np.array(v) for m, v in cols.items()})
-
-
 def benchmark_frame(
     dataset: Dataset,
     frame: EvaluationFrame,
@@ -633,8 +582,9 @@ def benchmark_frame(
     # one forecast row per window; windows run by series code, then origin
     window_codes, window_origins = windows.labels.T
     bounds = np.searchsorted(window_codes, np.arange(len(index) + 1)).tolist()
-    forecasts = np.empty((len(windows), frame.horizon))
+    h = int(frame.steps.max())
+    forecasts = np.empty((len(windows), h))
     for j, s in enumerate(series):
         at = slice(bounds[j], bounds[j + 1])
-        forecasts[at] = fc.forecast_origins(s, window_origins[at], frame.horizon)
+        forecasts[at] = fc.forecast_origins(s, window_origins[at], h)
     return frame._with_forecasts({name or kind: forecasts[windows.codes, frame.steps - 1]})

@@ -31,15 +31,12 @@ def _lags(values, p: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(m.predictors[:, ::-1]), m.targets
 
 
-def fit_ar(values, p: int, intercept: bool = True) -> ArFit:
-    """Fit an order-p autoregression on levels by ordinary least squares."""
+def fit_ar(values, p: int) -> ArFit:
+    """Fit an order-p autoregression with an intercept on levels by ordinary least squares."""
     X, y = _lags(values, p)
-    if intercept:
-        X = np.column_stack([np.ones(y.size), X])
+    X = np.column_stack([np.ones(y.size), X])
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    if intercept:
-        return ArFit(order=p, intercept=float(beta[0]), coefficients=beta[1:].copy())
-    return ArFit(order=p, intercept=0.0, coefficients=beta.copy())
+    return ArFit(order=p, intercept=float(beta[0]), coefficients=beta[1:].copy())
 
 
 def one_step_predictions(fit: ArFit, values) -> np.ndarray:

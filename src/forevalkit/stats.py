@@ -456,8 +456,9 @@ def cd_diagram_data(posthoc: PostHocResult) -> CdLayout:
     )
 
 
-def render_cd_text(layout: CdLayout, width: int = 60) -> str:
-    """Monospace critical-difference diagram (stable across runs, CI-diffable)."""
+def render_cd_text(layout: CdLayout) -> str:
+    """Monospace critical-difference diagram, 60 columns wide (stable across runs, CI-diffable)."""
+    width = 60
     lo, hi = layout.axis_min, layout.axis_max
     span = max(hi - lo, 1e-12)
 
@@ -487,8 +488,9 @@ def render_cd_text(layout: CdLayout, width: int = 60) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_cd_svg(layout: CdLayout, width: int = 640) -> str:
-    """Self-contained SVG critical-difference diagram."""
+def render_cd_svg(layout: CdLayout) -> str:
+    """Self-contained SVG critical-difference diagram, 640 pixels wide."""
+    width = 640
     lo, hi = layout.axis_min, layout.axis_max
     span = max(hi - lo, 1e-12)
     margin = 40.0

@@ -187,9 +187,9 @@ def generate(spec: DgpSpec) -> TimeSeries:
 class OutlierInjection:
     """Where and how to corrupt a series with outliers.
 
-    Either explicit 1-based ``indices`` or a ``rate`` of randomly chosen
-    positions. ``mode`` is ``multiply`` or ``add``; ``direction`` chooses
-    pushing values up, down, or a random mix.
+    Either explicit 1-based ``indices`` (a list or tuple of integers) or a
+    ``rate`` of randomly chosen positions. ``mode`` is ``multiply`` or
+    ``add``; ``direction`` chooses pushing values up, down, or a random mix.
     """
 
     indices: tuple[int, ...] | None = None
@@ -199,6 +199,7 @@ class OutlierInjection:
     direction: str = "high"
 
     def __post_init__(self):
+        check_fields(self, "outlier injection")
         if (self.indices is None) == (self.rate is None):
             raise ValidationError("give exactly one of indices or rate")
         if self.rate is not None and not 0.0 <= self.rate <= 1.0:

@@ -175,6 +175,8 @@ class TestRecommendPartitioning:
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
             recommend_partitioning(0)
+        with pytest.raises(ValidationError, match="^series lengths must not be empty$"):
+            recommend_partitioning([])
         with pytest.raises(ValidationError):
             recommend_partitioning(100, model_class="magic")
 

@@ -14,10 +14,6 @@ from forevalkit import (
     ValidationError,
     benchmark_frame,
     embed,
-    frame_from_records,
-    mean_forecast,
-    naive_forecast,
-    seasonal_naive_forecast,
 )
 from forevalkit.core import Groups, _key_index, _row_sum
 from forevalkit.measures import evaluate
@@ -27,6 +23,11 @@ from forevalkit.olsar import ArFit, fit_ar, one_step_predictions
 
 def ts(values, **kw):
     return TimeSeries(id=kw.pop("id", "s"), values=np.asarray(values, dtype=float), **kw)
+
+
+def forecast(series, origin, h, kind="naive", m=None):
+    """The forecast from one origin: the one row of ``forecast_origins``."""
+    return Forecaster(kind, m).forecast_origins(series, [origin], h)[0]
 
 
 class TestTimeSeries:
@@ -69,37 +70,37 @@ class TestDataset:
 
 class TestNaiveForecast:
     def test_definition(self):
-        assert naive_forecast(ts([1, 2, 3]), 3, 2).tolist() == [3.0, 3.0]
+        assert forecast(ts([1, 2, 3]), 3, 2).tolist() == [3.0, 3.0]
 
     def test_single_point(self):
-        assert naive_forecast(ts([5]), 1, 1).tolist() == [5.0]
+        assert forecast(ts([5]), 1, 1).tolist() == [5.0]
 
     def test_rolling_use(self):
         s = ts([1, 2, 3, 4, 5])
-        assert naive_forecast(s, 3, 1).tolist() == [3.0]
-        assert naive_forecast(s, 4, 1).tolist() == [4.0]
+        assert forecast(s, 3, 1).tolist() == [3.0]
+        assert forecast(s, 4, 1).tolist() == [4.0]
 
     def test_origin_out_of_range(self):
         with pytest.raises(ValidationError):
-            naive_forecast(ts([1, 2, 3]), 4, 1)
+            forecast(ts([1, 2, 3]), 4, 1)
         with pytest.raises(ValidationError):
-            naive_forecast(ts([1, 2, 3]), 0, 1)
+            forecast(ts([1, 2, 3]), 0, 1)
 
     def test_constant_over_horizon(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 30))
             s = ts(rng.normal(0, 1, n))
             origin = int(rng.integers(1, n + 1))
-            f = naive_forecast(s, origin, 7)
+            f = forecast(s, origin, 7)
             assert np.ptp(f) == 0.0
 
 
 class TestSeasonalNaive:
     def test_period_lookup(self):
-        assert seasonal_naive_forecast(ts([1, 2, 1, 2]), 4, 2, 2).tolist() == [1.0, 2.0]
+        assert forecast(ts([1, 2, 1, 2]), 4, 2, "seasonal-naive", 2).tolist() == [1.0, 2.0]
 
     def test_m1_degenerates_to_naive(self):
-        assert seasonal_naive_forecast(ts([1, 2, 3]), 3, 2, 1).tolist() == [3.0, 3.0]
+        assert forecast(ts([1, 2, 3]), 3, 2, "seasonal-naive", 1).tolist() == [3.0, 3.0]
 
     def test_m1_equals_naive_fuzz(self, rng):
         for _ in range(100):
@@ -108,44 +109,44 @@ class TestSeasonalNaive:
             origin = int(rng.integers(1, n + 1))
             h = int(rng.integers(1, 10))
             assert np.array_equal(
-                seasonal_naive_forecast(s, origin, h, 1), naive_forecast(s, origin, h)
+                forecast(s, origin, h, "seasonal-naive", 1), forecast(s, origin, h)
             )
 
     def test_wraps_full_period(self):
-        assert seasonal_naive_forecast(ts([10, 20, 30]), 3, 4, 3).tolist() == [10.0, 20.0, 30.0, 10.0]
+        assert forecast(ts([10, 20, 30]), 3, 4, "seasonal-naive", 3).tolist() == [10.0, 20.0, 30.0, 10.0]
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistoryError, match=r"for series 's' \(origin 2 < m 3\)$"):
-            seasonal_naive_forecast(ts([1, 2, 3]), 2, 1, 3)
+            forecast(ts([1, 2, 3]), 2, 1, "seasonal-naive", 3)
 
 
 class TestMeanForecast:
     def test_arithmetic_mean(self):
-        assert mean_forecast(ts([2, 4]), 2, 1).tolist() == [3.0]
+        assert forecast(ts([2, 4]), 2, 1, "mean").tolist() == [3.0]
 
     def test_constant_series(self):
-        assert mean_forecast(ts([5, 5, 5]), 3, 4).tolist() == [5.0] * 4
+        assert forecast(ts([5, 5, 5]), 3, 4, "mean").tolist() == [5.0] * 4
 
     def test_prefix_only_no_leakage(self):
-        assert mean_forecast(ts([1, 2, 3, 4]), 2, 2).tolist() == [1.5, 1.5]
+        assert forecast(ts([1, 2, 3, 4]), 2, 2, "mean").tolist() == [1.5, 1.5]
 
     def test_perturbing_future_never_changes_output(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 30))
             values = rng.normal(0, 3, n)
             origin = int(rng.integers(1, n))
-            base = mean_forecast(ts(values), origin, 3)
+            base = forecast(ts(values), origin, 3, "mean")
             perturbed = values.copy()
             perturbed[origin] += rng.normal(0, 100)
-            assert np.array_equal(base, mean_forecast(ts(perturbed), origin, 3))
+            assert np.array_equal(base, forecast(ts(perturbed), origin, 3, "mean"))
 
 
 class TestForecaster:
     def test_kinds(self):
         s = ts([1, 2, 3, 4])
-        assert Forecaster("naive").forecast(s, 4, 1).tolist() == [4.0]
-        assert Forecaster("seasonal-naive", period=2).forecast(s, 4, 1).tolist() == [3.0]
-        assert Forecaster("mean").forecast(s, 4, 1).tolist() == [2.5]
+        assert Forecaster("naive").forecast_origins(s, [4], 1)[0].tolist() == [4.0]
+        assert Forecaster("seasonal-naive", period=2).forecast_origins(s, [4], 1)[0].tolist() == [3.0]
+        assert Forecaster("mean").forecast_origins(s, [4], 1)[0].tolist() == [2.5]
 
     def test_seasonal_requires_period(self):
         with pytest.raises(ValidationError):
@@ -177,14 +178,10 @@ class TestForecastOrigins:
         s = ts(values)
         batch = fc.forecast_origins(s, origins, h)
         assert batch.shape == (len(origins), h)
-        scalar = {"naive": lambda o: naive_forecast(s, o, h),
-                  "mean": lambda o: mean_forecast(s, o, h),
-                  "seasonal-naive": lambda o: seasonal_naive_forecast(s, o, h, m)}[kind]
         for row, origin in zip(batch, origins):
             want = _one_origin(kind, values, origin, h, m).tobytes()
             assert row.tobytes() == want
-            assert fc.forecast(s, origin, h).tobytes() == want
-            assert scalar(origin).tobytes() == want
+            assert fc.forecast_origins(s, [origin], h)[0].tobytes() == want
 
     def test_origin_equal_to_period_and_horizon_past_it(self):
         s = ts([1, 2, 3, 4, 5, 6, 7])
@@ -212,7 +209,7 @@ class TestForecastOrigins:
             with pytest.raises(ValidationError, match=r"^horizon must be >= 1$"):
                 Forecaster(kind).forecast_origins(s, [1], 0)
         with pytest.raises(ValidationError, match=r"^origins must be integers, got float64 values$"):
-            naive_forecast(s, 2.5, 1)
+            forecast(s, 2.5, 1)
 
 
 class TestEmbed:
@@ -298,32 +295,30 @@ class TestEvaluationFrame:
                             [1.0] * 5, {"m": np.ones(5)})
 
     def test_dense_across_models(self):
-        with pytest.raises(ValidationError):
-            frame_from_records([("a", 1, 1, 1.0, {"m1": 1.0}), ("a", 1, 2, 2.0, {"m2": 2.0})])
+        # a model that lacks a forecast for some key has a shorter column
+        with pytest.raises(ValidationError, match=r"^model 'm2': forecast column length mismatch$"):
+            EvaluationFrame(["a", "a"], [1, 1], [1, 2], [1.0, 2.0], {"m1": np.ones(2), "m2": np.ones(1)})
 
     def test_actuals_model_invariant(self):
-        frame = frame_from_records(
-            [("a", 1, k, float(k), {"m1": 0.0, "m2": 1.0}) for k in (1, 2)]
-        )
+        frame = EvaluationFrame(["a", "a"], [1, 1], [1, 2], [1.0, 2.0],
+                                {"m1": np.zeros(2), "m2": np.ones(2)})
         # actuals are stored once per key, so they cannot differ per model
         assert frame.actuals.tolist() == [1.0, 2.0]
         assert set(frame.models) == {"m1", "m2"}
 
     def test_model_column_needs_disambiguation(self):
-        frame = frame_from_records([("a", 1, 1, 1.0, {"m1": 1.0, "m2": 2.0})])
+        frame = EvaluationFrame(["a"], [1], [1], [1.0], {"m1": np.array([1.0]), "m2": np.array([2.0])})
         with pytest.raises(ValidationError):
             frame.model_column()
 
     def test_align_benchmark_missing_key(self):
-        frame = frame_from_records([("a", 1, 1, 1.0, {"m": 1.0}), ("a", 1, 2, 2.0, {"m": 1.0})])
-        bench = frame_from_records([("a", 1, 1, 1.0, {"b": 1.0})])
+        frame = _keys_frame([("a", 1, 1), ("a", 1, 2)], np.array([1.0, 2.0]))
+        bench = EvaluationFrame(["a"], [1], [1], [1.0], {"b": np.array([1.0])})
         with pytest.raises(ValidationError, match=r"missing key \('a', 1, 2\)"):
             frame.align_benchmark(bench)
         # rows in another order, plus keys the frame does not hold
-        superset = frame_from_records([
-            ("b", 1, 1, 0.0, {"b": 9.0}), ("a", 1, 2, 2.0, {"b": 20.0}),
-            ("a", 2, 1, 0.0, {"b": 8.0}), ("a", 1, 1, 1.0, {"b": 10.0}),
-        ])
+        superset = EvaluationFrame(["b", "a", "a", "a"], [1, 1, 2, 1], [1, 2, 1, 1], [0.0, 2.0, 0.0, 1.0],
+                                   {"b": np.array([9.0, 20.0, 8.0, 10.0])})
         assert frame.align_benchmark(superset).tolist() == [10.0, 20.0]
 
     @settings(max_examples=200, deadline=None)

@@ -956,6 +956,14 @@ class TestCliAdvise:
         assert rec["partitioning_advice"]["scheme"] == "kfold"
         assert any("Ljung-Box" in c for c in rec["partitioning_advice"]["checks"])
 
+    @pytest.mark.parametrize("lengths, message", [(0, "series lengths must be positive"),
+                                                  ([], "series lengths must not be empty")])
+    def test_falsy_series_lengths_exit_2(self, tmp_path, capsys, lengths, message):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"series_lengths": lengths}))
+        assert main(["advise", str(profile), "--out", str(tmp_path / "adv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_flag_exit_2(self, tmp_path):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"made_up_flag": True}))

@@ -267,7 +267,7 @@ class TestRelativeMeasures:
         r = evaluate("AvgRelMAE", fr, benchmark=b)
         assert r.value == pytest.approx(1.0, abs=1e-12)  # sqrt(0.5 * 2)
 
-    def test_rse_mean_forecast_is_one(self, rng):
+    def test_rse_of_the_mean_is_one(self, rng):
         y = rng.uniform(1, 10, 8)
         fr = frame(y, np.full(8, y.mean()))
         assert evaluate("RSE", fr).value == pytest.approx(1.0, rel=1e-12)

@@ -1,7 +1,7 @@
-"""The package namespace, which of its modules each CLI subcommand runs, and the
-README's code."""
+"""The package namespace, the names the benchmark's tracer wraps, which of its
+modules each CLI subcommand runs, and the README's code."""
 
-import importlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -12,12 +12,11 @@ import pytest
 
 import forevalkit
 
-# the public names of each submodule, as the package has always exported them
+# the public names of each submodule
 PUBLIC = {
     "core": ["DataValidationError", "Dataset", "EmbeddedMatrix", "EvaluationFrame", "Forecaster",
              "ForevalError", "InsufficientHistoryError", "TimeSeries", "ValidationError",
-             "benchmark_frame", "embed", "frame_from_records", "mean_forecast", "naive_forecast",
-             "seasonal_naive_forecast"],
+             "benchmark_frame", "embed"],
     "measures": ["MeasureResult", "MeasureSpec", "RankTable", "UndefinedPolicy", "UndefinedValueError",
                  "WeightVector", "critical_event_percentage", "evaluate", "measure_names",
                  "percentage_better", "rank_models", "spec_for", "summarize"],
@@ -37,7 +36,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 class TestNamespace:
     def test_all_is_the_public_names(self):
-        assert len(NAMES) == 68
+        assert len(NAMES) == 64
         assert forevalkit.__all__ == NAMES
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])
@@ -57,6 +56,26 @@ class TestNamespace:
         del namespace["__builtins__"]
         assert sorted(namespace) == sorted(NAMES)
         assert "core" not in namespace and "stats" not in namespace
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function or method ``perfbench/tracer.py`` wraps still exists, so removing
+    or renaming one fails here and not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for module_name, attr, _, _ in tracer.TARGETS:
+        owner, _, name = attr.rpartition(".")
+        namespace = vars(importlib.import_module(module_name))
+        if owner:
+            namespace = vars(namespace[owner]) if owner in namespace else {}
+        if name not in namespace:
+            unresolved.append(f"{module_name}.{attr}")
+    assert tracer.TARGETS and not unresolved, f"perfbench traces names that do not resolve: {unresolved}"
 
 
 # Runs one CLI command in a fresh interpreter, then prints the forevalkit
@@ -137,7 +156,7 @@ class TestStartup:
 
 
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                           (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+                           (REPO / "README.md").read_text(),
                            re.MULTILINE | re.DOTALL)
 
 

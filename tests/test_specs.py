@@ -7,8 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from forevalkit import (CharacteristicProfile, DgpSpec, Forecaster, SplitSpec, ValidationError,
-                        generate, splits_for_series)
+from forevalkit import (CharacteristicProfile, DgpSpec, Forecaster, OutlierInjection, SplitSpec,
+                        ValidationError, generate, splits_for_series)
 from forevalkit import core
 
 # SplitSpec field -> (a spec, another value of that field alone): the two specs
@@ -105,6 +105,12 @@ class TestFieldTypes:
         (lambda: CharacteristicProfile(structural_breaks=["in_horizon", 1]),
          "profile structural_breaks must be a list of strings, got ['in_horizon', 1]"),
         (lambda: CharacteristicProfile(trend=None), "profile trend must be a string, got None"),
+        (lambda: OutlierInjection(indices=(2.7,)),
+         "outlier injection indices must be a list of integers, got (2.7,)"),
+        (lambda: OutlierInjection(rate=0.1, magnitude="10"),
+         "outlier injection magnitude must be a number, got '10'"),
+        (lambda: OutlierInjection(indices=(True,)),
+         "outlier injection indices must be a list of integers, got (True,)"),
     ])
     def test_wrong_type_names_the_field(self, make, message):
         with pytest.raises(ValidationError) as exc:
