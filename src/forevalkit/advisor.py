@@ -360,12 +360,12 @@ def recommend_partitioning(
     )
 
 
-def intermittency_hint(values, threshold: float = 0.5) -> bool:
-    """Heuristic intermittency hint: more than ``threshold`` of values are zero.
+def intermittency_hint(values) -> bool:
+    """Heuristic intermittency hint: more than half of the values are zero.
 
     Convenience only; characteristics are declared by the user, not detected.
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValidationError("empty series")
-    return bool((v == 0).mean() > threshold)
+    return bool((v == 0).mean() > 0.5)

@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (DataValidationError, Dataset, Forecaster, ValidationError, _key_index,
-                   benchmark_frame, check_type, json_object)
+from .core import (DataValidationError, Dataset, Forecaster, InsufficientHistoryError, ValidationError,
+                   _key_index, benchmark_frame, check_type, json_object)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,17 +164,22 @@ def cmd_backtest(args) -> int:
     from .io import read_series_csv, write_folds_csv
     from .partition import LeakageError, SplitSpec, leakage_checks, splits_for_series
 
+    benchmarks = args.benchmark or ["naive"]
+    if repeated := [kind for i, kind in enumerate(benchmarks) if kind in benchmarks[:i]]:
+        raise ValidationError(f"--benchmark {repeated[0]} given more than once")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = read_series_csv(args.series)
     spec = SplitSpec.from_json(Path(args.split).read_text(encoding="utf-8"))
-    benchmarks = args.benchmark or ["naive"]
     forecasters = {kind: Forecaster(kind, args.seasonal_period) for kind in benchmarks}
 
     all_folds = []
     fold_reports = []
     for series in dataset:
-        folds = splits_for_series(len(series), spec)
+        try:
+            folds = splits_for_series(len(series), spec)
+        except InsufficientHistoryError as exc:
+            raise InsufficientHistoryError(f"series {series.id!r}: {exc}") from None
         # numbered across all series, as in folds.csv
         fold_ids = range(len(all_folds) + 1, len(all_folds) + len(folds) + 1)
         for fold_id, report in zip(fold_ids, leakage_checks(folds, spec.scheme)):

@@ -242,8 +242,8 @@ class Forecaster:
         if self.kind == "naive":
             level = values[origins - 1]
         else:
-            # a mean per prefix keeps numpy's pairwise summation; a cumsum would not
-            level = np.array([values[:o].mean() for o in origins.tolist()])
+            # mean() divides the same pairwise sum by the count, so this is bit-equal; a cumsum is not
+            level = np.array([values[:o].sum() for o in origins.tolist()]) / origins
         return np.repeat(level[:, None], h, axis=1)
 
 
@@ -551,10 +551,10 @@ def benchmark_frame(
     frame: EvaluationFrame,
     kind: str = "naive",
     period: int | None = None,
-    name: str | None = None,
 ) -> EvaluationFrame:
-    """Benchmark forecasts on the keys of ``frame``: a single-model frame on the
-    frame's series ids, origins, steps and actuals, in frame order.
+    """Benchmark forecasts on the keys of ``frame``: a single-model frame, its
+    model named ``kind``, on the frame's series ids, origins, steps and
+    actuals, in frame order.
 
     Forecasts are produced per origin from the series prefix only, so no
     information after the origin leaks into the benchmark. The frame's own
@@ -587,4 +587,4 @@ def benchmark_frame(
     for j, s in enumerate(series):
         at = slice(bounds[j], bounds[j + 1])
         forecasts[at] = fc.forecast_origins(s, window_origins[at], h)
-    return frame._with_forecasts({name or kind: forecasts[windows.codes, frame.steps - 1]})
+    return frame._with_forecasts({kind: forecasts[windows.codes, frame.steps - 1]})

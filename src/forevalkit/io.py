@@ -47,7 +47,7 @@ def _check_header(actual: list[str] | None, expected: list[str], path) -> None:
         raise ValidationError(f"{path}: expected header {','.join(expected)}, got {','.join(got)}")
 
 
-_BLOCK = 1 << 16  # bytes of rows split at once: bounds the cells and arrays alive together
+_BLOCK = 1 << 16  # bytes of rows split, or fold indices written, at once: bounds what is alive together
 
 
 def _split(raw: bytes, header: list[str], parsers) -> list | None:
@@ -285,32 +285,48 @@ def write_matrix_csv(path, series_ids: list, results) -> None:
         writer.writerows(zip(series_ids, *cells))
 
 
+def _index_rows(blocks) -> str:
+    """The rows ``f"{head}{i}\\r\\n"`` of (head, indices) blocks. A run of
+    consecutive indices in a block is one slice of the lines ``f"\\x1f{i}\\r\\n"``
+    over at most twice the index count, its marks replaced by the head; a run
+    beyond them (negative, huge or sparse indices) is formatted index by index."""
+    flat = np.concatenate([indices for _, indices in blocks])
+    ends = np.cumsum([indices.size for _, indices in blocks])
+    starts = np.ones(flat.size + 1, dtype=bool)  # where a run starts, and the end
+    starts[1:-1] = flat[1:] != flat[:-1] + 1
+    starts[ends[:-1]] = True
+    bounds = np.flatnonzero(starts)
+    lo = int(flat.min())
+    lines = [f"\x1f{i}\r\n" for i in range(lo, min(int(flat.max()), lo + 2 * flat.size) + 1)]
+    offsets, text, rows = np.cumsum([0, *map(len, lines)]).tolist(), "".join(lines), []
+    for a, z, first, last, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), flat[bounds[:-1]].tolist(),
+                                    flat[bounds[1:] - 1].tolist(), np.searchsorted(ends, bounds[:-1], "right").tolist()):
+        if 0 <= first - lo <= last - lo < len(lines):  # first > last: a run that wrapped past the int64 maximum
+            rows.append(text[offsets[first - lo]:offsets[last - lo + 1]].replace("\x1f", blocks[b][0]))
+        else:
+            rows.append("".join(f"{blocks[b][0]}{i}\r\n" for i in flat[a:z].tolist()))
+    return "".join(rows)
+
+
 def write_folds_csv(path, folds) -> None:
     """Export folds as rows of (fold_id, role, index), 1-based indices.
 
     The bytes are those ``csv.writer`` would write, ``\\r\\n`` line ends
-    included. Each (fold, role) block is one ``str.join`` over index strings
-    made once, written before the next fold is read, so the file is never
-    held in memory.
+    included. The (fold, role) index blocks are written about ``_BLOCK``
+    indices at a time, a long block in pieces, so the file is never held in
+    memory, and by runs of consecutive indices, so the views of one positions
+    array that make rolling-origin folds cost little per index.
     """
     path = Path(path)
-    # text[i] == str(i) for 0 <= i < len(text). A block that misses grows it
-    # by at most twice its own length plus one, so it stays within the
-    # file's size. A dict, so that a negative index misses, not wraps round.
-    text: dict[int, str] = {}
+    blocks, size = [], 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("fold_id,role,index\r\n")
         for fold_id, fold in enumerate(folds, start=1):
             for role, indices in (("train", fold.train_indices), ("test", fold.test_indices)):
-                values = indices.tolist()
-                if not values:
-                    continue
-                head = f"{fold_id},{role},"
-                try:
-                    fields = list(map(text.__getitem__, values))
-                except KeyError:
-                    top = max(values)
-                    if min(values) >= 0 and top - len(text) <= len(values):
-                        text.update((i, str(i)) for i in range(len(text), top + len(values) + 1))
-                    fields = list(map(str, values))
-                fh.write(head + f"\r\n{head}".join(fields) + "\r\n")
+                for at in range(0, indices.size, _BLOCK):
+                    blocks.append((f"{fold_id},{role},", indices[at:at + _BLOCK]))
+                    size += blocks[-1][1].size
+                    if size >= _BLOCK:
+                        fh.write(_index_rows(blocks))
+                        blocks, size = [], 0
+        fh.write(_index_rows(blocks) if blocks else "")

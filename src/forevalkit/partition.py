@@ -3,9 +3,10 @@
 Temporal schemes (fixed origin, rolling origin) index into a series of
 length n, as a ``SplitSpec`` declares them; randomised schemes
 (``kfold_splits``, ``blocked_splits``) index into the rows of an embedded
-matrix. All indices are 1-based. Folds expose indices only: the
-retrain policy for models is the caller's concern, and scaling factors for
-scaled measures must be computed from a fold's train indices only.
+matrix. All indices are 1-based. Folds expose indices only, as read-only
+arrays; rolling-origin folds are views of one positions array. The retrain
+policy for models is the caller's concern, and scaling factors for scaled
+measures must be computed from a fold's train indices only.
 
 ``leakage_checks`` screens many folds at once (a series' rolling origins,
 say) with whole-array operations and returns one report per fold;
@@ -95,7 +96,8 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class Fold:
-    """One train/test partition. ``origin`` is set for temporal schemes only."""
+    """One train/test partition. ``origin`` is set for temporal schemes only.
+    The indices are read-only int64 arrays; an int64 array is kept, not copied."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
@@ -142,7 +144,8 @@ def rolling_origin_splits(series_length: int, spec: SplitSpec) -> list[Fold]:
     Expanding windows train on 1..origin; rolling windows keep the last
     window_length points; an expanding window with window_length set expands
     first and then rolls. Partial tails (origins where the horizon no longer
-    fits) are dropped.
+    fits) are dropped. Every fold's indices are read-only views of one
+    positions array 1..series_length.
     """
     if spec.scheme != "rolling-origin":
         raise ValidationError(f"expected a rolling-origin spec, got {spec.scheme!r}")
@@ -153,21 +156,17 @@ def rolling_origin_splits(series_length: int, spec: SplitSpec) -> list[Fold]:
         )
     if spec.window == "rolling" and spec.window_length > t0:
         raise ValidationError("rolling window_length cannot exceed initial_train")
+    positions = np.arange(1, series_length + 1, dtype=np.int64)
+    positions.setflags(write=False)
     folds = []
-    origin = t0
-    while origin + h <= series_length:
+    for origin in range(t0, series_length - h + 1, spec.stride):
         if spec.window == "rolling":
             start = origin - spec.window_length + 1
         elif spec.window_length is not None:  # hybrid: expand, then roll
             start = max(1, origin - spec.window_length + 1)
         else:
             start = 1
-        folds.append(Fold(
-            train_indices=np.arange(start, origin + 1),
-            test_indices=np.arange(origin + 1, origin + h + 1),
-            origin=origin,
-        ))
-        origin += spec.stride
+        folds.append(Fold(positions[start - 1:origin], positions[origin:origin + h], origin))
     return folds
 
 

@@ -140,6 +140,13 @@ class TestMeanForecast:
             perturbed[origin] += rng.normal(0, 100)
             assert np.array_equal(base, forecast(ts(perturbed), origin, 3, "mean"))
 
+    def test_equals_the_prefix_mean_bit_for_bit(self, rng):
+        # 300 origins cross numpy's 8- and 128-element pairwise summation blocks
+        values = rng.normal(0, 1e3, 300) * rng.choice([1e-9, 1.0, 1e9], 300)
+        got = Forecaster("mean").forecast_origins(ts(values), np.arange(1, 301), 2)
+        want = np.array([values[:o].mean() for o in range(1, 301)])
+        assert got[:, 0].tobytes() == got[:, 1].tobytes() == want.tobytes()
+
 
 class TestForecaster:
     def test_kinds(self):
@@ -545,12 +552,12 @@ class TestBenchmarkFrame:
         calls = []
         monkeypatch.setattr(Groups, "of", lambda keys: calls.append("Groups.of"))
         monkeypatch.setattr(forevalkit.core, "_key_index", lambda *a: calls.append("_key_index"))
-        bf = benchmark_frame(ds, frame, kind="naive", name="nv")
+        bf = benchmark_frame(ds, frame, kind="naive")
         assert calls == []
         for index in ("series_index", "windows", "key_order"):
             assert getattr(bf, index) is getattr(frame, index)
-        assert bf.forecasts["nv"].tolist() == [8.0, 2.0, 8.0, 4.0]
-        assert not bf.forecasts["nv"].flags.writeable
+        assert bf.forecasts["naive"].tolist() == [8.0, 2.0, 8.0, 4.0]
+        assert not bf.forecasts["naive"].flags.writeable
         assert frame.models == ["m"]
 
     def test_unknown_series_rejected(self):

@@ -150,6 +150,9 @@ _INDICES = st.one_of(
 class TestFoldsCsv:
     @settings(max_examples=150, deadline=None)
     @given(folds=st.lists(st.builds(Fold, _INDICES, _INDICES), max_size=12))
+    @example(folds=[Fold(range(1, 70_001), [70_001, 70_002])])  # one block longer than a chunk
+    @example(folds=[Fold([-3, 5, 5, 2, 25_000, 2 ** 40], range(1, 70_001)),  # one chunk mixes them
+                    Fold([2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1], [20_001, 20_002, 7, 7])])
     def test_bytes_match_csv_writer(self, folds, tmp_path_factory):
         base = tmp_path_factory.getbasetemp()
         write_folds_csv(base / "got.csv", folds)
@@ -721,6 +724,44 @@ class TestCliBacktest:
         assert capsys.readouterr().err == (
             "error: seasonal naive needs at least one full period of history for series 'a' "
             "(origin 3 < m 4)\n")
+
+    def test_short_series_named_exit_2(self, workdir, capsys):
+        (workdir / "series.csv").write_text(SERIES_CSV + "c,1,5\nc,2,6\n")
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 3, "horizon": 1}))
+        code = main(["backtest", str(workdir / "series.csv"), str(split), "--out", str(workdir / "bt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: series 'c': initial_train 3 + horizon 1 exceeds series length 2\n")
+
+    def test_repeated_benchmark_exit_2(self, workdir, capsys):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 3, "horizon": 1}))
+        code = main(["backtest", str(workdir / "series.csv"), str(split), "--benchmark", "mean",
+                     "--benchmark", "naive", "--benchmark", "mean", "--out", str(workdir / "bt")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --benchmark mean given more than once\n"
+        assert not (workdir / "bt").exists()
+
+    def test_long_rolling_origin_folds_and_mean_scores(self, tmp_path):
+        rng = np.random.default_rng(7)
+        ds = Dataset(tuple(TimeSeries(id=sid, values=rng.normal(0, 1e3, 400) * rng.choice([1e-6, 1e6], 400))
+                           for sid in ("a", "b", "c")))
+        write_series_csv(tmp_path / "series.csv", ds)
+        spec = SplitSpec("rolling-origin", initial_train=150)
+        (tmp_path / "split.json").write_text(spec.to_json())
+        out = tmp_path / "bt"
+        assert main(["backtest", str(tmp_path / "series.csv"), str(tmp_path / "split.json"),
+                     "--seasonal-period", "7", "--out", str(out),
+                     *[a for k in ("naive", "seasonal-naive", "mean") for a in ("--benchmark", k)]]) == 0
+        folds = [fold for s in ds for fold in forevalkit.partition.splits_for_series(len(s), spec)]
+        _csv_writer_folds(tmp_path / "want.csv", folds)
+        assert (out / "folds.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        report = json.loads((out / "report.json").read_text())["folds"]
+        assert len(report) == 3 * 250
+        for entry in report:
+            y, o = ds[entry["series"]].values, entry["origin"]
+            assert entry["models"]["mean"]["MAE"] == float(np.abs(y[o] - y[:o].mean()))
 
     def test_kfold_on_raw_series_refused(self, workdir, capsys):
         split = workdir / "split.json"

@@ -93,6 +93,20 @@ class TestRollingOrigin:
                 60, self.spec(initial_train=10, window="rolling", window_length=20)
             )
 
+    @pytest.mark.parametrize("window, window_length", [("expanding", None), ("rolling", 10),
+                                                        ("expanding", 15)])
+    def test_folds_are_read_only_views(self, window, window_length):
+        spec = self.spec(initial_train=10, horizon=4, stride=3, window=window, window_length=window_length)
+        folds = rolling_origin_splits(60, spec)
+        for fold in folds:
+            for indices in (fold.train_indices, fold.test_indices):
+                assert indices.dtype == np.int64 and not indices.flags.writeable
+                with pytest.raises(ValueError):
+                    indices.setflags(write=True)
+        for a, b in zip(folds, folds[1:]):
+            assert np.shares_memory(a.train_indices, b.train_indices)
+            assert np.shares_memory(a.test_indices, b.train_indices)
+
     def test_partial_tails_dropped(self):
         folds = rolling_origin_splits(12, self.spec(initial_train=8, horizon=3, stride=2))
         assert [f.origin for f in folds] == [8]  # origin 10 would need up to index 13
