@@ -14,6 +14,19 @@ sorted key ids, with no per-pair Python join or sort.
 Each command imports the modules it uses when it runs, so an invocation
 runs only its own command's modules (see the package docstring).
 
+Each command runs BLAS on one thread: importing this module before numpy
+sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set. The products a command
+makes are too small to gain from a second thread, yet each process would
+start OpenBLAS's thread pool (numpy's, and for ``compare`` scipy's too),
+whose workers spin while they wait; and a threaded dot product rounds
+differently from a one-thread one, so outputs such as CORR on a long
+series would depend on the host's CPU count. Library calls keep the
+caller's BLAS setting: a numpy loaded before this module is left as it
+is. ``main`` also pauses the cyclic garbage collector while a command
+runs, since its passes over the command's many live objects (the decoded
+reports, for ``compare``) find almost nothing to free.
+
 Exit codes: 0 success, 2 usage/config problems (including unreadable
 input files and malformed compare reports), 3 leakage or data validation
 failures (``LeakageError`` and the other ``DataValidationError``s).
@@ -23,12 +36,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# The one-thread pin must come before numpy's first import, which ``from .core
+# import`` would also make. It stays set, so scipy's own OpenBLAS, loaded at
+# compare's first p-value, starts one thread too.
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -557,6 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -565,6 +589,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

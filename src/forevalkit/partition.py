@@ -258,7 +258,9 @@ def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
     the test region; randomised schemes permit future rows in train by
     design (valid for pure autoregressive setups). All folds are checked
     together, with whole-array operations over their concatenated indices;
-    the reports come back in fold order.
+    the reports come back in fold order. Each fold's train and test index
+    ranges come first, and only folds whose closed ranges meet are searched
+    index by index for an overlap (none of a rolling-origin split's folds).
     """
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}")
@@ -269,24 +271,28 @@ def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
     train_sizes = np.array([f.train_size for f in folds], dtype=np.int64)
     test_sizes = np.array([f.test_size for f in folds], dtype=np.int64)
     train_starts = np.cumsum(train_sizes) - train_sizes
-    train_fold = np.repeat(np.arange(len(folds)), train_sizes)
+    test_starts = np.cumsum(test_sizes) - test_sizes
+    t_min, t_max = (_per_fold(r, train, train_starts, train_sizes) for r in (np.minimum, np.maximum))
+    s_min, s_max = (_per_fold(r, test, test_starts, test_sizes) for r in (np.minimum, np.maximum))
+    both = (train_sizes > 0) & (test_sizes > 0)
 
-    # overlap: train (fold, index) codes found among the test ones
+    # overlap: train (fold, index) codes found among the test ones, in the
+    # folds whose closed train and test ranges meet
+    meet = both & (t_min <= s_max) & (s_min <= t_max)
     shared = np.zeros(train.size, dtype=bool)
-    if train.size and test.size:
-        lo = min(train.min(), test.min())
-        span = max(train.max(), test.max()) - lo + 1
-        test_fold = np.repeat(np.arange(len(folds)), test_sizes)
-        shared = np.isin(train_fold * span + (train - lo), test_fold * span + (test - lo))
     overlapping = np.zeros(len(folds), dtype=bool)
-    overlapping[train_fold[shared]] = True
+    if meet.any():
+        met = np.flatnonzero(meet)
+        lo = min(t_min[met].min(), s_min[met].min())
+        span = max(t_max[met].max(), s_max[met].max()) - lo + 1
+        in_train, in_test = np.repeat(meet, train_sizes), np.repeat(meet, test_sizes)
+        train_fold, test_fold = np.repeat(met, train_sizes[met]), np.repeat(met, test_sizes[met])
+        found = np.isin(train_fold * span + (train[in_train] - lo), test_fold * span + (test[in_test] - lo))
+        shared[in_train] = found
+        overlapping[train_fold[found]] = True
 
     # temporal order: max(train) against min(test)
-    late = np.zeros(len(folds), dtype=bool)
-    if scheme in _TEMPORAL:
-        t_max = _per_fold(np.maximum, train, train_starts, train_sizes)
-        s_min = _per_fold(np.minimum, test, np.cumsum(test_sizes) - test_sizes, test_sizes)
-        late = (train_sizes > 0) & (test_sizes > 0) & (t_max >= s_min)
+    late = both & (t_max >= s_min) if scheme in _TEMPORAL else np.zeros(len(folds), dtype=bool)
 
     reports = [_PASSED] * len(folds)
     for i in np.flatnonzero(overlapping | late).tolist():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forevalkit import (
@@ -235,6 +235,9 @@ class TestLeakageChecks:
            bad=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
                                   st.sampled_from(["overlap", "order", "random"])), max_size=3),
            scheme=st.sampled_from(["fixed-origin", "rolling-origin", "kfold", "blocked"]))
+    # seed 34 draws origin 4 and h 1: train [5, 1, 2, 3, 4] and test [5], so
+    # train's largest index is test's smallest and that index is shared
+    @example(seed=34, n_folds=1, bad=[(0.0, "overlap")], scheme="kfold")
     def test_matches_direct_rule(self, seed, n_folds, bad, scheme):
         rng = np.random.default_rng(seed)
         folds = []
