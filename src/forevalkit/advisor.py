@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ValidationError, check_fields, json_object
+from .core import ValidationError, check_fields, from_fields, json_object
 from .measures.registry import REGISTRY
 from .stats import TestResult
 
@@ -111,14 +111,7 @@ class CharacteristicProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "CharacteristicProfile":
-        return cls._from_dict(json_object(text, "profile"))
-
-    @classmethod
-    def _from_dict(cls, data: dict) -> "CharacteristicProfile":
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"bad profile: {exc}") from None
+        return from_fields(cls, json_object(text, "profile"), "profile")
 
 
 @dataclass(frozen=True)
@@ -305,6 +298,11 @@ _LJUNG_BOX_CHECK = (
 )
 
 
+def _check_model_class(model_class) -> None:
+    if model_class not in ("pure-AR", "stateful", "unknown"):
+        raise ValidationError("model_class must be pure-AR, stateful or unknown")
+
+
 def recommend_partitioning(
     series_lengths,
     model_class: str = "unknown",
@@ -324,8 +322,7 @@ def recommend_partitioning(
         raise ValidationError("series lengths must not be empty")
     if (lengths <= 0).any():
         raise ValidationError("series lengths must be positive")
-    if model_class not in ("pure-AR", "stateful", "unknown"):
-        raise ValidationError("model_class must be pure-AR, stateful or unknown")
+    _check_model_class(model_class)
 
     if lengths.min() >= 100:
         return PartitioningAdvice(

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import __version__
 from .core import (DataValidationError, Dataset, Forecaster, InsufficientHistoryError, ValidationError,
-                   _key_index, benchmark_frame, check_type, json_object)
+                   _key_index, benchmark_frame, check_type, from_fields, json_object, reject_unknown)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -108,13 +108,6 @@ def _result_dict(r) -> dict:
     }
 
 
-def _reject_unknown(config: dict, allowed: tuple, what: str) -> None:
-    """A key of ``config`` outside ``allowed`` is a ``ValidationError``, so a misspelt key is not ignored."""
-    unknown = [k for k in config if k not in allowed]
-    if unknown:
-        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; allowed keys are {list(allowed)}")
-
-
 def cmd_evaluate(args) -> int:
     from .io import build_frame, read_forecast_csv, read_series_csv, write_matrix_csv
     from .measures import UndefinedPolicy, evaluate, spec_for
@@ -124,7 +117,7 @@ def cmd_evaluate(args) -> int:
     dataset = read_series_csv(args.series)
     frame = build_frame(dataset, read_forecast_csv(args.forecasts))
     suite = _read_json(args.suite)
-    _reject_unknown(suite, ("measures", "policy", "benchmark", "seasonal_period"), "suite config")
+    reject_unknown(suite, ("measures", "policy", "benchmark", "seasonal_period"), "suite config")
     policy = UndefinedPolicy.parse(suite.get("policy", "propagate"))
 
     measures = suite.get("measures")
@@ -135,14 +128,16 @@ def cmd_evaluate(args) -> int:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise ValidationError(
                 f"suite measures entry {entry!r} is neither a name nor an object with 'name'")
-        _reject_unknown(entry, ("name", "constants", "series_summary"),
-                        f"suite measures entry {entry['name']!r}")
+        reject_unknown(entry, ("name", "constants", "series_summary"),
+                       f"suite measures entry {entry['name']!r}")
 
-    bench_frame = None
-    bench_kind = suite.get("benchmark")
-    if bench_kind:
-        bench_frame = benchmark_frame(dataset, frame, kind=bench_kind,
-                                      period=suite.get("seasonal_period"))
+    bench_kind, period = suite.get("benchmark"), suite.get("seasonal_period")
+    check_type("seasonal period", period, int | None)
+    if period is not None and bench_kind != "seasonal-naive":
+        raise ValidationError("suite config 'seasonal_period' is read only by the seasonal-naive benchmark; "
+                              "MASE's seasonal period is the measure's constants.seasonal_period")
+    bench_frame = None if bench_kind is None else benchmark_frame(dataset, frame, kind=bench_kind,
+                                                                  period=period)
 
     index = frame.series_index
     first_origins = frame.origins[frame.key_order[index.starts[:-1]]]
@@ -372,7 +367,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _read_json(args.config) if args.config else {}
-    _reject_unknown(config, ("measure", "alpha", "horizon", "adjust", "pairwise"), "compare config")
+    reject_unknown(config, ("measure", "alpha", "horizon", "adjust", "pairwise"), "compare config")
     measure = config.get("measure", "RMSE")
     alpha = config.get("alpha", 0.05)
     horizon = config.get("horizon", 1)
@@ -386,8 +381,8 @@ def cmd_compare(args) -> int:
 
     reports = [_read_report(p) for p in args.reports]
     losses = _losses_by_key(reports)
-    scores, series = _collect_scores(reports, measure)
     ascending = not spec_for(measure).higher_is_better
+    scores, series = _collect_scores(reports, measure)
     table = rank_models(scores, ascending=ascending)
 
     fried = friedman(table, alpha=alpha)
@@ -447,7 +442,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
+    from .advisor import (CharacteristicProfile, _check_model_class, load_rule_table, recommend_measures,
+                          recommend_partitioning)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -455,7 +451,8 @@ def cmd_advise(args) -> int:
     lengths = raw.pop("series_lengths", None)
     check_type("profile series_lengths", lengths, float | tuple[float, ...] | None)
     model_class = raw.pop("model_class", "unknown")
-    profile = CharacteristicProfile._from_dict(raw)
+    _check_model_class(model_class)
+    profile = from_fields(CharacteristicProfile, raw, "profile")
     recommendation = recommend_measures(profile, load_rule_table())
     if lengths is not None:
         advice = recommend_partitioning(lengths, model_class=model_class)

@@ -16,7 +16,7 @@ import functools
 import json
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,22 @@ def json_object(text: str, what: str) -> dict:
     if not isinstance(data, dict):
         raise ValidationError(f"{what} JSON must be an object")
     return data
+
+
+def reject_unknown(config: dict, allowed: tuple, what: str) -> None:
+    """A key of ``config`` outside ``allowed`` is a ``ValidationError``, so a misspelt key is not ignored."""
+    unknown = [k for k in config if k not in allowed]
+    if unknown:
+        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; allowed keys are {list(allowed)}")
+
+
+def from_fields(cls, data: dict, what: str):
+    """Dataclass ``cls`` from a parsed JSON object; an unknown or missing field is a ``ValidationError``."""
+    reject_unknown(data, tuple(f.name for f in fields(cls)), what)
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ValidationError(f"bad {what}: {exc}") from None
 
 
 # per type: the classes it accepts, and one value and several described; a bool is not a number

@@ -2,10 +2,11 @@
 
 ``evaluate`` computes one measure for one model over an evaluation frame.
 The measure's registry entry names its term function in one of three
-tables: step terms, summarised under the undefined-value policy; per-series
-values; and pooled ratios of sums. The engine handles the policy, per-series
-scale factors computed strictly from supplied train values, benchmark
-alignment, and weighting. Summaries are ``core.Groups`` reductions: the
+tables: step terms, summarised under the undefined-value policy; ratios,
+a numerator and a denominator per series or (``ratio-of-sums``) over all
+rows; and other per-series values. The engine handles the policy,
+per-series scale factors computed strictly from supplied train values,
+benchmark alignment, and weighting. Summaries are ``core.Groups`` reductions: the
 pooled value is the one-group case, and every result also carries the
 measure per series from the same terms.
 """
@@ -387,12 +388,7 @@ _STEP_TERMS = {
 }
 
 
-# ---- per-series values: (values, defined), one per series -------------------
-
-def _ratio_of(fn):
-    """Per-series ``num / den`` of ``fn(x, groups)``, defined where ``den`` is not 0."""
-    return lambda x: _ratios(x, fn, x.groups)
-
+# ---- ratios: (numerator, denominator) per group of rows ----------------------
 
 def _rtae(x: _Inputs, g: Groups):
     clamp = x.consts["clamp"]
@@ -401,6 +397,31 @@ def _rtae(x: _Inputs, g: Groups):
         x.flags.append(_WINSORISED_FLAG)
     return num, np.maximum(clamp, raw_den)
 
+
+def _rse(x: _Inputs, g: Groups):
+    return np.sqrt(g.sum(x.e * x.e)), np.sqrt(g.sum((x.y - g.expand(g.mean(x.y))) ** 2))
+
+
+def _nwrmsle(x: _Inputs, g: Groups):
+    l, w = _log(x)[0], x.w
+    return g.sum(w * l * l), g.sum(w)
+
+
+_RATIOS = {
+    "ratio:wape": lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y))),
+    "ratio:swape": lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y) + np.abs(x.f))),
+    "ratio:wrmspe": lambda x, g: (g.sum(x.e * x.e), g.sum(np.abs(x.y))),
+    "ratio:rtae": _rtae,
+    "ratio:relmae": lambda x, g: (g.mean(np.abs(x.e)), g.mean(np.abs(x.e_b))),
+    "ratio:relmse": lambda x, g: (g.mean(x.e ** 2), g.mean(x.e_b ** 2)),
+    "ratio:nrmse": lambda x, g: (np.sqrt(g.mean(x.e * x.e)), g.mean(np.abs(x.y))),
+    "ratio:rse": _rse,
+    "ratio:nwrmsle": _nwrmsle,
+    "ratio:wmae": lambda x, g: (g.sum(x.w * np.abs(x.e)), g.sum(x.w)),
+}
+
+
+# ---- per-series values: (values, defined), one per series -------------------
 
 def _correlations(x: _Inputs):
     g = x.groups
@@ -416,35 +437,7 @@ def _correlations(x: _Inputs):
     return values, defined
 
 
-_SERIES_VALUES = {
-    "series:wape": _ratio_of(lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y)))),
-    "series:swape": _ratio_of(lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y) + np.abs(x.f)))),
-    "series:wrmspe": _ratio_of(lambda x, g: (g.sum(x.e * x.e), g.sum(np.abs(x.y)))),
-    "series:rtae": _ratio_of(_rtae),
-    "series:relmae": _ratio_of(lambda x, g: (g.mean(np.abs(x.e)), g.mean(np.abs(x.e_b)))),
-    "series:relmse": _ratio_of(lambda x, g: (g.mean(x.e ** 2), g.mean(x.e_b ** 2))),
-    "series:corr": _correlations,
-}
-
-
-# ---- pooled ratios: (numerator, denominator) per group of rows ---------------
-
-def _rse(x: _Inputs, g: Groups):
-    return np.sqrt(g.sum(x.e * x.e)), np.sqrt(g.sum((x.y - g.expand(g.mean(x.y))) ** 2))
-
-
-def _nwrmsle(x: _Inputs, g: Groups):
-    l, w = _log(x)[0], x.w
-    return g.sum(w * l * l), g.sum(w)
-
-
-_POOLED_RATIOS = {
-    "pooled:nd": lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y))),
-    "pooled:nrmse": lambda x, g: (np.sqrt(g.mean(x.e * x.e)), g.mean(np.abs(x.y))),
-    "pooled:rse": _rse,
-    "pooled:nwrmsle": _nwrmsle,
-    "pooled:wmae": lambda x, g: (g.sum(x.w * np.abs(x.e)), g.sum(x.w)),
-}
+_SERIES_VALUES = {"series:corr": _correlations}
 
 
 def evaluate(
@@ -504,9 +497,10 @@ def evaluate(
     if spec.terms in _STEP_TERMS:
         terms, defined = _STEP_TERMS[spec.terms](x)
         return _finish(x, terms, defined, spec.summary, policy, spec.sqrt_after)
-    if spec.terms in _POOLED_RATIOS:
-        return _pooled_ratio(x, _POOLED_RATIOS[spec.terms], policy, spec.sqrt_after)
-    values, defined = _SERIES_VALUES[spec.terms](x)
+    if spec.summary == "ratio-of-sums":
+        return _pooled_ratio(x, _RATIOS[spec.terms], policy, spec.sqrt_after)
+    values, defined = (_ratios(x, _RATIOS[spec.terms], x.groups) if spec.terms in _RATIOS
+                       else _SERIES_VALUES[spec.terms](x))
     if spec.sqrt_after:
         values = np.sqrt(values)
     if spec.summary == "weighted-geometric-mean":

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import ValidationError
-from .engine import WeightVector
+from .engine import _SUMMARISERS, WeightVector
 
 __all__ = [
     "summarize",
@@ -18,7 +18,7 @@ __all__ = [
     "critical_event_percentage",
 ]
 
-_OPS = ("mean", "median", "geometric-mean")
+_OPS = tuple(_SUMMARISERS)
 
 
 def _apply(values: np.ndarray, op: str, weights: np.ndarray | None = None) -> float:
@@ -29,13 +29,7 @@ def _apply(values: np.ndarray, op: str, weights: np.ndarray | None = None) -> fl
     if op == "geometric-mean" and (values < 0).any():
         raise ValidationError("geometric mean is undefined over negative values")
     if weights is None:
-        if op == "mean":
-            return float(values.mean())
-        if op == "median":
-            return float(np.median(values))
-        if (values == 0).any():
-            return 0.0
-        return float(np.exp(np.log(values).mean()))
+        return float(_SUMMARISERS[op](values[None, :])[0])
     if weights.shape != values.shape:
         raise ValidationError("weights must match the summarised axis length")
     if op == "mean":
@@ -118,7 +112,6 @@ class RankTable:
     """Per-series model ranks (1 = best) with average-rank tie handling."""
 
     models: tuple[str, ...]
-    series_ids: tuple
     ranks: np.ndarray  # shape (n_series, n_models)
 
     def __post_init__(self):
@@ -181,7 +174,7 @@ def rank_models(per_series_scores: dict, ascending: bool = True) -> RankTable:
     if np.isnan(mat).any():
         raise ValidationError("cannot rank undefined (NaN) scores")
     ranks = average_ranks(mat if ascending else -mat)
-    return RankTable(models=models, series_ids=tuple(range(1, n + 1)), ranks=ranks)
+    return RankTable(models=models, ranks=ranks)
 
 
 def percentage_better(values, benchmark_values) -> float:

@@ -5,10 +5,11 @@ of a measure, and the engine reads every field.
 per row, in Hyndman & Koehler's notation (e = y - f; p = 100 e / y; r = e /
 e_b against a benchmark; q = e over the in-sample naive error; l = log1p(y) -
 log1p(f); c = f minus the running mean of the actuals), which ``summary``
-(mean, median or geometric-mean) combines. A ``series:`` key gives one value
-per series, which the call's ``series_summary`` combines (``summary`` is
-``series``) or AvgRelMAE's ``weighted-geometric-mean``. A ``pooled:`` key is
-a ratio of sums over all rows (``summary`` is ``ratio-of-sums``).
+(mean, median or geometric-mean) combines. A ``ratio:`` key is a numerator
+over a denominator, each summed or averaged over all rows if ``summary`` is
+``ratio-of-sums`` (WAPE and ND share ``ratio:wape``), else over each series.
+One value per series, from it or a ``series:`` key, is combined by the call's
+``series_summary`` (``summary`` is ``series``) or AvgRelMAE's ``weighted-geometric-mean``.
 """
 
 from __future__ import annotations
@@ -86,15 +87,15 @@ _SPECS = [
     MeasureSpec("msMAPE", "modified-symmetric", constants={"epsilon": 0.1, "threshold": 0.5}),
     MeasureSpec("MAAPE", "arctan"),
     # --- aggregate actual-value scaling ----------------------------------
-    MeasureSpec("WAPE", "series:wape", "series"),
-    MeasureSpec("sWAPE", "series:swape", "series"),
-    MeasureSpec("WRMSPE", "series:wrmspe", "series", sqrt_after=True),
-    MeasureSpec("RTAE", "series:rtae", "series", constants={"clamp": 1.0}),
+    MeasureSpec("WAPE", "ratio:wape", "series"),
+    MeasureSpec("sWAPE", "ratio:swape", "series"),
+    MeasureSpec("WRMSPE", "ratio:wrmspe", "series", sqrt_after=True),
+    MeasureSpec("RTAE", "ratio:rtae", "series", constants={"clamp": 1.0}),
     MeasureSpec("sME", "e/mean", needs_train=True),
     MeasureSpec("sMSE", "(e/mean)2", needs_train=True),
     MeasureSpec("sMAE", "|e|/mean", needs_train=True),
-    MeasureSpec("ND", "pooled:nd", "ratio-of-sums"),
-    MeasureSpec("NRMSE", "pooled:nrmse", "ratio-of-sums"),
+    MeasureSpec("ND", "ratio:wape", "ratio-of-sums"),
+    MeasureSpec("NRMSE", "ratio:nrmse", "ratio-of-sums"),
     # --- relative errors (benchmark per step) -----------------------------
     MeasureSpec("MRAE", "|r|", needs_benchmark=True),
     MeasureSpec("MdRAE", "|r|", "median", needs_benchmark=True),
@@ -102,22 +103,22 @@ _SPECS = [
     MeasureSpec("GMRAE", "|r|", "geometric-mean", needs_benchmark=True),
     MeasureSpec("RGRMSE", "r2", "geometric-mean", sqrt_after=True, needs_benchmark=True),
     # --- relative measures (benchmark per series) --------------------------
-    MeasureSpec("RelMAE", "series:relmae", "series", needs_benchmark=True),
-    MeasureSpec("RelMSE", "series:relmse", "series", needs_benchmark=True),
-    MeasureSpec("RelRMSE", "series:relmse", "series", sqrt_after=True, needs_benchmark=True),
-    MeasureSpec("RSE", "pooled:rse", "ratio-of-sums"),
-    MeasureSpec("AvgRelMAE", "series:relmae", "weighted-geometric-mean", needs_benchmark=True),
+    MeasureSpec("RelMAE", "ratio:relmae", "series", needs_benchmark=True),
+    MeasureSpec("RelMSE", "ratio:relmse", "series", needs_benchmark=True),
+    MeasureSpec("RelRMSE", "ratio:relmse", "series", sqrt_after=True, needs_benchmark=True),
+    MeasureSpec("RSE", "ratio:rse", "ratio-of-sums"),
+    MeasureSpec("AvgRelMAE", "ratio:relmae", "weighted-geometric-mean", needs_benchmark=True),
     # --- scaled errors (in-sample benchmark scaling) -----------------------
     MeasureSpec("MASE", "|q|", needs_train=True, constants=_naive_scale()),
     MeasureSpec("MdASE", "|q|", "median", needs_train=True, constants=_naive_scale()),
     MeasureSpec("RMSSE", "q2", sqrt_after=True, needs_train=True, constants=_naive_scale()),
     # --- transformations ---------------------------------------------------
     MeasureSpec("RMSLE", "l2", sqrt_after=True),
-    MeasureSpec("NWRMSLE", "pooled:nwrmsle", "ratio-of-sums", sqrt_after=True, needs_weights=True),
+    MeasureSpec("NWRMSLE", "ratio:nwrmsle", "ratio-of-sums", sqrt_after=True, needs_weights=True),
     # --- other ---------------------------------------------------------------
     MeasureSpec("MSR", "c2"),
     MeasureSpec("MAR", "|c|"),
-    MeasureSpec("WMAE", "pooled:wmae", "ratio-of-sums", needs_weights=True),
+    MeasureSpec("WMAE", "ratio:wmae", "ratio-of-sums", needs_weights=True),
     MeasureSpec("CORR", "series:corr", "series", higher_is_better=True),
 ]
 
@@ -133,7 +134,7 @@ def measure_names() -> list[str]:
 def spec_for(name: str) -> MeasureSpec:
     try:
         return REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValidationError(
             f"unknown measure {name!r}; known: {', '.join(REGISTRY)}"
         ) from None

@@ -26,6 +26,7 @@ from .core import (
     InsufficientHistoryError,
     ValidationError,
     check_fields,
+    from_fields,
     json_object,
 )
 
@@ -87,11 +88,7 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
-        data = json_object(text, "split spec")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"bad split spec: {exc}") from None
+        return from_fields(cls, json_object(text, "split spec"), "split spec")
 
 
 @dataclass(frozen=True)

@@ -310,18 +310,17 @@ def studentized_range_quantile(alpha: float, k: int) -> float:
 
 def _rank_groups(mean_ranks: dict, cd: float) -> tuple:
     """Maximal sets of models whose mean ranks span at most the critical distance."""
-    items = sorted(mean_ranks.items(), key=lambda kv: kv[1])
-    names = [m for m, _ in items]
-    ranks = [r for _, r in items]
-    windows = []
-    for i in range(len(items)):
+    names = sorted(mean_ranks, key=mean_ranks.get)
+    ranks = [mean_ranks[m] for m in names]
+    groups, last = [], -1
+    for i in range(len(names)):
         j = i
-        while j + 1 < len(items) and ranks[j + 1] - ranks[i] <= cd:
+        while j + 1 < len(names) and ranks[j + 1] - ranks[i] <= cd:
             j += 1
-        windows.append((i, j))
-    maximal = [w for w in windows if not any(
-        (o[0] <= w[0] and w[1] <= o[1] and o != w) for o in windows)]
-    return tuple(frozenset(names[i:j + 1]) for i, j in sorted(set(maximal)))
+        if j > last:  # window ends never decrease, so this one lies in no earlier window
+            groups.append(frozenset(names[i:j + 1]))
+            last = j
+    return tuple(groups)
 
 
 def nemenyi_cd(rank_table: RankTable, alpha: float = 0.05,

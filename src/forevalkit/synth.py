@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import TimeSeries, ValidationError, check_fields, json_object
+from .core import TimeSeries, ValidationError, check_fields, from_fields, json_object
 
 __all__ = ["DgpSpec", "OutlierInjection", "generate", "inject_outliers", "derive_seed"]
 
@@ -109,10 +109,7 @@ class DgpSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "DgpSpec":
-        try:
-            return cls(**json_object(text, "DGP spec"))
-        except TypeError as exc:
-            raise ValidationError(f"bad DGP spec: {exc}") from None
+        return from_fields(cls, json_object(text, "DGP spec"), "DGP spec")
 
 
 def _companion_radius(coefs: np.ndarray) -> float:

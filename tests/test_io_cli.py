@@ -1183,6 +1183,28 @@ class TestCliInputErrors:
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
             "--out", str(workdir / "o")], f"seasonal period must be an integer, got {period!r}")
 
+    @pytest.mark.parametrize("suite, message", [
+        ({"benchmark": ""}, "unknown forecaster kind ''; expected one of ('naive', 'seasonal-naive', 'mean')"),
+        ({"seasonal_period": "12"}, "seasonal period must be an integer, got '12'"),
+        ({"benchmark": "naive", "seasonal_period": "12"}, "seasonal period must be an integer, got '12'"),
+        ({"seasonal_period": 2}, "suite config 'seasonal_period' is read only by the seasonal-naive "
+                                 "benchmark; MASE's seasonal period is the measure's constants.seasonal_period"),
+        ({"benchmark": "mean", "seasonal_period": 2}, "suite config 'seasonal_period' is read only by the "
+                                                      "seasonal-naive benchmark; "),
+    ])
+    def test_suite_setting_nothing_reads(self, workdir, capsys, suite, message):
+        path = workdir / "suite.json"
+        path.write_text(json.dumps({"measures": ["MAE"], **suite}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(path),
+            "--out", str(workdir / "o")], f"error: {message}")
+
+    def test_seasonal_period_with_seasonal_naive_benchmark(self, workdir):
+        path = workdir / "suite.json"
+        path.write_text(json.dumps({"measures": ["MRAE"], "benchmark": "seasonal-naive", "seasonal_period": 2}))
+        assert main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(path),
+                     "--out", str(workdir / "o")]) == 0
+
     def test_malformed_suite_constants(self, workdir, capsys):
         suite = workdir / "suite.json"
         suite.write_text(json.dumps({"measures": [{"name": "msMAPE", "constants": 5}]}))
@@ -1268,6 +1290,8 @@ class TestCliInputErrors:
         ({"alpha": "0.05x"}, "'alpha' must be a number, got '0.05x'"),
         ({"pairwise": "dm", "horizon": "two"}, "'horizon' must be an integer, got 'two'"),
         ({"pairwsie": "dm"}, "compare config has unknown key 'pairwsie'"),
+        ({"measure": 5}, "error: unknown measure 5; known: ME, "),
+        ({"measure": ["RMSE"]}, "error: unknown measure ['RMSE']; known: ME, "),
     ])
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_malformed_compare_config(self, workdir, capsys, config, fragment):
@@ -1313,10 +1337,31 @@ class TestCliInputErrors:
          "profile series_lengths must be a number or a list of numbers, got [30, 'x']"),
     ])
     def test_mistyped_spec_field(self, workdir, capsys, command, spec, message):
+        assert main(self._spec_argv(workdir, command, spec)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def _spec_argv(workdir, command, spec) -> list:
+        """``command`` run on ``spec``, written as the split, DGP or profile JSON it reads."""
         path = workdir / "spec.json"
         path.write_text(json.dumps(spec))
-        argv = {"backtest": [str(workdir / "series.csv"), str(path), "--out", str(workdir / "o")],
-                "simulate": [str(path), str(workdir / "sim.csv")],
-                "advise": [str(path), "--out", str(workdir / "o")]}[command]
-        assert main([command, *argv]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        return [command, *{"backtest": [str(workdir / "series.csv"), str(path), "--out", str(workdir / "o")],
+                           "simulate": [str(path), str(workdir / "sim.csv")],
+                           "advise": [str(path), "--out", str(workdir / "o")]}[command]]
+
+    @pytest.mark.parametrize("command, spec, fragment", [
+        ("backtest", {"scheme": "rolling-origin", "initial_train": 3, "windw": "rolling"},
+         "error: split spec has unknown key 'windw'; allowed keys are ['scheme', 'initial_train', "
+         "'horizon', 'stride', 'window', 'window_length']\n"),
+        ("simulate", {"kind": "random-walk", "length": 5, "seed": 1, "noise_Sd": 2.0},
+         "error: DGP spec has unknown key 'noise_Sd'; allowed keys are ['kind', 'length', 'seed', 'noise_sd', "),
+        ("advise", {"seasonalty": True},
+         "error: profile has unknown key 'seasonalty'; allowed keys are ['stationary_count_data', "
+         "'seasonality', "),
+        ("backtest", {"initial_train": 3},
+         "error: bad split spec: SplitSpec.__init__() missing 1 required positional argument: 'scheme'\n"),
+        ("advise", {"intermittency": True, "model_class": "bogus"},
+         "error: model_class must be pure-AR, stateful or unknown\n"),
+    ])
+    def test_spec_keys(self, workdir, capsys, command, spec, fragment):
+        self._fails_with_message(capsys, self._spec_argv(workdir, command, spec), fragment)

@@ -589,7 +589,7 @@ class TestDeclaredInputs:
     def test_every_term_key_names_one_table_entry(self):
         from forevalkit.measures import engine
 
-        tables = (engine._STEP_TERMS, engine._SERIES_VALUES, engine._POOLED_RATIOS)
+        tables = (engine._STEP_TERMS, engine._RATIOS, engine._SERIES_VALUES)
         used = [spec_for(name).terms for name in measure_names()]
         for key in used:
             assert sum(key in table for table in tables) == 1, key
@@ -657,3 +657,33 @@ class TestBreakdownConsistency:
                             train=train, policy=sub_policy).value
             assert (math.isnan(got) and math.isnan(want)) or math.isclose(
                 got, want, rel_tol=1e-12, abs_tol=0.0), (sid, got, want)
+
+
+def _error_frame(errors: dict) -> EvaluationFrame:
+    """A frame whose errors are ``errors`` (series id -> per-step errors), rows
+    in dict order: actuals are the errors and every forecast is 0."""
+    sids = [sid for sid, e in errors.items() for _ in e]
+    steps = [k for e in errors.values() for k in range(1, len(e) + 1)]
+    actuals = np.concatenate([np.asarray(e, dtype=float) for e in errors.values()])
+    return EvaluationFrame(sids, [10] * len(sids), steps, actuals, {"m": np.zeros(actuals.size)})
+
+
+class TestSummarizeMatchesEvaluate:
+    """``summarize`` and ``evaluate`` share one summariser per operator, to the last bit."""
+
+    MEASURE = {"mean": "MAE", "median": "MdAE", "geometric-mean": "GMAE"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_VALUE, min_size=1, max_size=6), min_size=1, max_size=5))
+    def test_pooled_and_horizon_then_series(self, errors):
+        errors = {f"s{j}": e for j, e in enumerate(errors)}
+        fr = _error_frame(errors)
+        absolute = {sid: np.abs(e) for sid, e in errors.items()}
+        for op_h, name_h in self.MEASURE.items():
+            result = evaluate(name_h, fr)
+            assert summarize(absolute, "pooled", op_h) == result.value
+            # evaluate's per-series values, summarised over series by evaluate again
+            per_series = _error_frame({"all": list(result.per_series.values())})
+            for op_s, name_s in self.MEASURE.items():
+                assert (summarize(absolute, "horizon-then-series", op_h, op_s)
+                        == evaluate(name_s, per_series).value), (op_h, op_s)

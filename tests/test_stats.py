@@ -432,3 +432,24 @@ class TestScipyEquivalence:
         table = rank_models({"a": np.round(a, 1), "b": np.round(b, 1), "c": np.round(a * b, 1)})
         r = friedman(table)
         assert r.p_value == float(sps.chi2.sf(r.statistic, 2))
+
+
+def _maximal_windows(mean_ranks: dict, cd: float) -> tuple:
+    """By brute force: every run of models, in mean-rank order, whose mean ranks
+    span at most ``cd`` and that lies in no other such run."""
+    names = sorted(mean_ranks, key=mean_ranks.get)
+    ranks = [mean_ranks[m] for m in names]
+    runs = [(i, j) for i in range(len(names)) for j in range(i, len(names))
+            if ranks[j] - ranks[i] <= cd]
+    return tuple(frozenset(names[i:j + 1]) for i, j in runs
+                 if not any(a <= i and j <= b and (a, b) != (i, j) for a, b in runs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 4), min_size=k, max_size=k), min_size=1, max_size=12)),
+    st.sampled_from([0.01, 0.05, 0.10]))
+def test_nemenyi_groups_are_maximal_windows(rows, alpha):
+    scores = {f"m{j}": [row[j] for row in rows] for j in range(len(rows[0]))}
+    r = nemenyi_cd(rank_models(scores), alpha=alpha)
+    assert r.groups == _maximal_windows(r.mean_ranks, r.critical_distance)
