@@ -16,24 +16,24 @@ from forevalkit import (
     TimeSeries,
     blocked_splits,
     embed,
-    fixed_origin_split,
     generate,
     kfold_splits,
     leakage_check,
-    rolling_origin_splits,
+    splits_for_series,
 )
 
 series = generate(DgpSpec(kind="random-walk", length=100, seed=11, series_id="load"))
 
 # --- a single holdout at the end -----------------------------------------
 
-fold = fixed_origin_split(len(series), train=80, h=20)
+fixed = SplitSpec(scheme="fixed-origin", initial_train=80, horizon=20)
+fold = splits_for_series(len(series), fixed)[0]
 print("fixed origin: train", fold.train_size, "test", fold.test_size)
 
 # --- rolling origin: the origin advances, the horizon stays fixed --------
 
 spec = SplitSpec(scheme="rolling-origin", initial_train=80, horizon=5, stride=5)
-folds = rolling_origin_splits(len(series), spec)
+folds = splits_for_series(len(series), spec)
 print("rolling origins:", [f.origin for f in folds])
 
 # an expanding window grows with the origin; a rolling window keeps the
@@ -41,7 +41,7 @@ print("rolling origins:", [f.origin for f in folds])
 rolling = SplitSpec(scheme="rolling-origin", initial_train=80, horizon=5,
                     stride=5, window="rolling", window_length=80)
 print("rolling-window train sizes:",
-      [f.train_size for f in rolling_origin_splits(len(series), rolling)])
+      [f.train_size for f in splits_for_series(len(series), rolling)])
 
 # --- score the naive benchmark on every fold -----------------------------
 

@@ -20,8 +20,8 @@ sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
 makes are too small to gain from a second thread, yet each process would
 start OpenBLAS's thread pool (numpy's, and for ``compare`` scipy's too),
 whose workers spin while they wait; and a threaded dot product rounds
-differently from a one-thread one, so outputs such as CORR on a long
-series would depend on the host's CPU count. Library calls keep the
+differently from a one-thread one, so an output computed with a long one
+would depend on the host's CPU count. Library calls keep the
 caller's BLAS setting: a numpy loaded before this module is left as it
 is. ``main`` also pauses the cyclic garbage collector while a command
 runs, since its passes over the command's many live objects (the decoded
@@ -42,7 +42,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 # The one-thread pin must come before numpy's first import, which ``from .core
@@ -184,6 +184,9 @@ def cmd_backtest(args) -> int:
     benchmarks = args.benchmark or ["naive"]
     if repeated := [kind for i, kind in enumerate(benchmarks) if kind in benchmarks[:i]]:
         raise ValidationError(f"--benchmark {repeated[0]} given more than once")
+    if args.seasonal_period is not None and "seasonal-naive" not in benchmarks:
+        raise ValidationError("--seasonal-period is read only by the seasonal-naive benchmark; "
+                              "add --benchmark seasonal-naive")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = read_series_csv(args.series)
@@ -221,7 +224,8 @@ def cmd_backtest(args) -> int:
     write_folds_csv(out_dir / "folds.csv", all_folds)
     _write_json(out_dir / "report.json", {"folds": fold_reports})
     _write_manifest(out_dir, "backtest", [Path(args.series), Path(args.split)],
-                    {"split": json.loads(spec.to_json()), "benchmarks": benchmarks}, None)
+                    {"split": json.loads(spec.to_json()), "benchmarks": benchmarks,
+                     "seasonal_period": args.seasonal_period}, None)
     print(f"backtest: {len(all_folds)} folds over {len(dataset)} series -> {out_dir}")
     return EXIT_OK
 
@@ -448,6 +452,8 @@ def cmd_advise(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _read_json(args.profile)
+    reject_unknown(raw, (*(f.name for f in fields(CharacteristicProfile)), "series_lengths", "model_class"),
+                   "profile")
     lengths = raw.pop("series_lengths", None)
     check_type("profile series_lengths", lengths, float | tuple[float, ...] | None)
     model_class = raw.pop("model_class", "unknown")
@@ -485,6 +491,9 @@ def cmd_pitfalls(args) -> int:
     from .pitfalls import DEFAULT_SEED, list_scenarios, run_all, run_scenario
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    given = [f"scenario {args.name!r}"] * (args.name is not None) + ["--all"] * args.all + ["--list"] * args.list
+    if len(given) > 1:
+        raise ValidationError(f"pitfalls: {given[0]} conflicts with {given[1]}; give one of them")
     if args.list:
         for scenario in list_scenarios():
             print(f"{scenario.name} [{scenario.topic}]: {scenario.description}")

@@ -1,10 +1,11 @@
 """Evaluation engine for all registered error measures.
 
 ``evaluate`` computes one measure for one model over an evaluation frame.
-The measure's registry entry names its term function in one of three
-tables: step terms, summarised under the undefined-value policy; ratios,
-a numerator and a denominator per series or (``ratio-of-sums``) over all
-rows; and other per-series values. The engine handles the policy,
+The measure's registry entry names its term function in one of two
+tables: step terms, summarised under the undefined-value policy; and
+ratios, a numerator and a denominator per series or (``ratio-of-sums``)
+over all rows. Every quotient is undefined where its denominator is 0
+(``_divide``). The engine handles the policy,
 per-series scale factors computed strictly from supplied train values,
 benchmark alignment, and weighting. Summaries are ``core.Groups`` reductions: the
 pooled value is the one-group case, and every result also carries the
@@ -26,6 +27,7 @@ __all__ = ["MeasureResult", "UndefinedValueError", "WeightVector", "evaluate"]
 
 _GM_ZERO_FLAG = "geometric-mean-zero-term"
 _ZERO_SCALE_FLAG = "zero-scale"
+_ZERO_VARIANCE_FLAG = "zero-variance"
 _WINSORISED_FLAG = "winsorised-denominator"
 _UNDEFINED_FLAG = "undefined-terms"
 
@@ -133,15 +135,20 @@ def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool =
     return x.result(value, total - n_undef, n_undef, per_series)
 
 
+def _divide(num: np.ndarray, den: np.ndarray):
+    """``num / den`` and where it is defined: where ``den`` is not 0 (elsewhere it reads 0)."""
+    defined = den != 0
+    return np.divide(num, den, out=np.zeros_like(num), where=defined), defined
+
+
 def _ratios(x: _Inputs, fn, groups: Groups):
     """Per group, ``num / den`` of ``fn(x, groups)`` and whether ``den`` is not 0.
-    A zero ``den`` leaves that group's ratio undefined and is flagged ``zero-scale``."""
-    num, den = fn(x, groups)
-    defined = den != 0
+    A zero ``den`` leaves that group's ratio undefined and is flagged ``zero-scale``
+    (``zero-variance`` for a correlation)."""
+    ratios, defined = _divide(*fn(x, groups))
     if not defined.all():
-        x.flags.append(_ZERO_SCALE_FLAG)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den, defined
+        x.flags.append(_ZERO_VARIANCE_FLAG if fn is _correlation else _ZERO_SCALE_FLAG)
+    return ratios, defined
 
 
 def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResult:
@@ -238,13 +245,6 @@ def _resolve_weights(frame: EvaluationFrame, weights) -> np.ndarray:
     return w
 
 
-def _pearson(y: np.ndarray, f: np.ndarray) -> float:
-    dy = y - y.mean()
-    df = f - f.mean()
-    den = math.sqrt(float(dy @ dy) * float(df @ df))
-    return float(dy @ df) / den
-
-
 class _Inputs:
     """One call's actuals ``y``, forecasts ``f`` and errors ``e = y - f``.
 
@@ -294,13 +294,11 @@ def _raw(x: _Inputs):
 
 
 def _percentage(x: _Inputs):
-    defined = x.y != 0
-    return np.divide(100.0 * x.e, x.y, out=np.zeros_like(x.e), where=defined), defined
+    return _divide(100.0 * x.e, x.y)
 
 
 def _relative(x: _Inputs):
-    defined = x.e_b != 0
-    return np.divide(x.e, x.e_b, out=np.zeros_like(x.e), where=defined), defined
+    return _divide(x.e, x.e_b)
 
 
 def _log(x: _Inputs):
@@ -323,9 +321,7 @@ def _rate(x: _Inputs):
 
 
 def _symmetric(x: _Inputs):
-    den = np.abs(x.y) + np.abs(x.f)
-    defined = den != 0
-    terms = np.divide(200.0 * np.abs(x.e), den, out=np.zeros_like(x.e), where=defined)
+    terms, defined = _divide(200.0 * np.abs(x.e), np.abs(x.y) + np.abs(x.f))
     # |y - f| <= |y| + |f| bounds every term by 200; clip the one-ulp
     # rounding spill that occurs when y and f have opposite signs
     return np.minimum(terms, 200.0, out=terms), defined
@@ -343,7 +339,7 @@ def _modified_symmetric(x: _Inputs):
 
 def _arctan(x: _Inputs):
     y, e = x.y, x.e
-    terms = np.arctan(np.divide(np.abs(e), np.abs(y), out=np.zeros_like(e), where=y != 0))
+    terms = np.arctan(_divide(np.abs(e), np.abs(y))[0])
     terms[(y == 0) & (e != 0)] = math.pi / 2.0
     return terms, ~((y == 0) & (e == 0))
 
@@ -360,9 +356,7 @@ def _in_sample(kind: str, base):
     """``base``'s terms over each row's in-sample scale of ``kind``; undefined where it is 0."""
     def terms(x: _Inputs):
         scale = x.scales(kind)
-        defined = scale != 0
-        num = base(x)[0]
-        return np.divide(num, scale, out=np.zeros_like(num), where=defined), defined
+        return _divide(base(x)[0], scale)
     return terms
 
 
@@ -407,6 +401,17 @@ def _nwrmsle(x: _Inputs, g: Groups):
     return g.sum(w * l * l), g.sum(w)
 
 
+def _correlation(x: _Inputs, g: Groups):
+    """Pearson's r: the co-deviation sum over the root of the product of the
+    squared-deviation sums; that root is 0 for a group whose actuals or
+    forecasts are constant, one-row groups included."""
+    dy, df = x.y - g.expand(g.mean(x.y)), x.f - g.expand(g.mean(x.f))
+    den = np.sqrt(g.sum(dy * dy) * g.sum(df * df))
+    for v in (x.y, x.f):
+        den[g.reduce(v, lambda a: np.ptp(a, axis=1)) == 0] = 0.0
+    return g.sum(dy * df), den
+
+
 _RATIOS = {
     "ratio:wape": lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y))),
     "ratio:swape": lambda x, g: (g.sum(np.abs(x.e)), g.sum(np.abs(x.y) + np.abs(x.f))),
@@ -418,26 +423,8 @@ _RATIOS = {
     "ratio:rse": _rse,
     "ratio:nwrmsle": _nwrmsle,
     "ratio:wmae": lambda x, g: (g.sum(x.w * np.abs(x.e)), g.sum(x.w)),
+    "ratio:corr": _correlation,
 }
-
-
-# ---- per-series values: (values, defined), one per series -------------------
-
-def _correlations(x: _Inputs):
-    g = x.groups
-    values = np.zeros(len(g))
-    defined = np.zeros(len(g), dtype=bool)
-    # one series at a time: vectorised, dy @ dy would no longer be a BLAS dot
-    for j, rows in enumerate(np.split(g.order, g.starts[1:-1])):
-        ys, fs = x.y[rows], x.f[rows]
-        if rows.size >= 2 and np.ptp(ys) != 0 and np.ptp(fs) != 0:
-            values[j], defined[j] = _pearson(ys, fs), True
-    if not defined.all():
-        x.flags.append("zero-variance")
-    return values, defined
-
-
-_SERIES_VALUES = {"series:corr": _correlations}
 
 
 def evaluate(
@@ -499,8 +486,7 @@ def evaluate(
         return _finish(x, terms, defined, spec.summary, policy, spec.sqrt_after)
     if spec.summary == "ratio-of-sums":
         return _pooled_ratio(x, _RATIOS[spec.terms], policy, spec.sqrt_after)
-    values, defined = (_ratios(x, _RATIOS[spec.terms], x.groups) if spec.terms in _RATIOS
-                       else _SERIES_VALUES[spec.terms](x))
+    values, defined = _ratios(x, _RATIOS[spec.terms], x.groups)
     if spec.sqrt_after:
         values = np.sqrt(values)
     if spec.summary == "weighted-geometric-mean":

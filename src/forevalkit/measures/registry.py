@@ -7,8 +7,9 @@ e_b against a benchmark; q = e over the in-sample naive error; l = log1p(y) -
 log1p(f); c = f minus the running mean of the actuals), which ``summary``
 (mean, median or geometric-mean) combines. A ``ratio:`` key is a numerator
 over a denominator, each summed or averaged over all rows if ``summary`` is
-``ratio-of-sums`` (WAPE and ND share ``ratio:wape``), else over each series.
-One value per series, from it or a ``series:`` key, is combined by the call's
+``ratio-of-sums`` (WAPE and ND share ``ratio:wape``), else over each series
+(CORR's ``ratio:corr`` too: the co-deviation sum over the root of the
+squared-deviation sums). That one value per series is combined by the call's
 ``series_summary`` (``summary`` is ``series``) or AvgRelMAE's ``weighted-geometric-mean``.
 """
 
@@ -119,7 +120,7 @@ _SPECS = [
     MeasureSpec("MSR", "c2"),
     MeasureSpec("MAR", "|c|"),
     MeasureSpec("WMAE", "ratio:wmae", "ratio-of-sums", needs_weights=True),
-    MeasureSpec("CORR", "series:corr", "series", higher_is_better=True),
+    MeasureSpec("CORR", "ratio:corr", "series", higher_is_better=True),
 ]
 
 REGISTRY: dict[str, MeasureSpec] = {s.name: s for s in _SPECS}

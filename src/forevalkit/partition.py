@@ -1,12 +1,14 @@
 """Temporal and randomised data-partitioning schemes with leakage guards.
 
 Temporal schemes (fixed origin, rolling origin) index into a series of
-length n, as a ``SplitSpec`` declares them; randomised schemes
-(``kfold_splits``, ``blocked_splits``) index into the rows of an embedded
-matrix. All indices are 1-based. Folds expose indices only, as read-only
-arrays; rolling-origin folds are views of one positions array. The retrain
-policy for models is the caller's concern, and scaling factors for scaled
-measures must be computed from a fold's train indices only.
+length n, as a ``SplitSpec`` declares them, through ``splits_for_series``:
+a fixed origin is the first origin of rolling-origin evaluation.
+Randomised schemes (``kfold_splits``, ``blocked_splits``) index into the
+rows of an embedded matrix. All indices are 1-based. Folds expose indices
+only, as read-only arrays; temporal folds are views of one positions
+array. The retrain policy for models is the caller's concern, and scaling
+factors for scaled measures must be computed from a fold's train indices
+only.
 
 ``leakage_checks`` screens many folds at once (a series' rolling origins,
 say) with whole-array operations and returns one report per fold;
@@ -35,8 +37,6 @@ __all__ = [
     "Fold",
     "LeakageReport",
     "LeakageError",
-    "fixed_origin_split",
-    "rolling_origin_splits",
     "kfold_splits",
     "blocked_splits",
     "leakage_check",
@@ -115,56 +115,6 @@ class Fold:
     @property
     def test_size(self) -> int:
         return self.test_indices.size
-
-
-def fixed_origin_split(series_length: int, train: int, h: int) -> Fold:
-    """Single holdout at the end of the series: train 1..T, test T+1..T+h."""
-    if train < 1:
-        raise ValidationError("train length must be >= 1")
-    if h < 1:
-        raise ValidationError("horizon must be >= 1")
-    if train + h > series_length:
-        raise InsufficientHistoryError(
-            f"train {train} + horizon {h} exceeds series length {series_length}"
-        )
-    return Fold(
-        train_indices=np.arange(1, train + 1),
-        test_indices=np.arange(train + 1, train + h + 1),
-        origin=train,
-    )
-
-
-def rolling_origin_splits(series_length: int, spec: SplitSpec) -> list[Fold]:
-    """Folds with the origin rolling forward by ``stride`` while a full horizon fits.
-
-    Fold j has origin initial_train + (j-1)*stride and test origin+1..origin+h.
-    Expanding windows train on 1..origin; rolling windows keep the last
-    window_length points; an expanding window with window_length set expands
-    first and then rolls. Partial tails (origins where the horizon no longer
-    fits) are dropped. Every fold's indices are read-only views of one
-    positions array 1..series_length.
-    """
-    if spec.scheme != "rolling-origin":
-        raise ValidationError(f"expected a rolling-origin spec, got {spec.scheme!r}")
-    t0, h = spec.initial_train, spec.horizon
-    if t0 + h > series_length:
-        raise InsufficientHistoryError(
-            f"initial_train {t0} + horizon {h} exceeds series length {series_length}"
-        )
-    if spec.window == "rolling" and spec.window_length > t0:
-        raise ValidationError("rolling window_length cannot exceed initial_train")
-    positions = np.arange(1, series_length + 1, dtype=np.int64)
-    positions.setflags(write=False)
-    folds = []
-    for origin in range(t0, series_length - h + 1, spec.stride):
-        if spec.window == "rolling":
-            start = origin - spec.window_length + 1
-        elif spec.window_length is not None:  # hybrid: expand, then roll
-            start = max(1, origin - spec.window_length + 1)
-        else:
-            start = 1
-        folds.append(Fold(positions[start - 1:origin], positions[origin:origin + h], origin))
-    return folds
 
 
 def kfold_splits(matrix: EmbeddedMatrix, k: int, seed: int) -> list[Fold]:
@@ -312,7 +262,33 @@ def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
 
 
 def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:
-    """Apply a split spec to one series (fixed or rolling origin)."""
-    if spec.scheme == "fixed-origin":
-        return [fixed_origin_split(series_length, spec.initial_train, spec.horizon)]
-    return rolling_origin_splits(series_length, spec)
+    """Apply a split spec to one series: its folds, in origin order.
+
+    Fold j has origin initial_train + (j-1)*stride and test origin+1..origin+h;
+    a fixed-origin spec keeps only the first origin, rolling-origin ones roll
+    forward while a full horizon fits (partial tails are dropped). Expanding
+    windows train on 1..origin; rolling windows keep the last window_length
+    points; an expanding window with window_length set expands first and then
+    rolls. Every fold's indices are read-only views of one positions array
+    1..series_length.
+    """
+    t0, h = spec.initial_train, spec.horizon
+    if t0 + h > series_length:
+        raise InsufficientHistoryError(
+            f"initial_train {t0} + horizon {h} exceeds series length {series_length}"
+        )
+    if spec.window == "rolling" and spec.window_length > t0:
+        raise ValidationError("rolling window_length cannot exceed initial_train")
+    last = t0 if spec.scheme == "fixed-origin" else series_length - h
+    positions = np.arange(1, series_length + 1, dtype=np.int64)
+    positions.setflags(write=False)
+    folds = []
+    for origin in range(t0, last + 1, spec.stride):
+        if spec.window == "rolling":
+            start = origin - spec.window_length + 1
+        elif spec.window_length is not None:  # hybrid: expand, then roll
+            start = max(1, origin - spec.window_length + 1)
+        else:
+            start = 1
+        folds.append(Fold(positions[start - 1:origin], positions[origin:origin + h], origin))
+    return folds

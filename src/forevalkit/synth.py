@@ -28,6 +28,8 @@ _KINDS = (
     "composite",
 )
 
+_ADDITIVE = ("linear-trend", "seasonal", "heteroscedastic", "structural-break", "composite")
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
@@ -48,8 +50,10 @@ def derive_seed(master_seed: int, stream_id: int) -> int:
 class DgpSpec:
     """Parameters of one synthetic data-generating process.
 
-    The ``composite`` kind layers level, linear trend, seasonal component,
-    level shift and (optionally ramped) noise additively. Each field must hold
+    The additive kinds (``linear-trend``, ``seasonal``, ``heteroscedastic``,
+    ``structural-break`` and ``composite``) layer level, linear trend,
+    seasonal component, level shift and (optionally ramped) noise; each
+    kind reads every one of those fields. Each field must hold
     a value of its declared type; ``ar_coefficients`` may be given as a list.
     """
 
@@ -97,7 +101,7 @@ class DgpSpec:
                     "unstable autoregression (spectral radius >= 1); "
                     "set allow_unit_root=True to generate it deliberately"
                 )
-        if self.kind in ("seasonal", "composite") and self.period < 2 and self.amplitude != 0.0:
+        if self.kind in _ADDITIVE and self.period < 2 and self.amplitude != 0.0:
             raise ValidationError("seasonal component needs period >= 2")
         if self.kind == "structural-break" and self.break_index is None:
             raise ValidationError("structural-break kind needs break_index")
@@ -152,29 +156,17 @@ def generate(spec: DgpSpec) -> TimeSeries:
             window = buf[i:i + p][::-1]  # most recent value first
             buf[i + p] = spec.ar_intercept + float(coefs @ window) + eps[i]
         values = spec.level + buf[p + burn:]
-    elif kind == "linear-trend":
-        values = spec.level + spec.trend_slope * t + _noise(rng, spec, n)
     elif kind == "exponential-trend":
         values = spec.level + spec.trend_scale * np.exp(spec.trend_rate * t) + _noise(rng, spec, n)
-    elif kind == "seasonal":
-        values = spec.level + spec.amplitude * np.sin(2.0 * np.pi * t / spec.period) + _noise(rng, spec, n)
-    elif kind == "heteroscedastic":
-        ramp = np.linspace(1.0, spec.sigma_end_factor, n)
-        values = spec.level + _noise(rng, spec, n) * ramp
-    elif kind == "structural-break":
-        shift = np.where(t >= spec.break_index, spec.break_shift, 0.0)
-        values = spec.level + shift + _noise(rng, spec, n)
     elif kind == "intermittent":
         occur = rng.random(n) >= spec.zero_probability
         demand = rng.poisson(spec.demand_rate, size=n) + 1.0
         values = np.where(occur, demand, 0.0)
-    elif kind == "composite":
+    else:  # additive
         ramp = np.linspace(1.0, spec.sigma_end_factor, n)
         seasonal = spec.amplitude * np.sin(2.0 * np.pi * t / spec.period) if spec.amplitude else 0.0
-        shift = spec.break_shift * (t >= spec.break_index) if spec.break_index else 0.0
+        shift = np.where(t >= spec.break_index, spec.break_shift, 0.0) if spec.break_index else 0.0
         values = spec.level + spec.trend_slope * t + seasonal + shift + _noise(rng, spec, n) * ramp
-    else:  # pragma: no cover
-        raise ValidationError(f"unhandled kind {kind!r}")
 
     sid = spec.series_id or f"{kind}-{spec.seed}"
     return TimeSeries(id=sid, values=values)

@@ -30,8 +30,8 @@ from forevalkit import (
     nemenyi_cd,
     rank_models,
     recommend_partitioning,
-    rolling_origin_splits,
     run_scenario,
+    splits_for_series,
     wilcoxon_rank_sum,
 )
 from forevalkit.cli import main as cli_main
@@ -219,7 +219,7 @@ def test_criterion_08_leakage_guard():
         wl = int(rng.integers(1, t0 + 1)) if window == "rolling" else None
         spec = SplitSpec(scheme="rolling-origin", initial_train=t0, horizon=h,
                          stride=stride, window=window, window_length=wl)
-        for fold in rolling_origin_splits(n, spec):
+        for fold in splits_for_series(n, spec):
             assert int(fold.train_indices.max()) < int(fold.test_indices.min())
             assert leakage_check(fold, "rolling-origin").passed
             checked += 1

@@ -78,9 +78,9 @@ class TestBlasPin:
 
 
 def test_corr_report_independent_of_host_threads(tmp_path, unpinned_env):
-    """CORR's per-series dot products run over 11,856 rows each, past the size
-    at which a threaded OpenBLAS splits a dot and rounds differently. On a
-    1-CPU host both runs use one thread, so there this cannot fail."""
+    """CORR's per-series sums run over 11,856 rows each, past the size at
+    which a threaded OpenBLAS splits a dot product and rounds differently.
+    On a 1-CPU host both runs use one thread, so there this cannot fail."""
     rng = np.random.default_rng(7)
     n, h, sids = 1000, 12, ["w0", "w1", "w2", "w3"]
     walks = np.cumsum(rng.normal(size=(len(sids), n)), axis=1)

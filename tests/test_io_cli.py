@@ -683,6 +683,30 @@ class TestCliBacktest:
                 assert entry["models"][kind] == {"MAE": float(np.abs(e).mean()),
                                                  "RMSE": float(np.sqrt((e * e).mean()))}
 
+    def test_seasonal_period_in_manifest(self, workdir):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "fixed-origin", "initial_train": 3, "horizon": 2}))
+        configs = {}
+        for period in (2, 3):
+            out = workdir / f"bt{period}"
+            assert main(["backtest", str(workdir / "series.csv"), str(split), "--benchmark", "seasonal-naive",
+                         "--seasonal-period", str(period), "--out", str(out)]) == 0
+            configs[period] = json.loads((out / "manifest.json").read_text())["config"]
+        assert [c["seasonal_period"] for c in configs.values()] == [2, 3]
+        assert main(["backtest", str(workdir / "series.csv"), str(split), "--out", str(workdir / "bt")]) == 0
+        assert json.loads((workdir / "bt" / "manifest.json").read_text())["config"]["seasonal_period"] is None
+
+    @pytest.mark.parametrize("benchmarks", [[], ["naive"], ["naive", "mean"]])
+    def test_seasonal_period_without_seasonal_naive_exit_2(self, workdir, capsys, benchmarks):
+        split = workdir / "split.json"
+        split.write_text(json.dumps({"scheme": "fixed-origin", "initial_train": 3, "horizon": 2}))
+        code = main(["backtest", str(workdir / "series.csv"), str(split), "--seasonal-period", "7",
+                     *[a for k in benchmarks for a in ("--benchmark", k)], "--out", str(workdir / "bt")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: --seasonal-period is read only by the seasonal-naive "
+                                           "benchmark; add --benchmark seasonal-naive\n")
+        assert not (workdir / "bt").exists()
+
     def test_seasonal_naive_without_period_exit_2(self, workdir, capsys):
         split = workdir / "split.json"
         split.write_text(json.dumps({"scheme": "fixed-origin", "initial_train": 3, "horizon": 2}))
@@ -1010,6 +1034,14 @@ class TestCliAdvise:
         profile.write_text(json.dumps({"made_up_flag": True}))
         assert main(["advise", str(profile), "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_key_message_lists_every_allowed_key(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"series_length": [50]}))
+        assert main(["advise", str(profile), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile has unknown key 'series_length'; allowed keys are [")
+        assert err.endswith(", 'series_lengths', 'model_class']\n")
+
 
 class TestCliSimulate:
     def test_same_seed_identical_hash(self, tmp_path):
@@ -1052,6 +1084,17 @@ class TestCliPitfalls:
 
     def test_unknown_scenario_exit_2(self):
         assert main(["pitfalls", "no-such-scenario"]) == 2
+
+    @pytest.mark.parametrize("argv, conflict", [
+        (["corr-ignores-constant-bias", "--all"], "scenario 'corr-ignores-constant-bias' conflicts with --all"),
+        (["corr-ignores-constant-bias", "--list"], "scenario 'corr-ignores-constant-bias' conflicts with --list"),
+        (["--all", "--list"], "--all conflicts with --list"),
+    ])
+    def test_more_than_one_of_name_all_list_exit_2(self, tmp_path, capsys, argv, conflict):
+        assert main(["pitfalls", *argv, "--out", str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: pitfalls: {conflict}; give one of them\n"
+        assert not (tmp_path / "p").exists()
 
     def test_env_var_seed(self, tmp_path, monkeypatch, capsys):
         # only --seed sets the seed; no environment variable does

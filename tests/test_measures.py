@@ -589,7 +589,7 @@ class TestDeclaredInputs:
     def test_every_term_key_names_one_table_entry(self):
         from forevalkit.measures import engine
 
-        tables = (engine._STEP_TERMS, engine._RATIOS, engine._SERIES_VALUES)
+        tables = (engine._STEP_TERMS, engine._RATIOS)
         used = [spec_for(name).terms for name in measure_names()]
         for key in used:
             assert sum(key in table for table in tables) == 1, key
@@ -687,3 +687,36 @@ class TestSummarizeMatchesEvaluate:
             for op_s, name_s in self.MEASURE.items():
                 assert (summarize(absolute, "horizon-then-series", op_h, op_s)
                         == evaluate(name_s, per_series).value), (op_h, op_s)
+
+
+def _pearson(y, f):
+    """Pearson's r in two passes: the means, then the deviation sums (``math.fsum``)."""
+    my, mf = math.fsum(y) / len(y), math.fsum(f) / len(f)
+    dy, df = [a - my for a in y], [b - mf for b in f]
+    return (math.fsum(a * b for a, b in zip(dy, df))
+            / math.sqrt(math.fsum(a * a for a in dy) * math.fsum(b * b for b in df)))
+
+
+class TestCorrelation:
+    """CORR per series is undefined exactly when the series has one row or
+    constant actuals or forecasts; otherwise it is Pearson's r."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_series=st.integers(1, 5))
+    def test_per_series_against_two_pass_reference(self, data, n_series):
+        series = {}
+        for j in range(n_series):
+            n = data.draw(st.integers(1, 8))
+            constant = _VALUE.map(lambda v: [v] * n)
+            series[f"s{j}"] = tuple(data.draw(constant | st.lists(_VALUE, min_size=n, max_size=n))
+                                    for _ in "yf")
+        rows = [(sid, k, a, b) for sid, (y, f) in series.items() for k, (a, b) in enumerate(zip(y, f), 1)]
+        sids, steps, y, f = zip(*rows)
+        fr = EvaluationFrame(list(sids), [1] * len(rows), list(steps), np.array(y), {"m": np.array(f)})
+        r = evaluate("CORR", fr)
+        undefined = [sid for sid, (y, f) in series.items() if min(len(set(y)), len(set(f))) == 1]
+        assert [sid for sid, v in r.per_series.items() if math.isnan(v)] == undefined
+        assert ("zero-variance" in r.flags) == bool(undefined)
+        for sid, (y, f) in series.items():
+            if sid not in undefined:
+                assert abs(r.per_series[sid] - _pearson(y, f)) <= 1e-12, sid

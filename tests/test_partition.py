@@ -10,11 +10,10 @@ from forevalkit import (
     ValidationError,
     blocked_splits,
     embed,
-    fixed_origin_split,
     kfold_splits,
     leakage_check,
     leakage_checks,
-    rolling_origin_splits,
+    splits_for_series,
 )
 from forevalkit.partition import Fold, LeakageReport
 
@@ -23,21 +22,51 @@ def matrix(n_rows, p=2):
     return embed(TimeSeries(id="s", values=np.arange(float(n_rows + p))), p)
 
 
+def fixed_origin(series_length, train, h, **kw):
+    """The one fold of a fixed-origin split."""
+    (fold,) = splits_for_series(series_length, SplitSpec("fixed-origin", train, h, **kw))
+    return fold
+
+
 class TestFixedOrigin:
     def test_definition(self):
-        fold = fixed_origin_split(100, 80, 20)
+        fold = fixed_origin(100, 80, 20)
         assert fold.train_size == 80 and fold.test_size == 20
         assert fold.train_indices[0] == 1 and fold.train_indices[-1] == 80
         assert fold.test_indices[0] == 81 and fold.test_indices[-1] == 100
         assert fold.origin == 80
 
     def test_exact_boundary(self):
-        fold = fixed_origin_split(10, 7, 3)
+        fold = fixed_origin(10, 7, 3)
         assert fold.test_indices[-1] == 10
 
     def test_too_short(self):
-        with pytest.raises(InsufficientHistoryError):
-            fixed_origin_split(10, 8, 5)
+        with pytest.raises(InsufficientHistoryError,
+                           match="initial_train 8 \\+ horizon 5 exceeds series length 10"):
+            fixed_origin(10, 8, 5)
+
+    def test_window_applies(self):
+        fold = fixed_origin(40, 20, 5, window="rolling", window_length=8)
+        assert fold.train_indices.tolist() == list(range(13, 21))
+        assert fixed_origin(40, 20, 5, window_length=30).train_size == 20  # hybrid: still expanding
+        with pytest.raises(ValidationError, match="rolling window_length cannot exceed initial_train"):
+            fixed_origin(40, 20, 5, window="rolling", window_length=21)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 200), data=st.data())
+    def test_is_the_first_rolling_origin_fold(self, n, data):
+        t0 = data.draw(st.integers(1, n - 1))
+        h = data.draw(st.integers(1, n - t0))
+        window = data.draw(st.sampled_from(["expanding", "rolling"]))
+        length = data.draw(st.integers(1, t0) if window == "rolling" else st.none() | st.integers(1, n))
+        kw = dict(initial_train=t0, horizon=h, stride=data.draw(st.integers(1, 5)),
+                  window=window, window_length=length)
+        (fold,) = splits_for_series(n, SplitSpec("fixed-origin", **kw))
+        first = splits_for_series(n, SplitSpec("rolling-origin", **kw))[0]
+        assert fold.origin == first.origin == t0
+        for got, want in ((fold.train_indices, first.train_indices), (fold.test_indices, first.test_indices)):
+            assert got.dtype == np.int64 and not got.flags.writeable and got.base is not None
+            assert np.array_equal(got, want)
 
 
 class TestRollingOrigin:
@@ -47,12 +76,12 @@ class TestRollingOrigin:
         return SplitSpec(**base)
 
     def test_example_four_folds(self):
-        folds = rolling_origin_splits(100, self.spec())
+        folds = splits_for_series(100, self.spec())
         assert [f.origin for f in folds] == [80, 85, 90, 95]
         assert all(f.test_size == 5 for f in folds)
 
     def test_prequential(self):
-        folds = rolling_origin_splits(100, self.spec(initial_train=90, horizon=1, stride=1))
+        folds = splits_for_series(100, self.spec(initial_train=90, horizon=1, stride=1))
         assert len(folds) == 10
 
     def test_closed_form_count_fuzz(self, rng):
@@ -64,32 +93,32 @@ class TestRollingOrigin:
             spec = SplitSpec(scheme="rolling-origin", initial_train=t0, horizon=h, stride=stride)
             if t0 + h > n:
                 with pytest.raises(InsufficientHistoryError):
-                    rolling_origin_splits(n, spec)
+                    splits_for_series(n, spec)
                 continue
-            folds = rolling_origin_splits(n, spec)
+            folds = splits_for_series(n, spec)
             assert len(folds) == (n - t0 - h) // stride + 1
 
     def test_expanding_train_sizes_strictly_increase(self):
-        folds = rolling_origin_splits(60, self.spec(initial_train=20, horizon=5, stride=3))
+        folds = splits_for_series(60, self.spec(initial_train=20, horizon=5, stride=3))
         sizes = [f.train_size for f in folds]
         assert sizes == sorted(sizes) and len(set(sizes)) == len(sizes)
         assert all(f.train_indices[0] == 1 for f in folds)
 
     def test_rolling_window_constant_train(self):
         spec = self.spec(initial_train=20, horizon=5, stride=3, window="rolling", window_length=20)
-        folds = rolling_origin_splits(60, spec)
+        folds = splits_for_series(60, spec)
         assert all(f.train_size == 20 for f in folds)
         assert folds[-1].train_indices[0] == folds[-1].origin - 19
 
     def test_hybrid_expands_then_rolls(self):
         spec = self.spec(initial_train=10, horizon=5, stride=5, window="expanding", window_length=20)
-        folds = rolling_origin_splits(60, spec)
+        folds = splits_for_series(60, spec)
         sizes = [f.train_size for f in folds]
         assert sizes[0] == 10 and max(sizes) == 20 and sizes[-1] == 20
 
     def test_rolling_window_longer_than_initial_train_rejected(self):
         with pytest.raises(ValidationError):
-            rolling_origin_splits(
+            splits_for_series(
                 60, self.spec(initial_train=10, window="rolling", window_length=20)
             )
 
@@ -97,7 +126,7 @@ class TestRollingOrigin:
                                                         ("expanding", 15)])
     def test_folds_are_read_only_views(self, window, window_length):
         spec = self.spec(initial_train=10, horizon=4, stride=3, window=window, window_length=window_length)
-        folds = rolling_origin_splits(60, spec)
+        folds = splits_for_series(60, spec)
         for fold in folds:
             for indices in (fold.train_indices, fold.test_indices):
                 assert indices.dtype == np.int64 and not indices.flags.writeable
@@ -108,7 +137,7 @@ class TestRollingOrigin:
             assert np.shares_memory(a.test_indices, b.train_indices)
 
     def test_partial_tails_dropped(self):
-        folds = rolling_origin_splits(12, self.spec(initial_train=8, horizon=3, stride=2))
+        folds = splits_for_series(12, self.spec(initial_train=8, horizon=3, stride=2))
         assert [f.origin for f in folds] == [8]  # origin 10 would need up to index 13
 
 
@@ -208,7 +237,7 @@ class TestLeakageCheck:
             h = int(rng.integers(1, min(8, n - t0) + 1))
             spec = SplitSpec(scheme="rolling-origin", initial_train=t0, horizon=h,
                              stride=int(rng.integers(1, 5)))
-            for fold in rolling_origin_splits(n, spec):
+            for fold in splits_for_series(n, spec):
                 assert leakage_check(fold, "rolling-origin").passed
         for fold in kfold_splits(matrix(60), 5, seed=0):
             assert leakage_check(fold, "kfold").passed
@@ -265,7 +294,7 @@ class TestLeakageChecks:
 
     def test_single_bad_fold_among_thousands(self):
         spec = SplitSpec(scheme="rolling-origin", initial_train=5, horizon=3)
-        folds = rolling_origin_splits(3000, spec)
+        folds = splits_for_series(3000, spec)
         fold = folds[1234]
         folds[1234] = Fold(np.append(fold.train_indices, [fold.origin + 2, 5000]),
                            fold.test_indices, origin=fold.origin)

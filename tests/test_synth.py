@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forevalkit import (
     DgpSpec,
@@ -92,6 +96,47 @@ class TestGenerate:
             DgpSpec(kind="intermittent", length=10, seed=0, zero_probability=1.5)
         with pytest.raises(ValidationError):
             DgpSpec(kind="structural-break", length=10, seed=0)
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def additive_spec(draw):
+    """A spec of an additive kind other than ``composite``, with any of the
+    additive model's fields set."""
+    kind = draw(st.sampled_from(["linear-trend", "seasonal", "heteroscedastic", "structural-break"]))
+    length = draw(st.integers(1, 60))
+    break_index = draw(st.integers(1, length) if kind == "structural-break"
+                       else st.none() | st.integers(1, length))
+    return DgpSpec(kind=kind, length=length, seed=draw(st.integers(0, 2**32)),
+                   noise=draw(st.sampled_from(["gaussian", "student-t"])),
+                   noise_sd=draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1e3)),
+                   t_df=draw(st.floats(2.5, 30)), level=draw(_FINITE),
+                   trend_slope=draw(st.sampled_from([0.0]) | _FINITE),
+                   period=draw(st.integers(2, 24)), amplitude=draw(st.sampled_from([0.0]) | _FINITE),
+                   sigma_end_factor=draw(st.sampled_from([1.0]) | st.floats(0, 20)),
+                   break_index=break_index, break_shift=draw(_FINITE))
+
+
+class TestAdditiveKinds:
+    """``linear-trend``, ``seasonal``, ``heteroscedastic`` and ``structural-break``
+    are the ``composite`` model: every field it reads takes effect."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(additive_spec())
+    def test_equal_composite_bit_for_bit(self, spec):
+        got = generate(spec)
+        want = generate(replace(spec, kind="composite"))
+        assert got.id == f"{spec.kind}-{spec.seed}"
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    def test_fields_of_other_components_apply(self):
+        v = generate(DgpSpec(kind="linear-trend", length=24, seed=0, noise_sd=0.0, amplitude=2.0,
+                             period=4)).values
+        assert v.tolist() == (2.0 * np.sin(2.0 * np.pi * np.arange(1, 25) / 4)).tolist()
+        with pytest.raises(ValidationError, match="seasonal component needs period >= 2"):
+            DgpSpec(kind="heteroscedastic", length=10, seed=0, amplitude=1.0, period=1)
 
 
 class TestInjectOutliers:
