@@ -46,7 +46,10 @@ __all__ = list(_SOURCE)
 # The registration saves no start-up time: a fresh ``import forevalkit.cli`` took 0.148 s
 # with it and 0.153 s without (medians of 30 interleaved runs, 2-CPU Xeon; batches vary
 # from 0.15 to 0.20 s). It stays because ``perfbench/tracer.py`` finds each traced module
-# in ``sys.modules`` before any command imports it, and only this puts it there.
+# in ``sys.modules`` before any command imports it, and only this puts it there. The CLI's
+# per-command module sets rely on it too: ``from .measures.engine import evaluate`` finds
+# ``forevalkit.measures.engine`` registered and so never runs ``measures/__init__.py``, which
+# would run ``engine``, ``ranking`` and ``registry`` all three.
 def _register_lazily(package: str, path, names) -> None:
     """Put each named submodule of ``package`` in ``sys.modules`` and on the package
     without running it; its code runs when one of its attributes is first read."""

@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ValidationError, check_fields, from_fields, json_object
 from .measures.registry import REGISTRY
-from .stats import TestResult
+
+if TYPE_CHECKING:  # for an annotation only, so advise never runs stats
+    from .stats import TestResult
 
 __all__ = [
     "CharacteristicProfile",

@@ -7,12 +7,14 @@ its outputs so identical manifests imply identical outputs.
 ``compare`` checks every report it reads before testing; a malformed
 report is a usage problem. It reads each model's per-row errors into
 columns once and sorts the rows of every report together once: that one
-sort finds a key repeated within a model's errors, and for
-Diebold-Mariano pairs a pair's common rows are then an intersection of
-sorted key ids, with no per-pair Python join or sort.
+sort finds a key repeated within a model's errors and puts each model's
+squared errors in one row of a models x keys array, NaN where the model
+has no error for a key. A Diebold-Mariano pair's common rows are then the
+columns where neither row is NaN, with no per-pair join or sort.
 
-Each command imports the modules it uses when it runs, so an invocation
-runs only its own command's modules (see the package docstring).
+Each command imports the modules it uses when it runs, each name from
+the submodule that defines it, so an invocation runs only its own
+command's modules (see the package docstring).
 
 Each command runs BLAS on one thread: importing this module before numpy
 sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
@@ -25,7 +27,22 @@ would depend on the host's CPU count. Library calls keep the
 caller's BLAS setting: a numpy loaded before this module is left as it
 is. ``main`` also pauses the cyclic garbage collector while a command
 runs, since its passes over the command's many live objects (the decoded
-reports, for ``compare``) find almost nothing to free.
+reports, for ``compare``) find almost nothing to free, and turns it back
+on before it returns: ``main`` leaves no process-wide change behind, so
+tests and other in-process callers can call it repeatedly.
+
+The process entry is ``run``, for both ``python -m forevalkit.cli`` and
+the ``forevalkit`` console script: it calls ``main``, then ``gc.freeze()``,
+then ``sys.exit`` with the code. At exit the interpreter runs one last
+collection over every object still tracked, most of them the numpy and,
+for ``compare``, scipy module graphs, only to free them as the process
+ends. Freezing first moves them all out of the collector's reach. The
+median time from ``main``'s return to the reaped process, over 15 fresh
+interpreters on a 2-CPU host, fell from 72 to 17 ms for ``compare`` and
+from 25-29 to 7-9 ms for each other command. Unlike ``os._exit``, this
+keeps atexit handlers, the flushing of stdout and stderr and the
+broken-pipe behaviour: output to a pipe whose reader has gone exits 2
+with ``error: [Errno 32] Broken pipe``.
 
 Exit codes: 0 success, 2 usage/config problems (including unreadable
 input files and malformed compare reports), 3 leakage or data validation
@@ -110,7 +127,8 @@ def _result_dict(r) -> dict:
 
 def cmd_evaluate(args) -> int:
     from .io import build_frame, read_forecast_csv, read_series_csv, write_matrix_csv
-    from .measures import UndefinedPolicy, evaluate, spec_for
+    from .measures.engine import evaluate
+    from .measures.registry import UndefinedPolicy, spec_for
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,15 +351,18 @@ def _collect_scores(reports: list[dict], measure: str):
 
 
 def _losses_by_key(reports: list[dict]) -> dict:
-    """Each model's squared errors in ``(series_id, origin, step)`` order, with each
-    row's key id, from the last report that holds the model's errors.
+    """Each model's squared errors, from the last report that holds them, as its
+    row of one models x keys array: column ``i`` holds key id ``i``, keys in
+    ``(series_id, origin, step)`` order, and NaN where the model has no error for
+    that key. Errors are finite, so NaN marks only an absent key, and a pair's
+    common keys are where both rows are not NaN, in key order.
 
     One sort covers the error rows of every (report, model) entry, with series
     ids coded in sorted order, so ids increase along the key order and equal keys
-    share one across entries: a pair's common rows are one ``intersect1d`` of ids.
-    The sort keeps read order among equal keys, so a key repeated within an entry
-    shows as adjacent rows of that entry with one id; the first such entry in
-    read order is reported, at its first row that repeats an earlier key."""
+    share one across entries. The sort keeps read order among equal keys, so a
+    key repeated within an entry shows as adjacent rows of that entry with one
+    id; the first such entry in read order is reported, at its first row that
+    repeats an earlier key."""
     entries = [(model, *rows) for report in reports for model, rows in report["errors"].items()]
     if not entries:
         return {}
@@ -360,11 +381,16 @@ def _losses_by_key(reports: list[dict]) -> dict:
         raise ValidationError(f"{wheres[j]}: key {i} {keys[j][i]!r} repeats an earlier key")
     losses = np.concatenate(errors)[key_order] ** 2
     last = {model: j for j, model in enumerate(models)}
-    return {model: (key_id[owner == j], losses[owner == j]) for model, j in last.items()}
+    matrix = np.full((len(last), key_id[-1] + 1 if key_id.size else 0), np.nan)
+    for row, j in zip(matrix, last.values()):
+        mine = owner == j
+        row[key_id[mine]] = losses[mine]
+    return dict(zip(last, matrix))
 
 
 def cmd_compare(args) -> int:
-    from .measures import rank_models, spec_for
+    from .measures.ranking import rank_models
+    from .measures.registry import spec_for
     from .stats import (cd_diagram_data, diebold_mariano, friedman, nemenyi_cd, p_adjust,
                         render_cd_svg, render_cd_text, wilcoxon_rank_sum)
 
@@ -411,11 +437,11 @@ def cmd_compare(args) -> int:
         for j in range(i + 1, len(models)):
             a, b = models[i], models[j]
             if pairwise_kind == "dm":
-                (ids_a, la), (ids_b, lb) = losses[a], losses[b]
-                _, ia, ib = np.intersect1d(ids_a, ids_b, assume_unique=True, return_indices=True)
-                if ia.size < 4:
+                la, lb = losses[a], losses[b]
+                both = (la == la) & (lb == lb)
+                if np.count_nonzero(both) < 4:
                     raise ValidationError("pairwise DM needs at least 4 aligned errors")
-                res = diebold_mariano(la[ia], lb[ib], horizon=horizon, alpha=alpha)
+                res = diebold_mariano(la[both], lb[both], horizon=horizon, alpha=alpha)
             else:
                 res = wilcoxon_rank_sum(scores[a], scores[b], alpha=alpha)
             raw_p[(a, b)] = 1.0 if res.p_value != res.p_value else res.p_value
@@ -456,8 +482,12 @@ def cmd_advise(args) -> int:
                    "profile")
     lengths = raw.pop("series_lengths", None)
     check_type("profile series_lengths", lengths, float | tuple[float, ...] | None)
+    if "model_class" in raw:
+        _check_model_class(raw["model_class"])
+        if lengths is None:
+            raise ValidationError("profile 'model_class' is read only with 'series_lengths', for partitioning "
+                                  "advice; add series_lengths")
     model_class = raw.pop("model_class", "unknown")
-    _check_model_class(model_class)
     profile = from_fields(CharacteristicProfile, raw, "profile")
     recommendation = recommend_measures(profile, load_rule_table())
     if lengths is not None:
@@ -583,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; the collector is left as it was."""
     parser = build_parser()
     args = parser.parse_args(argv)
     gc_enabled = gc.isenabled()
@@ -600,5 +631,13 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The process entry: ``main``, then ``gc.freeze()`` so that the collection at
+    exit has nothing to traverse (see the module docstring), then exit with its code."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -411,6 +411,22 @@ def _row_mean(a):
     return np.add.reduce(a, axis=1) / a.shape[1]
 
 
+def _row_geometric_mean(a):
+    a = np.abs(a)
+    nonzero = a != 0
+    out = np.exp(_row_mean(np.log(a, out=np.zeros_like(a), where=nonzero)))
+    out[~nonzero.all(axis=1)] = 0.0
+    return out
+
+
+# the row reducers a summary operator names, for ``Groups.reduce``
+_SUMMARISERS = {
+    "mean": _row_mean,
+    "median": lambda a: np.median(a, axis=1),
+    "geometric-mean": _row_geometric_mean,
+}
+
+
 def _key_index(codes, origins, steps):
     """One sort of the rows by (series code, origin, step): the rows in that order,
     the dense id (0, 1, ...) of each sorted row's key, equal keys sharing one, and

@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import EvaluationFrame, Groups, ValidationError, _row_mean
-from .registry import UndefinedPolicy, spec_for
+from ..core import _SUMMARISERS, EvaluationFrame, Groups, ValidationError, check_type
+from .registry import CONSTANTS, UndefinedPolicy, spec_for
 
 __all__ = ["MeasureResult", "UndefinedValueError", "WeightVector", "evaluate"]
 
@@ -78,21 +78,6 @@ class MeasureResult:
     @property
     def defined(self) -> bool:
         return self.value == self.value  # not NaN
-
-
-def _row_geometric_mean(a):
-    a = np.abs(a)
-    nonzero = a != 0
-    out = np.exp(_row_mean(np.log(a, out=np.zeros_like(a), where=nonzero)))
-    out[~nonzero.all(axis=1)] = 0.0
-    return out
-
-
-_SUMMARISERS = {
-    "mean": _row_mean,
-    "median": lambda a: np.median(a, axis=1),
-    "geometric-mean": _row_geometric_mean,
-}
 
 
 def _summarise(groups: Groups, terms, defined, op: str, skip: bool, sqrt_after: bool) -> np.ndarray:
@@ -200,14 +185,11 @@ def _train_scale(name: str, train, sid: str, kind: str, constants: dict) -> floa
         if values.size < 1:
             raise ValidationError(f"{name}: empty train values for series {sid!r}")
         return float(values.mean())
-    m = constants.get("seasonal_period") or 1
-    if constants.get("scale_mode", "one-step") == "multi-step":
-        h = constants.get("multistep_h")
-        if not h or h < 1:
-            raise ValidationError(f"{name}: multi-step scale mode needs multistep_h >= 1")
-        lags = range(1, h + 1)
+    if constants["scale_mode"] == "multi-step":
+        lags = range(1, constants["multistep_h"] + 1)
     else:
-        lags = (m,)
+        m = constants["seasonal_period"]
+        lags = (1 if m is None else m,)
     diffs = []
     for lag in lags:
         if values.size < lag + 1:
@@ -479,6 +461,17 @@ def evaluate(
                 f"{name}: unknown constants {sorted(unknown)}; allowed: {allowed}"
             )
         consts.update(constants)
+    for key, value in consts.items():
+        hint, ok, domain = CONSTANTS[key]
+        check_type(f"{name} constant {key}", value, hint)
+        if not ok(value):
+            raise ValidationError(f"{name} constant {key} must be {domain}, got {value!r}")
+    if consts.get("scale_mode") == "multi-step":
+        if consts["multistep_h"] is None:
+            raise ValidationError(f"{name}: multi-step scale mode needs multistep_h >= 1")
+        if consts["seasonal_period"] is not None:
+            raise ValidationError(f"{name}: seasonal_period is not read in the multi-step scale mode, "
+                                  "which pools lags 1..multistep_h")
     x = _Inputs(spec, frame, model, benchmark, train, weights, consts)
 
     if spec.terms in _STEP_TERMS:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core import ValidationError
-from .engine import _SUMMARISERS, WeightVector
+from ..core import _SUMMARISERS, ValidationError
+
+if TYPE_CHECKING:  # for annotations only, so ranking and compare never run the engine
+    from .engine import WeightVector
 
 __all__ = [
     "summarize",

@@ -15,6 +15,7 @@ squared-deviation sums). That one value per series is combined by the call's
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from ..core import ValidationError
@@ -49,7 +50,8 @@ class UndefinedPolicy:
 class MeasureSpec:
     """One error measure. ``sqrt_after`` takes the square root after the
     summary, or of each series' value or ratio of sums; the engine hands a measure only the
-    extra inputs its ``needs_*`` declare; ``constants`` are call defaults.
+    extra inputs its ``needs_*`` declare; ``constants`` are call defaults, each
+    with its type and domain in ``CONSTANTS``.
     """
 
     name: str
@@ -65,6 +67,22 @@ class MeasureSpec:
 
 def _naive_scale() -> dict:
     return {"seasonal_period": None, "scale_mode": "one-step", "multistep_h": None}
+
+
+def _finite(x) -> bool:
+    return abs(x) <= sys.float_info.max  # False for NaN; no overflow for a large int
+
+
+# every constant a measure takes: its type (a ``core.check_type`` hint), the test
+# of its domain, and that domain described
+CONSTANTS = {
+    "seasonal_period": (int | None, lambda v: v is None or v >= 1, "at least 1"),
+    "scale_mode": (str, lambda v: v in ("one-step", "multi-step"), "'one-step' or 'multi-step'"),
+    "multistep_h": (int | None, lambda v: v is None or v >= 1, "at least 1"),
+    "epsilon": (float, _finite, "finite"),
+    "threshold": (float, _finite, "finite"),
+    "clamp": (float, _finite, "finite"),
+}
 
 
 _SPECS = [
@@ -126,6 +144,8 @@ _SPECS = [
 REGISTRY: dict[str, MeasureSpec] = {s.name: s for s in _SPECS}
 if len(REGISTRY) != len(_SPECS):
     raise AssertionError("duplicate measure name in registry")
+if not {k for s in _SPECS for k in s.constants} <= set(CONSTANTS):
+    raise AssertionError("a measure constant without a declared type and domain")
 
 
 def measure_names() -> list[str]:

@@ -53,7 +53,8 @@ _WINDOWS = ("expanding", "rolling")
 class SplitSpec:
     """Declarative description of a temporal partitioning scheme.
 
-    ``stride`` lets rolling-origin evaluation skip origins. A
+    ``stride`` lets rolling-origin evaluation skip origins; a fixed-origin spec,
+    which has one origin, keeps the default 1. A
     ``window_length`` together with ``window="expanding"`` selects the hybrid
     setup that expands until the window is full and then rolls. Each field
     must hold a value of its declared type.
@@ -76,6 +77,9 @@ class SplitSpec:
             raise ValidationError("horizon must be >= 1")
         if self.stride < 1:
             raise ValidationError("stride must be >= 1")
+        if self.scheme == "fixed-origin" and self.stride != 1:
+            raise ValidationError(f"a fixed-origin split has one origin and reads no stride; stride must be 1, "
+                                  f"got {self.stride}")
         if self.window not in _WINDOWS:
             raise ValidationError(f"window must be one of {_WINDOWS}")
         if self.window == "rolling" and (self.window_length is None or self.window_length < 1):

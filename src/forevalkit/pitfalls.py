@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, EvaluationFrame, TimeSeries, ValidationError, benchmark_frame
-from .measures import evaluate
+from .measures.engine import evaluate
 from .olsar import fit_ar, recursive_forecast
 from .synth import DgpSpec, OutlierInjection, derive_seed, generate, inject_outliers
 

@@ -1,9 +1,11 @@
-"""The CLI's process settings: one BLAS thread per command, and the cyclic
-garbage collector paused while a command runs."""
+"""The CLI's process settings: one BLAS thread per command, the cyclic
+garbage collector paused while a command runs, and the process entry that
+freezes the heap before the interpreter exits."""
 
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -145,3 +147,53 @@ class TestCollectorPaused:
         finally:
             gc.enable()
         assert seen == [False]
+
+
+class TestProcessEntry:
+    """``python -m forevalkit.cli`` runs ``cli.run``: ``main``, ``gc.freeze()``, exit."""
+
+    SERIES = "series_id,timestamp,value\n" + "".join(f"{s},{t},{10 * k + t % 3}\n"
+                                                     for k, s in enumerate("ab", 1) for t in range(1, 7))
+    FORECASTS = "series_id,origin,step,model,forecast\n" + "".join(
+        f"{s},4,{h},{m},{10 * k + h + j}\n" for j, m in enumerate(("m1", "m2"))
+        for k, s in enumerate("ab", 1) for h in (1, 2))
+
+    @staticmethod
+    def outputs(path) -> dict:
+        return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize("forecasts, code", [
+        (FORECASTS, 0),
+        (None, 2),  # the forecasts file is missing
+        (FORECASTS.replace("a,4,2,m1,12", "a,4,2,m1,nan"), 3),  # a non-finite forecast
+    ])
+    def test_same_as_main_in_process(self, tmp_path, monkeypatch, capsys, subprocess_env, forecasts, code):
+        (tmp_path / "series.csv").write_text(self.SERIES)
+        if forecasts is not None:
+            (tmp_path / "forecasts.csv").write_text(forecasts)
+        (tmp_path / "suite.json").write_text(json.dumps({"measures": ["MAE", "RMSE"]}))
+        argv = ["evaluate", "series.csv", "forecasts.csv", "suite.json", "--out", "out"]
+        proc = subprocess.run([sys.executable, "-m", "forevalkit.cli", *argv], capture_output=True,
+                              text=True, env=subprocess_env, cwd=tmp_path)
+        child = (proc.returncode, proc.stdout, proc.stderr, self.outputs(tmp_path / "out"))
+        shutil.rmtree(tmp_path / "out")
+        monkeypatch.chdir(tmp_path)
+        in_process = (main(argv), *capsys.readouterr(), self.outputs(tmp_path / "out"))
+        assert gc.get_freeze_count() == 0  # only ``run`` freezes
+        assert child == in_process
+        assert child[0] == code
+        assert child[2].count("\n") == (code != 0) and child[2].startswith("error: " if code else "")
+        assert bool(child[3]) == (code == 0)  # output files only on success
+
+    def test_run_freezes_after_main_then_exits_with_its_code(self, monkeypatch):
+        calls = []
+
+        def fake_main():
+            calls.append(gc.get_freeze_count())
+            return 3
+        monkeypatch.setattr(forevalkit.cli, "main", fake_main)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exc:
+            forevalkit.cli.run()
+        assert exc.value.code == 3
+        assert calls == [0, "freeze"]

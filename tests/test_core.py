@@ -15,9 +15,8 @@ from forevalkit import (
     benchmark_frame,
     embed,
 )
-from forevalkit.core import Groups, _key_index, _row_sum
+from forevalkit.core import _SUMMARISERS, Groups, _key_index, _row_sum
 from forevalkit.measures import evaluate
-from forevalkit.measures.engine import _SUMMARISERS
 from forevalkit.olsar import ArFit, fit_ar, one_step_predictions
 
 

@@ -912,6 +912,26 @@ class TestCliCompareDm:
             assert pairs[name]["test"] == "diebold-mariano"
             assert (pairs[name]["statistic"].hex(), pairs[name]["p_value"].hex()) == (stat.hex(), p.hex())
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=_dm_reports())
+    def test_loss_rows_hold_each_models_keys_in_key_order(self, case, tmp_path_factory):
+        """One row per model over every key read, sorted as ``(series_id, origin, step)``
+        tuples: the squared error of the model's last entry at each of its keys, NaN
+        at every other key."""
+        models, first, second, final, _ = case
+        work = tmp_path_factory.mktemp("losses")
+        reports = []
+        for i, report in enumerate((first, second)):
+            (work / f"report{i}.json").write_text(json.dumps(report))
+            reports.append(forevalkit.cli._read_report(work / f"report{i}.json"))
+        columns = sorted({tuple(k) for r in (first, second) for e in r["errors"].values() for k in e["keys"]})
+        want = np.full((len(models), len(columns)), np.nan)
+        for row, m in zip(want, models):
+            row[[columns.index(tuple(k)) for k in final[m]["keys"]]] = np.array(final[m]["errors"], float) ** 2
+        got = forevalkit.cli._losses_by_key(reports)
+        assert list(got) == models
+        assert np.array_equal(np.stack(list(got.values())), want, equal_nan=True)
+
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_evaluate_then_compare(self, workdir, capsys):
         out = workdir / "out"
@@ -1255,6 +1275,47 @@ class TestCliInputErrors:
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
             "--out", str(workdir / "o")], "msMAPE: constants must map names to values, got 5")
 
+    @pytest.mark.parametrize("measure, constants, message", [
+        ("MASE", {"seasonal_period": "x"}, "MASE constant seasonal_period must be an integer, got 'x'"),
+        ("MASE", {"seasonal_period": True}, "MASE constant seasonal_period must be an integer, got True"),
+        ("MASE", {"seasonal_period": 2.5}, "MASE constant seasonal_period must be an integer, got 2.5"),
+        ("MASE", {"seasonal_period": 0}, "MASE constant seasonal_period must be at least 1, got 0"),
+        ("MASE", {"seasonal_period": -1}, "MASE constant seasonal_period must be at least 1, got -1"),
+        ("MASE", {"scale_mode": "bogus"},
+         "MASE constant scale_mode must be 'one-step' or 'multi-step', got 'bogus'"),
+        ("MASE", {"scale_mode": 7}, "MASE constant scale_mode must be a string, got 7"),
+        ("MASE", {"scale_mode": "multi-step", "multistep_h": "2"},
+         "MASE constant multistep_h must be an integer, got '2'"),
+        ("RMSSE", {"scale_mode": "multi-step", "multistep_h": 0},
+         "RMSSE constant multistep_h must be at least 1, got 0"),
+        ("MASE", {"scale_mode": "multi-step"}, "MASE: multi-step scale mode needs multistep_h >= 1"),
+        ("MdASE", {"scale_mode": "multi-step", "multistep_h": 2, "seasonal_period": 2},
+         "MdASE: seasonal_period is not read in the multi-step scale mode, which pools lags 1..multistep_h"),
+        ("msMAPE", {"epsilon": "x"}, "msMAPE constant epsilon must be a number, got 'x'"),
+        ("msMAPE", {"threshold": float("nan")}, "msMAPE constant threshold must be finite, got nan"),
+        ("RTAE", {"clamp": float("inf")}, "RTAE constant clamp must be finite, got inf"),
+        ("RTAE", {"clamp": 10 ** 400}, "RTAE constant clamp must be finite, got 1000"),
+    ])
+    def test_measure_constant_of_wrong_type_or_domain(self, workdir, capsys, measure, constants, message):
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": [{"name": measure, "constants": constants}]}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+            "--out", str(workdir / "o")], f"error: {message}")
+
+    @pytest.mark.parametrize("measure, constants", [
+        ("MASE", {"seasonal_period": 2}),
+        ("MASE", {"seasonal_period": None, "scale_mode": "one-step", "multistep_h": None}),
+        ("RMSSE", {"scale_mode": "multi-step", "multistep_h": 2}),
+        ("msMAPE", {"epsilon": 0, "threshold": 1}),
+        ("RTAE", {"clamp": 0.5}),
+    ])
+    def test_measure_constant_in_domain(self, workdir, measure, constants):
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": [{"name": measure, "constants": constants}]}))
+        assert main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+                     "--out", str(workdir / "o")]) == 0
+
     def test_report_entry_without_measure_or_model(self, workdir, capsys):
         report = workdir / "report.json"
         report.write_text(json.dumps({"results": [{"measure": "RMSE", "model": "m1"}, {}]}))
@@ -1405,6 +1466,14 @@ class TestCliInputErrors:
          "error: bad split spec: SplitSpec.__init__() missing 1 required positional argument: 'scheme'\n"),
         ("advise", {"intermittency": True, "model_class": "bogus"},
          "error: model_class must be pure-AR, stateful or unknown\n"),
+        # values that nothing would read
+        ("backtest", {"scheme": "fixed-origin", "initial_train": 3, "horizon": 2, "stride": 5},
+         "error: a fixed-origin split has one origin and reads no stride; stride must be 1, got 5\n"),
+        ("advise", {"intermittency": True, "model_class": "pure-AR"},
+         "error: profile 'model_class' is read only with 'series_lengths', for partitioning advice; "
+         "add series_lengths\n"),
+        ("advise", {"series_lengths": None, "model_class": "stateful"},
+         "error: profile 'model_class' is read only with 'series_lengths'"),
     ])
     def test_spec_keys(self, workdir, capsys, command, spec, fragment):
         self._fails_with_message(capsys, self._spec_argv(workdir, command, spec), fragment)

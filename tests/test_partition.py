@@ -52,6 +52,12 @@ class TestFixedOrigin:
         with pytest.raises(ValidationError, match="rolling window_length cannot exceed initial_train"):
             fixed_origin(40, 20, 5, window="rolling", window_length=21)
 
+    def test_takes_no_stride_but_1(self):
+        assert fixed_origin(10, 5, 2, stride=1).origin == 5
+        with pytest.raises(ValidationError, match="^a fixed-origin split has one origin and reads no stride; "
+                                                  "stride must be 1, got 2$"):
+            SplitSpec("fixed-origin", 5, 2, stride=2)
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 200), data=st.data())
     def test_is_the_first_rolling_origin_fold(self, n, data):
@@ -59,10 +65,12 @@ class TestFixedOrigin:
         h = data.draw(st.integers(1, n - t0))
         window = data.draw(st.sampled_from(["expanding", "rolling"]))
         length = data.draw(st.integers(1, t0) if window == "rolling" else st.none() | st.integers(1, n))
-        kw = dict(initial_train=t0, horizon=h, stride=data.draw(st.integers(1, 5)),
-                  window=window, window_length=length)
+        kw = dict(initial_train=t0, horizon=h, window=window, window_length=length)
         (fold,) = splits_for_series(n, SplitSpec("fixed-origin", **kw))
-        first = splits_for_series(n, SplitSpec("rolling-origin", **kw))[0]
+        # the first rolling origin is initial_train whatever the stride; a fixed-origin
+        # spec takes no other stride than 1
+        stride = data.draw(st.integers(1, 5))
+        first = splits_for_series(n, SplitSpec("rolling-origin", stride=stride, **kw))[0]
         assert fold.origin == first.origin == t0
         for got, want in ((fold.train_indices, first.train_indices), (fold.test_indices, first.test_indices)):
             assert got.dtype == np.int64 and not got.flags.writeable and got.base is not None
