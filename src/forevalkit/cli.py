@@ -4,12 +4,12 @@ Subcommands: evaluate, backtest, compare, advise, simulate, pitfalls.
 Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
-``compare`` checks every report it reads before testing; a malformed
-report is a usage problem. It reads each model's per-row errors into
-columns once and sorts the rows of every report together once: that one
-sort finds a key repeated within a model's errors and puts each model's
-squared errors in one row of a models x keys array, NaN where the model
-has no error for a key. A Diebold-Mariano pair's common rows are then the
+``compare`` checks every report it reads before testing, and writes no
+output until every test has run; a malformed report is a usage problem.
+It reads each model's per-row errors into columns once and sorts the rows
+of every report together once: that one sort finds a key repeated within a
+model's errors and puts each model's squared errors in one row of a models
+x keys array, NaN where the model has no error for a key. A Diebold-Mariano pair's common rows are then the
 columns where neither row is NaN, with no per-pair join or sort.
 
 Each command imports the modules it uses when it runs, each name from
@@ -296,7 +296,8 @@ def _read_report(path) -> dict:
     equal length, of ``[series_id, origin, step]`` keys and finite numbers. Each
     entry becomes ``(where, keys, series ids, origins, steps, errors)``, the last
     three as arrays. A malformed part is a ``ValidationError`` that names the
-    path, the model and the entry or row; ``_losses_by_key`` finds repeated keys."""
+    path, the model and the entry or row; ``_losses_by_key`` finds repeated keys
+    and errors whose square is not finite."""
     report = _read_json(path)
     results = report.get("results", [])
     if not isinstance(results, list):
@@ -379,7 +380,14 @@ def _losses_by_key(reports: list[dict]) -> dict:
         j = int(owner[1:][repeated].min())
         i = int(key_order[1:][repeated & (owner[1:] == j)].min()) - sum(sizes[:j])
         raise ValidationError(f"{wheres[j]}: key {i} {keys[j][i]!r} repeats an earlier key")
-    losses = np.concatenate(errors)[key_order] ** 2
+    with np.errstate(over="ignore"):  # a square past the float range is reported here
+        squares = np.concatenate(errors) ** 2
+    if not np.isfinite(squares).all():
+        at = int(np.argmin(np.isfinite(squares)))
+        j = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
+        i = at - sum(sizes[:j])
+        raise ValidationError(f"{wheres[j]}: error {i} is {float(errors[j][i])!r}, whose square is not finite")
+    losses = squares[key_order]
     last = {model: j for j, model in enumerate(models)}
     matrix = np.full((len(last), key_id[-1] + 1 if key_id.size else 0), np.nan)
     for row, j in zip(matrix, last.values()):
@@ -418,15 +426,6 @@ def cmd_compare(args) -> int:
     fried = friedman(table, alpha=alpha)
     posthoc = nemenyi_cd(table, alpha=alpha, friedman_result=fried)
     layout = cd_diagram_data(posthoc)
-    (out_dir / "cd.txt").write_text(render_cd_text(layout))
-    (out_dir / "cd.svg").write_text(render_cd_svg(layout))
-
-    with (out_dir / "ranks.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series_id"] + list(table.models))
-        for sid, row in zip(series, table.ranks):
-            writer.writerow([sid] + [repr(float(r)) for r in row])
-        writer.writerow(["mean_rank"] + [repr(table.mean_ranks[m]) for m in table.models])
 
     models = list(scores)
     if pairwise_kind == "dm" and any(m not in losses for m in models):
@@ -464,6 +463,15 @@ def cmd_compare(args) -> int:
         "adjusted_p": {f"{a} vs {b}": p for (a, b), p in adjusted.pairwise.items()},
         "adjust_method": adjust,
     }
+    # every test has run: nothing is written for a compare that fails
+    (out_dir / "cd.txt").write_text(render_cd_text(layout))
+    (out_dir / "cd.svg").write_text(render_cd_svg(layout))
+    with (out_dir / "ranks.csv").open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["series_id"] + list(table.models))
+        for sid, row in zip(series, table.ranks):
+            writer.writerow([sid] + [repr(float(r)) for r in row])
+        writer.writerow(["mean_rank"] + [repr(table.mean_ranks[m]) for m in table.models])
     _write_json(out_dir / "tests.json", tests)
     _write_manifest(out_dir, "compare", [Path(p) for p in args.reports],
                     {"config": config}, None)
@@ -478,6 +486,7 @@ def cmd_advise(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _read_json(args.profile)
+    config = {"profile": dict(raw)}  # as read: identical profiles at two paths hash alike
     reject_unknown(raw, (*(f.name for f in fields(CharacteristicProfile)), "series_lengths", "model_class"),
                    "profile")
     lengths = raw.pop("series_lengths", None)
@@ -497,7 +506,7 @@ def cmd_advise(args) -> int:
     text = recommendation.to_text()
     (out_dir / "recommendation.txt").write_text(text)
     print(text, end="")
-    _write_manifest(out_dir, "advise", [Path(args.profile)], {"profile": str(args.profile)}, None)
+    _write_manifest(out_dir, "advise", [Path(args.profile)], config, None)
     return EXIT_OK
 
 

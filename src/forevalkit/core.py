@@ -213,10 +213,10 @@ _BENCHMARK_KINDS = ("naive", "seasonal-naive", "mean")
 class Forecaster:
     """A benchmark forecaster. Forecasts of other models enter the toolkit as data.
 
-    ``naive`` repeats the last known observation, which is optimal for a random
-    walk. ``seasonal-naive`` forecasts step k with y at position origin + k -
-    m*ceil(k/m), m being ``period``; m = 1 gives the naive forecast. ``mean``
-    repeats the mean of the history up to the origin.
+    ``seasonal-naive`` forecasts step k with y at position origin + k -
+    m*ceil(k/m), m being ``period``. ``naive`` is its m = 1 case, whatever
+    ``period`` holds: it repeats the last known observation, which is optimal
+    for a random walk. ``mean`` repeats the mean of the history up to the origin.
     """
 
     kind: str
@@ -238,12 +238,12 @@ class Forecaster:
         """
         if h < 1:
             raise ValidationError("horizon must be >= 1")
-        values, m = series.values, self.period
+        values, m = series.values, self.period if self.kind == "seasonal-naive" else 1
         origins = np.asarray(origins)
         if origins.size and origins.dtype.kind not in "iu":
             raise ValidationError(f"origins must be integers, got {origins.dtype} values")
         origins = origins.astype(np.int64)
-        bad = (origins < (m if self.kind == "seasonal-naive" else 1)) | (origins > values.size)
+        bad = (origins < m) | (origins > values.size)
         if bad.any():
             origin = int(origins[bad.argmax()])
             if not 1 <= origin <= values.size:
@@ -252,15 +252,12 @@ class Forecaster:
                 f"seasonal naive needs at least one full period of history for series "
                 f"{series.id!r} (origin {origin} < m {m})"
             )
-        if self.kind == "seasonal-naive":
-            steps = np.arange(1, h + 1)
-            return values[origins[:, None] + steps - m * np.ceil(steps / m).astype(int) - 1]
-        if self.kind == "naive":
-            level = values[origins - 1]
-        else:
+        if self.kind == "mean":
             # mean() divides the same pairwise sum by the count, so this is bit-equal; a cumsum is not
             level = np.array([values[:o].sum() for o in origins.tolist()]) / origins
-        return np.repeat(level[:, None], h, axis=1)
+            return np.repeat(level[:, None], h, axis=1)
+        steps = np.arange(1, h + 1)
+        return values[origins[:, None] + steps - m * np.ceil(steps / m).astype(int) - 1]
 
 
 @dataclass(frozen=True)

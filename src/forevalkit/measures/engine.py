@@ -5,7 +5,8 @@ The measure's registry entry names its term function in one of two
 tables: step terms, summarised under the undefined-value policy; and
 ratios, a numerator and a denominator per series or (``ratio-of-sums``)
 over all rows. Every quotient is undefined where its denominator is 0
-(``_divide``). The engine handles the policy,
+(``_divide``). AvgRelMAE's per-series ratios are expanded to their rows and
+summarised like row terms. The engine handles the policy,
 per-series scale factors computed strictly from supplied train values,
 benchmark alignment, and weighting. Summaries are ``core.Groups`` reductions: the
 pooled value is the one-group case, and every result also carries the
@@ -38,7 +39,7 @@ class UndefinedValueError(ValidationError):
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Non-negative weights attached to series ids or horizon steps."""
+    """Finite non-negative weights, not all zero, attached to series ids or horizon steps."""
 
     axis: str  # "series" | "step"
     weights: dict
@@ -49,17 +50,21 @@ class WeightVector:
         vals = list(self.weights.values())
         if not vals:
             raise ValidationError("weight vector is empty")
-        if any(w < 0 for w in vals):
-            raise ValidationError("weights must be non-negative")
+        if not all(0 <= w < math.inf for w in vals):  # not NaN either
+            raise ValidationError("weights must be finite and non-negative")
         if sum(vals) <= 0:
             raise ValidationError("weights must not all be zero")
 
-    def per_row(self, frame: EvaluationFrame) -> np.ndarray:
-        groups = frame.series_index if self.axis == "series" else Groups.of(frame.steps.tolist())
+    def of(self, labels) -> np.ndarray:
+        """The weights of ``labels`` (series ids or steps), in order; each must have one."""
         try:
-            return groups.expand(np.array([self.weights[k] for k in groups.labels], dtype=float))
+            return np.array([self.weights[k] for k in labels], dtype=float)
         except KeyError as exc:
             raise ValidationError(f"no weight for {self.axis} {exc.args[0]!r}") from None
+
+    def per_row(self, frame: EvaluationFrame) -> np.ndarray:
+        groups = frame.series_index if self.axis == "series" else Groups.of(frame.steps.tolist())
+        return groups.expand(self.of(groups.labels))
 
 
 @dataclass(frozen=True)
@@ -92,17 +97,10 @@ def _summarise(groups: Groups, terms, defined, op: str, skip: bool, sqrt_after: 
     return np.sqrt(values) if sqrt_after else values
 
 
-def _count_undefined(x: _Inputs, n_undef: int, total: int, policy: str, what: str) -> None:
-    """Flag undefined terms; under the ``error`` policy, raise."""
-    if n_undef:
-        x.flags.append(_UNDEFINED_FLAG)
-        if policy == UndefinedPolicy.ERROR:
-            raise UndefinedValueError(f"{x.name}: {n_undef} of {total} {what} are undefined")
-
-
 def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False,
             per_series: dict | None = None) -> MeasureResult:
-    """Aggregate terms (all defined when ``defined`` is None) under a policy.
+    """Aggregate terms (all defined when ``defined`` is None) under a policy:
+    undefined terms are flagged, and under the ``error`` policy raise.
 
     Row terms are also summarised per series, where the ``error`` policy
     counts as ``skip``; terms that are one value per series come with their
@@ -110,7 +108,10 @@ def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool =
     """
     total = terms.size
     n_undef = 0 if defined is None else int(total - np.count_nonzero(defined))
-    _count_undefined(x, n_undef, total, policy, "terms")
+    if n_undef:
+        x.flags.append(_UNDEFINED_FLAG)
+        if policy == UndefinedPolicy.ERROR:
+            raise UndefinedValueError(f"{x.name}: {n_undef} of {total} terms are undefined")
     skip = policy != UndefinedPolicy.PROPAGATE
     value = float(_summarise(Groups.pooled(total), terms, defined, op, skip, sqrt_after)[0])
     if op == "geometric-mean" and value == value and not np.all(terms if defined is None else terms[defined]):
@@ -150,23 +151,6 @@ def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResul
     if sqrt_after:
         value, values = np.sqrt(value), np.sqrt(values)
     return x.result(float(value), n_rows, 0, x.groups.as_dict(np.where(defined, values, np.nan)))
-
-
-def _weighted_geometric_mean(x: _Inputs, ratios, defined, policy: str) -> MeasureResult:
-    """AvgRelMAE: the geometric mean of per-series ratios, each weighted by its length."""
-    total = ratios.size
-    n_undef = int(total - defined.sum())
-    _count_undefined(x, n_undef, total, policy, "series ratios")
-    value = float("nan")
-    if defined.any() and not (n_undef and policy == UndefinedPolicy.PROPAGATE):
-        rr, hh = ratios[defined], x.groups.sizes[defined].astype(float)
-        if (rr == 0).any():
-            x.flags.append(_GM_ZERO_FLAG)
-            value = 0.0
-        else:
-            value = float(np.exp((hh * np.log(rr)).sum() / hh.sum()))
-    return x.result(value, total - n_undef, n_undef,
-                    x.groups.as_dict(np.where(defined, ratios, np.nan)))
 
 
 def _train_scale(name: str, train, sid: str, kind: str, constants: dict) -> float:
@@ -222,8 +206,8 @@ def _resolve_weights(frame: EvaluationFrame, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (frame.n_rows,):
         raise ValidationError("per-row weights must match the number of frame rows")
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValidationError("weights must be non-negative and not all zero")
+    if not ((w >= 0) & (w < np.inf)).all() or w.sum() <= 0:
+        raise ValidationError("weights must be finite, non-negative and not all zero")
     return w
 
 
@@ -443,7 +427,8 @@ def evaluate(
     that series' rows alone, where ``error`` counts as ``skip``. For ND, NRMSE,
     RSE, NWRMSLE and WMAE, ``n_used`` and ``n_undefined`` count the pooled
     ratio's rows: a series whose own denominator is 0 is NaN in ``per_series``
-    and sets ``zero-scale``, but is not counted as undefined.
+    and sets ``zero-scale``, but is not counted as undefined. AvgRelMAE counts
+    rows too, each series' rows as defined or undefined with its ratio.
     """
     spec = spec_for(name)
     policy = UndefinedPolicy.parse(policy)
@@ -472,6 +457,9 @@ def evaluate(
         if consts["seasonal_period"] is not None:
             raise ValidationError(f"{name}: seasonal_period is not read in the multi-step scale mode, "
                                   "which pools lags 1..multistep_h")
+    elif consts.get("multistep_h") is not None:
+        raise ValidationError(f"{name}: multistep_h is read only in the multi-step scale mode; "
+                              "set scale_mode 'multi-step'")
     x = _Inputs(spec, frame, model, benchmark, train, weights, consts)
 
     if spec.terms in _STEP_TERMS:
@@ -482,7 +470,7 @@ def evaluate(
     values, defined = _ratios(x, _RATIOS[spec.terms], x.groups)
     if spec.sqrt_after:
         values = np.sqrt(values)
-    if spec.summary == "weighted-geometric-mean":
-        return _weighted_geometric_mean(x, values, defined, policy)
     per_series = x.groups.as_dict(np.where(defined, values, np.nan))
+    if spec.summary == "weighted-geometric-mean":  # each row carries its series' ratio
+        values, defined, series_summary = x.groups.expand(values), x.groups.expand(defined), "geometric-mean"
     return _finish(x, values, defined, series_summary, policy, per_series=per_series)

@@ -48,12 +48,7 @@ def _apply(values: np.ndarray, op: str, weights: np.ndarray | None = None) -> fl
 
 def _step_weights(weights: WeightVector | None, n: int) -> np.ndarray | None:
     """Weights of horizon steps 1..n; None unless ``weights`` are step weights."""
-    if weights is None or weights.axis != "step":
-        return None
-    w = np.array([weights.weights.get(k, np.nan) for k in range(1, n + 1)], dtype=float)
-    if np.isnan(w).any():
-        raise ValidationError("step weights must cover every horizon step")
-    return w
+    return None if weights is None or weights.axis != "step" else weights.of(range(1, n + 1))
 
 
 def summarize(
@@ -77,12 +72,7 @@ def summarize(
     if any(a.size == 0 for a in arrays.values()):
         raise ValidationError("empty per-series value sequence")
 
-    series_w = None
-    if weights is not None and weights.axis == "series":
-        try:
-            series_w = np.array([weights.weights[sid] for sid in arrays], dtype=float)
-        except KeyError as exc:
-            raise ValidationError(f"no weight for series {exc.args[0]!r}") from None
+    series_w = weights.of(arrays) if weights is not None and weights.axis == "series" else None
 
     if order == "pooled":
         sizes = [a.size for a in arrays.values()]

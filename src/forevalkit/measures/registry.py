@@ -10,7 +10,9 @@ over a denominator, each summed or averaged over all rows if ``summary`` is
 ``ratio-of-sums`` (WAPE and ND share ``ratio:wape``), else over each series
 (CORR's ``ratio:corr`` too: the co-deviation sum over the root of the
 squared-deviation sums). That one value per series is combined by the call's
-``series_summary`` (``summary`` is ``series``) or AvgRelMAE's ``weighted-geometric-mean``.
+``series_summary`` (``summary`` is ``series``), or for AvgRelMAE's
+``weighted-geometric-mean`` by the geometric mean over rows, each row carrying
+its series' value, which weights each series by its number of forecasts.
 """
 
 from __future__ import annotations

@@ -54,10 +54,11 @@ class SplitSpec:
     """Declarative description of a temporal partitioning scheme.
 
     ``stride`` lets rolling-origin evaluation skip origins; a fixed-origin spec,
-    which has one origin, keeps the default 1. A
-    ``window_length`` together with ``window="expanding"`` selects the hybrid
-    setup that expands until the window is full and then rolls. Each field
-    must hold a value of its declared type.
+    which has one origin, keeps the default 1. ``window_length`` L sets the
+    training window (the last L points, fewer until L have been seen);
+    ``window`` only decides what is valid: ``"rolling"`` requires an L of at
+    most ``initial_train``, and gives the folds of ``"expanding"`` with that L.
+    Each field must hold a value of its declared type.
     """
 
     scheme: str
@@ -82,7 +83,9 @@ class SplitSpec:
                                   f"got {self.stride}")
         if self.window not in _WINDOWS:
             raise ValidationError(f"window must be one of {_WINDOWS}")
-        if self.window == "rolling" and (self.window_length is None or self.window_length < 1):
+        if self.window_length is not None and self.window_length < 1:
+            raise ValidationError(f"window_length must be >= 1, got {self.window_length}")
+        if self.window == "rolling" and self.window_length is None:
             raise ValidationError("rolling window requires window_length >= 1")
         if self.initial_train is None or self.initial_train < 1:
             raise ValidationError(f"{self.scheme} requires initial_train >= 1")
@@ -270,10 +273,10 @@ def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:
 
     Fold j has origin initial_train + (j-1)*stride and test origin+1..origin+h;
     a fixed-origin spec keeps only the first origin, rolling-origin ones roll
-    forward while a full horizon fits (partial tails are dropped). Expanding
-    windows train on 1..origin; rolling windows keep the last window_length
-    points; an expanding window with window_length set expands first and then
-    rolls. Every fold's indices are read-only views of one positions array
+    forward while a full horizon fits (partial tails are dropped). A fold trains
+    on 1..origin, or with ``window_length`` L set on its last L points:
+    max(1, origin - L + 1)..origin, which expands until the window is full and
+    then rolls. Every fold's indices are read-only views of one positions array
     1..series_length.
     """
     t0, h = spec.initial_train, spec.horizon
@@ -288,11 +291,6 @@ def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:
     positions.setflags(write=False)
     folds = []
     for origin in range(t0, last + 1, spec.stride):
-        if spec.window == "rolling":
-            start = origin - spec.window_length + 1
-        elif spec.window_length is not None:  # hybrid: expand, then roll
-            start = max(1, origin - spec.window_length + 1)
-        else:
-            start = 1
+        start = 1 if spec.window_length is None else max(1, origin - spec.window_length + 1)
         folds.append(Fold(positions[start - 1:origin], positions[origin:origin + h], origin))
     return folds

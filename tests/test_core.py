@@ -189,6 +189,22 @@ class TestForecastOrigins:
             assert row.tobytes() == want
             assert fc.forecast_origins(s, [origin], h)[0].tobytes() == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), h=st.integers(1, 30),
+           period=st.none() | st.integers(-5, 60))
+    def test_naive_is_seasonal_naive_with_period_one_whatever_its_period(self, data, n, h, period):
+        # backtest passes --seasonal-period to every forecaster; naive reads none
+        values = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+        origins = data.draw(st.lists(st.integers(1, n), max_size=12))
+        naive = Forecaster("naive", period).forecast_origins(ts(values), origins, h)
+        seasonal = Forecaster("seasonal-naive", 1).forecast_origins(ts(values), origins, h)
+        assert naive.shape == seasonal.shape == (len(origins), h)
+        assert naive.dtype == seasonal.dtype and naive.tobytes() == seasonal.tobytes()
+        for bad in (0, n + 1):
+            with pytest.raises(ValidationError, match=rf"^origin {bad} out of range for series 's'$"):
+                Forecaster("naive", period).forecast_origins(ts(values), [*origins, bad], h)
+
     def test_origin_equal_to_period_and_horizon_past_it(self):
         s = ts([1, 2, 3, 4, 5, 6, 7])
         got = Forecaster("seasonal-naive", 3).forecast_origins(s, [3, 5], 7)

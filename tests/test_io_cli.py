@@ -1041,6 +1041,21 @@ class TestCliAdvise:
         assert rec["partitioning_advice"]["scheme"] == "kfold"
         assert any("Ljung-Box" in c for c in rec["partitioning_advice"]["checks"])
 
+    def test_manifest_hashes_the_profile_not_its_path(self, tmp_path):
+        text = json.dumps({"seasonality": True, "series_lengths": [60], "model_class": "pure-AR"})
+        manifests = []
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            profile = tmp_path / name / "profile.json"
+            profile.write_text(text)
+            assert main(["advise", str(profile), "--out", str(tmp_path / name / "adv")]) == 0
+            manifests.append(json.loads((tmp_path / name / "adv" / "manifest.json").read_text()))
+        first, second = manifests
+        assert first["config"] == second["config"] == {"profile": json.loads(text)}
+        assert first["config_hash"] == second["config_hash"]
+        assert list(first["inputs"]) == [str(tmp_path / "one" / "profile.json")]
+        assert list(second["inputs"]) == [str(tmp_path / "two" / "profile.json")]
+
     @pytest.mark.parametrize("lengths, message", [(0, "series lengths must be positive"),
                                                   ([], "series lengths must not be empty")])
     def test_falsy_series_lengths_exit_2(self, tmp_path, capsys, lengths, message):
@@ -1295,6 +1310,12 @@ class TestCliInputErrors:
         ("msMAPE", {"threshold": float("nan")}, "msMAPE constant threshold must be finite, got nan"),
         ("RTAE", {"clamp": float("inf")}, "RTAE constant clamp must be finite, got inf"),
         ("RTAE", {"clamp": 10 ** 400}, "RTAE constant clamp must be finite, got 1000"),
+        ("MASE", {"multistep_h": 3}, "MASE: multistep_h is read only in the multi-step scale mode; "
+         "set scale_mode 'multi-step'"),
+        ("RMSSE", {"scale_mode": "one-step", "multistep_h": 1}, "RMSSE: multistep_h is read only in the "
+         "multi-step scale mode; set scale_mode 'multi-step'"),
+        ("MdASE", {"seasonal_period": 2, "multistep_h": 2}, "MdASE: multistep_h is read only in the "
+         "multi-step scale mode; set scale_mode 'multi-step'"),
     ])
     def test_measure_constant_of_wrong_type_or_domain(self, workdir, capsys, measure, constants, message):
         suite = workdir / "suite.json"
@@ -1387,6 +1408,24 @@ class TestCliInputErrors:
         report.write_text(json.dumps(self._report(**changes)))
         self._fails_with_message(capsys, ["compare", str(report), "--out", str(workdir / "o")],
                                  f"{report}: {fragment}")
+
+    @pytest.mark.parametrize("pairwise, changes, message", [
+        ("dm", {"m2_errors": [0.5, 1e200, 2.0, 0.0]},
+         "{report}: errors of model 'm2': error 1 is 1e+200, whose square is not finite"),
+        ("wilcoxon", {"m2_errors": [0.5, 1.0, 2.0, -1.5e154]},
+         "{report}: errors of model 'm2': error 3 is -1.5e+154, whose square is not finite"),
+        ("dm", {"m2_keys": [["a", 3, 1], ["a", 3, 2], ["c", 3, 1], ["c", 3, 2]]},
+         "pairwise DM needs at least 4 aligned errors"),
+    ])
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_failed_compare_writes_nothing(self, workdir, capsys, pairwise, changes, message):
+        # every check and test runs before the first output is written
+        report, cfg, out = workdir / "report.json", workdir / "test.json", workdir / "o"
+        report.write_text(json.dumps(self._report(**changes)))
+        cfg.write_text(json.dumps({"pairwise": pairwise}))
+        assert main(["compare", str(report), "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(report=report)}\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("config, fragment", [
         ({"pairwise": "DM"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'DM'"),

@@ -267,6 +267,42 @@ class TestRelativeMeasures:
         r = evaluate("AvgRelMAE", fr, benchmark=b)
         assert r.value == pytest.approx(1.0, abs=1e-12)  # sqrt(0.5 * 2)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), policy=st.sampled_from(["skip", "propagate"]))
+    def test_avg_rel_mae_is_the_length_weighted_geometric_mean(self, seed, policy):
+        # Davydenko & Fildes: each series' RelMAE weighted by its number of
+        # forecasts; a series whose benchmark errors are all 0 is undefined
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 9, size=int(rng.integers(1, 6))).tolist()
+        perfect = rng.random(len(lengths)) < 0.3  # benchmark equals the actuals
+        sids, steps, y, f, b = [], [], [], [], []
+        for j, (h, exact) in enumerate(zip(lengths, perfect)):
+            yj = rng.uniform(1, 10, h)
+            sids += [f"s{j}"] * h
+            steps += range(1, h + 1)
+            y += yj.tolist()
+            f += (yj + rng.choice([-1, 1], h) * rng.uniform(0.1, 2, h)).tolist()
+            b += (yj if exact else yj + rng.uniform(-3, 3, h)).tolist()
+        fr = EvaluationFrame(sids, [10] * len(y), steps, y, {"m": np.array(f)})
+        r = evaluate("AvgRelMAE", fr, benchmark=bench(fr, b), policy=policy)
+        defined = [h for h, exact in zip(lengths, perfect) if not exact]
+        assert (r.n_used, r.n_undefined) == (sum(defined), sum(lengths) - sum(defined))
+        relmae = evaluate("RelMAE", fr, benchmark=bench(fr, b), policy="skip").per_series
+        assert np.array_equal(list(r.per_series.values()), list(relmae.values()), equal_nan=True)
+        if not defined or (policy == "propagate" and perfect.any()):
+            assert math.isnan(r.value)
+            return
+        start, log_sum = 0, []
+        for h in lengths:
+            rows = slice(start, start + h)
+            start += h
+            num = math.fsum(abs(yi - fi) for yi, fi in zip(y[rows], f[rows]))
+            den = math.fsum(abs(yi - bi) for yi, bi in zip(y[rows], b[rows]))
+            if den:
+                log_sum.append(h * math.log(num / den))
+        want = math.exp(math.fsum(log_sum) / sum(defined))
+        assert abs(r.value - want) <= 1e-12 * want
+
     def test_rse_of_the_mean_is_one(self, rng):
         y = rng.uniform(1, 10, 8)
         fr = frame(y, np.full(8, y.mean()))
@@ -450,8 +486,29 @@ class TestSummarize:
         assert summarize(values, "series-then-horizon", weights=w) == (4.5 + 2 * 9.0 + 5 * 2.25) / 8
         short = WeightVector(axis="step", weights={1: 1.0, 2: 2.0})
         for order in ("pooled", "horizon-then-series", "series-then-horizon"):
-            with pytest.raises(ValidationError, match="^step weights must cover every horizon step$"):
+            with pytest.raises(ValidationError, match="^no weight for step 3$"):
                 summarize(values, order, weights=short)
+
+    def test_one_message_for_a_missing_weight(self):
+        # evaluate's per-row weights, summarize's series weights and its step weights
+        f = two_series([1.0, 2.0], [1.5, 2.5], [3.0], [2.0])
+        for weights, label, call in (
+                ({"a": 1.0}, "series 'b'", lambda w: evaluate("WMAE", f, weights=w)),
+                ({"a": 1.0}, "series 'b'", lambda w: summarize({"a": [1.0], "b": [2.0]}, weights=w)),
+                ({1: 1.0}, "step 2", lambda w: summarize({"a": [1.0, 2.0]}, weights=w)),
+                ({1: 1.0}, "step 2", lambda w: evaluate("WMAE", f, weights=w))):
+            w = WeightVector("step" if label.startswith("step") else "series", weights)
+            with pytest.raises(ValidationError, match=f"^no weight for {re.escape(label)}$"):
+                call(w)
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        # a NaN weight makes the weighted value NaN, and an infinite one inf / inf
+        with pytest.raises(ValidationError, match="^weights must be finite and non-negative$"):
+            WeightVector("step", {1: bad, 2: 1.0})
+        f = two_series([1.0, 2.0], [1.5, 2.5], [3.0], [2.0])
+        with pytest.raises(ValidationError, match="^weights must be finite, non-negative and not all zero$"):
+            evaluate("WMAE", f, weights=[bad, 1.0, 1.0])
 
     def test_ragged_series_then_horizon_rejected(self):
         with pytest.raises(ValidationError):

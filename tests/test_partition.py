@@ -144,6 +144,26 @@ class TestRollingOrigin:
             assert np.shares_memory(a.train_indices, b.train_indices)
             assert np.shares_memory(a.test_indices, b.train_indices)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 120), scheme=st.sampled_from(["fixed-origin", "rolling-origin"]), data=st.data())
+    def test_rolling_window_is_the_expanding_window_of_its_length(self, n, scheme, data):
+        # a valid rolling window (window_length <= initial_train <= origin) is
+        # full from the first origin on, so capping the expanding window at the
+        # same length gives the same folds: window decides only what is valid
+        t0 = data.draw(st.integers(1, n - 1))
+        stride = 1 if scheme == "fixed-origin" else data.draw(st.integers(1, 5))
+        kw = dict(initial_train=t0, horizon=data.draw(st.integers(1, n - t0)), stride=stride,
+                  window_length=data.draw(st.integers(1, t0)))
+        rolling = splits_for_series(n, SplitSpec(scheme, window="rolling", **kw))
+        expanding = splits_for_series(n, SplitSpec(scheme, window="expanding", **kw))
+        assert [f.origin for f in rolling] == [f.origin for f in expanding]
+        for r, e in zip(rolling, expanding):
+            assert r.train_size == kw["window_length"]
+            for got, want in ((r.train_indices, e.train_indices), (r.test_indices, e.test_indices)):
+                assert got.dtype == want.dtype == np.int64
+                assert not got.flags.writeable and got.base is not None  # a read-only view
+                assert got.tolist() == want.tolist()
+
     def test_partial_tails_dropped(self):
         folds = splits_for_series(12, self.spec(initial_train=8, horizon=3, stride=2))
         assert [f.origin for f in folds] == [8]  # origin 10 would need up to index 13
@@ -332,6 +352,13 @@ class TestSplitSpec:
             SplitSpec(scheme="rolling-origin", initial_train=10, horizon=0)
         with pytest.raises(ValidationError):
             SplitSpec(scheme="rolling-origin", initial_train=10, window="rolling")
+
+    @pytest.mark.parametrize("window", ["expanding", "rolling"])
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_window_length_below_one_rejected(self, window, length):
+        # below 1, every fold's train set would be empty
+        with pytest.raises(ValidationError, match=f"^window_length must be >= 1, got {length}$"):
+            SplitSpec(scheme="rolling-origin", initial_train=5, window=window, window_length=length)
 
     def test_raw_series_kfold_refused(self):
         for scheme in ("kfold", "blocked"):
