@@ -30,8 +30,8 @@ _SOURCE = {name: module for module, names in {
     "measures": "MeasureResult MeasureSpec RankTable UndefinedPolicy UndefinedValueError "
                 "WeightVector critical_event_percentage evaluate measure_names percentage_better "
                 "rank_models spec_for summarize",
-    "partition": "Fold LeakageError LeakageReport SplitSpec blocked_splits kfold_splits leakage_check "
-                 "leakage_checks splits_for_series",
+    "partition": "Fold FoldRanges LeakageError LeakageReport SplitSpec blocked_splits kfold_splits "
+                 "leakage_check leakage_checks splits_for_series",
     "stats": "CdLayout PostHocResult TestResult cd_diagram_data diebold_mariano friedman ljung_box "
              "nemenyi_cd p_adjust render_cd_svg render_cd_text wilcoxon_rank_sum",
     "advisor": "CharacteristicProfile PartitioningAdvice Recommendation RuleTable intermittency_hint "

@@ -177,7 +177,7 @@ def cmd_evaluate(args) -> int:
             result = evaluate(
                 name, frame, model=model, benchmark=bench_frame, train=train,
                 policy=policy, constants=entry.get("constants"),
-                series_summary=entry.get("series_summary", "mean"),
+                series_summary=entry.get("series_summary"),
             )
             results.append(result)
 
@@ -196,8 +196,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    from .io import read_series_csv, write_folds_csv
-    from .partition import LeakageError, SplitSpec, leakage_checks, splits_for_series
+    from .io import read_series_csv, write_backtest_report, write_folds_csv
+    from .partition import FoldRanges, LeakageError, SplitSpec, leakage_checks, splits_for_series
 
     benchmarks = args.benchmark or ["naive"]
     if repeated := [kind for i, kind in enumerate(benchmarks) if kind in benchmarks[:i]]:
@@ -211,40 +211,35 @@ def cmd_backtest(args) -> int:
     spec = SplitSpec.from_json(Path(args.split).read_text(encoding="utf-8"))
     forecasters = {kind: Forecaster(kind, args.seasonal_period) for kind in benchmarks}
 
-    all_folds = []
-    fold_reports = []
+    splits, n_folds = [], 0  # every series' folds, all checked before any is scored
     for series in dataset:
         try:
             folds = splits_for_series(len(series), spec)
         except InsufficientHistoryError as exc:
             raise InsufficientHistoryError(f"series {series.id!r}: {exc}") from None
         # numbered across all series, as in folds.csv
-        fold_ids = range(len(all_folds) + 1, len(all_folds) + len(folds) + 1)
-        for fold_id, report in zip(fold_ids, leakage_checks(folds, spec.scheme)):
+        for fold_id, report in enumerate(leakage_checks(folds, spec.scheme), start=n_folds + 1):
             if not report.passed:
                 raise LeakageError(f"leakage detected in series {series.id!r}, fold {fold_id}: "
                                    + "; ".join(report.violations))
-        origins = [fold.origin for fold in folds]
-        actual = series.values[np.stack([fold.test_indices for fold in folds]) - 1]
-        scores = {}  # kind -> (MAE per fold, RMSE per fold)
-        for kind, forecaster in forecasters.items():
-            e = actual - forecaster.forecast_origins(series, origins, actual.shape[1])
-            scores[kind] = (np.abs(e).mean(axis=1).tolist(), np.sqrt((e * e).mean(axis=1)).tolist())
-        for i, (fold_id, fold) in enumerate(zip(fold_ids, folds)):
-            fold_reports.append({
-                "series": series.id, "fold": fold_id, "origin": fold.origin,
-                "train_size": fold.train_size, "test_size": fold.test_size,
-                "models": {kind: {"MAE": mae[i], "RMSE": rmse[i]}
-                           for kind, (mae, rmse) in scores.items()},
-            })
-        all_folds.extend(folds)
+        splits.append(folds)
+        n_folds += len(folds)
 
-    write_folds_csv(out_dir / "folds.csv", all_folds)
-    _write_json(out_dir / "report.json", {"folds": fold_reports})
+    h, pairs = spec.horizon, list(zip(dataset, splits))
+    folds = FoldRanges(np.concatenate([f.starts for f in splits]), np.concatenate([f.origins for f in splits]), h)
+    actual = np.concatenate([s.values[f.origins[:, None] + np.arange(h)] for s, f in pairs])
+    scores = {}  # kind -> (MAE, RMSE) per fold
+    for kind, forecaster in forecasters.items():
+        e = actual - np.concatenate([forecaster.forecast_origins(s, f.origins, h) for s, f in pairs])
+        with np.errstate(over="ignore"):  # an error past the float range scores inf
+            scores[kind] = np.abs(e).mean(axis=1), np.sqrt((e * e).mean(axis=1))
+
+    write_folds_csv(out_dir / "folds.csv", folds)
+    write_backtest_report(out_dir / "report.json", [s.id for s, f in pairs for _ in range(len(f))], folds, scores)
     _write_manifest(out_dir, "backtest", [Path(args.series), Path(args.split)],
                     {"split": json.loads(spec.to_json()), "benchmarks": benchmarks,
                      "seasonal_period": args.seasonal_period}, None)
-    print(f"backtest: {len(all_folds)} folds over {len(dataset)} series -> {out_dir}")
+    print(f"backtest: {len(folds)} folds over {len(dataset)} series -> {out_dir}")
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ that loop decides what is accepted and names a bad row as ``path:line``.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,7 @@ __all__ = [
     "build_frame",
     "write_matrix_csv",
     "write_folds_csv",
+    "write_backtest_report",
 ]
 
 _SERIES_HEADER = ["series_id", "timestamp", "value"]
@@ -285,48 +287,112 @@ def write_matrix_csv(path, series_ids: list, results) -> None:
         writer.writerows(zip(series_ids, *cells))
 
 
-def _index_rows(blocks) -> str:
-    """The rows ``f"{head}{i}\\r\\n"`` of (head, indices) blocks. A run of
-    consecutive indices in a block is one slice of the lines ``f"\\x1f{i}\\r\\n"``
-    over at most twice the index count, its marks replaced by the head; a run
-    beyond them (negative, huge or sparse indices) is formatted index by index."""
-    flat = np.concatenate([indices for _, indices in blocks])
-    ends = np.cumsum([indices.size for _, indices in blocks])
+_ROLES = ("train", "test")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _write_runs(fh, fold_ids: np.ndarray, roles: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> None:
+    """Write the rows ``f"{fold_id},{role},{i}\\r\\n"`` for i in first..last of each
+    run, in order; ``roles`` index ``_ROLES``, and an empty run writes nothing.
+    Runs are cut to ``_BLOCK`` indices and written about ``_BLOCK`` indices at a
+    time. Within each such group, a run is one slice of the lines
+    ``f"\\x1f{i}\\r\\n"`` over at most twice the group's index count, its marks
+    replaced by the run's head; a run beyond them (negative, huge or sparse
+    indices) is formatted index by index."""
+    sizes = lasts - firsts + 1
+    keep = np.flatnonzero(sizes > 0)
+    pieces = (sizes[keep] + _BLOCK - 1) // _BLOCK
+    run = np.repeat(keep, pieces)
+    piece = np.arange(run.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    firsts = firsts[run] + piece * _BLOCK
+    lasts = firsts + np.minimum(lasts[run] - firsts, _BLOCK - 1)
+    fold_ids, roles = fold_ids[run], roles[run]
+    ends = np.cumsum(lasts - firsts + 1)
+    groups = np.searchsorted(ends, np.arange(_BLOCK, int(ends[-1]) if ends.size else 0, _BLOCK), "right")
+    for a, z in zip([0, *groups.tolist()], [*groups.tolist(), run.size]):
+        if a == z:
+            continue
+        lo, count = int(firsts[a:z].min()), int(ends[z - 1] - (ends[a - 1] if a else 0))
+        lines = [f"\x1f{i}\r\n" for i in range(lo, min(int(lasts[a:z].max()), lo + 2 * count) + 1)]
+        offsets, text, rows = np.cumsum([0, *map(len, lines)]).tolist(), "".join(lines), []
+        for fold_id, role, first, last in zip(fold_ids[a:z].tolist(), roles[a:z].tolist(),
+                                              firsts[a:z].tolist(), lasts[a:z].tolist()):
+            head = f"{fold_id},{_ROLES[role]},"
+            if last - lo < len(lines):
+                rows.append(text[offsets[first - lo]:offsets[last - lo + 1]].replace("\x1f", head))
+            else:
+                rows.append("".join(f"{head}{i}\r\n" for i in range(first, last + 1)))
+        fh.write("".join(rows))
+
+
+def _index_runs(blocks: list):
+    """The runs of consecutive indices in (fold_id, role, indices) blocks, as
+    ``_write_runs`` takes them; a run ends with its block, and at the int64
+    maximum."""
+    flat = np.concatenate([indices for _, _, indices in blocks])
+    ends = np.cumsum([indices.size for _, _, indices in blocks])
     starts = np.ones(flat.size + 1, dtype=bool)  # where a run starts, and the end
-    starts[1:-1] = flat[1:] != flat[:-1] + 1
+    starts[1:-1] = (flat[1:] != flat[:-1] + 1) | (flat[:-1] == _INT64_MAX)
     starts[ends[:-1]] = True
     bounds = np.flatnonzero(starts)
-    lo = int(flat.min())
-    lines = [f"\x1f{i}\r\n" for i in range(lo, min(int(flat.max()), lo + 2 * flat.size) + 1)]
-    offsets, text, rows = np.cumsum([0, *map(len, lines)]).tolist(), "".join(lines), []
-    for a, z, first, last, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), flat[bounds[:-1]].tolist(),
-                                    flat[bounds[1:] - 1].tolist(), np.searchsorted(ends, bounds[:-1], "right").tolist()):
-        if 0 <= first - lo <= last - lo < len(lines):  # first > last: a run that wrapped past the int64 maximum
-            rows.append(text[offsets[first - lo]:offsets[last - lo + 1]].replace("\x1f", blocks[b][0]))
-        else:
-            rows.append("".join(f"{blocks[b][0]}{i}\r\n" for i in flat[a:z].tolist()))
-    return "".join(rows)
+    block = np.searchsorted(ends, bounds[:-1], "right")
+    fold_ids = np.array([fold_id for fold_id, _, _ in blocks], dtype=np.int64)[block]
+    roles = np.array([role for _, role, _ in blocks], dtype=np.int64)[block]
+    return fold_ids, roles, flat[bounds[:-1]], flat[bounds[1:] - 1]
 
 
 def write_folds_csv(path, folds) -> None:
     """Export folds as rows of (fold_id, role, index), 1-based indices.
 
     The bytes are those ``csv.writer`` would write, ``\\r\\n`` line ends
-    included. The (fold, role) index blocks are written about ``_BLOCK``
-    indices at a time, a long block in pieces, so the file is never held in
-    memory, and by runs of consecutive indices, so the views of one positions
-    array that make rolling-origin folds cost little per index.
+    included. Rows are written from (fold, role, first, last) runs of
+    consecutive indices, about ``_BLOCK`` indices at a time, so the file is
+    never held in memory. A temporal split's ``FoldRanges`` already is such
+    runs, a train and a test run per fold, and no ``Fold`` is made. Other
+    folds' runs are found in their index arrays, read ``_BLOCK`` indices at a
+    time, a long array in pieces.
     """
+    from .partition import FoldRanges
+
     path = Path(path)
-    blocks, size = [], 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("fold_id,role,index\r\n")
+        if isinstance(folds, FoldRanges):
+            fold_ids = np.repeat(np.arange(1, len(folds) + 1), 2)
+            roles = np.tile(np.arange(2), len(folds))
+            t_first, t_last, s_first, s_last = folds.bounds()
+            _write_runs(fh, fold_ids, roles, np.column_stack((t_first, s_first)).ravel(),
+                        np.column_stack((t_last, s_last)).ravel())
+            return
+        blocks, size = [], 0
         for fold_id, fold in enumerate(folds, start=1):
-            for role, indices in (("train", fold.train_indices), ("test", fold.test_indices)):
+            for role, indices in enumerate((fold.train_indices, fold.test_indices)):
                 for at in range(0, indices.size, _BLOCK):
-                    blocks.append((f"{fold_id},{role},", indices[at:at + _BLOCK]))
-                    size += blocks[-1][1].size
+                    blocks.append((fold_id, role, indices[at:at + _BLOCK]))
+                    size += blocks[-1][2].size
                     if size >= _BLOCK:
-                        fh.write(_index_rows(blocks))
+                        _write_runs(fh, *_index_runs(blocks))
                         blocks, size = [], 0
-        fh.write(_index_rows(blocks) if blocks else "")
+        if blocks:
+            _write_runs(fh, *_index_runs(blocks))
+
+
+def write_backtest_report(path, series_ids: list, folds, scores: dict) -> None:
+    """Write a backtest's report: ``{"folds": [...]}`` with one entry per fold of
+    ``folds`` (a ``FoldRanges``), of its series id ``series_ids[j]``, its number
+    j + 1, origin, train and test sizes, and its MAE and RMSE under each
+    benchmark of ``scores`` (kind -> two arrays over the folds).
+
+    The bytes are ``json.dumps`` of those entries as dicts, a line end after.
+    Each entry is one row of a template, with no dict made: ``json`` writes
+    each distinct id once, and each score column in one call, non-finite
+    scores as ``Infinity`` and ``NaN``.
+    """
+    quoted = {sid: json.dumps(sid) for sid in dict.fromkeys(series_ids)}
+    models = ", ".join(json.dumps(kind).replace("%", "%%") + ': {"MAE": %s, "RMSE": %s}' for kind in scores)
+    row = ('{"series": %s, "fold": %d, "origin": %d, "train_size": %d, "test_size": '
+           + str(folds.horizon) + ', "models": {' + models + "}}")
+    columns = [map(quoted.__getitem__, series_ids), range(1, len(folds) + 1), folds.origins.tolist(),
+               (folds.origins - folds.starts + 1).tolist(),
+               *(json.dumps(column.tolist())[1:-1].split(", ") for pair in scores.values() for column in pair)]
+    Path(path).write_text('{"folds": [' + ", ".join(map(row.__mod__, zip(*columns))) + "]}\n")

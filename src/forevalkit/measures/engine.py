@@ -403,7 +403,7 @@ def evaluate(
     weights=None,
     policy: str = UndefinedPolicy.PROPAGATE,
     constants: dict | None = None,
-    series_summary: str = "mean",
+    series_summary: str | None = None,
 ) -> MeasureResult:
     """Evaluate one measure for one model on an evaluation frame.
 
@@ -420,7 +420,8 @@ def evaluate(
     policy : undefined-value policy (propagate | skip | error).
     constants : overrides for the measure's constants (epsilon, clamp, ...).
     series_summary : operator combining per-series values of per-series
-        measures (mean | median | geometric-mean).
+        measures (mean | median | geometric-mean); None gives the mean. Only
+        a measure whose registry ``summary`` is ``series`` reads it.
 
     The result's ``per_series`` holds the measure per series, in first-appearance
     order, from the same terms as the pooled value; each equals the measure on
@@ -434,9 +435,13 @@ def evaluate(
     policy = UndefinedPolicy.parse(policy)
     if constants is not None and not isinstance(constants, dict):
         raise ValidationError(f"{name}: constants must map names to values, got {constants!r}")
-    if not isinstance(series_summary, str) or series_summary not in _SUMMARISERS:
-        raise ValidationError(f"{name}: series_summary must be one of {', '.join(_SUMMARISERS)}; "
-                              f"got {series_summary!r}")
+    if series_summary is not None:
+        if not isinstance(series_summary, str) or series_summary not in _SUMMARISERS:
+            raise ValidationError(f"{name}: series_summary must be one of {', '.join(_SUMMARISERS)}; "
+                                  f"got {series_summary!r}")
+        if spec.summary != "series":
+            raise ValidationError(f"{name}: series_summary is read only by per-series measures; "
+                                  f"{name} is summarised by {spec.summary!r}")
     consts = dict(spec.constants)
     if constants:
         unknown = set(constants) - set(consts)
@@ -473,4 +478,4 @@ def evaluate(
     per_series = x.groups.as_dict(np.where(defined, values, np.nan))
     if spec.summary == "weighted-geometric-mean":  # each row carries its series' ratio
         values, defined, series_summary = x.groups.expand(values), x.groups.expand(defined), "geometric-mean"
-    return _finish(x, values, defined, series_summary, policy, per_series=per_series)
+    return _finish(x, values, defined, series_summary or "mean", policy, per_series=per_series)

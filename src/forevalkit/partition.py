@@ -5,19 +5,24 @@ length n, as a ``SplitSpec`` declares them, through ``splits_for_series``:
 a fixed origin is the first origin of rolling-origin evaluation.
 Randomised schemes (``kfold_splits``, ``blocked_splits``) index into the
 rows of an embedded matrix. All indices are 1-based. Folds expose indices
-only, as read-only arrays; temporal folds are views of one positions
-array. The retrain policy for models is the caller's concern, and scaling
-factors for scaled measures must be computed from a fold's train indices
-only.
+only, as read-only arrays. A temporal split is a ``FoldRanges``: a
+read-only sequence that holds each fold's train start and origin as int64
+arrays, and makes a fold's ``Fold``, whose indices are views of one
+positions array, only when it is indexed. The retrain policy for models is
+the caller's concern, and scaling factors for scaled measures must be
+computed from a fold's train indices only.
 
 ``leakage_checks`` screens many folds at once (a series' rolling origins,
-say) with whole-array operations and returns one report per fold;
+say) with whole-array operations and returns one report per fold: a
+``FoldRanges`` by its fold bounds, other folds by their indices.
 ``leakage_check`` is its one-fold case.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -35,6 +40,7 @@ from .core import (
 __all__ = [
     "SplitSpec",
     "Fold",
+    "FoldRanges",
     "LeakageReport",
     "LeakageError",
     "kfold_splits",
@@ -124,6 +130,49 @@ class Fold:
         return self.test_indices.size
 
 
+class FoldRanges(Sequence):
+    """The folds of a temporal split, as closed ranges of 1-based positions:
+    fold j trains on ``starts[j]..origins[j]`` (none when ``starts[j]`` is
+    ``origins[j] + 1``) and tests on ``origins[j] + 1..origins[j] + horizon``.
+    ``starts`` and ``origins`` are read-only int64 arrays of equal length, with
+    1 <= ``starts`` <= ``origins`` + 1, and ``horizon`` is at least 1.
+
+    A read-only sequence of ``Fold``s: an item is made when it is indexed,
+    its indices views of one positions array 1..max(origins) + horizon that
+    the sequence keeps; a slice is a ``FoldRanges``.
+    """
+
+    def __init__(self, starts, origins, horizon: int):
+        self.starts, self.origins = (np.array(a, dtype=np.int64) for a in (starts, origins))
+        if (self.starts.ndim != 1 or self.starts.shape != self.origins.shape or horizon < 1
+                or not ((self.starts >= 1) & (self.starts <= self.origins + 1)).all()):
+            raise ValidationError("fold ranges need one start and one origin per fold, with "
+                                  "1 <= start <= origin + 1, and a horizon of at least 1")
+        self.starts.setflags(write=False)
+        self.origins.setflags(write=False)
+        self.horizon = horizon
+        self._positions = None
+
+    def __len__(self) -> int:
+        return self.origins.size
+
+    def __getitem__(self, i):
+        if self._positions is None and len(self):
+            self._positions = np.arange(1, int(self.origins.max()) + self.horizon + 1, dtype=np.int64)
+            self._positions.setflags(write=False)
+        if isinstance(i, slice):
+            part = FoldRanges(self.starts[i], self.origins[i], self.horizon)
+            part._positions = self._positions
+            return part
+        i = operator.index(i)
+        start, origin = int(self.starts[i]), int(self.origins[i])
+        return Fold(self._positions[start - 1:origin], self._positions[origin:origin + self.horizon], origin)
+
+    def bounds(self) -> tuple[np.ndarray, ...]:
+        """Each fold's first and last train index, then first and last test index."""
+        return self.starts, self.origins, self.origins + 1, self.origins + self.horizon
+
+
 def kfold_splits(matrix: EmbeddedMatrix, k: int, seed: int) -> list[Fold]:
     """Shuffled k-fold partition of embedded-matrix rows.
 
@@ -211,14 +260,48 @@ def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
     schemes additionally fail if any train index reaches past the start of
     the test region; randomised schemes permit future rows in train by
     design (valid for pure autoregressive setups). All folds are checked
-    together, with whole-array operations over their concatenated indices;
-    the reports come back in fold order. Each fold's train and test index
-    ranges come first, and only folds whose closed ranges meet are searched
-    index by index for an overlap (none of a rolling-origin split's folds).
+    together, with whole-array operations; the reports come back in fold
+    order. Each fold's train and test index ranges come first. A
+    ``FoldRanges`` gives them as its bounds, and its train and test indices
+    share exactly the indices where their closed ranges meet. Other folds'
+    indices are concatenated, and only folds whose closed ranges meet are
+    searched index by index for an overlap.
     """
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}")
-    folds = list(folds)
+    if isinstance(folds, FoldRanges):
+        t_min, t_max, s_min, s_max = folds.bounds()
+        both = t_min <= t_max  # a test range is never empty
+        overlapping = both & (t_min <= s_max) & (s_min <= t_max)
+
+        def shared_at(i):
+            return list(range(max(t_min[i], s_min[i]), min(t_max[i], s_max[i]) + 1))
+    else:
+        folds = list(folds)
+        t_min, t_max, s_min, s_max, both, overlapping, shared_at = _index_overlaps(folds)
+
+    # temporal order: max(train) against min(test)
+    late = both & (t_max >= s_min) if scheme in _TEMPORAL else np.zeros(len(folds), dtype=bool)
+
+    reports = [_PASSED] * len(folds)
+    for i in np.flatnonzero(overlapping | late).tolist():
+        violations = []
+        if overlapping[i]:
+            violations.append(f"train/test overlap at indices {shared_at(i)}")
+        if late[i]:
+            violations.append(
+                f"temporal order violated: max(train)={t_max[i]} >= min(test)={s_min[i]}"
+            )
+        reports[i] = LeakageReport(passed=False, violations=tuple(violations))
+    return reports
+
+
+def _index_overlaps(folds: list):
+    """The ``leakage_checks`` inputs of folds given as index arrays: each fold's
+    smallest and largest train and test index, whether both sets are non-empty,
+    whether they share an index, and a function from a fold to the shared
+    indices, sorted. Train (fold, index) codes are searched among the test ones
+    only in the folds whose closed train and test ranges meet."""
     no_index = np.empty(0, dtype=np.int64)
     train = np.concatenate([no_index, *(f.train_indices for f in folds)])
     test = np.concatenate([no_index, *(f.test_indices for f in folds)])
@@ -230,8 +313,6 @@ def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
     s_min, s_max = (_per_fold(r, test, test_starts, test_sizes) for r in (np.minimum, np.maximum))
     both = (train_sizes > 0) & (test_sizes > 0)
 
-    # overlap: train (fold, index) codes found among the test ones, in the
-    # folds whose closed train and test ranges meet
     meet = both & (t_min <= s_max) & (s_min <= t_max)
     shared = np.zeros(train.size, dtype=bool)
     overlapping = np.zeros(len(folds), dtype=bool)
@@ -245,22 +326,11 @@ def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
         shared[in_train] = found
         overlapping[train_fold[found]] = True
 
-    # temporal order: max(train) against min(test)
-    late = both & (t_max >= s_min) if scheme in _TEMPORAL else np.zeros(len(folds), dtype=bool)
+    def shared_at(i):
+        fold_rows = slice(train_starts[i], train_starts[i] + train_sizes[i])
+        return np.unique(train[fold_rows][shared[fold_rows]]).tolist()
 
-    reports = [_PASSED] * len(folds)
-    for i in np.flatnonzero(overlapping | late).tolist():
-        violations = []
-        if overlapping[i]:
-            fold_rows = slice(train_starts[i], train_starts[i] + train_sizes[i])
-            at = np.unique(train[fold_rows][shared[fold_rows]])
-            violations.append(f"train/test overlap at indices {at.tolist()}")
-        if late[i]:
-            violations.append(
-                f"temporal order violated: max(train)={t_max[i]} >= min(test)={s_min[i]}"
-            )
-        reports[i] = LeakageReport(passed=False, violations=tuple(violations))
-    return reports
+    return t_min, t_max, s_min, s_max, both, overlapping, shared_at
 
 
 def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
@@ -268,16 +338,16 @@ def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
     return leakage_checks([fold], scheme)[0]
 
 
-def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:
-    """Apply a split spec to one series: its folds, in origin order.
+def splits_for_series(series_length: int, spec: SplitSpec) -> FoldRanges:
+    """Apply a split spec to one series: its folds, in origin order, as a
+    ``FoldRanges``, whose ``Fold`` items are made on demand.
 
     Fold j has origin initial_train + (j-1)*stride and test origin+1..origin+h;
     a fixed-origin spec keeps only the first origin, rolling-origin ones roll
     forward while a full horizon fits (partial tails are dropped). A fold trains
     on 1..origin, or with ``window_length`` L set on its last L points:
     max(1, origin - L + 1)..origin, which expands until the window is full and
-    then rolls. Every fold's indices are read-only views of one positions array
-    1..series_length.
+    then rolls.
     """
     t0, h = spec.initial_train, spec.horizon
     if t0 + h > series_length:
@@ -287,10 +357,7 @@ def splits_for_series(series_length: int, spec: SplitSpec) -> list[Fold]:
     if spec.window == "rolling" and spec.window_length > t0:
         raise ValidationError("rolling window_length cannot exceed initial_train")
     last = t0 if spec.scheme == "fixed-origin" else series_length - h
-    positions = np.arange(1, series_length + 1, dtype=np.int64)
-    positions.setflags(write=False)
-    folds = []
-    for origin in range(t0, last + 1, spec.stride):
-        start = 1 if spec.window_length is None else max(1, origin - spec.window_length + 1)
-        folds.append(Fold(positions[start - 1:origin], positions[origin:origin + h], origin))
-    return folds
+    origins = np.arange(t0, last + 1, spec.stride, dtype=np.int64)
+    if spec.window_length is None:
+        return FoldRanges(np.ones_like(origins), origins, h)
+    return FoldRanges(np.maximum(1, origins - spec.window_length + 1), origins, h)

@@ -48,6 +48,15 @@ def _series_csv() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _extreme_series_csv(series_csv: str) -> str:
+    """The three series with ``b`` renamed ``b"ü``, an id that ``csv`` quotes and
+    ``json`` escapes, and a fourth, ``x``, at -1e200 and 1e200 in turn: its naive
+    and mean benchmark errors square past the float range, so RMSE is inf."""
+    lines = [f'"b""\u00fc"{line[1:]}' if line.startswith("b,") else line for line in series_csv.splitlines()]
+    lines += [f"x,{t},{(-1) ** t * 1e200!r}" for t in range(1, N_STEPS + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def _forecast_csv(series_csv: str, origins, h: int) -> str:
     """Models ``m1`` and ``m2``: each actual plus seeded noise, kept positive."""
     rng = np.random.default_rng(7)
@@ -88,6 +97,7 @@ def _inputs() -> dict[str, str]:
     series = _series_csv()
     files = {
         "series.csv": series,
+        "series-extreme.csv": _extreme_series_csv(series),
         "one-origin.csv": _forecast_csv(series, [24], 6),
         "multi-origin.csv": _forecast_csv(series, [20, 22, 24], 4),
         "dgp-seasonal.json": json.dumps({"kind": "seasonal", "length": 40, "seed": 3, "period": 4,
@@ -125,6 +135,9 @@ CASES = [
                         "--out", "out/backtest-fixed"]),
     ("backtest-rolling", ["backtest", "series.csv", "rolling.json", "--benchmark", "naive", "--benchmark",
                           "mean", "--out", "out/backtest-rolling"]),
+    ("backtest-extreme", ["backtest", "series-extreme.csv", "rolling.json", "--benchmark", "naive",
+                          "--benchmark", "seasonal-naive", "--benchmark", "mean", "--seasonal-period",
+                          str(SEASON), "--out", "out/backtest-extreme"]),
     ("backtest-hybrid", ["backtest", "series.csv", "hybrid.json", "--benchmark", "seasonal-naive",
                          "--seasonal-period", str(SEASON), "--out", "out/backtest-hybrid"]),
     ("compare-wilcoxon", ["compare", "out/evaluate-one-origin-naive/report.json",

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -31,10 +32,11 @@ from forevalkit.io import (
     build_frame,
     read_forecast_csv,
     read_series_csv,
+    write_backtest_report,
     write_folds_csv,
     write_series_csv,
 )
-from forevalkit.partition import Fold
+from forevalkit.partition import Fold, FoldRanges
 
 SERIES_CSV = """series_id,timestamp,value
 a,1,10
@@ -163,6 +165,42 @@ class TestFoldsCsv:
         write_folds_csv(tmp_path / "f.csv", [Fold([], [3, 1]), Fold([10_000, 2], [])])
         assert (tmp_path / "f.csv").read_bytes() == (
             b"fold_id,role,index\r\n1,test,3\r\n1,test,1\r\n2,train,10000\r\n2,train,2\r\n")
+
+
+@st.composite
+def _backtest_reports(draw):
+    """Fold ranges, one series id per fold and each benchmark's MAE and RMSE per
+    fold: ids and benchmark names with quotes, backslashes, control and non-ASCII
+    characters, scores with infinities, NaN and -0.0."""
+    origins = draw(st.lists(st.integers(1, 2 ** 40), max_size=12))
+    starts = [draw(st.integers(max(1, o - 50), o + 1)) for o in origins]
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3))
+    series_ids = [draw(st.sampled_from(ids)) for _ in origins]
+    scores = {kind: tuple(np.array(draw(st.lists(st.floats(), min_size=len(origins), max_size=len(origins))))
+                          for _ in range(2))
+              for kind in draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))}
+    return series_ids, FoldRanges(starts, origins, draw(st.integers(1, 30))), scores
+
+
+class TestBacktestReport:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_backtest_reports())
+    @example(case=(['q"\\\x01\u00fc\u2028\ud800'] * 2, FoldRanges([1, 3], [5, 4], 3),
+                   {"naive": (np.array([np.inf, np.nan]), np.array([-np.inf, -0.0])),
+                    "%d%%": (np.array([1e300, 5e-324]), np.array([0.1, 2.0]))}))
+    def test_bytes_are_json_dumps_of_the_fold_dicts(self, case, tmp_path_factory):
+        series_ids, folds, scores = case
+        path = tmp_path_factory.getbasetemp() / "report.json"
+        write_backtest_report(path, series_ids, folds, scores)
+        # the folds' indices are not made: an origin may be far beyond any series
+        ranges = zip(series_ids, folds.starts.tolist(), folds.origins.tolist())
+        want = {"folds": [
+            {"series": sid, "fold": j + 1, "origin": origin, "train_size": origin - start + 1,
+             "test_size": folds.horizon,
+             "models": {kind: {"MAE": float(mae[j]), "RMSE": float(rmse[j])}
+                        for kind, (mae, rmse) in scores.items()}}
+            for j, (sid, start, origin) in enumerate(ranges)]}
+        assert path.read_bytes() == (json.dumps(want) + "\n").encode()
 
 
 class TestBuildFrame:
@@ -787,6 +825,36 @@ class TestCliBacktest:
             y, o = ds[entry["series"]].values, entry["origin"]
             assert entry["models"]["mean"]["MAE"] == float(np.abs(y[o] - y[:o].mean()))
 
+    def test_makes_no_fold_objects(self, tmp_path, monkeypatch):
+        made = []
+        init = Fold.__post_init__
+        monkeypatch.setattr(Fold, "__post_init__", lambda fold: (made.append(fold.origin), init(fold))[1])
+        rng = np.random.default_rng(3)
+        ds = Dataset(tuple(TimeSeries(id=sid, values=rng.normal(50, 5, 80)) for sid in ("a", "b")))
+        write_series_csv(tmp_path / "series.csv", ds)
+        spec = SplitSpec("rolling-origin", initial_train=24, horizon=6)
+        (tmp_path / "split.json").write_text(spec.to_json())
+        assert main(["backtest", str(tmp_path / "series.csv"), str(tmp_path / "split.json"), "--out",
+                     str(tmp_path / "bt"), "--seasonal-period", "12",
+                     *[a for k in ("naive", "seasonal-naive", "mean") for a in ("--benchmark", k)]]) == 0
+        assert len(json.loads((tmp_path / "bt" / "report.json").read_text())["folds"]) == 2 * 51
+        assert made == []
+        assert forevalkit.partition.splits_for_series(80, spec)[3].origin == 27 and made == [27]
+
+    def test_squared_errors_past_the_float_range_score_inf_without_warning(self, tmp_path):
+        # the naive errors are +-2e200: their squares overflow, and RMSE is inf
+        (tmp_path / "series.csv").write_text("series_id,timestamp,value\n" + "".join(
+            f"x,{t},{(-1) ** t * 1e200!r}\n" for t in range(1, 9)))
+        (tmp_path / "split.json").write_text(SplitSpec("rolling-origin", initial_train=4).to_json())
+        out = tmp_path / "bt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["backtest", str(tmp_path / "series.csv"), str(tmp_path / "split.json"),
+                         "--out", str(out)]) == 0
+        scores = [entry["models"]["naive"] for entry in json.loads((out / "report.json").read_text())["folds"]]
+        assert scores == [{"MAE": 2e200, "RMSE": float("inf")}] * 4
+        assert b'"RMSE": Infinity' in (out / "report.json").read_bytes()
+
     def test_kfold_on_raw_series_refused(self, workdir, capsys):
         split = workdir / "split.json"
         split.write_text(json.dumps({"scheme": "kfold"}))
@@ -1226,6 +1294,8 @@ class TestCliInputErrors:
         ([{"name": "msMAPE", "constant": {"epsilon": 0.1}}],
          "suite measures entry 'msMAPE' has unknown key 'constant'; allowed keys are "
          "['name', 'constants', 'series_summary']"),
+        ([{"name": "MAE", "series_summary": "median"}],
+         "MAE: series_summary is read only by per-series measures; MAE is summarised by 'mean'"),
     ])
     def test_bad_suite_measures(self, workdir, capsys, measures, fragment):
         suite = workdir / "suite.json"

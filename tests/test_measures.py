@@ -109,6 +109,14 @@ class TestPercentage:
         with pytest.raises(ValidationError, match=f"^msMAPE: {re.escape(fragment)}$"):
             evaluate("msMAPE", frame([0.2], [0.1]), **kwargs)
 
+    @pytest.mark.parametrize("name, summary", [("MAE", "mean"), ("MdAE", "mean"), ("ND", "median"),
+                                               ("AvgRelMAE", "geometric-mean")])
+    def test_series_summary_of_a_measure_that_does_not_read_it_rejected(self, name, summary):
+        with pytest.raises(ValidationError, match=f"^{name}: series_summary is read only by per-series "
+                                                  f"measures; {name} is summarised by "
+                                                  f"'{spec_for(name).summary}'$"):
+            evaluate(name, frame([1.0, 2.0], [2.0, 2.5]), series_summary=summary)
+
     @pytest.mark.parametrize("policy", ["skipp", ["skip"], None, True])
     def test_malformed_policy_rejected(self, policy):
         with pytest.raises(ValidationError, match=f"^unknown undefined-value policy "

@@ -20,7 +20,7 @@ PUBLIC = {
     "measures": ["MeasureResult", "MeasureSpec", "RankTable", "UndefinedPolicy", "UndefinedValueError",
                  "WeightVector", "critical_event_percentage", "evaluate", "measure_names",
                  "percentage_better", "rank_models", "spec_for", "summarize"],
-    "partition": ["Fold", "LeakageError", "LeakageReport", "SplitSpec", "blocked_splits",
+    "partition": ["Fold", "FoldRanges", "LeakageError", "LeakageReport", "SplitSpec", "blocked_splits",
                   "kfold_splits", "leakage_check", "leakage_checks", "splits_for_series"],
     "stats": ["CdLayout", "PostHocResult", "TestResult", "cd_diagram_data", "diebold_mariano",
               "friedman", "ljung_box", "nemenyi_cd", "p_adjust", "render_cd_svg", "render_cd_text",
@@ -35,7 +35,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 class TestNamespace:
     def test_all_is_the_public_names(self):
-        assert len(NAMES) == 62
+        assert len(NAMES) == 63
         assert forevalkit.__all__ == NAMES
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])

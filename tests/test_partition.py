@@ -15,7 +15,8 @@ from forevalkit import (
     leakage_checks,
     splits_for_series,
 )
-from forevalkit.partition import Fold, LeakageReport
+from forevalkit.io import write_folds_csv
+from forevalkit.partition import Fold, FoldRanges, LeakageReport
 
 
 def matrix(n_rows, p=2):
@@ -167,6 +168,78 @@ class TestRollingOrigin:
     def test_partial_tails_dropped(self):
         folds = splits_for_series(12, self.spec(initial_train=8, horizon=3, stride=2))
         assert [f.origin for f in folds] == [8]  # origin 10 would need up to index 13
+
+
+def _loop_folds(series_length, spec):
+    """The folds of a temporal split, one ``Fold`` per origin, by the rule written out."""
+    h = spec.horizon
+    last = spec.initial_train if spec.scheme == "fixed-origin" else series_length - h
+    folds = []
+    for origin in range(spec.initial_train, last + 1, spec.stride):
+        start = 1 if spec.window_length is None else max(1, origin - spec.window_length + 1)
+        folds.append(Fold(np.arange(start, origin + 1), np.arange(origin + 1, origin + h + 1), origin))
+    return folds
+
+
+@st.composite
+def temporal_splits(draw):
+    """A series length and a valid temporal split spec for it: both schemes,
+    strides, window kinds and lengths, horizons."""
+    n = draw(st.integers(2, 150))
+    scheme = draw(st.sampled_from(["fixed-origin", "rolling-origin"]))
+    t0 = draw(st.integers(1, n - 1))
+    window = draw(st.sampled_from(["expanding", "rolling"]))
+    length = draw(st.integers(1, t0) if window == "rolling" else st.none() | st.integers(1, n))
+    return n, SplitSpec(scheme, initial_train=t0, horizon=draw(st.integers(1, n - t0)),
+                        stride=1 if scheme == "fixed-origin" else draw(st.integers(1, 7)),
+                        window=window, window_length=length)
+
+
+class TestFoldRanges:
+    @settings(max_examples=300, deadline=None)
+    @given(split=temporal_splits(), cut=st.slices(40))
+    def test_items_are_the_folds_of_the_rule(self, split, cut):
+        n, spec = split
+        folds, want = splits_for_series(n, spec), _loop_folds(n, spec)
+        assert isinstance(folds, FoldRanges) and len(folds) == len(want) and folds.horizon == spec.horizon
+        for got_part, want_part in ((folds, want), (folds[cut], want[cut]), (folds[::-1], want[::-1])):
+            assert len(got_part) == len(want_part)
+            for got, fold in zip(got_part, want_part):
+                assert got.origin == fold.origin
+                assert got.train_indices.tolist() == fold.train_indices.tolist()
+                assert got.test_indices.tolist() == fold.test_indices.tolist()
+        assert [f.origin for f in folds[-1:]] == [want[-1].origin]
+        with pytest.raises(IndexError):
+            folds[len(want)]
+        with pytest.raises(TypeError):
+            folds[0] = want[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(split=temporal_splits(),
+           scheme=st.sampled_from(["fixed-origin", "rolling-origin", "kfold", "blocked"]))
+    def test_leakage_reports_match_the_fold_list(self, split, scheme):
+        folds = splits_for_series(*split)
+        assert leakage_checks(folds, scheme) == leakage_checks(list(folds), scheme)
+
+    @settings(max_examples=200, deadline=None)
+    @given(split=temporal_splits())
+    def test_folds_csv_bytes_match_the_fold_list(self, split, tmp_path_factory):
+        base = tmp_path_factory.getbasetemp()
+        folds = splits_for_series(*split)
+        write_folds_csv(base / "ranges.csv", folds)
+        write_folds_csv(base / "list.csv", list(folds))
+        assert (base / "ranges.csv").read_bytes() == (base / "list.csv").read_bytes()
+
+    @pytest.mark.parametrize("starts, origins, horizon", [
+        ([0], [3], 1), ([5], [3], 1), ([1, 2], [3], 1), ([[1]], [[3]], 1), ([1], [3], 0)])
+    def test_malformed_ranges_rejected(self, starts, origins, horizon):
+        with pytest.raises(ValidationError, match="^fold ranges need one start and one origin per fold"):
+            FoldRanges(starts, origins, horizon)
+
+    def test_an_empty_train_range(self):
+        (fold,) = FoldRanges([4], [3], 2)
+        assert fold.train_size == 0 and fold.test_indices.tolist() == [4, 5]
+        assert leakage_checks(FoldRanges([4], [3], 2), "rolling-origin") == [LeakageReport(True, ())]
 
 
 class TestKfold:
@@ -322,7 +395,7 @@ class TestLeakageChecks:
 
     def test_single_bad_fold_among_thousands(self):
         spec = SplitSpec(scheme="rolling-origin", initial_train=5, horizon=3)
-        folds = splits_for_series(3000, spec)
+        folds = list(splits_for_series(3000, spec))  # a FoldRanges is read-only
         fold = folds[1234]
         folds[1234] = Fold(np.append(fold.train_indices, [fold.origin + 2, 5000]),
                            fold.test_indices, origin=fold.origin)
