@@ -158,8 +158,7 @@ def cmd_evaluate(args) -> int:
                                                                   period=period)
 
     index = frame.series_index
-    first_origins = frame.origins[frame.key_order[index.starts[:-1]]]
-    train = {sid: dataset[sid].prefix(origin) for sid, origin in zip(index.labels, first_origins.tolist())}
+    train = dataset.prefixes(index.labels, frame.origins[frame.key_order[index.starts[:-1]]])
 
     results = []
     errors_by_model: dict[str, dict] = {}
@@ -212,30 +211,32 @@ def cmd_backtest(args) -> int:
     forecasters = {kind: Forecaster(kind, args.seasonal_period) for kind in benchmarks}
 
     splits, n_folds = [], 0  # every series' folds, all checked before any is scored
-    for series in dataset:
+    for sid, n in zip(dataset.ids(), dataset.lengths.tolist()):
         try:
-            folds = splits_for_series(len(series), spec)
+            folds = splits_for_series(n, spec)
         except InsufficientHistoryError as exc:
-            raise InsufficientHistoryError(f"series {series.id!r}: {exc}") from None
+            raise InsufficientHistoryError(f"series {sid!r}: {exc}") from None
         # numbered across all series, as in folds.csv
         for fold_id, report in enumerate(leakage_checks(folds, spec.scheme), start=n_folds + 1):
             if not report.passed:
-                raise LeakageError(f"leakage detected in series {series.id!r}, fold {fold_id}: "
+                raise LeakageError(f"leakage detected in series {sid!r}, fold {fold_id}: "
                                    + "; ".join(report.violations))
         splits.append(folds)
         n_folds += len(folds)
 
-    h, pairs = spec.horizon, list(zip(dataset, splits))
+    h = spec.horizon
     folds = FoldRanges(np.concatenate([f.starts for f in splits]), np.concatenate([f.origins for f in splits]), h)
-    actual = np.concatenate([s.values[f.origins[:, None] + np.arange(h)] for s, f in pairs])
+    series = np.repeat(np.arange(len(dataset)), [len(f) for f in splits])  # each fold's series
+    actual = dataset.values[(dataset.offsets[series] + folds.origins)[:, None] + np.arange(h)]
     scores = {}  # kind -> (MAE, RMSE) per fold
     for kind, forecaster in forecasters.items():
-        e = actual - np.concatenate([forecaster.forecast_origins(s, f.origins, h) for s, f in pairs])
+        e = actual - forecaster.forecast_windows(dataset, series, folds.origins, h)
         with np.errstate(over="ignore"):  # an error past the float range scores inf
             scores[kind] = np.abs(e).mean(axis=1), np.sqrt((e * e).mean(axis=1))
 
     write_folds_csv(out_dir / "folds.csv", folds)
-    write_backtest_report(out_dir / "report.json", [s.id for s, f in pairs for _ in range(len(f))], folds, scores)
+    write_backtest_report(out_dir / "report.json", np.array(dataset.ids(), dtype=object)[series].tolist(),
+                          folds, scores)
     _write_manifest(out_dir, "backtest", [Path(args.series), Path(args.split)],
                     {"split": json.loads(spec.to_json()), "benchmarks": benchmarks,
                      "seasonal_period": args.seasonal_period}, None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 import types
 import typing
@@ -126,9 +127,30 @@ def check_fields(obj, owner: str) -> None:
             raise ValidationError(f"{owner} {name} must be {description}, got {value!r}")
 
 
+def _check_series(ids, values: np.ndarray, timestamps: np.ndarray, offsets: np.ndarray) -> None:
+    """A ``ValidationError`` naming the first series (``ids[j]`` at ``offsets[j]:offsets[j + 1]``)
+    that is empty, holds a value that is not finite or a timestamp not above the one before it."""
+    lengths, finite = np.diff(offsets), np.isfinite(values)
+    rising = np.ones(values.size, dtype=bool)
+    rising[1:] = timestamps[1:] > timestamps[:-1]
+    rising[offsets[:-1][lengths > 0]] = True  # a series' first timestamp follows none of its own
+    ok = finite & rising
+    if ok.all() and lengths.all():
+        return
+    bad = np.flatnonzero(~ok)[:1]
+    j = min([*np.flatnonzero(lengths < 1)[:1], *(np.searchsorted(offsets, bad, "right") - 1)])
+    rows = slice(offsets[j], offsets[j + 1])
+    raise ValidationError(f"series {ids[j]!r}: " + (
+        "values must be a non-empty 1-d sequence" if lengths[j] < 1
+        else "missing values are rejected at ingestion" if np.isnan(values[rows]).any()
+        else "values must be finite" if not finite[rows].all()
+        else "timestamps must be strictly increasing"))
+
+
 @dataclass(frozen=True)
 class TimeSeries:
-    """A single univariate series with strictly increasing integer timestamps."""
+    """A single univariate series with strictly increasing integer timestamps.
+    A ``Dataset`` gives its series as read-only views on its own arrays."""
 
     id: str
     values: np.ndarray
@@ -137,22 +159,17 @@ class TimeSeries:
     def __post_init__(self):
         # copies, so that freezing them leaves the caller's arrays writable
         values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
+        if values.ndim != 1:
             raise ValidationError(f"series {self.id!r}: values must be a non-empty 1-d sequence")
-        if not np.isfinite(values).all():
-            if np.isnan(values).any():
-                raise ValidationError(
-                    f"series {self.id!r}: missing values are rejected at ingestion"
-                )
-            raise ValidationError(f"series {self.id!r}: values must be finite")
         if self.timestamps is None:
             ts = np.arange(1, values.size + 1, dtype=np.int64)
         else:
             ts = np.array(self.timestamps, dtype=np.int64)
             if ts.shape != values.shape:
                 raise ValidationError(f"series {self.id!r}: timestamps/values length mismatch")
-            if not (ts[1:] > ts[:-1]).all():
-                raise ValidationError(f"series {self.id!r}: timestamps must be strictly increasing")
+        # the cheap test first; default timestamps rise
+        if not (values.size and np.isfinite(values).all() and (self.timestamps is None or (ts[1:] > ts[:-1]).all())):
+            _check_series((self.id,), values, ts, np.array([0, values.size]))
         values.setflags(write=False)
         ts.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -174,36 +191,115 @@ class TimeSeries:
         return self.values[:position]
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A collection of series with unique ids."""
+    """A collection of series with unique ids, held as read-only arrays:
+    ``values`` (float64) and ``timestamps`` (int64) of all series end to end,
+    and ``offsets``, series j filling ``offsets[j]:offsets[j + 1]`` (``lengths[j]``
+    values). ``Dataset(series)`` stacks ``TimeSeries``, ``from_arrays`` takes
+    the arrays; either way one check over the whole arrays names the first
+    series that is empty, holds a value that is not finite or a timestamp not
+    above the one before it. Indexing by id, iterating and ``series`` give
+    read-only ``TimeSeries`` views on the arrays, made on demand.
+    """
 
-    series: tuple[TimeSeries, ...]
+    def __init__(self, series):
+        series = tuple(series)
+        self._set([s.id for s in series], np.concatenate([np.empty(0), *(s.values for s in series)]),
+                  np.concatenate([np.empty(0, np.int64), *(s.timestamps for s in series)]),
+                  np.cumsum([0, *map(len, series)]))
 
-    def __post_init__(self):
-        series = tuple(self.series)
-        if not series:
+    @classmethod
+    def from_arrays(cls, ids, values, timestamps, offsets) -> "Dataset":
+        dataset = cls.__new__(cls)
+        dataset._set(ids, values, timestamps, offsets)
+        return dataset
+
+    def _set(self, ids, values, timestamps, offsets) -> None:
+        ids = tuple(ids)
+        if not ids:
             raise ValidationError("dataset must contain at least one series")
-        ids = [s.id for s in series]
-        if len(set(ids)) != len(ids):
+        # copies, so that freezing them leaves the caller's arrays writable
+        values, timestamps = np.array(values, dtype=float), np.array(timestamps, dtype=np.int64)
+        offsets = np.array(offsets, dtype=np.int64)
+        if (values.ndim != 1 or timestamps.shape != values.shape or offsets.shape != (len(ids) + 1,)
+                or offsets[0] != 0 or offsets[-1] != values.size or (offsets[1:] < offsets[:-1]).any()):
+            raise ValidationError("dataset arrays do not line up: offsets must rise from 0 to the number "
+                                  "of values, one more of them than ids, and one timestamp per value")
+        _check_series(ids, values, timestamps, offsets)
+        position = dict(zip(ids, range(len(ids))))
+        if len(position) != len(ids):
             raise ValidationError("dataset series ids must be unique")
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "_by_id", {s.id: s for s in series})
+        lengths = np.diff(offsets)
+        for arr in (values, timestamps, offsets, lengths):
+            arr.setflags(write=False)
+        vars(self).update(_ids=ids, _position=position, values=values, timestamps=timestamps, offsets=offsets,
+                          lengths=lengths)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Dataset is read-only; cannot set {name!r}")
+
+    def _series(self, j: int) -> TimeSeries:
+        view, rows = object.__new__(TimeSeries), slice(self.offsets[j], self.offsets[j + 1])
+        view.__dict__.update(id=self._ids[j], values=self.values[rows], timestamps=self.timestamps[rows])
+        return view
+
+    @functools.cached_property
+    def series(self) -> tuple[TimeSeries, ...]:
+        return tuple(map(self._series, range(len(self._ids))))
 
     def __iter__(self):
         return iter(self.series)
 
     def __len__(self) -> int:
-        return len(self.series)
+        return len(self._ids)
 
     def ids(self) -> list[str]:
-        return [s.id for s in self.series]
+        return list(self._ids)
 
     def __getitem__(self, series_id: str) -> TimeSeries:
         try:
-            return self._by_id[series_id]
+            return self._series(self._position[series_id])
         except KeyError:
             raise KeyError(f"unknown series id {series_id!r}") from None
+
+    def locate(self, ids) -> np.ndarray:
+        """The position of each of ``ids`` among the series, -1 where none has that id."""
+        return np.fromiter(map(self._position.get, ids, itertools.repeat(-1)), np.int64, len(ids))
+
+    def prefixes(self, ids, positions) -> "Dataset":
+        """Series ``ids[j]`` cut to y_1..y_positions[j] (its training region for
+        origin = positions[j]), as a dataset of those ids."""
+        at, positions = self.locate(ids), np.asarray(positions, dtype=np.int64)
+        for j in np.flatnonzero((at < 0) | (positions < 1) | (positions > self.lengths[at]))[:1]:
+            self[ids[j]].prefix(int(positions[j]))  # names the unknown id, or the position and series
+        offsets = np.concatenate(([0], np.cumsum(positions)))
+        rows = np.arange(offsets[-1]) + np.repeat(self.offsets[at] - offsets[:-1], positions)
+        return Dataset.from_arrays(ids, self.values[rows], self.timestamps[rows], offsets)
+
+
+_GATHER = 1 << 20  # positions gathered at once, so no (runs x length) block of 10k long series is made whole
+
+
+def _stacks(starts: np.ndarray, lengths: np.ndarray):
+    """Yield ``(runs, at)`` per run length: ``at[k]`` holds the positions
+    ``starts[r] + 0, 1, ..., lengths[r] - 1`` of run ``r = runs[k]``. Runs of one
+    length come in blocks of at most about ``_GATHER`` positions; empty runs not at all."""
+    by_length = np.argsort(lengths, kind="stable")
+    for runs in np.split(by_length, np.flatnonzero(np.diff(lengths[by_length])) + 1):
+        n = int(lengths[runs[0]]) if runs.size else 0
+        step = max(1, _GATHER // max(n, 1))
+        for block in np.split(runs, range(step, runs.size, step)) if n else ():
+            yield block, starts[block, None] + np.arange(n)
+
+
+def _reduce_runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray, reducer) -> np.ndarray:
+    """``reducer`` over each run ``values[starts[i]:starts[i] + lengths[i]]``, as the
+    rows of ``_stacks``' blocks: a run is summed exactly as ``ndarray.sum`` sums
+    it alone (see ``Groups``). NaN for an empty run."""
+    out = np.full(starts.size, np.nan)
+    for runs, at in _stacks(starts, lengths):
+        out[runs] = reducer(values[at])
+    return out
 
 
 _BENCHMARK_KINDS = ("naive", "seasonal-naive", "mean")
@@ -217,6 +313,10 @@ class Forecaster:
     m*ceil(k/m), m being ``period``. ``naive`` is its m = 1 case, whatever
     ``period`` holds: it repeats the last known observation, which is optimal
     for a random walk. ``mean`` repeats the mean of the history up to the origin.
+
+    ``forecast_windows`` forecasts many (series, origin) windows of a dataset
+    at once; ``forecast_origins``, the origins of one series, is its
+    one-series case.
     """
 
     kind: str
@@ -229,35 +329,46 @@ class Forecaster:
         if self.kind == "seasonal-naive" and (self.period is None or self.period < 1):
             raise ValidationError("seasonal-naive requires a positive seasonal period")
 
-    def forecast_origins(self, series: TimeSeries, origins, h: int) -> np.ndarray:
-        """Forecasts for steps 1..h from each of several origins of one series.
+    def forecast_windows(self, dataset: Dataset, series, origins, h: int) -> np.ndarray:
+        """Forecasts for steps 1..h from each window: the series at position
+        ``series[i]`` of the dataset, from origin ``origins[i]``.
 
-        Row i of the (origins x h) result is the forecast from ``origins[i]``.
-        Each row reads only positions <= its origin. The first origin out of
-        range, or short of one seasonal period, is reported.
+        Row i of the (windows x h) result is window i's forecast, read only
+        from positions <= its origin. ``naive`` and ``seasonal-naive`` are one
+        gather from the dataset's values over every window; ``mean`` sums the
+        histories of the windows at each origin as one stack (``_reduce_runs``),
+        bit-equal to the history's ``mean()``. The first window whose origin is
+        out of range, or short of one seasonal period, is reported.
         """
         if h < 1:
             raise ValidationError("horizon must be >= 1")
-        values, m = series.values, self.period if self.kind == "seasonal-naive" else 1
+        m = self.period if self.kind == "seasonal-naive" else 1
         origins = np.asarray(origins)
         if origins.size and origins.dtype.kind not in "iu":
             raise ValidationError(f"origins must be integers, got {origins.dtype} values")
-        origins = origins.astype(np.int64)
-        bad = (origins < m) | (origins > values.size)
+        origins, series = origins.astype(np.int64), np.asarray(series, dtype=np.int64)
+        lengths = dataset.lengths[series]
+        bad = (origins < m) | (origins > lengths)
         if bad.any():
-            origin = int(origins[bad.argmax()])
-            if not 1 <= origin <= values.size:
-                raise ValidationError(f"origin {origin} out of range for series {series.id!r}")
+            i = int(bad.argmax())
+            origin, sid = int(origins[i]), dataset.ids()[series[i]]
+            if not 1 <= origin <= lengths[i]:
+                raise ValidationError(f"origin {origin} out of range for series {sid!r}")
             raise InsufficientHistoryError(
                 f"seasonal naive needs at least one full period of history for series "
-                f"{series.id!r} (origin {origin} < m {m})"
+                f"{sid!r} (origin {origin} < m {m})"
             )
+        starts = dataset.offsets[series]
         if self.kind == "mean":
-            # mean() divides the same pairwise sum by the count, so this is bit-equal; a cumsum is not
-            level = np.array([values[:o].sum() for o in origins.tolist()]) / origins
+            level = _reduce_runs(dataset.values, starts, origins, _row_sum) / origins
             return np.repeat(level[:, None], h, axis=1)
         steps = np.arange(1, h + 1)
-        return values[origins[:, None] + steps - m * np.ceil(steps / m).astype(int) - 1]
+        return dataset.values[(starts + origins - 1)[:, None] + steps - m * np.ceil(steps / m).astype(int)]
+
+    def forecast_origins(self, series: TimeSeries, origins, h: int) -> np.ndarray:
+        """Forecasts for steps 1..h from each of several origins of one series:
+        ``forecast_windows`` on the dataset of that series alone."""
+        return self.forecast_windows(Dataset((series,)), np.zeros(np.size(origins), np.int64), origins, h)
 
 
 @dataclass(frozen=True)
@@ -372,12 +483,8 @@ class Groups:
             if sizes[0]:
                 yield np.arange(sizes.size), rows.reshape(sizes.size, -1)
             return
-        starts = np.cumsum(sizes) - sizes
-        by_size = np.argsort(sizes, kind="stable")
-        for groups in np.split(by_size, np.flatnonzero(np.diff(sizes[by_size])) + 1):
-            size = sizes[groups[0]]
-            if size:
-                yield groups, rows[starts[groups, None] + np.arange(size)]
+        for groups, at in _stacks(np.cumsum(sizes) - sizes, sizes):
+            yield groups, rows[at]
 
     def reduce(self, x: np.ndarray, reducer, mask=None) -> np.ndarray:
         """``reducer`` over each group's rows (those in ``mask``); NaN for a group with none."""
@@ -587,33 +694,26 @@ def benchmark_frame(
 
     Forecasts are produced per origin from the series prefix only, so no
     information after the origin leaks into the benchmark. The frame's own
-    index supplies the series and their (series, origin) windows: each series'
-    windows are forecast in one ``Forecaster.forecast_origins`` call, and no
+    index supplies its (series, origin) windows: every window is forecast in
+    one ``Forecaster.forecast_windows`` call on the dataset's arrays, and no
     key is grouped or sorted again. Every target is checked to lie inside its
     series before the (windows x horizon) forecast table is allocated.
     """
     fc = Forecaster(kind=kind, period=period)
     index, windows = frame.series_index, frame.windows
-    series = []
-    for sid, first in zip(index.labels, index.order[index.starts[:-1]].tolist()):
-        try:
-            series.append(dataset[sid])
-        except KeyError:
-            key = (sid, int(frame.origins[first]), int(frame.steps[first]))
-            raise ValidationError(f"benchmark key {key!r}: series {sid!r} not in the dataset") from None
-    lengths = index.expand(np.array([len(s) for s in series]))
+    at = dataset.locate(index.labels)
+    if (at < 0).any():
+        j = int((at < 0).argmax())
+        first, sid = index.order[index.starts[j]], index.labels[j]
+        key = (sid, int(frame.origins[first]), int(frame.steps[first]))
+        raise ValidationError(f"benchmark key {key!r}: series {sid!r} not in the dataset")
+    lengths = index.expand(dataset.lengths[at])
     targets = frame.origins + frame.steps
     outside = (targets < 1) | (targets > lengths)
     if outside.any():
         i = int(outside.argmax())  # a target beyond int64 wraps below 1, so it is found too
         raise ValidationError(f"position {int(frame.origins[i]) + int(frame.steps[i])} outside "
                               f"series {frame.series_ids[i]!r} (length {lengths[i]})")
-    # one forecast row per window; windows run by series code, then origin
     window_codes, window_origins = windows.labels.T
-    bounds = np.searchsorted(window_codes, np.arange(len(index) + 1)).tolist()
-    h = int(frame.steps.max())
-    forecasts = np.empty((len(windows), h))
-    for j, s in enumerate(series):
-        at = slice(bounds[j], bounds[j + 1])
-        forecasts[at] = fc.forecast_origins(s, window_origins[at], h)
+    forecasts = fc.forecast_windows(dataset, at[window_codes], window_origins, int(frame.steps.max()))
     return frame._with_forecasts({kind: forecasts[windows.codes, frame.steps - 1]})

@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (DataValidationError, Dataset, EvaluationFrame, Groups, TimeSeries, ValidationError,
-                   _key_index)
+from .core import DataValidationError, Dataset, EvaluationFrame, Groups, ValidationError, _key_index
 
 __all__ = [
     "read_series_csv",
@@ -138,28 +137,23 @@ def read_series_csv(path) -> Dataset:
 
     Rows may arrive in any order. One stable sort on (series, timestamp)
     groups them: series in order of first appearance, each sorted by
-    timestamp. Blank/missing values are rejected rather than imputed.
+    timestamp. The sorted columns are the dataset's arrays, so no per-series
+    object is made. Blank/missing values are rejected rather than imputed.
     """
     path = Path(path)
     sids, timestamps, values = _read_columns(path, _SERIES_HEADER, (str.strip, int, float), _series_row)
     index = Groups.of(sids)
     timestamps, values = np.asarray(timestamps, dtype=np.int64), np.asarray(values, dtype=float)
     order = np.lexsort((timestamps, index.codes))
-    bounds = index.starts.tolist()
-    return Dataset(tuple(
-        TimeSeries(id=sid, values=values[rows], timestamps=timestamps[rows])
-        for sid, rows in zip(index.labels, map(order.__getitem__, map(slice, bounds, bounds[1:])))
-    ))
+    return Dataset.from_arrays(index.labels, values[order], timestamps[order], index.starts)
 
 
 def write_series_csv(path, dataset: Dataset) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SERIES_HEADER)
-        for s in dataset:
-            for ts, v in zip(s.timestamps.tolist(), s.values.tolist()):
-                writer.writerow([s.id, ts, repr(v)])
+        writer.writerows(zip(np.repeat(np.array(dataset.ids(), dtype=object), dataset.lengths).tolist(),
+                             dataset.timestamps.tolist(), map(repr, dataset.values.tolist())))
 
 
 @dataclass(frozen=True)
@@ -228,9 +222,9 @@ def build_frame(dataset: Dataset, rows: ForecastColumns) -> EvaluationFrame:
     appearance = np.argsort(firsts)
     first, present, table = firsts[appearance], present[:, appearance], table[:, appearance]
 
-    by_id = {s.id: s for s in dataset}
+    position = dataset.locate(series.labels)
     # length 0: not in the series file (a series holds at least one value)
-    lengths = np.array([len(by_id[sid]) if sid in by_id else 0 for sid in series.labels])
+    lengths = np.where(position < 0, 0, dataset.lengths[position])
     codes, origins, steps = series.codes[first], origins[first], steps[first]
     length = lengths[codes]
     missing = ~present.all(axis=0)
@@ -265,10 +259,9 @@ def build_frame(dataset: Dataset, rows: ForecastColumns) -> EvaluationFrame:
     if problems:
         raise DataValidationError("misaligned evaluation inputs:\n  " + "\n  ".join(problems))
     origins, steps = origins.astype(np.int64), steps.astype(np.int64)  # object beside an int beyond int64
-    offsets = np.cumsum(lengths) - lengths
-    values = np.concatenate([by_id[sid].values for sid in series.labels])
     return EvaluationFrame(np.array(series.labels, dtype=object)[codes], origins, steps,
-                           values[offsets[codes] + origins + steps - 1], dict(zip(models, table)))
+                           dataset.values[dataset.offsets[position][codes] + origins + steps - 1],
+                           dict(zip(models, table)))
 
 
 def write_matrix_csv(path, series_ids: list, results) -> None:

@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import _SUMMARISERS, EvaluationFrame, Groups, ValidationError, check_type
+from ..core import (_SUMMARISERS, Dataset, EvaluationFrame, Groups, ValidationError, _reduce_runs, _row_mean,
+                    check_type)
 from .registry import CONSTANTS, UndefinedPolicy, spec_for
 
 __all__ = ["MeasureResult", "UndefinedValueError", "WeightVector", "evaluate"]
@@ -153,36 +154,56 @@ def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResul
     return x.result(float(value), n_rows, 0, x.groups.as_dict(np.where(defined, values, np.nan)))
 
 
-def _train_scale(name: str, train, sid: str, kind: str, constants: dict) -> float:
-    """In-sample scale for one series, from its train values only.
+def _train_values(train, labels: tuple):
+    """The train values of series ``labels``, stacked: ``(values, starts, lengths)``,
+    series j at ``values[starts[j]:starts[j] + lengths[j]]`` and of length -1 where
+    ``train`` supplies none. A ``Dataset`` already is such arrays."""
+    if isinstance(train, Dataset):
+        at = train.locate(labels)
+        return train.values, train.offsets[at], np.where(at < 0, -1, train.lengths[at])
+    arrays = {sid: np.asarray(train[sid], dtype=float) for sid in labels if train is not None and sid in train}
+    lengths = np.array([arrays[sid].size if sid in arrays else -1 for sid in labels], dtype=np.int64)
+    sizes = np.maximum(lengths, 0)
+    return np.concatenate([np.empty(0), *arrays.values()]), np.cumsum(sizes) - sizes, lengths
+
+
+def _train_scale(name: str, train, labels: tuple, kind: str, constants: dict) -> np.ndarray:
+    """In-sample scale of each series of ``labels``, from its train values only.
 
     ``kind`` is ``mean`` (mean of the train values), ``naive-mae`` (mean
     absolute one-step benchmark error in-sample) or ``naive-mse`` (mean
     squared version). The benchmark differences are lag-1 by default, lag-m
     when a seasonal period is configured, and pooled over lags 1..h in the
-    multi-step scale mode.
+    multi-step scale mode. Series with equal train lengths are reduced as one
+    stack, each row bit-equal to reducing its series alone; the first series
+    without train values, or too short for a lag, is reported.
     """
-    if train is None or sid not in train:
-        raise ValidationError(f"{name}: no train values supplied for series {sid!r}")
-    values = np.asarray(train[sid], dtype=float)
+    values, starts, lengths = _train_values(train, labels)
     if kind == "mean":
-        if values.size < 1:
-            raise ValidationError(f"{name}: empty train values for series {sid!r}")
-        return float(values.mean())
-    if constants["scale_mode"] == "multi-step":
-        lags = range(1, constants["multistep_h"] + 1)
+        lags = ()
+    elif constants["scale_mode"] == "multi-step":
+        lags = tuple(range(1, constants["multistep_h"] + 1))
     else:
         m = constants["seasonal_period"]
         lags = (1 if m is None else m,)
-    diffs = []
-    for lag in lags:
-        if values.size < lag + 1:
-            raise ValidationError(
-                f"{name}: series {sid!r} train length {values.size} too short for lag {lag} scaling"
-            )
-        diffs.append(values[lag:] - values[:-lag])
-    d = np.concatenate(diffs)
-    return float(np.abs(d).mean()) if kind == "naive-mae" else float((d * d).mean())
+    short = lengths < max(lags, default=0) + 1
+    if short.any():
+        j = int(short.argmax())
+        sid, n = labels[j], int(lengths[j])
+        if n < 0:
+            raise ValidationError(f"{name}: no train values supplied for series {sid!r}")
+        if kind == "mean":
+            raise ValidationError(f"{name}: empty train values for series {sid!r}")
+        lag = next(lag for lag in lags if n < lag + 1)
+        raise ValidationError(f"{name}: series {sid!r} train length {n} too short for lag {lag} scaling")
+
+    def scale(v):
+        if kind == "mean":
+            return _row_mean(v)
+        d = np.concatenate([v[:, lag:] - v[:, :-lag] for lag in lags], axis=1)
+        return _row_mean(np.abs(d)) if kind == "naive-mae" else _row_mean(d * d)
+
+    return _reduce_runs(values, starts, lengths, scale)
 
 
 def _resolve_benchmark(frame: EvaluationFrame, benchmark, model: str | None) -> np.ndarray:
@@ -242,8 +263,7 @@ class _Inputs:
 
     def scales(self, kind: str) -> np.ndarray:
         """Each row's in-sample scale: that of its series, from its train values."""
-        scales = np.array([_train_scale(self.name, self._train, sid, kind, self.consts)
-                           for sid in self.groups.labels])
+        scales = _train_scale(self.name, self._train, self.groups.labels, kind, self.consts)
         if (scales == 0).any():
             self.flags.append(_ZERO_SCALE_FLAG)
         return self.groups.expand(scales)
@@ -311,10 +331,11 @@ def _arctan(x: _Inputs):
 
 
 def _map(op, base):
-    """``base``'s terms with ``op`` applied to each."""
+    """``base``'s terms with ``op`` applied to each; a square past the float range is inf."""
     def terms(x: _Inputs):
         t, defined = base(x)
-        return op(t), defined
+        with np.errstate(over="ignore"):
+            return op(t), defined
     return terms
 
 
@@ -414,8 +435,9 @@ def evaluate(
     model : model to evaluate; optional when the frame has exactly one.
     benchmark : a model of the frame (by its name), or a single-model frame,
         for benchmark-relative measures.
-    train : mapping series_id -> in-sample values, for measures whose scale
-        is computed from the training region only.
+    train : mapping series_id -> in-sample values, or a ``Dataset`` whose
+        series are the in-sample values (``Dataset.prefixes``), for measures
+        whose scale is computed from the training region only.
     weights : WeightVector or per-row array, for weighted measures.
     policy : undefined-value policy (propagate | skip | error).
     constants : overrides for the measure's constants (epsilon, clamp, ...).

@@ -11,7 +11,9 @@ is meant to alter outputs; the digest diff is what changed::
 file. Each run works in one directory with relative paths, so no output
 depends on where it ran; manifests are digested with their input paths
 removed (the input digests stay) and with sorted keys. A command's stdout and
-exit code are digested too.
+exit code are digested too, and so is the stdout of each demo script, run in
+process (``DEMOS``); demo 07 prints its temporary workspace, whose path is
+replaced by ``<workspace>`` first.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ import hashlib
 import io
 import json
 import os
+import re
+import runpy
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 DIGESTS_PATH = Path(__file__).with_name("digests.json")
+DEMOS = sorted(Path(__file__).resolve().parents[2].joinpath("demos").glob("[0-9]*.py"))
 
 N_STEPS = 30
 SEASON = 4
@@ -160,16 +165,31 @@ def _manifest_bytes(data: bytes) -> bytes:
     return json.dumps(manifest, sort_keys=True).encode()
 
 
+def _demo_stdout(path: Path) -> str:
+    """What the demo script at ``path`` prints, its workspace path (demo 07) replaced."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        runpy.run_path(str(path), run_name="__main__")
+    text = stdout.getvalue()
+    workspace = re.match(r"workspace: (\S+)", text)
+    return text.replace(workspace[1], "<workspace>") if workspace else text
+
+
 def compute(workdir: Path) -> dict[str, str]:
     """Run every case in ``workdir`` (which should be empty) and return
-    ``{"<case>/<file>": sha256}``, with ``<case>/stdout`` and ``<case>/exit``."""
+    ``{"<case>/<file>": sha256}``, with ``<case>/stdout`` and ``<case>/exit``,
+    and ``demo-<name>/stdout`` for each demo."""
+    import forevalkit
     from forevalkit.cli import main
 
     workdir = Path(workdir)
     for name, text in _inputs().items():
         (workdir / name).write_text(text, encoding="utf-8")
     digests = {}
-    cwd = os.getcwd()
+    cwd, pythonpath = os.getcwd(), os.environ.get("PYTHONPATH")
+    # demo 07 runs the CLI in child processes: they import this package
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(forevalkit.__file__).resolve().parents[1]), *filter(None, [pythonpath])])
     os.chdir(workdir)
     try:
         with warnings.catch_warnings():
@@ -186,8 +206,14 @@ def compute(workdir: Path) -> dict[str, str]:
                     if path.name == "manifest.json":
                         data = _manifest_bytes(data)
                     digests[f"{case}/{path.name}"] = _sha256(data)
+            for path in DEMOS:
+                digests[f"demo-{path.stem}/stdout"] = _sha256(_demo_stdout(path).encode())
     finally:
         os.chdir(cwd)
+        if pythonpath is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = pythonpath
     return digests
 
 

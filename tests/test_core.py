@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -65,6 +67,73 @@ class TestDataset:
         assert ds["a"].values[0] == 1.0
         with pytest.raises(ValidationError):
             Dataset(())
+
+    def test_series_are_stacked_into_three_arrays(self):
+        a, b = ts([1, 2, 3], id="a", timestamps=[5, 7, 9]), ts([4.5, 5.5], id="b")
+        ds = Dataset((a, b))
+        assert ds.values.tolist() == [1, 2, 3, 4.5, 5.5] and ds.values.dtype == np.float64
+        assert ds.timestamps.tolist() == [5, 7, 9, 1, 2] and ds.timestamps.dtype == np.int64
+        assert ds.offsets.tolist() == [0, 3, 5] and ds.lengths.tolist() == [3, 2]
+        for arr in (ds.values, ds.timestamps, ds.offsets, ds.lengths):
+            assert not arr.flags.writeable
+        with pytest.raises(AttributeError, match="read-only"):
+            ds.values = np.zeros(5)
+        same = Dataset.from_arrays(["a", "b"], [1, 2, 3, 4.5, 5.5], [5, 7, 9, 1, 2], [0, 3, 5])
+        assert [(s.id, s.values.tolist(), s.timestamps.tolist()) for s in same] == [
+            (s.id, s.values.tolist(), s.timestamps.tolist()) for s in (a, b)]
+
+    def test_series_are_read_only_views_made_on_demand(self, monkeypatch):
+        ds = Dataset((ts([1, 2, 3], id="a"), ts([4, 5], id="b")))
+        made = []
+        monkeypatch.setattr(TimeSeries, "__post_init__", lambda s: made.append(s.id))
+        b = ds["b"]
+        assert b.id == "b" and len(b) == 2 and b.values.tolist() == [4.0, 5.0]
+        assert np.shares_memory(b.values, ds.values) and np.shares_memory(b.timestamps, ds.timestamps)
+        with pytest.raises(ValueError):
+            b.values[0] = 9.0
+        assert [len(s) for s in ds] == [3, 2] and ds.series == tuple(ds)
+        assert made == []
+        with pytest.raises(KeyError, match="unknown series id 'z'"):
+            ds["z"]
+
+    def test_callers_arrays_stay_writable(self):
+        values, timestamps, offsets = np.zeros(3), np.arange(3), np.array([0, 3])
+        ds = Dataset.from_arrays(["a"], values, timestamps, offsets)
+        values[0] = timestamps[0] = offsets[1] = 1
+        assert ds.values[0] == 0.0 and ds.timestamps[0] == 0 and ds.offsets[1] == 3
+
+    @pytest.mark.parametrize("values, timestamps, message", [
+        ([1, 2, np.nan, 4, np.inf, 6], [1, 2, 1, 2, 1, 2], "series 'b': missing values are rejected at ingestion"),
+        ([1, 2, 3, np.inf, -np.inf, 6], [1, 2, 1, 2, 1, 2], "series 'b': values must be finite"),
+        ([1, 2, 3, 4, np.nan, 6], [1, 2, 1, 1, 1, 2], "series 'b': timestamps must be strictly increasing"),
+        ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 1, 1], "series 'c': timestamps must be strictly increasing"),
+    ])
+    def test_the_first_bad_series_is_named(self, values, timestamps, message):
+        # series a, b, c hold two values each; a series' first timestamp follows none of its own
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Dataset.from_arrays(["a", "b", "c"], values, timestamps, [0, 2, 4, 6])
+
+    def test_empty_series_and_misaligned_arrays_rejected(self):
+        with pytest.raises(ValidationError, match="^series 'b': values must be a non-empty 1-d sequence$"):
+            Dataset.from_arrays(["a", "b", "c"], [1.0, np.nan], [1, 1], [0, 1, 1, 2])
+        for ids, values, timestamps, offsets in ((["a"], [1.0], [1], [0, 2]), (["a"], [1.0], [1, 2], [0, 1]),
+                                                 (["a", "b"], [1.0, 2.0], [1, 2], [0, 2]),
+                                                 (["a", "b"], [1.0, 2.0], [1, 2], [1, 0, 2])):
+            with pytest.raises(ValidationError, match="^dataset arrays do not line up"):
+                Dataset.from_arrays(ids, values, timestamps, offsets)
+        with pytest.raises(ValidationError, match="^dataset series ids must be unique$"):
+            Dataset.from_arrays(["a", "a"], [1.0, 2.0], [1, 2], [0, 1, 2])
+
+    def test_locate_and_prefixes(self):
+        ds = Dataset((ts([1, 2, 3], id="a", timestamps=[4, 5, 6]), ts([4, 5], id="b")))
+        assert ds.locate(["b", "z", "a"]).tolist() == [1, -1, 0]
+        heads = ds.prefixes(["b", "a"], [1, 2])
+        assert heads.ids() == ["b", "a"] and heads.offsets.tolist() == [0, 1, 3]
+        assert heads.values.tolist() == [4.0, 1.0, 2.0] and heads.timestamps.tolist() == [1, 4, 5]
+        with pytest.raises(ValidationError, match=r"^position 3 outside series 'b' \(length 2\)$"):
+            ds.prefixes(["a", "b"], [3, 3])
+        with pytest.raises(KeyError, match="unknown series id 'z'"):
+            ds.prefixes(["a", "z"], [1, 1])
 
 
 class TestNaiveForecast:
@@ -232,6 +301,74 @@ class TestForecastOrigins:
                 Forecaster(kind).forecast_origins(s, [1], 0)
         with pytest.raises(ValidationError, match=r"^origins must be integers, got float64 values$"):
             forecast(s, 2.5, 1)
+
+
+def _reference_scale(values, kind, lags):
+    """The in-sample scale of one series, computed on its own train values."""
+    if kind == "mean":
+        return values.mean()
+    d = np.concatenate([values[lag:] - values[:-lag] for lag in lags])
+    return np.abs(d).mean() if kind == "naive-mae" else (d * d).mean()
+
+
+@st.composite
+def stacked_cases(draw):
+    """Series of unequal lengths up to 300 (past numpy's 8- and 128-value pairwise
+    summation blocks) and values over 18 decades, a seasonal period, and windows
+    (series, origin) over them in any order, repeats allowed."""
+    lengths = draw(st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = [rng.normal(0, 1e3, n) * rng.choice([1e-9, 1.0, 1e9], n) for n in lengths]
+    ds = Dataset(tuple(ts(v, id=f"s{j}") for j, v in enumerate(values)))
+    window = st.integers(0, len(lengths) - 1).flatmap(
+        lambda j: st.tuples(st.just(j), st.integers(1, lengths[j])))
+    windows = draw(st.lists(window, max_size=60))
+    return ds, values, windows, draw(st.integers(1, 12))
+
+
+class TestStackedMatchesPerSeries:
+    """The stacked forecasts and in-sample scales equal the per-series
+    computation bit for bit, whatever the gather size."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=stacked_cases(), h=st.integers(1, 20), gather=st.sampled_from([1 << 20, 1, 100]))
+    def test_forecasts(self, case, h, gather):
+        ds, values, windows, m = case
+        for kind in ("naive", "seasonal-naive", "mean"):
+            first = m if kind == "seasonal-naive" else 1
+            mine = [(j, o) for j, o in windows if o >= first]
+            series, origins = np.array(mine, dtype=np.int64).reshape(-1, 2).T
+            with mock.patch.object(forevalkit.core, "_GATHER", gather):
+                got = Forecaster(kind, m).forecast_windows(ds, series, origins, h)
+            assert got.shape == (len(mine), h) and got.dtype == np.float64
+            for row, (j, o) in zip(got, mine):
+                assert row.tobytes() == _one_origin(kind, values[j], o, h, m).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=stacked_cases(), multistep_h=st.integers(1, 6), gather=st.sampled_from([1 << 20, 1, 100]))
+    def test_scales(self, case, multistep_h, gather):
+        from forevalkit.measures import engine
+
+        ds, values, windows, m = case
+        multi = {"scale_mode": "multi-step", "multistep_h": multistep_h}
+        for kind, lags, constants in (
+                ("mean", (), {}),
+                ("naive-mae", (1,), {"scale_mode": "one-step", "seasonal_period": None}),
+                ("naive-mae", (m,), {"scale_mode": "one-step", "seasonal_period": m}),
+                ("naive-mse", (m,), {"scale_mode": "one-step", "seasonal_period": m}),
+                ("naive-mae", tuple(range(1, multistep_h + 1)), multi),
+                ("naive-mse", tuple(range(1, multistep_h + 1)), multi)):
+            # a window's origin is its series' train length; one window per series, in window order
+            origin = {f"s{j}": o for j, o in windows if o > max(lags, default=0)}
+            if not origin:
+                continue
+            labels = tuple(origin)
+            want = np.array([_reference_scale(values[int(sid[1:])][:o], kind, lags) for sid, o in origin.items()])
+            for train in ({sid: values[int(sid[1:])][:o] for sid, o in origin.items()},
+                          ds.prefixes(labels, list(origin.values()))):
+                with mock.patch.object(forevalkit.core, "_GATHER", gather):
+                    got = engine._train_scale("S", train, labels, kind, constants)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestEmbed:

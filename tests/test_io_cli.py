@@ -556,6 +556,24 @@ class TestCliEvaluate:
         assert manifest["config"]["suite"]["measures"][3]["constants"]["epsilon"] == 0.25
         assert len(manifest["inputs"]) == 3
 
+    def test_squared_errors_past_the_float_range_score_inf_without_warning(self, tmp_path):
+        # actuals at -+1e200 and forecasts of the opposite sign: errors of +-2e200 square past the float range
+        (tmp_path / "series.csv").write_text("series_id,timestamp,value\n" + "".join(
+            f"x,{t},{(-1) ** t * 1e200!r}\n" for t in range(1, 7)))
+        (tmp_path / "forecasts.csv").write_text("series_id,origin,step,model,forecast\n" + "".join(
+            f"x,3,{k},m,{(-1) ** (k + 4) * 1e200!r}\n" for k in range(1, 4)))
+        (tmp_path / "suite.json").write_text(json.dumps({"measures": ["MAE", "MSE", "RMSE"]}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", *(str(tmp_path / f) for f in ("series.csv", "forecasts.csv", "suite.json")),
+                         "--out", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert [(r["measure"], r["value"], r["per_series"]) for r in results] == [
+            ("MAE", 2e200, {"x": 2e200}), ("MSE", float("inf"), {"x": float("inf")}),
+            ("RMSE", float("inf"), {"x": float("inf")})]
+        assert b'"value": Infinity' in (out / "report.json").read_bytes()
+
     def test_matrix_keeps_the_later_of_repeated_measures(self, workdir):
         # b's naive forecast from origin 3 is exact at step 1, so its MRAE is undefined
         suite = workdir / "suite.json"
@@ -659,6 +677,58 @@ class TestCliEvaluate:
         # up to rounding, a few ulps for these 6-60 term sums
         for got, want in zip(shuffled, ordered):
             assert got == pytest.approx(want, rel=64 * np.finfo(float).eps, abs=0)
+
+
+class TestPerSeriesWork:
+    """CLI ``evaluate`` and ``backtest`` work on the dataset's stacked arrays:
+    no ``TimeSeries`` is constructed, benchmark forecasts come from one call per
+    benchmark, and in-sample scales from one call per scaled measure and model."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from forevalkit.core import Forecaster
+        from forevalkit.measures import engine
+
+        calls = []
+        init = TimeSeries.__post_init__
+        monkeypatch.setattr(TimeSeries, "__post_init__", lambda s: (calls.append("TimeSeries"), init(s))[1])
+        for owner, name in ((Forecaster, "forecast_windows"), (Forecaster, "forecast_origins"),
+                            (engine, "_train_scale")):
+            def spy(*args, _real=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @staticmethod
+    def _series_csv(path, n_series, length):
+        rng = np.random.default_rng(5)
+        path.write_text("series_id,timestamp,value\n" + "".join(
+            f"s{j},{t},{v!r}\n" for j in range(n_series)
+            for t, v in enumerate((50 + np.cumsum(rng.normal(0, 1, length))).tolist(), start=1)))
+
+    def test_evaluate(self, tmp_path, calls):
+        self._series_csv(tmp_path / "series.csv", 50, 30)
+        (tmp_path / "forecasts.csv").write_text("series_id,origin,step,model,forecast\n" + "".join(
+            f"s{j},{origin},{k},{model},{50 + j % 7 + k}\n" for j in range(50) for origin in (20 + j % 3, 24)
+            for k in range(1, 5) for model in ("m1", "m2")))
+        (tmp_path / "suite.json").write_text(json.dumps({
+            "measures": ["MAE", "MASE", "RMSSE", "sMSE", "MRAE"], "benchmark": "mean", "policy": "skip"}))
+        assert main(["evaluate", *(str(tmp_path / f) for f in ("series.csv", "forecasts.csv", "suite.json")),
+                     "--out", str(tmp_path / "out")]) == 0
+        # MASE, RMSSE and sMSE for each of two models; one benchmark forecast over all 100 windows
+        assert sorted(calls) == ["_train_scale"] * 6 + ["forecast_windows"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["results"]) == 10 and all(len(r["per_series"]) == 50 for r in report["results"])
+
+    def test_backtest(self, tmp_path, calls):
+        self._series_csv(tmp_path / "series.csv", 50, 40)
+        (tmp_path / "split.json").write_text(SplitSpec("rolling-origin", initial_train=24, horizon=6).to_json())
+        assert main(["backtest", str(tmp_path / "series.csv"), str(tmp_path / "split.json"), "--out",
+                     str(tmp_path / "bt"), "--seasonal-period", "12",
+                     *[a for k in ("naive", "seasonal-naive", "mean") for a in ("--benchmark", k)]]) == 0
+        assert calls == ["forecast_windows"] * 3
+        assert len(json.loads((tmp_path / "bt" / "report.json").read_text())["folds"]) == 50 * 11
 
 
 class TestCliBacktest:
