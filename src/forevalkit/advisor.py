@@ -9,7 +9,6 @@ intermittency exists but is explicitly heuristic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
@@ -146,55 +145,74 @@ class RuleTable:
         raise KeyError(measure)
 
 
+@dataclass(frozen=True)
+class _TableFile:
+    """The rule table as the JSON asset writes it; each row has the fields of ``_Row``."""
+
+    version: int
+    characteristics: tuple[str, ...]
+    rows: tuple[dict, ...]
+    description: str = ""
+    transcription_notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        check_fields(self, "rule table")
+
+
+@dataclass(frozen=True)
+class _Row:
+    """A rule-table row: a measure (or group) name, one verdict per
+    characteristic column, its scaling class and a group's member measures."""
+
+    measure: str
+    verdicts: tuple[str, ...]
+    scaling: str = "none"
+    members: tuple[str, ...] | None = None
+
+
 def load_rule_table(source=None) -> RuleTable:
     """Load and validate the packaged rule table (or one from ``source``).
 
-    Every member measure must exist in the measure registry and every row
-    must carry a verdict for every characteristic column.
+    The table and each of its rows are read as JSON objects with the fields
+    of ``_TableFile`` and ``_Row``: a missing, unknown or mistyped field is a
+    ``ValidationError`` naming it (and the row). Every member measure must
+    exist in the measure registry and every row must carry a verdict for
+    every characteristic column.
     """
     if source is None:
         text = resources.files("forevalkit").joinpath("assets/rule_table.json").read_text("utf-8")
     else:
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"rule table does not parse: {exc}") from None
-    try:
-        characteristics = tuple(data["characteristics"])
-        rows = data["rows"]
-        version = int(data["version"])
-    except KeyError as exc:
-        raise ValidationError(f"rule table lacks field {exc.args[0]!r}") from None
+    table = from_fields(_TableFile, json_object(text, "rule table"), "rule table")
+    characteristics = tuple(table.characteristics)
 
     verdicts, scaling, members = {}, {}, {}
-    for row in rows:
-        name = row.get("measure")
-        if not name:
-            raise ValidationError("rule table row without a measure name")
-        row_verdicts = row.get("verdicts", [])
-        if len(row_verdicts) != len(characteristics):
+    for i, fields in enumerate(table.rows):
+        row = from_fields(_Row, fields, f"rule table row {i}")
+        check_fields(row, f"rule table row {i}")
+        name = row.measure
+        if len(row.verdicts) != len(characteristics):
             raise ValidationError(
-                f"row {name!r}: expected {len(characteristics)} verdicts, got {len(row_verdicts)}"
+                f"row {name!r}: expected {len(characteristics)} verdicts, got {len(row.verdicts)}"
             )
-        for v in row_verdicts:
+        for v in row.verdicts:
             if v not in _VERDICTS:
                 raise ValidationError(f"row {name!r}: unknown verdict {v!r}")
-        mnames = tuple(row.get("members", (name,)))
+        mnames = (name,) if row.members is None else tuple(row.members)
         for m in mnames:
             if m not in REGISTRY:
                 raise ValidationError(f"row {name!r}: unknown measure {m!r}")
-        verdicts[name] = dict(zip(characteristics, row_verdicts))
-        scaling[name] = row.get("scaling", "none")
+        verdicts[name] = dict(zip(characteristics, row.verdicts))
+        scaling[name] = row.scaling
         members[name] = mnames
     return RuleTable(
-        version=version,
+        version=table.version,
         characteristics=characteristics,
         verdicts=verdicts,
         scaling=scaling,
         members=members,
-        notes=tuple(data.get("transcription_notes", ())),
+        notes=tuple(table.transcription_notes),
     )
 
 

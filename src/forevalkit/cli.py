@@ -411,6 +411,9 @@ def cmd_compare(args) -> int:
     check_type("compare config 'horizon'", horizon, int)
     if pairwise_kind not in ("wilcoxon", "dm"):
         raise ValidationError(f"compare config 'pairwise' must be 'wilcoxon' or 'dm', got {pairwise_kind!r}")
+    if pairwise_kind == "wilcoxon" and "horizon" in config:
+        raise ValidationError("compare config 'horizon' is read only by the 'dm' pairwise test; "
+                              "set 'pairwise' to 'dm'")
     alpha = float(alpha)
 
     reports = [_read_report(p) for p in args.reports]

@@ -83,7 +83,8 @@ def from_fields(cls, data: dict, what: str):
 _TYPES = {bool: ((bool, np.bool_), "true or false", "booleans"),
           int: ((int, np.integer), "an integer", "integers"),
           float: ((int, float, np.integer, np.floating), "a number", "numbers"),
-          str: ((str,), "a string", "strings")}
+          str: ((str,), "a string", "strings"),
+          dict: ((dict,), "an object", "objects")}
 
 
 @functools.cache

@@ -281,11 +281,10 @@ def write_matrix_csv(path, series_ids: list, results) -> None:
 
 
 _ROLES = ("train", "test")
-_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _write_runs(fh, fold_ids: np.ndarray, roles: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> None:
-    """Write the rows ``f"{fold_id},{role},{i}\\r\\n"`` for i in first..last of each
+def _write_runs(fh, folds: np.ndarray, roles: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> None:
+    """Write the rows ``f"{fold + 1},{role},{i}\\r\\n"`` for i in first..last of each
     run, in order; ``roles`` index ``_ROLES``, and an empty run writes nothing.
     Runs are cut to ``_BLOCK`` indices and written about ``_BLOCK`` indices at a
     time. Within each such group, a run is one slice of the lines
@@ -299,7 +298,7 @@ def _write_runs(fh, fold_ids: np.ndarray, roles: np.ndarray, firsts: np.ndarray,
     piece = np.arange(run.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     firsts = firsts[run] + piece * _BLOCK
     lasts = firsts + np.minimum(lasts[run] - firsts, _BLOCK - 1)
-    fold_ids, roles = fold_ids[run], roles[run]
+    fold_ids, roles = folds[run] + 1, roles[run]
     ends = np.cumsum(lasts - firsts + 1)
     groups = np.searchsorted(ends, np.arange(_BLOCK, int(ends[-1]) if ends.size else 0, _BLOCK), "right")
     for a, z in zip([0, *groups.tolist()], [*groups.tolist(), run.size]):
@@ -318,56 +317,22 @@ def _write_runs(fh, fold_ids: np.ndarray, roles: np.ndarray, firsts: np.ndarray,
         fh.write("".join(rows))
 
 
-def _index_runs(blocks: list):
-    """The runs of consecutive indices in (fold_id, role, indices) blocks, as
-    ``_write_runs`` takes them; a run ends with its block, and at the int64
-    maximum."""
-    flat = np.concatenate([indices for _, _, indices in blocks])
-    ends = np.cumsum([indices.size for _, _, indices in blocks])
-    starts = np.ones(flat.size + 1, dtype=bool)  # where a run starts, and the end
-    starts[1:-1] = (flat[1:] != flat[:-1] + 1) | (flat[:-1] == _INT64_MAX)
-    starts[ends[:-1]] = True
-    bounds = np.flatnonzero(starts)
-    block = np.searchsorted(ends, bounds[:-1], "right")
-    fold_ids = np.array([fold_id for fold_id, _, _ in blocks], dtype=np.int64)[block]
-    roles = np.array([role for _, role, _ in blocks], dtype=np.int64)[block]
-    return fold_ids, roles, flat[bounds[:-1]], flat[bounds[1:] - 1]
-
-
 def write_folds_csv(path, folds) -> None:
     """Export folds as rows of (fold_id, role, index), 1-based indices.
 
     The bytes are those ``csv.writer`` would write, ``\\r\\n`` line ends
-    included. Rows are written from (fold, role, first, last) runs of
-    consecutive indices, about ``_BLOCK`` indices at a time, so the file is
-    never held in memory. A temporal split's ``FoldRanges`` already is such
-    runs, a train and a test run per fold, and no ``Fold`` is made. Other
-    folds' runs are found in their index arrays, read ``_BLOCK`` indices at a
-    time, a long array in pieces.
+    included. Rows are written from the folds' (fold, role, first, last) runs
+    of consecutive indices, about ``_BLOCK`` indices at a time. Beyond the
+    folds themselves, memory holds the runs, a few int64 arrays over them, and
+    the text of one such group: a temporal split's ``FoldRanges`` is two runs
+    per fold and makes no ``Fold``; other folds' indices are read once, in
+    one concatenation, for their runs, of at most one per index.
     """
-    from .partition import FoldRanges
+    from .partition import _fold_runs
 
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write("fold_id,role,index\r\n")
-        if isinstance(folds, FoldRanges):
-            fold_ids = np.repeat(np.arange(1, len(folds) + 1), 2)
-            roles = np.tile(np.arange(2), len(folds))
-            t_first, t_last, s_first, s_last = folds.bounds()
-            _write_runs(fh, fold_ids, roles, np.column_stack((t_first, s_first)).ravel(),
-                        np.column_stack((t_last, s_last)).ravel())
-            return
-        blocks, size = [], 0
-        for fold_id, fold in enumerate(folds, start=1):
-            for role, indices in enumerate((fold.train_indices, fold.test_indices)):
-                for at in range(0, indices.size, _BLOCK):
-                    blocks.append((fold_id, role, indices[at:at + _BLOCK]))
-                    size += blocks[-1][2].size
-                    if size >= _BLOCK:
-                        _write_runs(fh, *_index_runs(blocks))
-                        blocks, size = [], 0
-        if blocks:
-            _write_runs(fh, *_index_runs(blocks))
+        _write_runs(fh, *_fold_runs(folds))
 
 
 def write_backtest_report(path, series_ids: list, folds, scores: dict) -> None:

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import (_SUMMARISERS, Dataset, EvaluationFrame, Groups, ValidationError, _reduce_runs, _row_mean,
-                    check_type)
+from ..core import (_SUMMARISERS, Dataset, EvaluationFrame, Groups, TimeSeries, ValidationError, _reduce_runs,
+                    _row_mean, check_type)
 from .registry import CONSTANTS, UndefinedPolicy, spec_for
 
 __all__ = ["MeasureResult", "UndefinedValueError", "WeightVector", "evaluate"]
@@ -154,17 +154,22 @@ def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResul
     return x.result(float(value), n_rows, 0, x.groups.as_dict(np.where(defined, values, np.nan)))
 
 
-def _train_values(train, labels: tuple):
+def _train_values(name: str, train, labels: tuple):
     """The train values of series ``labels``, stacked: ``(values, starts, lengths)``,
     series j at ``values[starts[j]:starts[j] + lengths[j]]`` and of length -1 where
-    ``train`` supplies none. A ``Dataset`` already is such arrays."""
-    if isinstance(train, Dataset):
-        at = train.locate(labels)
-        return train.values, train.offsets[at], np.where(at < 0, -1, train.lengths[at])
-    arrays = {sid: np.asarray(train[sid], dtype=float) for sid in labels if train is not None and sid in train}
-    lengths = np.array([arrays[sid].size if sid in arrays else -1 for sid in labels], dtype=np.int64)
-    sizes = np.maximum(lengths, 0)
-    return np.concatenate([np.empty(0), *arrays.values()]), np.cumsum(sizes) - sizes, lengths
+    ``train`` supplies none. A ``Dataset`` already is such arrays; a mapping's
+    values for ``labels`` become one, so each must be a non-empty 1-d sequence of
+    finite values."""
+    if not isinstance(train, Dataset):
+        supplied = [sid for sid in labels if sid in (train or {})]
+        if not supplied:
+            raise ValidationError(f"{name}: no train values supplied for series {labels[0]!r}")
+        try:
+            train = Dataset(TimeSeries(sid, train[sid]) for sid in supplied)
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: train values of {exc}") from None
+    at = train.locate(labels)
+    return train.values, train.offsets[at], np.where(at < 0, -1, train.lengths[at])
 
 
 def _train_scale(name: str, train, labels: tuple, kind: str, constants: dict) -> np.ndarray:
@@ -176,24 +181,23 @@ def _train_scale(name: str, train, labels: tuple, kind: str, constants: dict) ->
     when a seasonal period is configured, and pooled over lags 1..h in the
     multi-step scale mode. Series with equal train lengths are reduced as one
     stack, each row bit-equal to reducing its series alone; the first series
-    without train values, or too short for a lag, is reported.
+    without train values, or too short for a lag, is reported before any lag
+    is taken.
     """
-    values, starts, lengths = _train_values(train, labels)
+    values, starts, lengths = _train_values(name, train, labels)
     if kind == "mean":
         lags = ()
     elif constants["scale_mode"] == "multi-step":
-        lags = tuple(range(1, constants["multistep_h"] + 1))
+        lags = range(1, constants["multistep_h"] + 1)  # no tuple: multistep_h may exceed any train length
     else:
         m = constants["seasonal_period"]
         lags = (1 if m is None else m,)
-    short = lengths < max(lags, default=0) + 1
+    short = lengths < (lags[-1] if lags else 0) + 1
     if short.any():
         j = int(short.argmax())
         sid, n = labels[j], int(lengths[j])
         if n < 0:
             raise ValidationError(f"{name}: no train values supplied for series {sid!r}")
-        if kind == "mean":
-            raise ValidationError(f"{name}: empty train values for series {sid!r}")
         lag = next(lag for lag in lags if n < lag + 1)
         raise ValidationError(f"{name}: series {sid!r} train length {n} too short for lag {lag} scaling")
 
@@ -435,9 +439,11 @@ def evaluate(
     model : model to evaluate; optional when the frame has exactly one.
     benchmark : a model of the frame (by its name), or a single-model frame,
         for benchmark-relative measures.
-    train : mapping series_id -> in-sample values, or a ``Dataset`` whose
-        series are the in-sample values (``Dataset.prefixes``), for measures
-        whose scale is computed from the training region only.
+    train : a ``Dataset`` whose series are the in-sample values
+        (``Dataset.prefixes``), or a mapping series_id -> in-sample values, of
+        which the frame's series are made such a dataset (so each must be
+        non-empty, 1-d and finite), for measures whose scale is computed from
+        the training region only.
     weights : WeightVector or per-row array, for weighted measures.
     policy : undefined-value policy (propagate | skip | error).
     constants : overrides for the measure's constants (epsilon, clamp, ...).

@@ -13,9 +13,10 @@ the caller's concern, and scaling factors for scaled measures must be
 computed from a fold's train indices only.
 
 ``leakage_checks`` screens many folds at once (a series' rolling origins,
-say) with whole-array operations and returns one report per fold: a
-``FoldRanges`` by its fold bounds, other folds by their indices.
-``leakage_check`` is its one-fold case.
+say) with whole-array operations and returns one report per fold.
+``leakage_check`` is its one-fold case. It reads folds, as ``folds.csv`` is
+written from them, as runs of consecutive indices: a ``FoldRanges`` has
+two per fold, other folds' runs are found in their index arrays.
 """
 
 from __future__ import annotations
@@ -243,94 +244,85 @@ class LeakageError(DataValidationError):
     """A fold's train and test indices leak into each other."""
 
 
-def _per_fold(reduce: np.ufunc, values: np.ndarray, starts: np.ndarray,
-              sizes: np.ndarray) -> np.ndarray:
-    """``reduce`` over each fold's segment of ``values``; 0 for an empty segment."""
-    out = np.zeros(sizes.size, dtype=np.int64)
-    full = sizes > 0
-    if full.any():
-        out[full] = reduce.reduceat(values, starts[full])
-    return out
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+
+
+def _fold_runs(folds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each fold's train indices, then its test indices, as runs of consecutive
+    indices: int64 arrays ``(fold, role, first, last)``, run k holding the
+    indices first[k]..last[k] of the fold at position fold[k] (from 0) in the
+    role role[k] (0 train, 1 test), in fold, then role, then index order. A
+    ``FoldRanges`` gives two runs per fold from its bounds, none for an empty
+    train range. Other folds' runs are found in their index arrays: a run ends
+    with its fold's role, and at the int64 maximum."""
+    if isinstance(folds, FoldRanges):
+        t_first, t_last, s_first, s_last = folds.bounds()
+        fold, role = np.divmod(np.arange(2 * len(folds)), 2)
+        first, last = (np.column_stack(pair).ravel() for pair in ((t_first, s_first), (t_last, s_last)))
+        keep = first <= last
+        return fold[keep], role[keep], first[keep], last[keep]
+    blocks = [indices for fold in folds for indices in (fold.train_indices, fold.test_indices)]
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+    ends = np.cumsum([indices.size for indices in blocks], dtype=np.int64)
+    starts = np.ones(flat.size + 1, dtype=bool)  # where a run starts, and the end
+    starts[1:-1] = (flat[1:] != flat[:-1] + 1) | (flat[:-1] == _INT64_MAX)
+    starts[ends[:-1]] = True
+    bounds = np.flatnonzero(starts)
+    fold, role = np.divmod(np.searchsorted(ends, bounds[:-1], "right"), 2)
+    return fold, role, flat[bounds[:-1]], flat[bounds[1:] - 1]
 
 
 def leakage_checks(folds, scheme: str) -> list[LeakageReport]:
-    """Diagnose train/test leakage for each fold under its scheme's rules.
+    """Diagnose train/test leakage for each fold of the sequence ``folds`` under
+    its scheme's rules.
 
     Every scheme fails on a non-empty train/test intersection. Temporal
     schemes additionally fail if any train index reaches past the start of
     the test region; randomised schemes permit future rows in train by
     design (valid for pure autoregressive setups). All folds are checked
-    together, with whole-array operations; the reports come back in fold
-    order. Each fold's train and test index ranges come first. A
-    ``FoldRanges`` gives them as its bounds, and its train and test indices
-    share exactly the indices where their closed ranges meet. Other folds'
-    indices are concatenated, and only folds whose closed ranges meet are
-    searched index by index for an overlap.
+    together, with whole-array operations, from their runs of consecutive
+    indices; the reports come back in fold order. Each fold's train and test
+    hulls (smallest to largest index) are reductions over its runs, and the
+    temporal rule compares them. Only folds whose hulls meet are searched
+    index by index for an overlap: none of a valid ``FoldRanges``, whose train
+    range ends before its test range starts.
     """
     if scheme not in _SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r}")
-    if isinstance(folds, FoldRanges):
-        t_min, t_max, s_min, s_max = folds.bounds()
-        both = t_min <= t_max  # a test range is never empty
-        overlapping = both & (t_min <= s_max) & (s_min <= t_max)
-
-        def shared_at(i):
-            return list(range(max(t_min[i], s_min[i]), min(t_max[i], s_max[i]) + 1))
-    else:
-        folds = list(folds)
-        t_min, t_max, s_min, s_max, both, overlapping, shared_at = _index_overlaps(folds)
-
+    fold, role, first, last = _fold_runs(folds)
+    n = len(folds)
+    lo, hi = np.full(2 * n, _INT64_MAX), np.full(2 * n, _INT64_MIN)  # an empty hull is MAX..MIN
+    np.minimum.at(lo, 2 * fold + role, first)
+    np.maximum.at(hi, 2 * fold + role, last)
+    (t_min, s_min), (t_max, s_max) = lo.reshape(n, 2).T, hi.reshape(n, 2).T
+    both = (t_min <= t_max) & (s_min <= s_max)
+    meet = both & (t_min <= s_max) & (s_min <= t_max)
     # temporal order: max(train) against min(test)
-    late = both & (t_max >= s_min) if scheme in _TEMPORAL else np.zeros(len(folds), dtype=bool)
+    late = both & (t_max >= s_min) if scheme in _TEMPORAL else np.zeros(n, dtype=bool)
 
-    reports = [_PASSED] * len(folds)
+    # only in folds whose hulls meet: train (fold, index) codes searched among the test ones
+    overlapping, met = np.zeros(n, dtype=bool), meet[fold]
+    if met.any():
+        sizes = last[met] - first[met] + 1
+        indices = np.repeat(first[met] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        owner, train = np.repeat(fold[met], sizes), np.repeat(role[met], sizes) == 0
+        rank = np.unique(indices, return_inverse=True)[1]  # dense: no span of indices to overflow int64
+        codes = owner * (rank.max() + 1) + rank
+        found = np.isin(codes[train], codes[~train])
+        owner, indices = owner[train][found], indices[train][found]
+        overlapping[owner] = True
+
+    reports = [_PASSED] * n
     for i in np.flatnonzero(overlapping | late).tolist():
         violations = []
         if overlapping[i]:
-            violations.append(f"train/test overlap at indices {shared_at(i)}")
+            violations.append(f"train/test overlap at indices {np.unique(indices[owner == i]).tolist()}")
         if late[i]:
             violations.append(
                 f"temporal order violated: max(train)={t_max[i]} >= min(test)={s_min[i]}"
             )
         reports[i] = LeakageReport(passed=False, violations=tuple(violations))
     return reports
-
-
-def _index_overlaps(folds: list):
-    """The ``leakage_checks`` inputs of folds given as index arrays: each fold's
-    smallest and largest train and test index, whether both sets are non-empty,
-    whether they share an index, and a function from a fold to the shared
-    indices, sorted. Train (fold, index) codes are searched among the test ones
-    only in the folds whose closed train and test ranges meet."""
-    no_index = np.empty(0, dtype=np.int64)
-    train = np.concatenate([no_index, *(f.train_indices for f in folds)])
-    test = np.concatenate([no_index, *(f.test_indices for f in folds)])
-    train_sizes = np.array([f.train_size for f in folds], dtype=np.int64)
-    test_sizes = np.array([f.test_size for f in folds], dtype=np.int64)
-    train_starts = np.cumsum(train_sizes) - train_sizes
-    test_starts = np.cumsum(test_sizes) - test_sizes
-    t_min, t_max = (_per_fold(r, train, train_starts, train_sizes) for r in (np.minimum, np.maximum))
-    s_min, s_max = (_per_fold(r, test, test_starts, test_sizes) for r in (np.minimum, np.maximum))
-    both = (train_sizes > 0) & (test_sizes > 0)
-
-    meet = both & (t_min <= s_max) & (s_min <= t_max)
-    shared = np.zeros(train.size, dtype=bool)
-    overlapping = np.zeros(len(folds), dtype=bool)
-    if meet.any():
-        met = np.flatnonzero(meet)
-        lo = min(t_min[met].min(), s_min[met].min())
-        span = max(t_max[met].max(), s_max[met].max()) - lo + 1
-        in_train, in_test = np.repeat(meet, train_sizes), np.repeat(meet, test_sizes)
-        train_fold, test_fold = np.repeat(met, train_sizes[met]), np.repeat(met, test_sizes[met])
-        found = np.isin(train_fold * span + (train[in_train] - lo), test_fold * span + (test[in_test] - lo))
-        shared[in_train] = found
-        overlapping[train_fold[found]] = True
-
-    def shared_at(i):
-        fold_rows = slice(train_starts[i], train_starts[i] + train_sizes[i])
-        return np.unique(train[fold_rows][shared[fold_rows]]).tolist()
-
-    return t_min, t_max, s_min, s_max, both, overlapping, shared_at
 
 
 def leakage_check(fold: Fold, scheme: str) -> LeakageReport:
@@ -358,6 +350,6 @@ def splits_for_series(series_length: int, spec: SplitSpec) -> FoldRanges:
         raise ValidationError("rolling window_length cannot exceed initial_train")
     last = t0 if spec.scheme == "fixed-origin" else series_length - h
     origins = np.arange(t0, last + 1, spec.stride, dtype=np.int64)
-    if spec.window_length is None:
-        return FoldRanges(np.ones_like(origins), origins, h)
-    return FoldRanges(np.maximum(1, origins - spec.window_length + 1), origins, h)
+    # a window at least as long as the last origin trains every fold from 1: the expanding window
+    window = last if spec.window_length is None else min(spec.window_length, last)
+    return FoldRanges(np.maximum(1, origins - window + 1), origins, h)

@@ -73,6 +73,30 @@ class TestRuleTable:
         with pytest.raises(ValidationError, match="verdicts"):
             load_rule_table(path)
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"version": "x"}, "rule table version must be an integer, got 'x'"),
+        ({"rows": [["RMSE", ["ok"]]]}, "rule table rows must be a list of objects, got [['RMSE', ['ok']]]"),
+        ({"characteristics": "ab"}, "rule table characteristics must be a list of strings, got 'ab'"),
+        ({"rows": [{"measure": "RMSE", "verdicts": ["ok"], "members": "MAE"}]},
+         "rule table row 0 members must be a list of strings, got 'MAE'"),
+        ({"rows": [{"measure": "RMSE", "verdict": ["ok"]}]}, "rule table row 0 has unknown key 'verdict'"),
+        ({"colums": []}, "rule table has unknown key 'colums'"),
+        ({"rows": None}, "rule table rows must be a list of objects, got None"),
+    ])
+    def test_malformed_table_names_the_field(self, tmp_path, changes, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 1, "characteristics": ["seasonality"],
+                                    "rows": [{"measure": "RMSE", "verdicts": ["ok"]}], **changes}))
+        with pytest.raises(ValidationError) as info:
+            load_rule_table(path)
+        assert str(info.value).startswith(message)
+
+    def test_table_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="^rule table JSON must be an object$"):
+            load_rule_table(path)
+
 
 class TestRecommendMeasures:
     def test_intermittency_profile(self, table):

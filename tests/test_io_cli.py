@@ -866,6 +866,14 @@ class TestCliBacktest:
         assert capsys.readouterr().err == (
             "error: series 'c': initial_train 3 + horizon 1 exceeds series length 2\n")
 
+    def test_window_length_beyond_int64_is_the_expanding_window(self, workdir):
+        split = workdir / "split.json"
+        for out, window in (("expanding", {}), ("huge", {"window_length": 2 ** 70})):
+            split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 3, "horizon": 2, **window}))
+            assert main(["backtest", str(workdir / "series.csv"), str(split), "--out", str(workdir / out)]) == 0
+        for name in ("folds.csv", "report.json"):
+            assert (workdir / "huge" / name).read_bytes() == (workdir / "expanding" / name).read_bytes()
+
     def test_repeated_benchmark_exit_2(self, workdir, capsys):
         split = workdir / "split.json"
         split.write_text(json.dumps({"scheme": "rolling-origin", "initial_train": 3, "horizon": 1}))
@@ -1477,6 +1485,14 @@ class TestCliInputErrors:
         assert main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
                      "--out", str(workdir / "o")]) == 0
 
+    def test_multistep_h_beyond_int64_exit_2(self, workdir, capsys):
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"measures": [
+            {"name": "MASE", "constants": {"scale_mode": "multi-step", "multistep_h": 2 ** 70}}]}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
+            "--out", str(workdir / "o")], "error: MASE: series 'a' train length 3 too short for lag 3 scaling")
+
     def test_report_entry_without_measure_or_model(self, workdir, capsys):
         report = workdir / "report.json"
         report.write_text(json.dumps({"results": [{"measure": "RMSE", "model": "m1"}, {}]}))
@@ -1575,6 +1591,8 @@ class TestCliInputErrors:
         ({"pairwsie": "dm"}, "compare config has unknown key 'pairwsie'"),
         ({"measure": 5}, "error: unknown measure 5; known: ME, "),
         ({"measure": ["RMSE"]}, "error: unknown measure ['RMSE']; known: ME, "),
+        ({"pairwise": "wilcoxon", "horizon": 12}, "'horizon' is read only by the 'dm' pairwise test"),
+        ({"horizon": 12}, "'horizon' is read only by the 'dm' pairwise test"),
     ])
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_malformed_compare_config(self, workdir, capsys, config, fragment):

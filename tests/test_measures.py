@@ -367,6 +367,24 @@ class TestScaledErrors:
         with pytest.raises(ValidationError):
             evaluate("MASE", frame([1], [1]), train={})
 
+    @pytest.mark.parametrize("name", ["MASE", "sMAE"])
+    @pytest.mark.parametrize("values, problem", [
+        ([1.0, np.nan, 2.0], "missing values are rejected at ingestion"),
+        ([1.0, np.inf, 2.0], "values must be finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], "values must be a non-empty 1-d sequence"),
+        ([], "values must be a non-empty 1-d sequence"),
+    ])
+    def test_malformed_train_values_rejected(self, name, values, problem):
+        # a train mapping is checked as a dataset's series are: no NaN scale with n_undefined 0
+        with pytest.raises(ValidationError, match=f"^{name}: train values of series 's': {problem}$"):
+            evaluate(name, frame([10, 11], [9, 12]), train={"s": values, "other": [1.0, 2.0]})
+
+    def test_multistep_h_beyond_any_train_length(self):
+        for h in (4, 2 ** 70):
+            with pytest.raises(ValidationError, match="^MASE: series 's' train length 4 too short for lag 4 scaling$"):
+                evaluate("MASE", frame([10], [8]), train={"s": [1.0, 2.0, 4.0, 7.0]},
+                         constants={"scale_mode": "multi-step", "multistep_h": h})
+
 
 class TestTransforms:
     def test_rmsle_zero_on_perfect(self):

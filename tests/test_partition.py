@@ -16,7 +16,8 @@ from forevalkit import (
     splits_for_series,
 )
 from forevalkit.io import write_folds_csv
-from forevalkit.partition import Fold, FoldRanges, LeakageReport
+from forevalkit.partition import Fold, FoldRanges, LeakageReport, _fold_runs
+from test_io_cli import _INDICES
 
 
 def matrix(n_rows, p=2):
@@ -124,6 +125,16 @@ class TestRollingOrigin:
         folds = splits_for_series(60, spec)
         sizes = [f.train_size for f in folds]
         assert sizes[0] == 10 and max(sizes) == 20 and sizes[-1] == 20
+
+    @pytest.mark.parametrize("scheme", ["fixed-origin", "rolling-origin"])
+    def test_window_longer_than_any_origin_is_the_expanding_window(self, scheme):
+        # a window_length of at least the last origin (10), even beyond int64, trains every fold from 1
+        for length in (10, 2 ** 70):
+            folds = splits_for_series(12, self.spec(scheme=scheme, initial_train=5, horizon=2,
+                                                    stride=1, window_length=length))
+            want = splits_for_series(12, self.spec(scheme=scheme, initial_train=5, horizon=2, stride=1))
+            assert folds.starts.tolist() == want.starts.tolist() == [1] * len(want)
+            assert folds.origins.tolist() == want.origins.tolist()
 
     def test_rolling_window_longer_than_initial_train_rejected(self):
         with pytest.raises(ValidationError):
@@ -240,6 +251,52 @@ class TestFoldRanges:
         (fold,) = FoldRanges([4], [3], 2)
         assert fold.train_size == 0 and fold.test_indices.tolist() == [4, 5]
         assert leakage_checks(FoldRanges([4], [3], 2), "rolling-origin") == [LeakageReport(True, ())]
+
+
+_EXTREME = st.one_of(
+    st.lists(st.sampled_from([-2 ** 63, -2 ** 63 + 1, -1, 0, 1, 2 ** 63 - 2, 2 ** 63 - 1]), max_size=8),
+    st.builds(lambda n: list(range(2 ** 63 - n, 2 ** 63)), st.integers(0, 4)),  # a run up to the int64 maximum
+)
+
+
+def _expand_runs(runs, n_folds):
+    """Each fold's (train, test) index lists, the runs expanded in order."""
+    folds = [([], []) for _ in range(n_folds)]
+    for fold, role, first, last in zip(*(a.tolist() for a in runs)):
+        assert first <= last
+        folds[fold][role].extend(range(first, last + 1))
+    return folds
+
+
+@st.composite
+def _fold_ranges(draw):
+    """Fold ranges with any starts from 1 up to origin + 1 (an empty train range)."""
+    origins = draw(st.lists(st.integers(1, 300), max_size=15))
+    starts = [draw(st.integers(1, o + 1)) for o in origins]
+    return FoldRanges(starts, origins, draw(st.integers(1, 20)))
+
+
+class TestFoldRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(folds=st.lists(st.builds(Fold, _INDICES | _EXTREME, _INDICES | _EXTREME), max_size=12))
+    @example(folds=[Fold([2 ** 63 - 2, 2 ** 63 - 1, -2 ** 63, -2 ** 63 + 1], [5, 6, 7, 6, 7]),
+                    Fold([], []), Fold([3], [4])])
+    def test_runs_expand_to_each_folds_train_then_test_indices(self, folds):
+        runs = _fold_runs(folds)
+        assert [a.dtype for a in runs] == [np.int64] * 4
+        assert _expand_runs(runs, len(folds)) == [(f.train_indices.tolist(), f.test_indices.tolist())
+                                                  for f in folds]
+
+    @settings(max_examples=300, deadline=None)
+    @given(folds=_fold_ranges())
+    @example(folds=FoldRanges([4, 1], [3, 3], 2))
+    def test_fold_ranges_give_two_runs_a_fold_none_for_an_empty_train(self, folds):
+        runs = _fold_runs(folds)
+        assert [a.dtype for a in runs] == [np.int64] * 4
+        assert runs[0].size == 2 * len(folds) - int((folds.starts > folds.origins).sum())
+        assert _expand_runs(runs, len(folds)) == [(f.train_indices.tolist(), f.test_indices.tolist())
+                                                  for f in folds]
+        assert all(np.array_equal(a, b) for a, b in zip(_fold_runs(list(folds)), runs))
 
 
 class TestKfold:
@@ -405,6 +462,26 @@ class TestLeakageChecks:
             f"train/test overlap at indices [{fold.origin + 2}]",
             f"temporal order violated: max(train)=5000 >= min(test)={fold.origin + 1}",
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(folds=st.lists(st.builds(Fold, _INDICES | _EXTREME, _INDICES | _EXTREME), max_size=8),
+           scheme=st.sampled_from(["fixed-origin", "rolling-origin", "kfold", "blocked"]))
+    # the two folds' hulls meet and span more than int64 holds; neither shares an index
+    @example(folds=[Fold([-2 ** 63, 3], [1, 4]), Fold([2 ** 63 - 1, 5], [3, 6])], scheme="kfold")
+    def test_any_indices_match_direct_rule(self, folds, scheme):
+        assert leakage_checks(folds, scheme) == [_direct_rule(fold, scheme) for fold in folds]
+
+    def test_only_folds_whose_hulls_meet_are_searched(self, monkeypatch):
+        searched, isin = [], np.isin
+        monkeypatch.setattr(np, "isin", lambda a, b, **kw: searched.append(a.tolist()) or isin(a, b, **kw))
+        # train after test, train before test, no train, and hulls that meet without sharing an index
+        folds = [Fold([5, 6], [1, 2]), Fold([1, 2], [5, 6]), Fold([], [3]), Fold([3, 9], [5])]
+        assert leakage_checks(folds, "kfold") == [_direct_rule(fold, "kfold") for fold in folds]
+        assert len(searched) == 1 and len(searched[0]) == 2  # fold 4's train codes
+        searched.clear()
+        # no index of these ranges is made: they hold 2 ** 62 indices
+        assert leakage_checks(FoldRanges([1, 3], [2 ** 62, 5], 1), "rolling-origin") == [LeakageReport(True, ())] * 2
+        assert searched == []
 
     def test_no_folds_and_unknown_scheme(self):
         assert leakage_checks([], "kfold") == []
