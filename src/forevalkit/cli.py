@@ -530,6 +530,8 @@ def cmd_pitfalls(args) -> int:
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
     given = [f"scenario {args.name!r}"] * (args.name is not None) + ["--all"] * args.all + ["--list"] * args.list
+    if not given:
+        raise ValidationError("pitfalls: give a scenario name, --all or --list")
     if len(given) > 1:
         raise ValidationError(f"pitfalls: {given[0]} conflicts with {given[1]}; give one of them")
     if args.list:
@@ -538,11 +540,8 @@ def cmd_pitfalls(args) -> int:
         return EXIT_OK
     if args.all:
         results = run_all(seed=seed)
-    elif args.name:
-        results = [run_scenario(args.name, seed=seed)]
     else:
-        print("pitfalls: give a scenario name, --all or --list", file=sys.stderr)
-        return EXIT_USAGE
+        results = [run_scenario(args.name, seed=seed)]
     payload = [
         {"name": r.name, "passed": r.passed, "evidence": r.evidence, "description": r.description}
         for r in results

@@ -51,8 +51,8 @@ class WeightVector:
         vals = list(self.weights.values())
         if not vals:
             raise ValidationError("weight vector is empty")
-        if not all(0 <= w < math.inf for w in vals):  # not NaN either
-            raise ValidationError("weights must be finite and non-negative")
+        if not all(np.ndim(w) == 0 and 0 <= w < math.inf for w in vals):  # not NaN, not an array
+            raise ValidationError("each weight must be one finite non-negative number")
         if sum(vals) <= 0:
             raise ValidationError("weights must not all be zero")
 

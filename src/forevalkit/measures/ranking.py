@@ -27,14 +27,10 @@ _OPS = tuple(_SUMMARISERS)
 def _apply(values: np.ndarray, op: str, weights: np.ndarray | None = None) -> float:
     if op not in _OPS:
         raise ValidationError(f"unknown operator {op!r}; expected one of {_OPS}")
-    if values.size == 0:
-        raise ValidationError("cannot summarise an empty collection")
     if op == "geometric-mean" and (values < 0).any():
         raise ValidationError("geometric mean is undefined over negative values")
     if weights is None:
         return float(_SUMMARISERS[op](values[None, :])[0])
-    if weights.shape != values.shape:
-        raise ValidationError("weights must match the summarised axis length")
     if op == "mean":
         return float((weights * values).sum() / weights.sum())
     if op == "median":
@@ -64,7 +60,9 @@ def summarize(
     ``horizon-then-series`` (summarise each series over its horizon first),
     ``series-then-horizon`` (summarise across series per step first; requires
     equal horizon lengths) or ``pooled`` (one flat pass over all values).
-    Weights apply at their declared axis.
+    Weights apply at their declared axis. The weighted median is the lower
+    weighted median: the first sorted value whose cumulative weight reaches
+    half the total.
     """
     if not values:
         raise ValidationError("no values to summarise")

@@ -136,7 +136,8 @@ class FoldRanges(Sequence):
     fold j trains on ``starts[j]..origins[j]`` (none when ``starts[j]`` is
     ``origins[j] + 1``) and tests on ``origins[j] + 1..origins[j] + horizon``.
     ``starts`` and ``origins`` are read-only int64 arrays of equal length, with
-    1 <= ``starts`` <= ``origins`` + 1, and ``horizon`` is at least 1.
+    1 <= ``starts`` <= ``origins`` + 1, and ``horizon`` is at least 1, with
+    ``origins`` + ``horizon`` at most 2**63 - 1, so that every index is an int64.
 
     A read-only sequence of ``Fold``s: an item is made when it is indexed,
     its indices views of one positions array 1..max(origins) + horizon that
@@ -144,11 +145,17 @@ class FoldRanges(Sequence):
     """
 
     def __init__(self, starts, origins, horizon: int):
-        self.starts, self.origins = (np.array(a, dtype=np.int64) for a in (starts, origins))
-        if (self.starts.ndim != 1 or self.starts.shape != self.origins.shape or horizon < 1
-                or not ((self.starts >= 1) & (self.starts <= self.origins + 1)).all()):
-            raise ValidationError("fold ranges need one start and one origin per fold, with "
-                                  "1 <= start <= origin + 1, and a horizon of at least 1")
+        try:
+            self.starts, self.origins = (np.array(a, dtype=np.int64) for a in (starts, origins))
+            valid = (self.starts.ndim == 1 and self.starts.shape == self.origins.shape
+                     and 1 <= horizon <= _INT64_MAX
+                     and ((self.starts >= 1) & (self.starts <= self.origins + 1)
+                          & (self.origins <= _INT64_MAX - horizon)).all())
+        except OverflowError:  # a start or origin past int64
+            valid = False
+        if not valid:
+            raise ValidationError("fold ranges need one start and one origin per fold, with 1 <= start <= "
+                                  "origin + 1 and origin + horizon <= 2**63 - 1, and a horizon of at least 1")
         self.starts.setflags(write=False)
         self.origins.setflags(write=False)
         self.horizon = horizon
@@ -216,8 +223,6 @@ def blocked_splits(matrix: EmbeddedMatrix, k: int, gap: int = 0) -> list[Fold]:
     folds = []
     for i in range(k):
         lo, hi = bounds[i] + 1, bounds[i + 1]  # 1-based inclusive block
-        if hi < lo:
-            raise ValidationError(f"blocked split geometry infeasible for k={k}, n={n}")
         test = np.arange(lo, hi + 1)
         cut_lo = max(1, lo - gap)
         cut_hi = min(n, hi + gap)

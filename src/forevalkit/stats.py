@@ -221,11 +221,10 @@ def wilcoxon_rank_sum(errors_a, errors_b, alpha: float = 0.05, paired: bool = Fa
         w_plus = float(ranks[d > 0].sum())
         mean = n * (n + 1) / 4.0
         _, counts = np.unique(ranks, return_counts=True)
+        counts = counts.astype(float)  # int64 cubes wrap from 2**21 tied values
         tie_term = float((counts ** 3 - counts).sum())
+        # at most n**3 - n, all values tied, so var >= 3n(n+1)**2/48 > 0
         var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-        if var <= 0:
-            return TestResult("wilcoxon-signed-rank", float("nan"), 1.0, alpha, False,
-                              details={"tie": True})
         z = (w_plus - mean) / math.sqrt(var)
         p = 2.0 * _norm_sf(abs(z))
         return TestResult("wilcoxon-signed-rank", float(z), p, alpha, p < alpha,
@@ -240,11 +239,10 @@ def wilcoxon_rank_sum(errors_a, errors_b, alpha: float = 0.05, paired: bool = Fa
     n = n1 + n2
     mean = n1 * (n + 1) / 2.0
     _, counts = np.unique(combined, return_counts=True)
+    counts = counts.astype(float)
     tie_term = float((counts ** 3 - counts).sum())
+    # with two distinct values or more, tie_term <= (n - 1)**3 - (n - 1), so var >= n1 n2 / 4 > 0
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return TestResult("wilcoxon-rank-sum", float("nan"), 1.0, alpha, False,
-                          details={"tie": True})
     z = (w - mean) / math.sqrt(var)
     p = 2.0 * _norm_sf(abs(z))
     return TestResult("wilcoxon-rank-sum", float(z), p, alpha, p < alpha,

@@ -118,8 +118,6 @@ class DgpSpec:
 
 def _companion_radius(coefs: np.ndarray) -> float:
     p = coefs.size
-    if p == 1:
-        return abs(float(coefs[0]))
     companion = np.zeros((p, p))
     companion[0] = coefs
     companion[1:, :-1] = np.eye(p - 1)

@@ -82,6 +82,7 @@ class TestRuleTable:
         ({"rows": [{"measure": "RMSE", "verdict": ["ok"]}]}, "rule table row 0 has unknown key 'verdict'"),
         ({"colums": []}, "rule table has unknown key 'colums'"),
         ({"rows": None}, "rule table rows must be a list of objects, got None"),
+        ({"rows": [{"measure": "RMSE", "verdicts": ["fine"]}]}, "row 'RMSE': unknown verdict 'fine'"),
     ])
     def test_malformed_table_names_the_field(self, tmp_path, changes, message):
         path = tmp_path / "bad.json"
@@ -164,6 +165,23 @@ class TestRecommendMeasures:
         assert "RMSE" in rec.cautioned and "MAE" in rec.cautioned
         assert "WAPE" in rec.recommended
 
+    def test_heteroscedasticity_profile(self, table):
+        rec = recommend_measures(CharacteristicProfile(heteroscedasticity=True), table)
+        assert rec.cautioned.keys() == {"MAPE", "RMSPE", "RMSLE", "NWRMSLE"}
+        assert "heteroscedasticity" in rec.cautioned["MAPE"]
+        assert not rec.contraindicated
+
+    def test_scale_not_meaningful_demotes_unscaled(self, table):
+        rec = recommend_measures(CharacteristicProfile(scale_meaningful=False), table)
+        assert "RMSE" in rec.cautioned and "RMSLE" in rec.cautioned
+        assert rec.cautioned["MAE"].startswith("scale declared not meaningful")
+        assert "WAPE" in rec.recommended and "MASE" in rec.recommended
+
+    def test_scaling_of_an_unknown_measure(self, table):
+        assert table.scaling_of("RelMAE") == "benchmark-per-series"
+        with pytest.raises(KeyError):
+            table.scaling_of("NOPE")
+
     def test_benchmark_preference_demotes_nonbenchmark(self, table):
         rec = recommend_measures(
             CharacteristicProfile(need_benchmark_interpretability=True), table)
@@ -209,12 +227,16 @@ class TestIntermittencyHint:
     def test_hint(self):
         assert intermittency_hint([0, 0, 0, 1])
         assert not intermittency_hint([0, 1, 1, 1])
+        with pytest.raises(ValidationError, match="^empty series$"):
+            intermittency_hint([])
 
     def test_profile_validation(self):
         with pytest.raises(ValidationError):
             CharacteristicProfile(trend="quadratic")
         with pytest.raises(ValidationError):
             CharacteristicProfile(structural_breaks={"sometime"})
+        with pytest.raises(ValidationError, match="^outlier_preference must be 'robust' or 'capture'$"):
+            CharacteristicProfile(outlier_preference="ignore")
         profile = CharacteristicProfile.from_json(
             json.dumps({"seasonality": True, "structural_breaks": ["in_horizon"]}))
         assert "break_in_horizon" in profile.active_characteristics()

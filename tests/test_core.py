@@ -19,7 +19,7 @@ from forevalkit import (
 )
 from forevalkit.core import _SUMMARISERS, Groups, _key_index, _row_sum
 from forevalkit.measures import evaluate
-from forevalkit.olsar import ArFit, fit_ar, one_step_predictions
+from forevalkit.olsar import ArFit, fit_ar, one_step_predictions, recursive_forecast
 
 
 def ts(values, **kw):
@@ -134,6 +134,31 @@ class TestDataset:
             ds.prefixes(["a", "b"], [3, 3])
         with pytest.raises(KeyError, match="unknown series id 'z'"):
             ds.prefixes(["a", "z"], [1, 1])
+
+
+def _frame(models=("m",)):
+    return EvaluationFrame(["a", "a"], [1, 1], [1, 2], [1.0, 2.0], {m: [1.0, 3.0] for m in models})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TimeSeries(id="s", values=[1.0, 2.0], timestamps=[1]), ValidationError,
+     "^series 's': timestamps/values length mismatch$"),
+    (lambda: embed(ts([1, 2, 3, 4]), 2).row_span(3), ValidationError, r"^row 3 out of range \(1..2\)$"),
+    (lambda: embed(ts([1, 2, 3]), 0), ValidationError, "^embedding order must be >= 1$"),
+    (lambda: EvaluationFrame(["a"], [1], [1], [1.0], {}), ValidationError,
+     "^evaluation frame needs at least one model$"),
+    (lambda: EvaluationFrame([], [], [], [], {"m": []}), ValidationError, "^evaluation frame is empty$"),
+    (lambda: EvaluationFrame(["a"], [1], [1, 2], [1.0, 2.0], {"m": [1.0, 2.0]}), ValidationError,
+     "^evaluation frame columns must have equal length$"),
+    (lambda: _frame(("m", "n")).model_column("x"), ValidationError, r"^unknown model 'x'; frame has \['m', 'n'\]$"),
+    (lambda: _frame().align_benchmark(_frame(("m", "n"))), ValidationError,
+     "^benchmark frame must carry exactly one model$"),
+    (lambda: recursive_forecast(ArFit(2, 0.0, np.array([0.5, 0.2])), [1.0], 3), InsufficientHistoryError,
+     "^need 2 history values, got 1$"),
+])
+def test_malformed_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestNaiveForecast:

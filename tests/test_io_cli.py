@@ -78,6 +78,13 @@ class TestSeriesCsv:
         back = read_series_csv(path)
         assert np.array_equal(back["x"].values, ds["x"].values)
 
+    def test_empty_file_rejected(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ValidationError,
+                           match=r"empty\.csv: empty file, expected header series_id,timestamp,value$"):
+            read_series_csv(p)
+
     def test_header_mandatory(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,1,10\n")
@@ -1277,6 +1284,12 @@ class TestCliPitfalls:
         assert captured.out == "" and captured.err == f"error: pitfalls: {conflict}; give one of them\n"
         assert not (tmp_path / "p").exists()
 
+    def test_no_scenario_name_all_or_list_exit_2(self, tmp_path, capsys):
+        assert main(["pitfalls", "--out", str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: pitfalls: give a scenario name, --all or --list\n"
+        assert not (tmp_path / "p").exists()
+
     def test_env_var_seed(self, tmp_path, monkeypatch, capsys):
         # only --seed sets the seed; no environment variable does
         from forevalkit.pitfalls import DEFAULT_SEED
@@ -1425,6 +1438,13 @@ class TestCliInputErrors:
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(path),
             "--out", str(workdir / "o")], f"error: {message}")
 
+    def test_benchmark_measure_without_a_benchmark(self, workdir, capsys):
+        path = workdir / "suite.json"
+        path.write_text(json.dumps({"measures": ["MAE", "MRAE"]}))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(path),
+            "--out", str(workdir / "o")], "error: measure MRAE needs a benchmark; set 'benchmark' in the suite config")
+
     def test_seasonal_period_with_seasonal_naive_benchmark(self, workdir):
         path = workdir / "suite.json"
         path.write_text(json.dumps({"measures": ["MRAE"], "benchmark": "seasonal-naive", "seasonal_period": 2}))
@@ -1572,6 +1592,9 @@ class TestCliInputErrors:
          "{report}: errors of model 'm2': error 3 is -1.5e+154, whose square is not finite"),
         ("dm", {"m2_keys": [["a", 3, 1], ["a", 3, 2], ["c", 3, 1], ["c", 3, 2]]},
          "pairwise DM needs at least 4 aligned errors"),
+        ("dm", {"m2_keys": [], "m2_errors": []}, "pairwise DM needs at least 4 aligned errors"),
+        ("dm", {"errors": {}}, "pairwise DM needs per-row errors in the reports"),
+        ("wilcoxon", {"per_series": {"b": None, "c": 1.0}}, "no common series with defined scores across models"),
     ])
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_failed_compare_writes_nothing(self, workdir, capsys, pairwise, changes, message):

@@ -504,6 +504,27 @@ class TestSummarize:
         w = WeightVector(axis="series", weights={"a": 3.0, "b": 1.0})
         assert summarize(values, "horizon-then-series", "mean", "mean", weights=w) == 2.5
 
+    def test_series_weights_pooled(self):
+        # each value takes its series' weight: (1 + 3 + 2 * 10) / 4
+        w = WeightVector(axis="series", weights={"a": 1.0, "b": 2.0})
+        assert summarize({"a": [1.0, 3.0], "b": [10.0]}, "pooled", weights=w) == 6.0
+
+    def test_weighted_median_is_the_lower_weighted_median(self):
+        # sorted values 1, 2, 3, 10: equal weights reach half the total (2) at 2,
+        # not at the midpoint 2.5; weights 1, 1, 5, 1 reach half (4) at 3
+        values = {"a": [3.0, 1.0, 2.0, 10.0]}
+        equal = WeightVector(axis="step", weights={1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0})
+        heavy = WeightVector(axis="step", weights={1: 5.0, 2: 1.0, 3: 1.0, 4: 1.0})
+        assert summarize(values, "pooled", "median", weights=equal) == 2.0
+        assert summarize(values, "pooled", "median", weights=heavy) == 3.0
+
+    def test_weighted_geometric_mean(self):
+        # exp((1 ln 1 + 2 ln 4 + 1 ln 16) / 4) = 4; a zero value makes it 0
+        w = WeightVector(axis="step", weights={1: 1.0, 2: 2.0, 3: 1.0})
+        assert (summarize({"a": [1.0, 4.0, 16.0]}, "pooled", "geometric-mean", weights=w)
+                == pytest.approx(4.0, rel=1e-15))
+        assert summarize({"a": [1.0, 0.0, 16.0]}, "pooled", "geometric-mean", weights=w) == 0.0
+
     def test_step_weights_in_every_order(self):
         values = {"a": [1.0, 2.0, 4.0], "b": [8.0, 16.0, 0.5]}
         w = WeightVector(axis="step", weights={1: 1.0, 2: 2.0, 3: 5.0})
@@ -530,7 +551,7 @@ class TestSummarize:
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_weight_rejected(self, bad):
         # a NaN weight makes the weighted value NaN, and an infinite one inf / inf
-        with pytest.raises(ValidationError, match="^weights must be finite and non-negative$"):
+        with pytest.raises(ValidationError, match="^each weight must be one finite non-negative number$"):
             WeightVector("step", {1: bad, 2: 1.0})
         f = two_series([1.0, 2.0], [1.5, 2.5], [3.0], [2.0])
         with pytest.raises(ValidationError, match="^weights must be finite, non-negative and not all zero$"):
@@ -539,6 +560,42 @@ class TestSummarize:
     def test_ragged_series_then_horizon_rejected(self):
         with pytest.raises(ValidationError):
             summarize({"a": [1.0], "b": [1.0, 2.0]}, "series-then-horizon")
+
+
+_TWO = EvaluationFrame(["a", "a", "b"], [10] * 3, [1, 2, 1], [1.0, 2.0, 3.0],
+                       {"m": np.array([1.5, 2.5, 2.0]), "n": np.array([1.0, 2.0, 2.5])})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: summarize({"a": [1.0]}, "pooled", "mode"), "^unknown operator 'mode'; expected one of"),
+    (lambda: summarize({}), "^no values to summarise$"),
+    (lambda: summarize({"a": [1.0], "b": []}), "^empty per-series value sequence$"),
+    (lambda: summarize({"a": [1.0]}, "series-first"), "^unknown aggregation order 'series-first'; expected"),
+    (lambda: rank_models({"A": [1.0]}), "^ranking needs at least two models$"),
+    (lambda: rank_models({"A": [], "B": []}), "^ranking needs at least one series$"),
+    (lambda: rank_models({"A": [1.0, np.nan], "B": [2.0, 1.0]}), r"^cannot rank undefined \(NaN\) scores$"),
+    (lambda: percentage_better([], []), "^percentage-better needs non-empty aligned value collections$"),
+    (lambda: percentage_better([1.0, 2.0], [1.0]), "^percentage-better needs non-empty aligned value collections$"),
+    (lambda: critical_event_percentage([], 1.0), "^critical-event percentage needs a non-empty value collection$"),
+    (lambda: WeightVector("row", {1: 1.0}), "^weight axis must be 'series' or 'step'$"),
+    (lambda: WeightVector("step", {}), "^weight vector is empty$"),
+    (lambda: WeightVector("step", {1: 0.0, 2: 0.0}), "^weights must not all be zero$"),
+    # a one-element array passed every other check, and summarize broadcast it to a wrong value
+    (lambda: WeightVector("series", {"a": np.array([1.0]), "b": np.array([1.0])}),
+     "^each weight must be one finite non-negative number$"),
+    (lambda: evaluate("MASE", _TWO, model="m", train={"a": [1.0, 2.0, 4.0]}),
+     "^MASE: no train values supplied for series 'b'$"),
+    (lambda: evaluate("MRAE", _TWO, model="m", benchmark=1), "^benchmark must be a model name or an EvaluationFrame$"),
+    (lambda: evaluate("WMAE", _TWO, model="m", weights=[1.0, 1.0]),
+     "^per-row weights must match the number of frame rows$"),
+    (lambda: evaluate("MAE", _TWO, model="m", constants={"epsilon": 0.1}),
+     r"^MAE: unknown constants \['epsilon'\]; allowed: none$"),
+    (lambda: evaluate("msMAPE", _TWO, model="m", constants={"eps": 0.1}),
+     r"^msMAPE: unknown constants \['eps'\]; allowed: \['epsilon', 'threshold'\]$"),
+])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestRanking:

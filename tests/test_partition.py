@@ -242,10 +242,19 @@ class TestFoldRanges:
         assert (base / "ranges.csv").read_bytes() == (base / "list.csv").read_bytes()
 
     @pytest.mark.parametrize("starts, origins, horizon", [
-        ([0], [3], 1), ([5], [3], 1), ([1, 2], [3], 1), ([[1]], [[3]], 1), ([1], [3], 0)])
+        ([0], [3], 1), ([5], [3], 1), ([1, 2], [3], 1), ([[1]], [[3]], 1), ([1], [3], 0),
+        # a test range past the int64 maximum, and a start, origin or horizon past int64
+        ([2 ** 63 - 10], [2 ** 63 - 3], 5), ([1], [2 ** 63 - 1], 1), ([1], [2 ** 63], 1),
+        ([2 ** 63], [2 ** 63], 1), ([-2 ** 64], [3], 1), ([1], [5], 2 ** 63), ([], [], 2 ** 63)])
     def test_malformed_ranges_rejected(self, starts, origins, horizon):
         with pytest.raises(ValidationError, match="^fold ranges need one start and one origin per fold"):
             FoldRanges(starts, origins, horizon)
+
+    def test_test_range_may_end_at_the_int64_maximum(self):
+        folds = FoldRanges([2 ** 63 - 10], [2 ** 63 - 6], 5)
+        assert [int(b[0]) for b in folds.bounds()] == [2 ** 63 - 10, 2 ** 63 - 6, 2 ** 63 - 5, 2 ** 63 - 1]
+        with pytest.raises(ValidationError, match=r"origin \+ horizon <= 2\*\*63 - 1"):
+            FoldRanges([2 ** 63 - 10], [2 ** 63 - 6], 6)
 
     def test_an_empty_train_range(self):
         (fold,) = FoldRanges([4], [3], 2)
@@ -330,6 +339,10 @@ class TestKfold:
         with pytest.raises(ValidationError):
             kfold_splits(matrix(4), 5, seed=0)
 
+    def test_one_fold_rejected(self):
+        with pytest.raises(ValidationError, match="^kfold requires k >= 2$"):
+            kfold_splits(matrix(4), 1, seed=0)
+
 
 class TestBlocked:
     def test_contiguous_blocks(self):
@@ -365,6 +378,21 @@ class TestBlocked:
     def test_infeasible(self):
         with pytest.raises(ValidationError):
             blocked_splits(matrix(3), 5)
+
+    @pytest.mark.parametrize("k, gap, message", [(0, 0, "^blocked requires k >= 1$"),
+                                                 (2, -1, "^gap must be >= 0$")])
+    def test_malformed_k_or_gap_rejected(self, k, gap, message):
+        with pytest.raises(ValidationError, match=message):
+            blocked_splits(matrix(10), k, gap=gap)
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 3000), data=st.data())
+    def test_k_up_to_the_row_count_gives_nonempty_blocks(self, n, data):
+        # consecutive linspace bounds differ by n / k >= 1, so no block is empty
+        k = data.draw(st.integers(1, min(n, 40)) | st.integers(max(1, n - 40), n))
+        folds = blocked_splits(matrix(n), k)
+        assert all(f.test_size >= 1 for f in folds)
+        assert np.concatenate([f.test_indices for f in folds]).tolist() == list(range(1, n + 1))
 
     def test_gap_consuming_all_train_rejected(self):
         with pytest.raises(ValidationError, match="no training rows"):
@@ -509,6 +537,16 @@ class TestSplitSpec:
         # below 1, every fold's train set would be empty
         with pytest.raises(ValidationError, match=f"^window_length must be >= 1, got {length}$"):
             SplitSpec(scheme="rolling-origin", initial_train=5, window=window, window_length=length)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"stride": 0}, "^stride must be >= 1$"),
+        ({"window": "sliding"}, r"^window must be one of \('expanding', 'rolling'\)$"),
+        ({"initial_train": None}, "^rolling-origin requires initial_train >= 1$"),
+        ({"initial_train": 0}, "^rolling-origin requires initial_train >= 1$"),
+    ])
+    def test_each_field_checked(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            SplitSpec(**{"scheme": "rolling-origin", "initial_train": 10, **fields})
 
     def test_raw_series_kfold_refused(self):
         for scheme in ("kfold", "blocked"):

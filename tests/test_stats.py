@@ -1,5 +1,6 @@
 import math
 import subprocess
+from fractions import Fraction
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from forevalkit import (
     render_cd_text,
     wilcoxon_rank_sum,
 )
-from forevalkit.measures.ranking import average_ranks
+from forevalkit.measures.ranking import RankTable, average_ranks
 from forevalkit import stats
 from forevalkit.stats import (
     PostHocResult, _chi2_sf, _lagged_sum, _norm_sf, _t_sf, studentized_range_quantile,
@@ -98,6 +99,13 @@ class TestDieboldMariano:
             diebold_mariano(a, b, horizon=horizon)
         diebold_mariano(a, b, horizon=5)
 
+    def test_non_positive_window_variance_falls_back_to_lag_0(self):
+        # differentials 2, 0, 2, ...: lag-0 variance 1, lag-1 autocovariance -7/8,
+        # so the horizon-2 window gives 1 - 2 * 7/8 < 0 and the lag-0 variance is used
+        r = diebold_mariano([3.0, 1.0] * 4, [1.0] * 8, horizon=2, harvey_correction=False)
+        assert r.details["variance_fallback"] is True
+        assert r.statistic == pytest.approx(math.sqrt(8), rel=1e-12)
+
     def test_harvey_correction_shrinks_statistic(self, rng):
         a = rng.normal(0, 1, 60) ** 2
         b = rng.normal(0, 1, 60) ** 2 + 0.5
@@ -170,6 +178,38 @@ class TestWilcoxon:
     def test_paired_all_zero_diffs_tie(self):
         a = [1.0, 2.0, 3.0]
         assert wilcoxon_rank_sum(a, a, paired=True).p_value == 1.0
+
+    @pytest.mark.parametrize("paired", [True, False])
+    def test_tie_correction_past_two_to_the_21_tied_values(self, paired):
+        # the cube of a tie count passes int64 from 2**21 tied values; with n ones
+        # against n zeros, the signed-rank z is sqrt(n), and the rank-sum z is
+        # (n**2 / 2) / sqrt(n**2 / 12 * (2n + 1 - (n**2 - 1) / (2n - 1)))
+        n = 2 ** 21 + 10
+        r = wilcoxon_rank_sum(np.ones(n), np.zeros(n), paired=paired)
+        if paired:
+            expect = math.sqrt(n)
+        else:
+            var = Fraction(n * n, 12) * (2 * n + 1 - Fraction(n * n - 1, 2 * n - 1))
+            expect = n * n / 2 / math.sqrt(var)
+        assert r.statistic == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ljung_box([], lags=1), "ljung_box: empty input"),
+    (lambda: diebold_mariano([1.0, np.nan, 3.0, 4.0], [1.0] * 4), "diebold_mariano: input contains non-finite"),
+    (lambda: ljung_box(np.arange(10.0), lags=0), "ljung_box: lags must be >= 1"),
+    (lambda: diebold_mariano([1.0, 2.0, 3.0], [2.0, 1.0, 3.0]), "diebold_mariano: need at least 4 aligned"),
+    (lambda: diebold_mariano([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 3.0, 5.0], horizon=0),
+     "diebold_mariano: horizon must be >= 1"),
+    (lambda: wilcoxon_rank_sum([1.0, 2.0], [1.0], paired=True), r"wilcoxon \(paired\): samples must have equal"),
+    (lambda: friedman(RankTable(("A",), np.ones((3, 1)))), "friedman: need at least 2 models"),
+    (lambda: p_adjust({("A", "B"): 0.5}, "bonferroni"), "unknown adjustment method 'bonferroni'"),
+    (lambda: cd_diagram_data(PostHocResult("holm", {("A", "B"): 0.5}, 0.05)),
+     "cd_diagram_data needs a post-hoc result with mean ranks"),
+])
+def test_malformed_input_rejected(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestFriedman:

@@ -43,6 +43,18 @@ class TestGenerate:
         spec = DgpSpec(kind="ar", length=100, seed=0, ar_coefficients=(1.0,), allow_unit_root=True)
         assert len(generate(spec).values) == 100
 
+    @pytest.mark.parametrize("coefficient, stable", [
+        (1.0, False), (-1.0, False), (1 - 1e-12, False), (-(1 - 1e-12), False), (1e200, False),
+        (1 - 2e-12, True), (-0.999, True), (0.0, True), (1e-200, True)])
+    def test_ar1_stability_is_the_coefficients_magnitude(self, coefficient, stable):
+        # the 1 x 1 companion matrix's eigenvalue is the coefficient itself
+        fields = {"kind": "ar", "length": 10, "seed": 0, "ar_coefficients": (coefficient,)}
+        if stable:
+            DgpSpec(**fields)
+        else:
+            with pytest.raises(ValidationError, match="^unstable autoregression"):
+                DgpSpec(**fields)
+
     def test_structural_break_mean_shift(self):
         spec = DgpSpec(kind="structural-break", length=2000, seed=3, level=10.0,
                        break_index=1001, break_shift=-7.0, noise_sd=1.0)
@@ -86,6 +98,23 @@ class TestGenerate:
     def test_json_round_trip(self):
         spec = DgpSpec(kind="ar", length=100, seed=12, ar_coefficients=(0.4, 0.2))
         assert DgpSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"noise_sd": -1.0}, "^noise_sd must be >= 0$"),
+        ({"noise": "cauchy"}, "^noise must be 'gaussian' or 'student-t'$"),
+        ({"kind": "ar"}, "^ar kind needs finite coefficients$"),
+        ({"kind": "ar", "ar_coefficients": (0.5, float("nan"))}, "^ar kind needs finite coefficients$"),
+        ({"break_index": 0}, "^break_index must lie within the series$"),
+        ({"break_index": 11}, "^break_index must lie within the series$"),
+    ])
+    def test_each_field_checked(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            DgpSpec(**{"kind": "random-walk", "length": 10, "seed": 0, **fields})
+
+    def test_student_t_noise_without_finite_variance_rejected(self):
+        spec = DgpSpec(kind="random-walk", length=10, seed=0, noise="student-t", t_df=2.0)
+        with pytest.raises(ValidationError, match="^student-t noise needs t_df > 2 for a finite variance$"):
+            generate(spec)
 
     def test_invalid_specs(self):
         with pytest.raises(ValidationError):
@@ -184,6 +213,16 @@ class TestInjectOutliers:
             OutlierInjection(indices=(1,), rate=0.1)
         with pytest.raises(ValidationError):
             OutlierInjection(rate=2.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"mode": "replace"}, "^mode must be 'multiply' or 'add'$"),
+        ({"direction": "up"}, "^direction must be 'high', 'low' or 'both'$"),
+        ({"magnitude": float("inf")}, "^magnitude must be finite$"),
+        ({"magnitude": float("nan")}, "^magnitude must be finite$"),
+    ])
+    def test_each_field_checked(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            OutlierInjection(indices=(1,), **fields)
 
 
 class TestDeriveSeed:
