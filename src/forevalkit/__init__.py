@@ -65,7 +65,7 @@ def _register_lazily(package: str, path, names) -> None:
 
 # ``cli`` is not registered: ``python -m forevalkit.cli`` runs it as ``__main__``.
 _register_lazily(__name__, __path__,
-                 ("core", "io", "olsar", "measures", "partition", "stats", "advisor", "synth", "pitfalls"))
+                 ("core", "io", "olsar", "measures", "partition", "report", "stats", "advisor", "synth", "pitfalls"))
 
 
 def __getattr__(name):

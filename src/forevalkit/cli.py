@@ -4,17 +4,10 @@ Subcommands: evaluate, backtest, compare, advise, simulate, pitfalls.
 Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
-``compare`` checks every report it reads before testing, and writes no
-output until every test has run; a malformed report is a usage problem.
-It reads each model's per-row errors into columns once and sorts the rows
-of every report together once: that one sort finds a key repeated within a
-model's errors and puts each model's squared errors in one row of a models
-x keys array, NaN where the model has no error for a key. A Diebold-Mariano pair's common rows are then the
-columns where neither row is NaN, with no per-pair join or sort.
-
 Each command imports the modules it uses when it runs, each name from
 the submodule that defines it, so an invocation runs only its own
-command's modules (see the package docstring).
+command's modules (see the package docstring); ``compare`` reads its
+reports through ``report``, which no other command runs.
 
 Each command runs BLAS on one thread: importing this module before numpy
 sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
@@ -29,7 +22,10 @@ is. ``main`` also pauses the cyclic garbage collector while a command
 runs, since its passes over the command's many live objects (the decoded
 reports, for ``compare``) find almost nothing to free, and turns it back
 on before it returns: ``main`` leaves no process-wide change behind, so
-tests and other in-process callers can call it repeatedly.
+tests and other in-process callers can call it repeatedly. Importing this
+module pauses it from its first statement to its last (numpy's import alone
+runs 29 collections; ending the pause after the imports runs one over all
+they made), so a command process, paused again by ``main``, runs almost none.
 
 The process entry is ``run``, for both ``python -m forevalkit.cli`` and
 the ``forevalkit`` console script: it calls ``main``, then ``gc.freeze()``,
@@ -51,29 +47,36 @@ failures (``LeakageError`` and the other ``DataValidationError``s).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import gc
-import hashlib
-import json
-import math
-import os
-import sys
-from dataclasses import fields, replace
-from pathlib import Path
 
-# The one-thread pin must come before numpy's first import, which ``from .core
-# import`` would also make. It stays set, so scipy's own OpenBLAS, loaded at
-# compare's first p-value, starts one thread too.
-if "numpy" not in sys.modules and not os.environ.keys() & {
-        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+_gc_enabled = gc.isenabled()  # turned back on at the end of this module, or by a failed import
+gc.disable()
+try:
+    import argparse
+    import csv
+    import hashlib
+    import json
+    import os
+    import sys
+    from dataclasses import fields, replace
+    from pathlib import Path
 
-import numpy as np
+    # The one-thread pin must come before numpy's first import, which ``from .core
+    # import`` would also make. It stays set, so scipy's own OpenBLAS, loaded at
+    # compare's first p-value, starts one thread too.
+    if "numpy" not in sys.modules and not os.environ.keys() & {
+            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__
-from .core import (DataValidationError, Dataset, Forecaster, InsufficientHistoryError, ValidationError,
-                   _key_index, benchmark_frame, check_type, from_fields, json_object, reject_unknown)
+    import numpy as np
+
+    from . import __version__
+    from .core import (DataValidationError, Dataset, Forecaster, InsufficientHistoryError, ValidationError,
+                       benchmark_frame, check_type, from_fields, json_object, reject_unknown)
+except BaseException:
+    if _gc_enabled:
+        gc.enable()
+    raise
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -244,157 +247,10 @@ def cmd_backtest(args) -> int:
     return EXIT_OK
 
 
-_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
-
-
-def _is_key(key) -> bool:
-    """``[series_id, origin, step]``: a string and two integers that fit int64."""
-    return (type(key) is list and len(key) == 3 and type(key[0]) is str
-            and type(key[1]) is int and _INT64_MIN <= key[1] <= _INT64_MAX
-            and type(key[2]) is int and _INT64_MIN <= key[2] <= _INT64_MAX)
-
-
-def _is_finite_number(x) -> bool:
-    """A JSON number (bools are not numbers) that converts to a finite float."""
-    if type(x) is float:
-        return math.isfinite(x)
-    return type(x) is int and -sys.float_info.max <= x <= sys.float_info.max
-
-
-def _error_columns(keys: list, errors: list):
-    """Series ids, origins and steps (int64) and errors (float64) of a report's
-    equal-length ``keys`` and ``errors``, each column checked at once: None when
-    some row breaks ``_is_key`` or ``_is_finite_number``."""
-    if not keys:
-        return [], np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    if set(map(type, keys)) != {list} or set(map(len, keys)) != {3}:
-        return None
-    sids, origins, steps = zip(*keys)
-    if (set(map(type, sids)) != {str} or set(map(type, origins)) | set(map(type, steps)) != {int}
-            or not set(map(type, errors)) <= {int, float}):
-        return None
-    try:
-        origins, steps = np.array(origins, dtype=np.int64), np.array(steps, dtype=np.int64)
-        values = np.array(errors, dtype=float)
-    except OverflowError:  # beyond int64, or an int beyond the float range
-        return None
-    # below the largest float is finite; at it, an int may have rounded down to it
-    at_limit = np.flatnonzero(~(np.abs(values) < sys.float_info.max)).tolist()
-    if not all(_is_finite_number(errors[i]) for i in at_limit):
-        return None
-    return list(sids), origins, steps, values
-
-
-def _read_report(path) -> dict:
-    """A compared report, checked: ``results`` is a list of entries with a string
-    ``measure`` and ``model`` and a ``per_series`` object of numbers or nulls, and
-    ``errors`` an object of entries whose ``keys`` and ``errors`` are lists of
-    equal length, of ``[series_id, origin, step]`` keys and finite numbers. Each
-    entry becomes ``(where, keys, series ids, origins, steps, errors)``, the last
-    three as arrays. A malformed part is a ``ValidationError`` that names the
-    path, the model and the entry or row; ``_losses_by_key`` finds repeated keys
-    and errors whose square is not finite."""
-    report = _read_json(path)
-    results = report.get("results", [])
-    if not isinstance(results, list):
-        raise ValidationError(f"{path}: 'results' must be a list")
-    for i, entry in enumerate(results):
-        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("measure", "model"))):
-            raise ValidationError(f"{path}: results entry {i} needs a string 'measure' and 'model'")
-        per_series = entry.get("per_series")
-        if per_series is not None and not (
-                isinstance(per_series, dict)
-                and all(v is None or type(v) in (int, float) for v in per_series.values())):
-            raise ValidationError(f"{path}: results entry {i} (model {entry['model']!r}): "
-                                  "'per_series' must be an object of numbers or nulls")
-    errors = report.setdefault("errors", {})
-    if not isinstance(errors, dict):
-        raise ValidationError(f"{path}: 'errors' must be an object")
-    for model, entry in errors.items():
-        where = f"{path}: errors of model {model!r}"
-        entry = entry if isinstance(entry, dict) else {}
-        keys, values = entry.get("keys"), entry.get("errors")
-        if not (isinstance(keys, list) and isinstance(values, list) and len(keys) == len(values)):
-            raise ValidationError(f"{where} needs 'keys' and 'errors' lists of equal length")
-        columns = _error_columns(keys, values)
-        if columns is None:  # name the first row that breaks the rules
-            for what, rows, valid, want in (("key", keys, _is_key, "[series_id, origin, step]"),
-                                            ("error", values, _is_finite_number, "a finite number")):
-                if not all(map(valid, rows)):
-                    i = next(i for i, row in enumerate(rows) if not valid(row))
-                    raise ValidationError(f"{where}: {what} {i} is {rows[i]!r}, not {want}")
-        errors[model] = (where, keys, *columns)
-    return report
-
-
-def _collect_scores(reports: list[dict], measure: str):
-    """Per-model per-series score vectors for one measure, aligned on series."""
-    per_model: dict[str, dict] = {}
-    for report in reports:
-        for entry in report.get("results", []):
-            if entry["measure"] != measure or not entry.get("per_series"):
-                continue
-            per_model.setdefault(entry["model"], {}).update(entry["per_series"])
-    if len(per_model) < 2:
-        raise ValidationError(f"need per-series {measure} values for at least 2 models")
-    common = None
-    for scores in per_model.values():
-        keys = {sid for sid, v in scores.items() if v is not None}
-        common = keys if common is None else (common & keys)
-    if not common:
-        raise ValidationError("no common series with defined scores across models")
-    series = sorted(common)
-    return {m: [per_model[m][sid] for sid in series] for m in per_model}, series
-
-
-def _losses_by_key(reports: list[dict]) -> dict:
-    """Each model's squared errors, from the last report that holds them, as its
-    row of one models x keys array: column ``i`` holds key id ``i``, keys in
-    ``(series_id, origin, step)`` order, and NaN where the model has no error for
-    that key. Errors are finite, so NaN marks only an absent key, and a pair's
-    common keys are where both rows are not NaN, in key order.
-
-    One sort covers the error rows of every (report, model) entry, with series
-    ids coded in sorted order, so ids increase along the key order and equal keys
-    share one across entries. The sort keeps read order among equal keys, so a
-    key repeated within an entry shows as adjacent rows of that entry with one
-    id; the first such entry in read order is reported, at its first row that
-    repeats an earlier key."""
-    entries = [(model, *rows) for report in reports for model, rows in report["errors"].items()]
-    if not entries:
-        return {}
-    models, wheres, keys, sids, origins, steps, errors = zip(*entries)
-    sizes = list(map(len, sids))
-    sids = [sid for part in sids for sid in part]
-    labels = sorted(set(sids))
-    codes = np.fromiter(map(dict(zip(labels, range(len(labels)))).__getitem__, sids),
-                        dtype=np.int64, count=len(sids))
-    key_order, key_id, _ = _key_index(codes, np.concatenate(origins), np.concatenate(steps))
-    owner = np.repeat(np.arange(len(entries)), sizes)[key_order]
-    repeated = (key_id[1:] == key_id[:-1]) & (owner[1:] == owner[:-1])
-    if repeated.any():
-        j = int(owner[1:][repeated].min())
-        i = int(key_order[1:][repeated & (owner[1:] == j)].min()) - sum(sizes[:j])
-        raise ValidationError(f"{wheres[j]}: key {i} {keys[j][i]!r} repeats an earlier key")
-    with np.errstate(over="ignore"):  # a square past the float range is reported here
-        squares = np.concatenate(errors) ** 2
-    if not np.isfinite(squares).all():
-        at = int(np.argmin(np.isfinite(squares)))
-        j = int(np.searchsorted(np.cumsum(sizes), at, side="right"))
-        i = at - sum(sizes[:j])
-        raise ValidationError(f"{wheres[j]}: error {i} is {float(errors[j][i])!r}, whose square is not finite")
-    losses = squares[key_order]
-    last = {model: j for j, model in enumerate(models)}
-    matrix = np.full((len(last), key_id[-1] + 1 if key_id.size else 0), np.nan)
-    for row, j in zip(matrix, last.values()):
-        mine = owner == j
-        row[key_id[mine]] = losses[mine]
-    return dict(zip(last, matrix))
-
-
 def cmd_compare(args) -> int:
     from .measures.ranking import rank_models
     from .measures.registry import spec_for
+    from .report import _collect_scores, _losses_by_key, _read_reports
     from .stats import (cd_diagram_data, diebold_mariano, friedman, nemenyi_cd, p_adjust,
                         render_cd_svg, render_cd_text, wilcoxon_rank_sum)
 
@@ -416,7 +272,7 @@ def cmd_compare(args) -> int:
                               "set 'pairwise' to 'dm'")
     alpha = float(alpha)
 
-    reports = [_read_report(p) for p in args.reports]
+    reports = _read_reports(args.reports)
     losses = _losses_by_key(reports)
     ascending = not spec_for(measure).higher_is_better
     scores, series = _collect_scores(reports, measure)
@@ -468,8 +324,7 @@ def cmd_compare(args) -> int:
     with (out_dir / "ranks.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["series_id"] + list(table.models))
-        for sid, row in zip(series, table.ranks):
-            writer.writerow([sid] + [repr(float(r)) for r in row])
+        writer.writerows([sid, *map(repr, row)] for sid, row in zip(series, table.ranks.tolist()))
         writer.writerow(["mean_rank"] + [repr(table.mean_ranks[m]) for m in table.models])
     _write_json(out_dir / "tests.json", tests)
     _write_manifest(out_dir, "compare", [Path(p) for p in args.reports],
@@ -621,11 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; the collector is left as it was."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     gc_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -645,6 +499,9 @@ def run() -> None:
     gc.freeze()
     sys.exit(code)
 
+
+if _gc_enabled:
+    gc.enable()
 
 if __name__ == "__main__":
     run()

@@ -395,13 +395,13 @@ class EmbeddedMatrix:
         return self.targets.size
 
     def row_span(self, row: int) -> tuple[int, int]:
-        """Original 1-based position range (start, end) covered by a row."""
+        """Original 1-based (start, end) position range of a row; a helper outside the registry and the CLI."""
         if not 1 <= row <= self.n_rows:
             raise ValidationError(f"row {row} out of range (1..{self.n_rows})")
         return row, row + self.order
 
     def reassemble(self) -> np.ndarray:
-        """Reconstruct the original series values from the rows."""
+        """Reconstruct the original series values from the rows; a helper outside the registry and the CLI."""
         return np.concatenate([self.predictors[0], self.targets])
 
 

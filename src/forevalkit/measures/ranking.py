@@ -31,6 +31,8 @@ def _apply(values: np.ndarray, op: str, weights: np.ndarray | None = None) -> fl
         raise ValidationError("geometric mean is undefined over negative values")
     if weights is None:
         return float(_SUMMARISERS[op](values[None, :])[0])
+    if not weights.sum() > 0:
+        raise ValidationError("the weights of the summarised values total zero")
     if op == "mean":
         return float((weights * values).sum() / weights.sum())
     if op == "median":
@@ -54,7 +56,8 @@ def summarize(
     op_series: str = "mean",
     weights: WeightVector | None = None,
 ) -> float:
-    """Summarise per-(series, step) values in a declared order.
+    """Summarise per-(series, step) values in a declared order; a helper outside
+    the registry and the CLI.
 
     ``values`` maps series_id -> per-step value sequence. ``order`` is one of
     ``horizon-then-series`` (summarise each series over its horizon first),
@@ -62,7 +65,7 @@ def summarize(
     equal horizon lengths) or ``pooled`` (one flat pass over all values).
     Weights apply at their declared axis. The weighted median is the lower
     weighted median: the first sorted value whose cumulative weight reaches
-    half the total.
+    half the total. Weights totalling zero over the values summarised are rejected.
     """
     if not values:
         raise ValidationError("no values to summarise")
@@ -169,7 +172,8 @@ def rank_models(per_series_scores: dict, ascending: bool = True) -> RankTable:
 
 
 def percentage_better(values, benchmark_values) -> float:
-    """Share (in percent) of aligned items where the measure beats the benchmark's."""
+    """Share (in percent) of aligned items where the measure beats the benchmark's;
+    a helper outside the registry and the CLI."""
     v = np.asarray(values, dtype=float)
     b = np.asarray(benchmark_values, dtype=float)
     if v.size == 0 or v.shape != b.shape:
@@ -178,7 +182,7 @@ def percentage_better(values, benchmark_values) -> float:
 
 
 def critical_event_percentage(values, margin: float) -> float:
-    """Share (in percent) of items whose error exceeds the margin."""
+    """Share (in percent) of items whose error exceeds the margin; a helper outside the registry and the CLI."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         raise ValidationError("critical-event percentage needs a non-empty value collection")

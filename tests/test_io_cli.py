@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import forevalkit.cli
 import forevalkit.io
+import forevalkit.report
 from forevalkit import (
     CharacteristicProfile,
     DataValidationError,
@@ -1014,19 +1015,26 @@ _DM_KEYS = [[sid, origin, step] for sid in ("b", "a", "aa", "B", "10", "9")
 @st.composite
 def _dm_reports(draw):
     """Reports for ``compare --pairwise dm``: 2-4 models with shuffled, partly
-    overlapping keys, and one model's errors replaced by a second report."""
+    overlapping keys or the keys of an earlier entry, and one model's errors
+    replaced by a second report."""
     models = [f"m{j}" for j in range(draw(st.integers(2, 4)))]
     error = st.one_of(st.floats(-1e3, 1e3, allow_nan=False), st.integers(-3, 3),
                       st.sampled_from([0.5, -0.5, 2.0]))
 
     pool = draw(st.lists(st.sampled_from(_DM_KEYS), min_size=4, max_size=24, unique_by=tuple))
+    drawn = []  # each entry's keys so far
 
     def entry():
+        # an earlier entry's keys, as evaluate writes them for every model of a frame, or
         # most of the shared pool plus a few keys of this model's own, shuffled
-        dropped = draw(st.sets(st.integers(0, max(len(pool) - 1, 0)), max_size=3))
-        extra = draw(st.lists(st.sampled_from(_DM_KEYS), max_size=4, unique_by=tuple))
-        keys = [k for i, k in enumerate(pool) if i not in dropped] + [k for k in extra if k not in pool]
-        keys = draw(st.permutations(keys))
+        if drawn and draw(st.booleans()):
+            keys = draw(st.sampled_from(drawn))
+        else:
+            dropped = draw(st.sets(st.integers(0, max(len(pool) - 1, 0)), max_size=3))
+            extra = draw(st.lists(st.sampled_from(_DM_KEYS), max_size=4, unique_by=tuple))
+            keys = [k for i, k in enumerate(pool) if i not in dropped] + [k for k in extra if k not in pool]
+            keys = draw(st.permutations(keys))
+        drawn.append(keys)
         return {"keys": keys, "errors": draw(st.lists(error, min_size=len(keys), max_size=len(keys)))}
 
     results = [{"measure": "RMSE", "model": m, "per_series": {"s1": 1.0 + j, "s2": 2.0 - j, "s3": 0.5}}
@@ -1073,15 +1081,15 @@ class TestCliCompareDm:
         at every other key."""
         models, first, second, final, _ = case
         work = tmp_path_factory.mktemp("losses")
-        reports = []
-        for i, report in enumerate((first, second)):
-            (work / f"report{i}.json").write_text(json.dumps(report))
-            reports.append(forevalkit.cli._read_report(work / f"report{i}.json"))
+        paths = [work / "report0.json", work / "report1.json"]
+        for path, report in zip(paths, (first, second)):
+            path.write_text(json.dumps(report))
+        reports = forevalkit.report._read_reports(paths)
         columns = sorted({tuple(k) for r in (first, second) for e in r["errors"].values() for k in e["keys"]})
         want = np.full((len(models), len(columns)), np.nan)
         for row, m in zip(want, models):
             row[[columns.index(tuple(k)) for k in final[m]["keys"]]] = np.array(final[m]["errors"], float) ** 2
-        got = forevalkit.cli._losses_by_key(reports)
+        got = forevalkit.report._losses_by_key(reports)
         assert list(got) == models
         assert np.array_equal(np.stack(list(got.values())), want, equal_nan=True)
 
@@ -1158,6 +1166,39 @@ class TestCliCompareDm:
         assert capsys.readouterr().err == (f"error: {tmp_path / 'report0.json'}: errors of model "
                                            "'m2': key 2 ['a', 3, 1] repeats an earlier key\n")
 
+    @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
+    def test_shared_key_lists_give_the_same_bytes(self, tmp_path):
+        """Models that share one key list, the same errors under each model's own key
+        order, and a model repeated in a second report (its later entry wins) all
+        write the same tests.json, ranks.csv and cd diagrams."""
+        rng = np.random.default_rng(7)
+        keys = [[sid, 5, step] for sid in ("s1", "s2", "s3", "s4", "s5") for step in (1, 2, 3)]
+        models = ("m1", "m2", "m3")
+        errors = {m: rng.normal(0.0, 1.0 + j, len(keys)).tolist() for j, m in enumerate(models)}
+        results = [{"measure": "RMSE", "model": m, "per_series": {
+            f"s{k}": float(np.sqrt(np.mean(np.square(errors[m][3 * k - 3:3 * k])))) for k in range(1, 6)}}
+            for m in models]
+
+        def shuffled(j, m):
+            order = rng.permutation(len(keys)) if j else np.arange(len(keys))
+            return {"keys": [keys[i] for i in order], "errors": [errors[m][i] for i in order]}
+
+        shared = {"results": results, "errors": {m: {"keys": keys, "errors": errors[m]} for m in models}}
+        own_order = {"results": results, "errors": {m: shuffled(j, m) for j, m in enumerate(models)}}
+        replaced = {"results": results, "errors": {
+            **shared["errors"], "m2": {"keys": keys, "errors": [e + 1.0 for e in errors["m2"]]}}}
+        later = {"results": [], "errors": {"m2": shared["errors"]["m2"]}}
+        outputs = []
+        for reports in ((shared,), (own_order,), (replaced, later)):
+            code, tests = self._compare(tmp_path, *reports)
+            assert code == 0 and tests["pairwise"]["m1 vs m2"]["test"] == "diebold-mariano"
+            outputs.append({name: (tmp_path / "cmp" / name).read_bytes()
+                            for name in ("tests.json", "ranks.csv", "cd.txt", "cd.svg")})
+        assert outputs[0] == outputs[1] == outputs[2]
+        # the first entry of m2 alone, read in place of the later one, changes the DM pairs
+        code, tests = self._compare(tmp_path, replaced)
+        assert code == 0 and (tmp_path / "cmp" / "tests.json").read_bytes() != outputs[0]["tests.json"]
+
     @pytest.mark.parametrize("pairwise", ["dm", "wilcoxon"])
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_one_key_index_per_invocation(self, tmp_path, monkeypatch, pairwise):
@@ -1167,11 +1208,12 @@ class TestCliCompareDm:
             calls.append(len(args[0]))
             return key_index(*args)
 
-        key_index = forevalkit.cli._key_index
-        monkeypatch.setattr(forevalkit.cli, "_key_index", counted)
+        key_index = forevalkit.report._key_index
+        monkeypatch.setattr(forevalkit.report, "_key_index", counted)
         second = {"results": [], "errors": {"m2": TestCliInputErrors._report()["errors"]["m2"]}}
         assert self._compare(tmp_path, TestCliInputErrors._report(), second, pairwise=pairwise)[0] == 0
-        assert calls == [12]  # every row of the three entries, in one sort
+        # the three entries, in two reports, hold one key list: its 4 rows, in one sort
+        assert calls == [4]
 
 
 class TestCliAdvise:
@@ -1560,6 +1602,7 @@ class TestCliInputErrors:
          "errors of model 'm2' needs 'keys' and 'errors' lists of equal length"),
         ({"m2_keys": [["a", 3, 1], ["a", True, 2], ["b", 3, 1], ["b", 3, 2]]},
          "errors of model 'm2': key 1 is ['a', True, 2], not [series_id, origin, step]"),
+        # equal under == to m1's keys, read first (as is the last case): still named
         ({"m2_keys": [["a", 3, 1], ["a", 3, 2], ["b", 3.0, 1], ["b", 3, 2]]},
          "errors of model 'm2': key 2 is ['b', 3.0, 1], not [series_id, origin, step]"),
         ({"m2_keys": [["a", 3, 1], ["a", 3, 2], [7, 3, 1], ["b", 3, 2]]}, "errors of model 'm2': key 2 is [7, 3, 1]"),
@@ -1578,6 +1621,8 @@ class TestCliInputErrors:
          f"errors of model 'm2': error 2 is {-(int(sys.float_info.max) + 1)}, not a finite number"),
         ({"m2_keys": [["a", 3, 1], ["b", 3, 2], ["b", 3, 1], ["b", 3, 2]]},
          "errors of model 'm2': key 3 ['b', 3, 2] repeats an earlier key"),
+        ({"m2_keys": [["a", 3, True], ["a", 3, 2], ["b", 3, 1], ["b", 3, 2]]},
+         "errors of model 'm2': key 0 is ['a', 3, True], not [series_id, origin, step]"),
     ])
     def test_malformed_compare_report(self, workdir, capsys, changes, fragment):
         report = workdir / "report.json"

@@ -557,6 +557,15 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="^weights must be finite, non-negative and not all zero$"):
             evaluate("WMAE", f, weights=[bad, 1.0, 1.0])
 
+    @pytest.mark.parametrize("op", ["mean", "median", "geometric-mean"])
+    @pytest.mark.parametrize("weights", [{"a": 0.0, "b": 1.0}, {1: 0.0, 2: 0.0, 3: 1.0}])
+    def test_weights_that_total_zero_over_the_values_rejected(self, op, weights):
+        # the vector has a non-zero weight, but not on a summarised label: a mean of
+        # 0 / 0, and a median that would take the smallest value
+        w = WeightVector("step" if 1 in weights else "series", weights)
+        with pytest.raises(ValidationError, match="^the weights of the summarised values total zero$"):
+            summarize({"a": [1.0, 2.0]}, "pooled", op, weights=w)
+
     def test_ragged_series_then_horizon_rejected(self):
         with pytest.raises(ValidationError):
             summarize({"a": [1.0], "b": [1.0, 2.0]}, "series-then-horizon")

@@ -1,6 +1,7 @@
 """The package namespace, the names the benchmark's tracer wraps, which of its
 modules each CLI subcommand runs, and the README's code."""
 
+import gc
 import importlib.util
 import json
 import re
@@ -77,6 +78,25 @@ def test_benchmark_trace_targets_resolve():
     assert tracer.TARGETS and not unresolved, f"perfbench traces names that do not resolve: {unresolved}"
 
 
+# Imports forevalkit.cli with the collector on or off (argv[1]), then prints how
+# many collections ran inside numpy's import, and the collector's state.
+IMPORT_CLI = """
+import gc, sys
+runs = []
+
+def in_numpy(phase, info):
+    frame = sys._getframe()
+    while frame is not None and not frame.f_globals.get("__name__", "").startswith("numpy"):
+        frame = frame.f_back
+    if frame is not None and phase == "start":
+        runs.append(info)
+
+gc.callbacks.append(in_numpy)
+gc.enable() if sys.argv[1] == "True" else gc.disable()
+import forevalkit.cli
+print(len(runs), gc.isenabled())
+"""
+
 # Runs one CLI command in a fresh interpreter, then prints the forevalkit
 # modules whose code ran (a module not yet run is still a lazy module) and
 # whether any scipy module was imported.
@@ -131,6 +151,26 @@ class TestStartup:
         assert proc.stderr.splitlines()[-1] == (
             "ModuleNotFoundError: forevalkit needs numpy, which is not installed")
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_import_runs_no_collection_and_restores_the_collector(self, subprocess_env, enabled):
+        # with the collector on throughout, numpy's import would run about 30 collections
+        out = subprocess.run([sys.executable, "-c", IMPORT_CLI, str(enabled)], check=True, capture_output=True,
+                             text=True, env=subprocess_env).stdout
+        assert out == f"0 {enabled}\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failed_import_restores_the_collector(self, monkeypatch, enabled):
+        monkeypatch.delitem(sys.modules, "forevalkit.cli")
+        monkeypatch.setitem(sys.modules, "forevalkit.core", None)  # ``from .core import`` fails
+        was = gc.isenabled()
+        gc.enable() if enabled else gc.disable()
+        try:
+            with pytest.raises(ImportError, match="forevalkit.core"):
+                importlib.import_module("forevalkit.cli")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
     def test_each_subcommand_runs_only_its_modules(self, inputs, subprocess_env):
         def run(*argv):  # (exit code, modules run, whether scipy was imported)
             out = subprocess.run([sys.executable, "-c", RUN, *argv], check=True, capture_output=True,
@@ -144,7 +184,7 @@ class TestStartup:
         assert run("backtest", "series.csv", "split.json", "--out", "bt") == (
             0, ["cli", "core", "io", "partition"], False)
         assert run("compare", "ev/report.json", "--config", "compare.json", "--out", "cmp") == (
-            0, ["cli", "core", "measures.ranking", "measures.registry", "stats"], True)
+            0, ["cli", "core", "measures.ranking", "measures.registry", "report", "stats"], True)
         assert run("advise", "profile.json", "--out", "adv") == (
             0, ["advisor", "cli", "core", "measures.registry"], False)
         assert run("pitfalls", "--list") == (
