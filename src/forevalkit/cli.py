@@ -384,6 +384,8 @@ def cmd_pitfalls(args) -> int:
     from .pitfalls import DEFAULT_SEED, list_scenarios, run_all, run_scenario
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
+        raise ValidationError(f"pitfalls: --seed must be >= 0, got {seed}")
     given = [f"scenario {args.name!r}"] * (args.name is not None) + ["--all"] * args.all + ["--list"] * args.list
     if not given:
         raise ValidationError("pitfalls: give a scenario name, --all or --list")

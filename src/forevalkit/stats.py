@@ -7,12 +7,16 @@ critical-difference diagram layout and rendering as SVG and text art.
 
 scipy is needed only for p-values: the chi-square, t and normal tails are
 the ``scipy.special`` ufuncs that scipy's distribution objects call for
-them, imported on first use, so importing this module loads numpy alone.
+them, loaded on first use from scipy's extension modules, not the package,
+whose ``__init__`` also loads ``numpy.f2py``, ``numpy.testing`` and
+``numpy.ma``; importing this module loads numpy alone.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,22 +69,38 @@ class PostHocResult:
     groups: tuple = ()
 
 
-def _chi2_sf(x: float, df: int) -> float:
-    from scipy.special import chdtrc
+def _ufuncs():
+    """``scipy.special._ufuncs``, loaded without running ``scipy.special``'s
+    ``__init__`` (a third of a ``compare`` process, none of it used by the
+    tails); the package re-exports the same ufunc objects. The extension imports
+    its siblings through the package, so while it loads ``sys.modules`` holds
+    the uninitialised package, which a thread importing ``scipy.special`` then
+    would get (the CLI runs one thread). A scipy whose extension needs the
+    ``__init__`` run gets the full import."""
+    name, package = "scipy.special._ufuncs", "scipy.special"
+    if name in sys.modules or package in sys.modules:
+        return importlib.import_module(name)
+    sys.modules[package] = importlib.util.module_from_spec(importlib.util.find_spec(package))
+    try:
+        return importlib.import_module(name)
+    except ImportError:
+        pass
+    finally:
+        del sys.modules[package]
+    importlib.import_module(package)
+    return sys.modules[name]
 
-    return float(chdtrc(df, x))
+
+def _chi2_sf(x: float, df: int) -> float:
+    return float(_ufuncs().chdtrc(df, x))
 
 
 def _t_sf(x: float, df: int) -> float:
-    from scipy.special import stdtr
-
-    return float(stdtr(df, -x))
+    return float(_ufuncs().stdtr(df, -x))
 
 
 def _norm_sf(x: float) -> float:
-    from scipy.special import ndtr
-
-    return float(ndtr(-x))
+    return float(_ufuncs().ndtr(-x))
 
 
 def _as_clean_array(x, name: str) -> np.ndarray:

@@ -86,6 +86,8 @@ class DgpSpec:
             raise ValidationError(f"unknown DGP kind {self.kind!r}; expected one of {_KINDS}")
         if self.length < 1:
             raise ValidationError("length must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be >= 0")
         if not 0.0 <= self.zero_probability <= 1.0:

@@ -1332,6 +1332,13 @@ class TestCliPitfalls:
         assert captured.out == "" and captured.err == "error: pitfalls: give a scenario name, --all or --list\n"
         assert not (tmp_path / "p").exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # numpy's SeedSequence takes no negative seed; the CLI names the option instead
+        assert main(["pitfalls", "--all", "--seed", "-1", "--out", str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: pitfalls: --seed must be >= 0, got -1\n"
+        assert not (tmp_path / "p").exists()
+
     def test_env_var_seed(self, tmp_path, monkeypatch, capsys):
         # only --seed sets the seed; no environment variable does
         from forevalkit.pitfalls import DEFAULT_SEED
@@ -1742,3 +1749,9 @@ class TestCliInputErrors:
     ])
     def test_spec_keys(self, workdir, capsys, command, spec, fragment):
         self._fails_with_message(capsys, self._spec_argv(workdir, command, spec), fragment)
+
+    @pytest.mark.parametrize("command", ["simulate", "pitfalls"])
+    def test_negative_seed(self, workdir, capsys, command):
+        argv = (self._spec_argv(workdir, command, {"kind": "random-walk", "length": 20, "seed": -1})
+                if command == "simulate" else ["pitfalls", "--all", "--seed", "-1"])
+        self._fails_with_message(capsys, argv, "seed must be >= 0")

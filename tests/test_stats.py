@@ -401,9 +401,11 @@ class TestCdDiagram:
 
 
 class TestScipyImports:
-    """scipy is loaded only by a p-value, and then only ``scipy.special``."""
+    """scipy is loaded only by a p-value, and then only the special-function
+    extension modules: ``scipy.special``'s ``__init__`` does not run, and a
+    later import of the package hands out the same ufunc objects."""
 
-    CODE = """
+    P_VALUES = """
 import sys
 import forevalkit, forevalkit.cli
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -417,15 +419,76 @@ diebold_mariano(x, y, harvey_correction=False)
 ljung_box(x, lags=3)
 wilcoxon_rank_sum(x, y)
 wilcoxon_rank_sum(x, y, paired=True)
-print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+print([m in sys.modules for m in ("scipy.special._ufuncs", "scipy.special", "scipy.stats",
+                                  "scipy._lib._array_api")])
+"""
+
+    # after ``first`` and then ``second`` ran: the helpers call scipy.special's
+    # ufunc objects and give scipy.stats' p-values
+    SAME_UFUNCS = """
+import sys
+first, second = sys.argv[1:]
+exec(first)
+exec(second)
+import scipy.special, scipy.stats
+from forevalkit.stats import _chi2_sf, _norm_sf, _t_sf, _ufuncs
+assert scipy.special.gamma(4.0) == 6.0
+assert _ufuncs() is scipy.special._ufuncs
+assert [getattr(_ufuncs(), f) is getattr(scipy.special, f) for f in ("chdtrc", "stdtr", "ndtr")] == [True] * 3
+assert _chi2_sf(3.0, 2) == scipy.stats.chi2.sf(3.0, 2) and _t_sf(1.5, 7) == scipy.stats.t.sf(1.5, 7)
+assert _norm_sf(1.5) == scipy.stats.norm.sf(1.5)
 """
 
     def test_import_loads_no_scipy_and_tests_load_only_special(self, subprocess_env):
         out = subprocess.run(
-            [sys.executable, "-c", self.CODE], check=True, capture_output=True, text=True,
+            [sys.executable, "-c", self.P_VALUES], check=True, capture_output=True, text=True,
             env=subprocess_env,
         ).stdout.splitlines()
-        assert out == ["[]", "True False"]
+        assert out == ["[]", "[True, False, False, False]"]
+
+    @pytest.mark.parametrize("first, second", [
+        ("from forevalkit.stats import _chi2_sf; _chi2_sf(1.0, 2)", "import scipy.special, scipy.stats"),
+        ("import scipy.special", "from forevalkit.stats import _chi2_sf; _chi2_sf(1.0, 2)"),
+    ], ids=["p-value-first", "scipy-special-first"])
+    def test_package_imported_around_the_p_value_shares_its_ufuncs(self, subprocess_env, first, second):
+        subprocess.run([sys.executable, "-c", self.SAME_UFUNCS, first, second], check=True, env=subprocess_env)
+
+    @pytest.fixture
+    def special(self, monkeypatch):
+        """scipy.special, with every ``scipy.special`` module dropped from
+        ``sys.modules`` until the test ends; extension modules import again as
+        the same module objects."""
+        import scipy
+        import scipy.special
+
+        monkeypatch.setattr(scipy, "special", scipy.special)
+        for name in [m for m in sys.modules if m == "scipy.special" or m.startswith("scipy.special.")]:
+            monkeypatch.delitem(sys.modules, name)
+        return scipy.special
+
+    @staticmethod
+    def _loads_same_ufuncs(special):
+        assert [getattr(stats._ufuncs(), f) is getattr(special, f) for f in ("chdtrc", "stdtr", "ndtr")] == [True] * 3
+        assert _chi2_sf(3.0, 2) == float(special.chdtrc(2, 3.0))
+
+    def test_without_the_package_init(self, special):
+        self._loads_same_ufuncs(special)
+        assert "scipy.special._ufuncs" in sys.modules and "scipy.special" not in sys.modules
+
+    def test_with_the_package_loaded(self, special):
+        sys.modules["scipy.special"] = special
+        self._loads_same_ufuncs(special)
+        assert sys.modules["scipy.special"] is special
+
+    def test_falls_back_to_the_package_init(self, special, monkeypatch):
+        # a scipy whose _ufuncs needs its package run: the uninitialised package
+        # then fails the import, here as a module that is no package
+        import importlib.util
+        import types
+
+        monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: types.ModuleType(spec.name))
+        self._loads_same_ufuncs(special)
+        assert hasattr(sys.modules["scipy.special"], "gamma")
 
 
 # few distinct values, signed zeros among them, so ties are the norm

@@ -106,6 +106,7 @@ class TestGenerate:
         ({"kind": "ar", "ar_coefficients": (0.5, float("nan"))}, "^ar kind needs finite coefficients$"),
         ({"break_index": 0}, "^break_index must lie within the series$"),
         ({"break_index": 11}, "^break_index must lie within the series$"),
+        ({"seed": -1}, "^seed must be >= 0$"),
     ])
     def test_each_field_checked(self, fields, message):
         with pytest.raises(ValidationError, match=message):
