@@ -18,8 +18,8 @@ from importlib.machinery import PathFinder
 
 __version__ = "0.1.0"
 
-# every submodule needs numpy; without this check, Python 3.10-3.12 report its absence as an
-# ImportError naming another submodule (see the lazy loading below); find_spec imports nothing
+# every submodule but checks, advisor and measures.registry imports numpy; without this check (find_spec imports
+# nothing), Python 3.10-3.12 report its absence as an ImportError naming another submodule (see the lazy loading)
 if importlib.util.find_spec("numpy") is None:
     raise ModuleNotFoundError("forevalkit needs numpy, which is not installed", name="numpy")
 
@@ -65,7 +65,8 @@ def _register_lazily(package: str, path, names) -> None:
 
 # ``cli`` is not registered: ``python -m forevalkit.cli`` runs it as ``__main__``.
 _register_lazily(__name__, __path__,
-                 ("core", "io", "olsar", "measures", "partition", "report", "stats", "advisor", "synth", "pitfalls"))
+                 ("checks", "core", "io", "olsar", "measures", "partition", "report", "stats", "advisor", "synth",
+                  "pitfalls"))
 
 
 def __getattr__(name):

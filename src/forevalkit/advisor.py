@@ -9,13 +9,12 @@ intermittency exists but is explicitly heuristic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import ValidationError, check_fields, from_fields, json_object
+from .checks import ValidationError, check_fields, from_fields, json_object
 from .measures.registry import REGISTRY
 
 if TYPE_CHECKING:  # for an annotation only, so advise never runs stats
@@ -324,6 +323,17 @@ def _check_model_class(model_class) -> None:
         raise ValidationError("model_class must be pure-AR, stateful or unknown")
 
 
+def _finite_floats(values, what: str) -> list[float]:
+    """One number, or a sequence or 1-d array of them, as floats; a NaN or an infinity is a ``ValidationError``."""
+    try:
+        floats = [*map(float, values)]
+    except TypeError:  # one number
+        floats = [float(values)]
+    if bad := [v for v in floats if not math.isfinite(v)]:
+        raise ValidationError(f"{what} must be finite, got {bad[0]!r}")
+    return floats
+
+
 def recommend_partitioning(
     series_lengths,
     model_class: str = "unknown",
@@ -337,15 +347,16 @@ def recommend_partitioning(
     passes; a failed check means the model underfits and should be improved
     before any splitting strategy is trusted. Short series with stateful or
     unknown models fall back to rolling-origin with an expanding window.
+    A length that is NaN or infinite is a ``ValidationError`` naming it.
     """
-    lengths = np.atleast_1d(np.asarray(series_lengths, dtype=float))
-    if lengths.size == 0:
+    lengths = _finite_floats(series_lengths, "series lengths")
+    if not lengths:
         raise ValidationError("series lengths must not be empty")
-    if (lengths <= 0).any():
+    if min(lengths) <= 0:
         raise ValidationError("series lengths must be positive")
     _check_model_class(model_class)
 
-    if lengths.min() >= 100:
+    if min(lengths) >= 100:
         return PartitioningAdvice(
             scheme="rolling-origin",
             rationale="enough data: rolling-origin evaluation is the procedure of choice",
@@ -382,8 +393,9 @@ def intermittency_hint(values) -> bool:
     """Heuristic intermittency hint: more than half of the values are zero.
 
     Convenience only; characteristics are declared by the user, not detected.
+    A value that is NaN or infinite is a ``ValidationError`` naming it.
     """
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
+    v = _finite_floats(values, "series values")
+    if not v:
         raise ValidationError("empty series")
-    return bool((v == 0).mean() > 0.5)
+    return v.count(0.0) > len(v) / 2

@@ -4,10 +4,11 @@ Subcommands: evaluate, backtest, compare, advise, simulate, pitfalls.
 Every run writes a manifest (inputs, seed, config hash, version) next to
 its outputs so identical manifests imply identical outputs.
 
-Each command imports the modules it uses when it runs, each name from
-the submodule that defines it, so an invocation runs only its own
-command's modules (see the package docstring); ``compare`` reads its
-reports through ``report``, which no other command runs.
+Each command imports the modules it uses, numpy among them, when it runs,
+each name from the submodule that defines it, so an invocation runs only
+its own command's modules (see the package docstring); ``compare`` reads
+its reports through ``report``, which no other command runs, and
+``advise`` runs no module that imports numpy.
 
 Each command runs BLAS on one thread: importing this module before numpy
 sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS``,
@@ -19,13 +20,12 @@ differently from a one-thread one, so an output computed with a long one
 would depend on the host's CPU count. Library calls keep the
 caller's BLAS setting: a numpy loaded before this module is left as it
 is. ``main`` also pauses the cyclic garbage collector while a command
-runs, since its passes over the command's many live objects (the decoded
-reports, for ``compare``) find almost nothing to free, and turns it back
-on before it returns: ``main`` leaves no process-wide change behind, so
-tests and other in-process callers can call it repeatedly. Importing this
-module pauses it from its first statement to its last (numpy's import alone
-runs 29 collections; ending the pause after the imports runs one over all
-they made), so a command process, paused again by ``main``, runs almost none.
+runs, numpy's import included (alone 29 collections), since its passes
+over the command's many live objects (the decoded reports, for
+``compare``) find almost nothing to free, and turns it back on before it
+returns: ``main`` leaves no process-wide change behind, so tests and other
+in-process callers can call it repeatedly. Importing this module pauses it
+from its first statement to its last (about 7 collections otherwise).
 
 The process entry is ``run``, for both ``python -m forevalkit.cli`` and
 the ``forevalkit`` console script: it calls ``main``, then ``gc.freeze()``,
@@ -61,18 +61,16 @@ try:
     from dataclasses import fields, replace
     from pathlib import Path
 
-    # The one-thread pin must come before numpy's first import, which ``from .core
-    # import`` would also make. It stays set, so scipy's own OpenBLAS, loaded at
-    # compare's first p-value, starts one thread too.
+    # The one-thread pin must come before numpy's first import, which a command
+    # makes. It stays set, so scipy's own OpenBLAS, loaded at compare's first
+    # p-value, starts one thread too.
     if "numpy" not in sys.modules and not os.environ.keys() & {
             "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-    import numpy as np
-
     from . import __version__
-    from .core import (DataValidationError, Dataset, Forecaster, InsufficientHistoryError, ValidationError,
-                       benchmark_frame, check_type, from_fields, json_object, reject_unknown)
+    from .checks import (DataValidationError, InsufficientHistoryError, ValidationError, check_type, from_fields,
+                         json_object, reject_unknown)
 except BaseException:
     if _gc_enabled:
         gc.enable()
@@ -129,6 +127,7 @@ def _result_dict(r) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    from .core import benchmark_frame
     from .io import build_frame, read_forecast_csv, read_series_csv, write_matrix_csv
     from .measures.engine import evaluate
     from .measures.registry import UndefinedPolicy, spec_for
@@ -198,6 +197,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_backtest(args) -> int:
+    import numpy as np
+
+    from .core import Forecaster
     from .io import read_series_csv, write_backtest_report, write_folds_csv
     from .partition import FoldRanges, LeakageError, SplitSpec, leakage_checks, splits_for_series
 
@@ -293,7 +295,7 @@ def cmd_compare(args) -> int:
             if pairwise_kind == "dm":
                 la, lb = losses[a], losses[b]
                 both = (la == la) & (lb == lb)
-                if np.count_nonzero(both) < 4:
+                if both.sum() < 4:
                     raise ValidationError("pairwise DM needs at least 4 aligned errors")
                 res = diebold_mariano(la[both], lb[both], horizon=horizon, alpha=alpha)
             else:
@@ -365,6 +367,7 @@ def cmd_advise(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .core import Dataset
     from .io import write_series_csv
     from .synth import DgpSpec, generate
 

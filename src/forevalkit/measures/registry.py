@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from ..core import ValidationError
+from ..checks import ValidationError
 
 __all__ = ["MeasureSpec", "REGISTRY", "measure_names", "spec_for", "UndefinedPolicy"]
 
@@ -75,7 +75,7 @@ def _finite(x) -> bool:
     return abs(x) <= sys.float_info.max  # False for NaN; no overflow for a large int
 
 
-# every constant a measure takes: its type (a ``core.check_type`` hint), the test
+# every constant a measure takes: its type (a ``checks.check_type`` hint), the test
 # of its domain, and that domain described
 CONSTANTS = {
     "seasonal_period": (int | None, lambda v: v is None or v >= 1, "at least 1"),

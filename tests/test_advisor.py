@@ -1,6 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forevalkit import (
     CharacteristicProfile,
@@ -221,6 +225,77 @@ class TestRecommendPartitioning:
             recommend_partitioning([])
         with pytest.raises(ValidationError):
             recommend_partitioning(100, model_class="magic")
+
+
+# finite ints and floats, zero, negative and huge ones included, with the values at
+# the 100-observation and zero-share boundaries drawn often
+NUMBERS = st.one_of(st.sampled_from([0, 0.0, -0.0, 99, 99.99, 100, 100.0, 1e308]), st.integers(-10**18, 10**18),
+                    st.floats(allow_nan=False, allow_infinity=False))
+LISTS = st.lists(NUMBERS, max_size=8)
+# a number, or a list, tuple or 1-d array of numbers
+INPUTS = st.one_of(NUMBERS, LISTS, LISTS.map(tuple), LISTS.map(np.array))
+
+
+def _outcome(f, *args, **kwargs):
+    """``f``'s result, or its ``ValidationError``'s message."""
+    try:
+        return f(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _numpy_partitioning(series_lengths, model_class, residual_check):
+    """The numpy formulation ``recommend_partitioning`` replaced: its error message, or
+    the advice for a single length on the same side of 100."""
+    lengths = np.atleast_1d(np.asarray(series_lengths, dtype=float))
+    if lengths.size == 0:
+        return "series lengths must not be empty"
+    if (lengths <= 0).any():
+        return "series lengths must be positive"
+    return _outcome(recommend_partitioning, 100 if lengths.min() >= 100 else 99, model_class, residual_check)
+
+
+def _numpy_hint(values):
+    """The numpy formulation ``intermittency_hint`` replaced."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return "empty series"
+    return bool((v == 0).mean() > 0.5)
+
+
+class TestPythonFormulation:
+    """The advisor computes on Python floats; it agrees with the numpy code it
+    replaced on finite input and rejects NaN and infinities."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lengths=INPUTS, model_class=st.sampled_from(["pure-AR", "stateful", "unknown", "magic"]),
+           reject=st.sampled_from([None, False, True]))
+    def test_partitioning_matches_numpy(self, lengths, model_class, reject):
+        check = None if reject is None else StatTestResult("ljung-box", 1.0, 0.5, 0.05, reject=reject)
+        assert _outcome(recommend_partitioning, lengths, model_class, check) == _numpy_partitioning(
+            lengths, model_class, check)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=INPUTS)
+    def test_hint_matches_numpy(self, values):
+        assert _outcome(intermittency_hint, values) == _numpy_hint(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=LISTS, bad=st.sampled_from([math.nan, math.inf, -math.inf]), at=st.integers(0, 8),
+           container=st.sampled_from([list, tuple, np.array]))
+    def test_non_finite_rejected(self, values, bad, at, container):
+        values.insert(at, bad)
+        with pytest.raises(ValidationError, match=f"^series lengths must be finite, got {bad!r}$"):
+            recommend_partitioning(container(values), model_class="pure-AR")
+        with pytest.raises(ValidationError, match=f"^series values must be finite, got {bad!r}$"):
+            intermittency_hint(container(values))
+
+    @pytest.mark.parametrize("lengths, bad", [([math.nan, 50], "nan"), ([math.inf], "inf"), (1e400, "inf"),
+                                              (np.float64(-math.inf), "-inf")])
+    def test_non_finite_length_named(self, lengths, bad):
+        # a NaN made the minimum NaN, so the long-series test failed silently; an infinity was enough data
+        with pytest.raises(ValidationError, match=f"^series lengths must be finite, got {bad}$"):
+            recommend_partitioning(lengths, model_class="pure-AR")
 
 
 class TestIntermittencyHint:

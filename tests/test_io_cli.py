@@ -1259,6 +1259,15 @@ class TestCliAdvise:
         assert main(["advise", str(profile), "--out", str(tmp_path / "adv")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("lengths, bad", [("[NaN, 50]", "nan"), ("[Infinity]", "inf"), ("1e400", "inf")])
+    def test_non_finite_series_lengths_exit_2(self, tmp_path, capsys, lengths, bad):
+        # NaN once made the long-series test fail silently (kfold advice, exit 0)
+        profile = tmp_path / "profile.json"
+        profile.write_text(f'{{"series_lengths": {lengths}, "model_class": "pure-AR"}}')
+        assert main(["advise", str(profile), "--out", str(tmp_path / "adv")]) == 2
+        assert capsys.readouterr().err == f"error: series lengths must be finite, got {bad}\n"
+        assert not (tmp_path / "adv" / "recommendation.json").exists()
+
     def test_unknown_flag_exit_2(self, tmp_path):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"made_up_flag": True}))

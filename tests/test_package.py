@@ -78,8 +78,9 @@ def test_benchmark_trace_targets_resolve():
     assert tracer.TARGETS and not unresolved, f"perfbench traces names that do not resolve: {unresolved}"
 
 
-# Imports forevalkit.cli with the collector on or off (argv[1]), then prints how
-# many collections ran inside numpy's import, and the collector's state.
+# Imports forevalkit.cli and runs ``pitfalls --list``, whose modules import numpy, with
+# the collector on or off (argv[1]), then prints how many collections ran inside
+# numpy's import, whether numpy was imported, and the collector's state.
 IMPORT_CLI = """
 import gc, sys
 runs = []
@@ -94,24 +95,58 @@ def in_numpy(phase, info):
 gc.callbacks.append(in_numpy)
 gc.enable() if sys.argv[1] == "True" else gc.disable()
 import forevalkit.cli
-print(len(runs), gc.isenabled())
+forevalkit.cli.main(["pitfalls", "--list"])
+print(len(runs), "numpy" in sys.modules, gc.isenabled())
 """
 
 # Runs one CLI command in a fresh interpreter, then prints the forevalkit
-# modules whose code ran (a module not yet run is still a lazy module) and
-# whether any scipy module was imported.
+# modules whose code ran (a module not yet run is still a lazy module),
+# whether any scipy module was imported, and whether numpy was.
 RUN = """
 import json, sys, types
 import forevalkit.cli
 code = forevalkit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 ran = sorted(m.removeprefix("forevalkit.") for m, mod in sys.modules.items()
              if m.startswith("forevalkit.") and type(mod) is types.ModuleType)
-print(json.dumps([code, ran, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)]))
+print(json.dumps([code, ran, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
+                  "numpy" in sys.modules]))
+"""
+
+# Calls check_type and check_fields before numpy is imported, then prints which of
+# numpy's scalars each of bool, int and float accepts, and whether check_fields
+# accepts them in a dataclass's fields.
+CHECKS_BEFORE_NUMPY = """
+import json, sys
+from dataclasses import dataclass
+from forevalkit.checks import ValidationError, check_fields, check_type
+
+@dataclass
+class Spec:
+    flag: bool = False
+    count: int = 0
+    size: float = 0.0
+    sizes: tuple[float, ...] = ()
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except ValidationError:
+        return False
+    return True
+
+before = [accepts(check_fields, Spec(), "spec"), accepts(check_type, "n", True, int),
+          accepts(check_type, "n", 1.5, float | None), "numpy" in sys.modules]
+import numpy as np
+scalars = (np.int64(1), np.float32(1.5), np.bool_(True))
+spec = Spec(np.bool_(True), np.int64(2), np.float32(0.5), [np.int64(1), np.float32(2)])
+print(json.dumps([before, [[accepts(check_type, "v", v, hint) for v in scalars] for hint in (bool, int, float)],
+                  accepts(check_fields, spec, "spec")]))
 """
 
 
 class TestStartup:
-    """Each subcommand runs only the modules it uses; only ``compare`` loads scipy."""
+    """Each subcommand runs only the modules it uses; only ``compare`` loads scipy, and
+    every command but ``advise`` numpy."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -126,6 +161,7 @@ class TestStartup:
                  "split.json": {"scheme": "rolling-origin", "initial_train": 4, "horizon": 2},
                  "dgp.json": {"kind": "random-walk", "length": 20, "seed": 3},
                  "profile.json": {"intermittency": True},
+                 "lengths.json": {"intermittency": True, "series_lengths": [60, 120], "model_class": "pure-AR"},
                  "compare.json": {"measure": "RMSE"}}
         for name, obj in files.items():
             (tmp_path / name).write_text(json.dumps(obj))
@@ -156,39 +192,49 @@ class TestStartup:
         # with the collector on throughout, numpy's import would run about 30 collections
         out = subprocess.run([sys.executable, "-c", IMPORT_CLI, str(enabled)], check=True, capture_output=True,
                              text=True, env=subprocess_env).stdout
-        assert out == f"0 {enabled}\n"
+        assert out.splitlines()[-1] == f"0 True {enabled}"
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_failed_import_restores_the_collector(self, monkeypatch, enabled):
-        monkeypatch.delitem(sys.modules, "forevalkit.cli")
-        monkeypatch.setitem(sys.modules, "forevalkit.core", None)  # ``from .core import`` fails
+        monkeypatch.delitem(sys.modules, "forevalkit.cli", raising=False)  # loaded or not
+        monkeypatch.setitem(sys.modules, "forevalkit.checks", None)  # ``from .checks import`` fails
         was = gc.isenabled()
         gc.enable() if enabled else gc.disable()
         try:
-            with pytest.raises(ImportError, match="forevalkit.core"):
+            with pytest.raises(ImportError, match="forevalkit.checks"):
                 importlib.import_module("forevalkit.cli")
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if was else gc.disable()
 
     def test_each_subcommand_runs_only_its_modules(self, inputs, subprocess_env):
-        def run(*argv):  # (exit code, modules run, whether scipy was imported)
+        def run(*argv):  # (exit code, modules run, whether scipy was imported, whether numpy was)
             out = subprocess.run([sys.executable, "-c", RUN, *argv], check=True, capture_output=True,
                                  text=True, env=subprocess_env, cwd=inputs).stdout
             return tuple(json.loads(out.splitlines()[-1]))
 
-        assert run() == (0, ["cli", "core"], False)
-        assert run("simulate", "dgp.json", "sim.csv") == (0, ["cli", "core", "io", "synth"], False)
+        assert run() == (0, ["checks", "cli"], False, False)
+        assert run("simulate", "dgp.json", "sim.csv") == (0, ["checks", "cli", "core", "io", "synth"], False, True)
         assert run("evaluate", "series.csv", "forecasts.csv", "suite.json", "--out", "ev") == (
-            0, ["cli", "core", "io", "measures.engine", "measures.registry"], False)
+            0, ["checks", "cli", "core", "io", "measures.engine", "measures.registry"], False, True)
         assert run("backtest", "series.csv", "split.json", "--out", "bt") == (
-            0, ["cli", "core", "io", "partition"], False)
+            0, ["checks", "cli", "core", "io", "partition"], False, True)
         assert run("compare", "ev/report.json", "--config", "compare.json", "--out", "cmp") == (
-            0, ["cli", "core", "measures.ranking", "measures.registry", "report", "stats"], True)
-        assert run("advise", "profile.json", "--out", "adv") == (
-            0, ["advisor", "cli", "core", "measures.registry"], False)
+            0, ["checks", "cli", "core", "measures.ranking", "measures.registry", "report", "stats"], True, True)
+        for profile in ("profile.json", "lengths.json"):
+            assert run("advise", profile, "--out", "adv") == (
+                0, ["advisor", "checks", "cli", "measures.registry"], False, False)
         assert run("pitfalls", "--list") == (
-            0, ["cli", "core", "measures.engine", "measures.registry", "olsar", "pitfalls", "synth"], False)
+            0, ["checks", "cli", "core", "measures.engine", "measures.registry", "olsar", "pitfalls", "synth"],
+            False, True)
+
+    def test_checks_made_before_numpy_accept_its_scalars(self, subprocess_env):
+        # the classes each type accepts, as before checks loaded without numpy:
+        # np.bool_ only as a bool, np.int64 as an int or a number, np.float32 as a number
+        out = subprocess.run([sys.executable, "-c", CHECKS_BEFORE_NUMPY], check=True, capture_output=True,
+                             text=True, env=subprocess_env).stdout
+        assert json.loads(out) == [[True, False, True, False],
+                                   [[False, False, True], [True, False, False], [True, True, False]], True]
 
 
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",

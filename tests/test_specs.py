@@ -9,7 +9,7 @@ import pytest
 
 from forevalkit import (CharacteristicProfile, DgpSpec, Forecaster, OutlierInjection, SplitSpec,
                         ValidationError, generate, splits_for_series)
-from forevalkit import core
+from forevalkit import checks
 
 # SplitSpec field -> (a spec, another value of that field alone): the two specs
 # give different folds on a length-30 series, or only one of them is valid.
@@ -118,15 +118,15 @@ class TestFieldTypes:
         assert str(exc.value) == message
 
     def test_union_names_each_type(self):
-        core.check_type("lengths", [30, 40.5], float | tuple[float, ...] | None)
-        core.check_type("lengths", None, float | tuple[float, ...] | None)
+        checks.check_type("lengths", [30, 40.5], float | tuple[float, ...] | None)
+        checks.check_type("lengths", None, float | tuple[float, ...] | None)
         with pytest.raises(ValidationError, match=r"^lengths must be a number or a list of numbers, "
                                                   r"got \[30, False\]$"):
-            core.check_type("lengths", [30, False], float | tuple[float, ...] | None)
+            checks.check_type("lengths", [30, False], float | tuple[float, ...] | None)
 
     def test_annotations_resolved_once_per_class(self):
-        core._field_checks.cache_clear()
-        with mock.patch("typing.get_type_hints", wraps=core.typing.get_type_hints) as hints:
+        checks._field_checks.cache_clear()
+        with mock.patch("typing.get_type_hints", wraps=checks.typing.get_type_hints) as hints:
             for seed in range(3):
                 DgpSpec(kind="random-walk", length=10, seed=seed)
                 SplitSpec(scheme="fixed-origin", initial_train=5)
