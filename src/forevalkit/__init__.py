@@ -25,15 +25,15 @@ if importlib.util.find_spec("numpy") is None:
 
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in {
-    "core": "DataValidationError Dataset EmbeddedMatrix EvaluationFrame Forecaster ForevalError "
-            "InsufficientHistoryError TimeSeries ValidationError benchmark_frame embed",
+    "checks": "DataValidationError ForevalError InsufficientHistoryError ValidationError",
+    "core": "Dataset EmbeddedMatrix EvaluationFrame Forecaster TimeSeries benchmark_frame embed",
     "measures": "MeasureResult MeasureSpec RankTable UndefinedPolicy UndefinedValueError "
                 "WeightVector critical_event_percentage evaluate measure_names percentage_better "
                 "rank_models spec_for summarize",
     "partition": "Fold FoldRanges LeakageError LeakageReport SplitSpec blocked_splits kfold_splits "
                  "leakage_check leakage_checks splits_for_series",
-    "stats": "CdLayout PostHocResult TestResult cd_diagram_data diebold_mariano friedman ljung_box "
-             "nemenyi_cd p_adjust render_cd_svg render_cd_text wilcoxon_rank_sum",
+    "stats": "CdLayout CompareConfig Comparison PostHocResult TestResult cd_diagram_data compare_models "
+             "diebold_mariano friedman ljung_box nemenyi_cd p_adjust render_cd_svg render_cd_text wilcoxon_rank_sum",
     "advisor": "CharacteristicProfile PartitioningAdvice Recommendation RuleTable intermittency_hint "
                "load_rule_table recommend_measures recommend_partitioning",
     "synth": "DgpSpec OutlierInjection derive_seed generate inject_outliers",

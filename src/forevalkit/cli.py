@@ -24,8 +24,7 @@ runs, numpy's import included (alone 29 collections), since its passes
 over the command's many live objects (the decoded reports, for
 ``compare``) find almost nothing to free, and turns it back on before it
 returns: ``main`` leaves no process-wide change behind, so tests and other
-in-process callers can call it repeatedly. Importing this module pauses it
-from its first statement to its last (about 7 collections otherwise).
+in-process callers can call it repeatedly.
 
 The process entry is ``run``, for both ``python -m forevalkit.cli`` and
 the ``forevalkit`` console script: it calls ``main``, then ``gc.freeze()``,
@@ -47,34 +46,26 @@ failures (``LeakageError`` and the other ``DataValidationError``s).
 
 from __future__ import annotations
 
+import argparse
+import csv
 import gc
+import hashlib
+import json
+import os
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
-_gc_enabled = gc.isenabled()  # turned back on at the end of this module, or by a failed import
-gc.disable()
-try:
-    import argparse
-    import csv
-    import hashlib
-    import json
-    import os
-    import sys
-    from dataclasses import fields, replace
-    from pathlib import Path
+# The one-thread pin must come before numpy's first import, which a command
+# makes. It stays set, so scipy's own OpenBLAS, loaded at compare's first
+# p-value, starts one thread too.
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-    # The one-thread pin must come before numpy's first import, which a command
-    # makes. It stays set, so scipy's own OpenBLAS, loaded at compare's first
-    # p-value, starts one thread too.
-    if "numpy" not in sys.modules and not os.environ.keys() & {
-            "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-    from . import __version__
-    from .checks import (DataValidationError, InsufficientHistoryError, ValidationError, check_type, from_fields,
-                         json_object, reject_unknown)
-except BaseException:
-    if _gc_enabled:
-        gc.enable()
-    raise
+from . import __version__
+from .checks import (DataValidationError, InsufficientHistoryError, ValidationError, check_type, from_fields,
+                     json_object, reject_unknown)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -250,88 +241,28 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .measures.ranking import rank_models
-    from .measures.registry import spec_for
     from .report import _collect_scores, _losses_by_key, _read_reports
-    from .stats import (cd_diagram_data, diebold_mariano, friedman, nemenyi_cd, p_adjust,
-                        render_cd_svg, render_cd_text, wilcoxon_rank_sum)
+    from .stats import CompareConfig, compare_models, render_cd_svg, render_cd_text
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _read_json(args.config) if args.config else {}
-    reject_unknown(config, ("measure", "alpha", "horizon", "adjust", "pairwise"), "compare config")
-    measure = config.get("measure", "RMSE")
-    alpha = config.get("alpha", 0.05)
-    horizon = config.get("horizon", 1)
-    adjust = config.get("adjust", "holm")
-    pairwise_kind = config.get("pairwise", "wilcoxon")
-    check_type("compare config 'alpha'", alpha, float)
-    check_type("compare config 'horizon'", horizon, int)
-    if pairwise_kind not in ("wilcoxon", "dm"):
-        raise ValidationError(f"compare config 'pairwise' must be 'wilcoxon' or 'dm', got {pairwise_kind!r}")
-    if pairwise_kind == "wilcoxon" and "horizon" in config:
-        raise ValidationError("compare config 'horizon' is read only by the 'dm' pairwise test; "
-                              "set 'pairwise' to 'dm'")
-    alpha = float(alpha)
-
+    settings = from_fields(CompareConfig, config, "compare config")
     reports = _read_reports(args.reports)
     losses = _losses_by_key(reports)
-    ascending = not spec_for(measure).higher_is_better
-    scores, series = _collect_scores(reports, measure)
-    table = rank_models(scores, ascending=ascending)
-
-    fried = friedman(table, alpha=alpha)
-    posthoc = nemenyi_cd(table, alpha=alpha, friedman_result=fried)
-    layout = cd_diagram_data(posthoc)
-
-    models = list(scores)
-    if pairwise_kind == "dm" and any(m not in losses for m in models):
-        raise ValidationError("pairwise DM needs per-row errors in the reports")
-    raw_p = {}
-    pair_details = {}
-    for i in range(len(models)):
-        for j in range(i + 1, len(models)):
-            a, b = models[i], models[j]
-            if pairwise_kind == "dm":
-                la, lb = losses[a], losses[b]
-                both = (la == la) & (lb == lb)
-                if both.sum() < 4:
-                    raise ValidationError("pairwise DM needs at least 4 aligned errors")
-                res = diebold_mariano(la[both], lb[both], horizon=horizon, alpha=alpha)
-            else:
-                res = wilcoxon_rank_sum(scores[a], scores[b], alpha=alpha)
-            raw_p[(a, b)] = 1.0 if res.p_value != res.p_value else res.p_value
-            pair_details[f"{a} vs {b}"] = {"test": res.name, "statistic": res.statistic,
-                                           "p_value": res.p_value}
-    adjusted = p_adjust(raw_p, method=adjust, alpha=alpha)
-
-    tests = {
-        "measure": measure,
-        "alpha": alpha,
-        "n_series": len(series),
-        "friedman": {"statistic": fried.statistic, "p_value": fried.p_value,
-                     "reject": fried.reject},
-        "mean_ranks": posthoc.mean_ranks,
-        "critical_distance": posthoc.critical_distance,
-        "nemenyi_significant_pairs": {f"{a} vs {b}": sig
-                                      for (a, b), sig in posthoc.pairwise.items()},
-        "groups": [sorted(g) for g in posthoc.groups],
-        "pairwise": pair_details,
-        "adjusted_p": {f"{a} vs {b}": p for (a, b), p in adjusted.pairwise.items()},
-        "adjust_method": adjust,
-    }
+    scores, series = _collect_scores(reports, settings.measure)
+    result = compare_models(scores, series, losses, settings)
     # every test has run: nothing is written for a compare that fails
-    (out_dir / "cd.txt").write_text(render_cd_text(layout))
-    (out_dir / "cd.svg").write_text(render_cd_svg(layout))
+    (out_dir / "cd.txt").write_text(render_cd_text(result.layout))
+    (out_dir / "cd.svg").write_text(render_cd_svg(result.layout))
     with (out_dir / "ranks.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["series_id"] + list(table.models))
-        writer.writerows([sid, *map(repr, row)] for sid, row in zip(series, table.ranks.tolist()))
-        writer.writerow(["mean_rank"] + [repr(table.mean_ranks[m]) for m in table.models])
-    _write_json(out_dir / "tests.json", tests)
-    _write_manifest(out_dir, "compare", [Path(p) for p in args.reports],
-                    {"config": config}, None)
-    print(f"compare: {len(models)} models on {len(series)} series -> {out_dir}")
+        writer.writerow(["series_id"] + list(result.table.models))
+        writer.writerows([sid, *map(repr, row)] for sid, row in zip(series, result.table.ranks.tolist()))
+        writer.writerow(["mean_rank"] + [repr(r) for r in result.table.mean_ranks.values()])
+    _write_json(out_dir / "tests.json", result.tests)
+    _write_manifest(out_dir, "compare", [Path(p) for p in args.reports], {"config": config}, None)
+    print(f"compare: {len(scores)} models on {len(series)} series -> {out_dir}")
     return EXIT_OK
 
 
@@ -504,9 +435,6 @@ def run() -> None:
     gc.freeze()
     sys.exit(code)
 
-
-if _gc_enabled:
-    gc.enable()
 
 if __name__ == "__main__":
     run()

@@ -4,6 +4,10 @@ Residual diagnostics (Ljung-Box), pairwise comparisons (Diebold-Mariano,
 Wilcoxon), multi-model rank tests (Friedman) and post-hoc procedures
 (Nemenyi critical distance, Holm, Hochberg, Bonferroni-Dunn), plus
 critical-difference diagram layout and rendering as SVG and text art.
+``compare_models`` runs them as one procedure (Demšar 2006): Friedman, the
+Nemenyi critical distance and CD layout, then a Wilcoxon or Diebold-Mariano
+test per model pair, adjusted for multiple testing; ``compare`` writes its
+``tests``, rank table and layout.
 
 scipy is needed only for p-values: the chi-square, t and normal tails are
 the ``scipy.special`` ufuncs that scipy's distribution objects call for
@@ -17,12 +21,14 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ValidationError
-from .measures.ranking import RankTable, average_ranks
+from .checks import ValidationError, check_fields
+from .measures.ranking import RankTable, average_ranks, rank_models
+from .measures.registry import spec_for
 
 __all__ = [
     "TestResult",
@@ -37,6 +43,9 @@ __all__ = [
     "cd_diagram_data",
     "render_cd_text",
     "render_cd_svg",
+    "CompareConfig",
+    "Comparison",
+    "compare_models",
 ]
 
 
@@ -313,10 +322,7 @@ _STUDENTIZED_RANGE_Q = {
 
 def studentized_range_quantile(alpha: float, k: int) -> float:
     """Shipped upper quantile of the infinite-df studentized range."""
-    table = None
-    for key, values in _STUDENTIZED_RANGE_Q.items():
-        if abs(alpha - key) < 1e-12:
-            table = values
+    table = next((values for key, values in _STUDENTIZED_RANGE_Q.items() if abs(alpha - key) < 1e-12), None)
     if table is None:
         raise ValidationError(
             f"no quantile table for alpha={alpha}; shipped levels are 0.01, 0.05, 0.10"
@@ -353,26 +359,13 @@ def nemenyi_cd(rank_table: RankTable, alpha: float = 0.05,
     n, k = rank_table.n_series, rank_table.n_models
     q = studentized_range_quantile(alpha, k) / math.sqrt(2.0)
     cd = q * math.sqrt(k * (k + 1) / (6.0 * n))
-    mean_ranks = rank_table.mean_ranks
-    pairwise = {}
-    models = rank_table.models
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = abs(mean_ranks[models[i]] - mean_ranks[models[j]])
-            pairwise[(models[i], models[j])] = bool(diff > cd)
-    groups = _rank_groups(mean_ranks, cd)
-    result = PostHocResult(
-        method="nemenyi", pairwise=pairwise, alpha=alpha,
-        mean_ranks=mean_ranks, critical_distance=float(cd), groups=groups,
-    )
+    mean_ranks, models = rank_table.mean_ranks, rank_table.models
+    pairwise = {(a, b): bool(abs(mean_ranks[a] - mean_ranks[b]) > cd)
+                for i, a in enumerate(models) for b in models[i + 1:]}
     if friedman_result is not None and not friedman_result.reject:
-        import warnings
-
-        warnings.warn(
-            "post-hoc comparison requested although the rank test did not reject",
-            stacklevel=2,
-        )
-    return result
+        warnings.warn("post-hoc comparison requested although the rank test did not reject", stacklevel=2)
+    return PostHocResult(method="nemenyi", pairwise=pairwise, alpha=alpha, mean_ranks=mean_ranks,
+                         critical_distance=float(cd), groups=_rank_groups(mean_ranks, cd))
 
 
 def _maximal_cliques(nodes: list, edges: set) -> list:
@@ -549,3 +542,82 @@ def render_cd_svg(layout: CdLayout) -> str:
         y += row_h
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+@dataclass(frozen=True)
+class CompareConfig:
+    """``compare_models``' settings, the keys of a compare config JSON: the registered
+    ``measure`` whose per-series scores are ranked, ``"wilcoxon"`` (rank-sum on those
+    scores) or ``"dm"`` (Diebold-Mariano on squared errors) as ``pairwise`` test, whose
+    ``horizon`` only ``"dm"`` reads (unset means 1), and a ``p_adjust`` method."""
+
+    measure: str = "RMSE"
+    alpha: float = 0.05
+    horizon: int | None = None
+    adjust: str = "holm"
+    pairwise: str = "wilcoxon"
+
+    def __post_init__(self):
+        check_fields(self, "compare config")
+        if self.pairwise not in ("wilcoxon", "dm"):
+            raise ValidationError(f"compare config 'pairwise' must be 'wilcoxon' or 'dm', got {self.pairwise!r}")
+        if self.pairwise == "wilcoxon" and self.horizon is not None:
+            raise ValidationError("compare config 'horizon' is read only by the 'dm' pairwise test; "
+                                  "set 'pairwise' to 'dm'")
+        spec_for(self.measure)  # an unknown measure is named before any report is read
+        object.__setattr__(self, "alpha", float(self.alpha))
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """``tests``, the dict ``compare`` writes as ``tests.json``, with the rank table
+    and the critical-difference layout behind it."""
+
+    tests: dict
+    table: RankTable
+    layout: CdLayout
+
+
+def compare_models(scores: dict, series: list, losses: dict | None = None,
+                   config: CompareConfig = CompareConfig()) -> Comparison:
+    """Friedman over the per-series ranks of ``scores`` (model -> its scores on
+    ``series``), Nemenyi and the CD layout, then one pairwise test per model pair
+    and ``p_adjust`` over their p-values. The Diebold-Mariano pair runs on the
+    columns where both rows of ``losses`` (model -> squared error per key, NaN
+    where it has none, as ``report._losses_by_key`` returns) are set."""
+    alpha, losses = config.alpha, losses or {}
+    table = rank_models(scores, ascending=not spec_for(config.measure).higher_is_better)
+    fried = friedman(table, alpha=alpha)
+    posthoc = nemenyi_cd(table, alpha=alpha, friedman_result=fried)
+    layout = cd_diagram_data(posthoc)
+
+    models = list(scores)
+    if config.pairwise == "dm" and any(m not in losses for m in models):
+        raise ValidationError("pairwise DM needs per-row errors in the reports")
+    raw_p, pair_details = {}, {}
+    for i, a in enumerate(models):
+        for b in models[i + 1:]:
+            if config.pairwise == "dm":
+                both = (losses[a] == losses[a]) & (losses[b] == losses[b])
+                if both.sum() < 4:
+                    raise ValidationError("pairwise DM needs at least 4 aligned errors")
+                horizon = 1 if config.horizon is None else config.horizon
+                res = diebold_mariano(losses[a][both], losses[b][both], horizon=horizon, alpha=alpha)
+            else:
+                res = wilcoxon_rank_sum(scores[a], scores[b], alpha=alpha)
+            raw_p[(a, b)] = 1.0 if res.p_value != res.p_value else res.p_value
+            pair_details[f"{a} vs {b}"] = {"test": res.name, "statistic": res.statistic, "p_value": res.p_value}
+    adjusted = p_adjust(raw_p, method=config.adjust, alpha=alpha)
+    return Comparison({
+        "measure": config.measure,
+        "alpha": alpha,
+        "n_series": len(series),
+        "friedman": {"statistic": fried.statistic, "p_value": fried.p_value, "reject": fried.reject},
+        "mean_ranks": posthoc.mean_ranks,
+        "critical_distance": posthoc.critical_distance,
+        "nemenyi_significant_pairs": {f"{a} vs {b}": sig for (a, b), sig in posthoc.pairwise.items()},
+        "groups": [sorted(g) for g in posthoc.groups],
+        "pairwise": pair_details,
+        "adjusted_p": {f"{a} vs {b}": p for (a, b), p in adjusted.pairwise.items()},
+        "adjust_method": config.adjust,
+    }, table, layout)

@@ -17,6 +17,7 @@ import forevalkit.io
 import forevalkit.report
 from forevalkit import (
     CharacteristicProfile,
+    CompareConfig,
     DataValidationError,
     Dataset,
     DgpSpec,
@@ -26,6 +27,7 @@ from forevalkit import (
     TimeSeries,
     ValidationError,
     benchmark_frame,
+    compare_models,
     diebold_mariano,
 )
 from forevalkit.cli import main
@@ -960,19 +962,26 @@ class TestCliCompare:
         out = workdir / "out"
         main(["evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"),
               str(suite), "--out", str(out)])
+        reports = forevalkit.report._read_reports([out / "report.json"])
+        scores, series = forevalkit.report._collect_scores(reports, "RMSE")
+        losses = forevalkit.report._losses_by_key(reports)
         cfg = workdir / "test.json"
-        cfg.write_text(json.dumps({"measure": "RMSE", "alpha": 0.05,
-                                   "pairwise": "wilcoxon", "adjust": "holm"}))
-        cmp_out = workdir / "cmp"
-        assert main(["compare", str(out / "report.json"), "--config", str(cfg),
-                     "--out", str(cmp_out)]) == 0
-        tests = json.loads((cmp_out / "tests.json").read_text())
-        assert "friedman" in tests and "critical_distance" in tests
-        assert (cmp_out / "cd.svg").exists() and (cmp_out / "cd.txt").exists()
-        assert "m1 vs m2" in tests["adjusted_p"]
-        ranks = (cmp_out / "ranks.csv").read_text().splitlines()
-        assert ranks[0] == "series_id,m1,m2"
-        assert ranks[-1].startswith("mean_rank,")
+        for pairwise in ("wilcoxon", "dm"):
+            # a null horizon is unset, which the Wilcoxon tests accept
+            config = {"measure": "RMSE", "alpha": 0.05, "pairwise": pairwise, "adjust": "holm", "horizon": None}
+            cfg.write_text(json.dumps(config))
+            cmp_out = workdir / pairwise
+            assert main(["compare", str(out / "report.json"), "--config", str(cfg),
+                         "--out", str(cmp_out)]) == 0
+            tests = json.loads((cmp_out / "tests.json").read_text())
+            assert "friedman" in tests and "critical_distance" in tests
+            assert (cmp_out / "cd.svg").exists() and (cmp_out / "cd.txt").exists()
+            assert "m1 vs m2" in tests["adjusted_p"]
+            ranks = (cmp_out / "ranks.csv").read_text().splitlines()
+            assert ranks[0] == "series_id,m1,m2"
+            assert ranks[-1].startswith("mean_rank,")
+            # the library call on the report's scores and losses, in memory
+            assert compare_models(scores, series, losses, CompareConfig(**config)).tests == tests
 
     def test_single_model_rejected(self, workdir):
         out = workdir / "out"
@@ -1670,13 +1679,14 @@ class TestCliInputErrors:
     @pytest.mark.parametrize("config, fragment", [
         ({"pairwise": "DM"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'DM'"),
         ({"pairwise": "signed-rank"}, "'pairwise' must be 'wilcoxon' or 'dm', got 'signed-rank'"),
-        ({"alpha": "0.05x"}, "'alpha' must be a number, got '0.05x'"),
-        ({"pairwise": "dm", "horizon": "two"}, "'horizon' must be an integer, got 'two'"),
+        ({"alpha": "0.05x"}, "compare config alpha must be a number, got '0.05x'"),
+        ({"pairwise": "dm", "horizon": "two"}, "compare config horizon must be an integer, got 'two'"),
         ({"pairwsie": "dm"}, "compare config has unknown key 'pairwsie'"),
-        ({"measure": 5}, "error: unknown measure 5; known: ME, "),
-        ({"measure": ["RMSE"]}, "error: unknown measure ['RMSE']; known: ME, "),
+        ({"measure": 5}, "error: compare config measure must be a string, got 5"),
+        ({"measure": ["RMSE"]}, "error: compare config measure must be a string, got ['RMSE']"),
         ({"pairwise": "wilcoxon", "horizon": 12}, "'horizon' is read only by the 'dm' pairwise test"),
         ({"horizon": 12}, "'horizon' is read only by the 'dm' pairwise test"),
+        ({"measure": "rmse"}, "error: unknown measure 'rmse'; known: ME, "),
     ])
     @pytest.mark.filterwarnings("ignore:post-hoc comparison requested")
     def test_malformed_compare_config(self, workdir, capsys, config, fragment):

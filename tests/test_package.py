@@ -1,7 +1,6 @@
 """The package namespace, the names the benchmark's tracer wraps, which of its
 modules each CLI subcommand runs, and the README's code."""
 
-import gc
 import importlib.util
 import json
 import re
@@ -15,17 +14,17 @@ import forevalkit
 
 # the public names of each submodule
 PUBLIC = {
-    "core": ["DataValidationError", "Dataset", "EmbeddedMatrix", "EvaluationFrame", "Forecaster",
-             "ForevalError", "InsufficientHistoryError", "TimeSeries", "ValidationError",
-             "benchmark_frame", "embed"],
+    "checks": ["DataValidationError", "ForevalError", "InsufficientHistoryError", "ValidationError"],
+    "core": ["Dataset", "EmbeddedMatrix", "EvaluationFrame", "Forecaster", "TimeSeries", "benchmark_frame",
+             "embed"],
     "measures": ["MeasureResult", "MeasureSpec", "RankTable", "UndefinedPolicy", "UndefinedValueError",
                  "WeightVector", "critical_event_percentage", "evaluate", "measure_names",
                  "percentage_better", "rank_models", "spec_for", "summarize"],
     "partition": ["Fold", "FoldRanges", "LeakageError", "LeakageReport", "SplitSpec", "blocked_splits",
                   "kfold_splits", "leakage_check", "leakage_checks", "splits_for_series"],
-    "stats": ["CdLayout", "PostHocResult", "TestResult", "cd_diagram_data", "diebold_mariano",
-              "friedman", "ljung_box", "nemenyi_cd", "p_adjust", "render_cd_svg", "render_cd_text",
-              "wilcoxon_rank_sum"],
+    "stats": ["CdLayout", "CompareConfig", "Comparison", "PostHocResult", "TestResult", "cd_diagram_data",
+              "compare_models", "diebold_mariano", "friedman", "ljung_box", "nemenyi_cd", "p_adjust",
+              "render_cd_svg", "render_cd_text", "wilcoxon_rank_sum"],
     "advisor": ["CharacteristicProfile", "PartitioningAdvice", "Recommendation", "RuleTable",
                 "intermittency_hint", "load_rule_table", "recommend_measures", "recommend_partitioning"],
     "synth": ["DgpSpec", "OutlierInjection", "derive_seed", "generate", "inject_outliers"],
@@ -36,7 +35,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 class TestNamespace:
     def test_all_is_the_public_names(self):
-        assert len(NAMES) == 63
+        assert len(NAMES) == 66
         assert forevalkit.__all__ == NAMES
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])
@@ -174,6 +173,13 @@ class TestStartup:
                              env=subprocess_env).stdout
         assert out == "[] False\n"
 
+    def test_exceptions_load_no_numpy(self, subprocess_env):
+        code = ("import sys, forevalkit; forevalkit.ForevalError, forevalkit.ValidationError, "
+                "forevalkit.DataValidationError, forevalkit.InsufficientHistoryError; print('numpy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                             env=subprocess_env).stdout
+        assert out == "False\n"
+
     def test_missing_numpy_is_named(self):
         # -I -S hide site-packages, so the child finds forevalkit but not numpy;
         # -B keeps it from writing __pycache__ next to the sources
@@ -193,19 +199,6 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", IMPORT_CLI, str(enabled)], check=True, capture_output=True,
                              text=True, env=subprocess_env).stdout
         assert out.splitlines()[-1] == f"0 True {enabled}"
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_failed_import_restores_the_collector(self, monkeypatch, enabled):
-        monkeypatch.delitem(sys.modules, "forevalkit.cli", raising=False)  # loaded or not
-        monkeypatch.setitem(sys.modules, "forevalkit.checks", None)  # ``from .checks import`` fails
-        was = gc.isenabled()
-        gc.enable() if enabled else gc.disable()
-        try:
-            with pytest.raises(ImportError, match="forevalkit.checks"):
-                importlib.import_module("forevalkit.cli")
-            assert gc.isenabled() is enabled
-        finally:
-            gc.enable() if was else gc.disable()
 
     def test_each_subcommand_runs_only_its_modules(self, inputs, subprocess_env):
         def run(*argv):  # (exit code, modules run, whether scipy was imported, whether numpy was)

@@ -1,5 +1,5 @@
-"""Every field of a split spec and of a DGP spec is read, and each holds a value
-of its declared type."""
+"""Every field of a split spec, a DGP spec and a compare config is read, and each
+holds a value of its declared type."""
 
 import dataclasses
 from unittest import mock
@@ -7,8 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from forevalkit import (CharacteristicProfile, DgpSpec, Forecaster, OutlierInjection, SplitSpec,
-                        ValidationError, generate, splits_for_series)
+from forevalkit import (CharacteristicProfile, CompareConfig, DgpSpec, Forecaster, OutlierInjection, SplitSpec,
+                        ValidationError, compare_models, generate, splits_for_series)
 from forevalkit import checks
 
 # SplitSpec field -> (a spec, another value of that field alone): the two specs
@@ -50,6 +50,21 @@ DGP_CASES = {
     "series_id": ({}, "x"),
 }
 
+# CompareConfig field -> (a config, another value of that field alone): the two
+# configs give compare_models different tests on the scores and losses below, or
+# only one of them is valid.
+COMPARE_CASES = {
+    "measure": ({}, "CORR"),  # higher is better: the ranks flip
+    "alpha": ({}, 0.10),
+    "horizon": ({"pairwise": "dm"}, 2),
+    "adjust": ({}, "hochberg"),
+    "pairwise": ({}, "dm"),
+}
+_SCORES = {"m1": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "m2": [1.5, 2.5, 3.5, 5.0, 7.0, 6.5],
+           "m3": [3.0, 2.75, 4.0, 6.0, 8.0, 9.0]}
+_LOSSES = {m: np.array([0.5, 1.0, 4.0, 2.0, 0.25, 3.0, 1.5, 6.0]) * (j + 1) + np.arange(8.0) ** j
+           for j, m in enumerate(_SCORES)}
+
 
 def _folds(spec: dict):
     try:
@@ -67,7 +82,17 @@ def _series(spec: dict):
     return s.id, s.values.tolist()
 
 
-@pytest.mark.parametrize("cls, cases", [(SplitSpec, SPLIT_CASES), (DgpSpec, DGP_CASES)])
+def _tests(spec: dict):
+    """The tests compare_models computes, without the settings it echoes."""
+    try:
+        tests = compare_models(_SCORES, [f"s{i}" for i in range(6)], _LOSSES, CompareConfig(**spec)).tests
+    except ValidationError as exc:
+        return str(exc)
+    return {k: v for k, v in tests.items() if k not in ("measure", "alpha", "adjust_method")}
+
+
+@pytest.mark.parametrize("cls, cases", [(SplitSpec, SPLIT_CASES), (DgpSpec, DGP_CASES),
+                                        (CompareConfig, COMPARE_CASES)])
 def test_each_field_has_a_case(cls, cases):
     assert list(cases) == [f.name for f in dataclasses.fields(cls)]
 
@@ -75,6 +100,7 @@ def test_each_field_has_a_case(cls, cases):
 @pytest.mark.parametrize("cls, cases, outcome, name", [
     *((SplitSpec, SPLIT_CASES, _folds, f.name) for f in dataclasses.fields(SplitSpec)),
     *((DgpSpec, DGP_CASES, _series, f.name) for f in dataclasses.fields(DgpSpec)),
+    *((CompareConfig, COMPARE_CASES, _tests, f.name) for f in dataclasses.fields(CompareConfig)),
 ])
 def test_each_field_is_read(cls, cases, outcome, name):
     if name not in cases:
@@ -92,6 +118,7 @@ class TestFieldTypes:
         assert spec.ar_coefficients == (0.5,)
         assert SplitSpec(scheme="fixed-origin", initial_train=np.int32(5)).initial_train == 5
         assert Forecaster("seasonal-naive", np.int64(4)).period == 4
+        assert type(CompareConfig(alpha=np.float32(0.05)).alpha) is float
 
     @pytest.mark.parametrize("make, message", [
         (lambda: DgpSpec(kind="random-walk", length=10, seed=1, noise_sd=True),
@@ -111,6 +138,11 @@ class TestFieldTypes:
          "outlier injection magnitude must be a number, got '10'"),
         (lambda: OutlierInjection(indices=(True,)),
          "outlier injection indices must be a list of integers, got (True,)"),
+        (lambda: CompareConfig(measure=None), "compare config measure must be a string, got None"),
+        (lambda: CompareConfig(alpha=True), "compare config alpha must be a number, got True"),
+        (lambda: CompareConfig(pairwise="dm", horizon=2.0), "compare config horizon must be an integer, got 2.0"),
+        (lambda: CompareConfig(adjust=["holm"]), "compare config adjust must be a string, got ['holm']"),
+        (lambda: CompareConfig(pairwise=1), "compare config pairwise must be a string, got 1"),
     ])
     def test_wrong_type_names_the_field(self, make, message):
         with pytest.raises(ValidationError) as exc:
