@@ -28,8 +28,7 @@ _SOURCE = {name: module for module, names in {
     "checks": "DataValidationError ForevalError InsufficientHistoryError ValidationError",
     "core": "Dataset EmbeddedMatrix EvaluationFrame Forecaster TimeSeries benchmark_frame embed",
     "measures": "MeasureResult MeasureSpec RankTable UndefinedPolicy UndefinedValueError "
-                "WeightVector critical_event_percentage evaluate measure_names percentage_better "
-                "rank_models spec_for summarize",
+                "WeightVector evaluate measure_names rank_models spec_for",
     "partition": "Fold FoldRanges LeakageError LeakageReport SplitSpec blocked_splits kfold_splits "
                  "leakage_check leakage_checks splits_for_series",
     "stats": "CdLayout CompareConfig Comparison PostHocResult TestResult cd_diagram_data compare_models "

@@ -285,8 +285,9 @@ class EmbeddedMatrix:
     """Lag-matrix form of a series for an autoregression of order p.
 
     Row i (1-based) holds y_i..y_{i+p-1} as predictors and y_{i+p} as the
-    target, so a length-n series yields exactly n - p rows and every row is a
-    window of p + 1 consecutive observations.
+    target, so a length-n series yields exactly n - p rows and row i is the
+    window of positions i..i+p. ``olsar.fit_ar`` fits on these rows, and
+    ``kfold_splits`` and ``blocked_splits`` cut them into folds.
     """
 
     series_id: str
@@ -301,16 +302,6 @@ class EmbeddedMatrix:
     @property
     def n_rows(self) -> int:
         return self.targets.size
-
-    def row_span(self, row: int) -> tuple[int, int]:
-        """Original 1-based (start, end) position range of a row; a helper outside the registry and the CLI."""
-        if not 1 <= row <= self.n_rows:
-            raise ValidationError(f"row {row} out of range (1..{self.n_rows})")
-        return row, row + self.order
-
-    def reassemble(self) -> np.ndarray:
-        """Reconstruct the original series values from the rows; a helper outside the registry and the CLI."""
-        return np.concatenate([self.predictors[0], self.targets])
 
 
 def embed(series: TimeSeries, p: int) -> EmbeddedMatrix:

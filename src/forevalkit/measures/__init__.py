@@ -1,13 +1,7 @@
-"""Point-forecast error measures: registry, engine, and rank/count scores."""
+"""Point-forecast error measures: the registry, the engine that reads it, and model ranking."""
 
 from .engine import MeasureResult, UndefinedValueError, WeightVector, evaluate
-from .ranking import (
-    RankTable,
-    critical_event_percentage,
-    percentage_better,
-    rank_models,
-    summarize,
-)
+from .ranking import RankTable, rank_models
 from .registry import REGISTRY, MeasureSpec, UndefinedPolicy, measure_names, spec_for
 
 __all__ = [
@@ -18,11 +12,8 @@ __all__ = [
     "UndefinedPolicy",
     "UndefinedValueError",
     "WeightVector",
-    "critical_event_percentage",
     "evaluate",
     "measure_names",
-    "percentage_better",
     "rank_models",
     "spec_for",
-    "summarize",
 ]

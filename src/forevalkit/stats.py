@@ -347,6 +347,13 @@ def _rank_groups(mean_ranks: dict, cd: float) -> tuple:
     return tuple(groups)
 
 
+def _warn_unless_rejected(friedman_result: TestResult | None) -> None:
+    """Warn, at the line that called this helper's caller, of a post-hoc
+    comparison after a rank test that did not reject."""
+    if friedman_result is not None and not friedman_result.reject:
+        warnings.warn("post-hoc comparison requested although the rank test did not reject", stacklevel=3)
+
+
 def nemenyi_cd(rank_table: RankTable, alpha: float = 0.05,
                friedman_result: TestResult | None = None) -> PostHocResult:
     """Critical-distance post-hoc comparison over mean ranks.
@@ -362,8 +369,7 @@ def nemenyi_cd(rank_table: RankTable, alpha: float = 0.05,
     mean_ranks, models = rank_table.mean_ranks, rank_table.models
     pairwise = {(a, b): bool(abs(mean_ranks[a] - mean_ranks[b]) > cd)
                 for i, a in enumerate(models) for b in models[i + 1:]}
-    if friedman_result is not None and not friedman_result.reject:
-        warnings.warn("post-hoc comparison requested although the rank test did not reject", stacklevel=2)
+    _warn_unless_rejected(friedman_result)
     return PostHocResult(method="nemenyi", pairwise=pairwise, alpha=alpha, mean_ranks=mean_ranks,
                          critical_distance=float(cd), groups=_rank_groups(mean_ranks, cd))
 
@@ -587,8 +593,11 @@ def compare_models(scores: dict, series: list, losses: dict | None = None,
     where it has none, as ``report._losses_by_key`` returns) are set."""
     alpha, losses = config.alpha, losses or {}
     table = rank_models(scores, ascending=not spec_for(config.measure).higher_is_better)
+    if table.n_series != len(series):
+        raise ValidationError(f"{len(series)} series ids for {table.n_series} scores per model")
     fried = friedman(table, alpha=alpha)
-    posthoc = nemenyi_cd(table, alpha=alpha, friedman_result=fried)
+    posthoc = nemenyi_cd(table, alpha=alpha)
+    _warn_unless_rejected(fried)
     layout = cd_diagram_data(posthoc)
 
     models = list(scores)
@@ -598,6 +607,9 @@ def compare_models(scores: dict, series: list, losses: dict | None = None,
     for i, a in enumerate(models):
         for b in models[i + 1:]:
             if config.pairwise == "dm":
+                if len(losses[a]) != len(losses[b]):
+                    raise ValidationError(f"pairwise DM needs losses of one length; {a!r} has {len(losses[a])}, "
+                                          f"{b!r} has {len(losses[b])}")
                 both = (losses[a] == losses[a]) & (losses[b] == losses[b])
                 if both.sum() < 4:
                     raise ValidationError("pairwise DM needs at least 4 aligned errors")

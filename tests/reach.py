@@ -41,8 +41,6 @@ ALLOWED = [
      "runs only as __main__, in a CLI child process"),
     ("forevalkit/advisor.py", "from .stats import TestResult",
      "a TYPE_CHECKING import, read by type checkers only"),
-    ("forevalkit/measures/ranking.py", "from .engine import WeightVector",
-     "a TYPE_CHECKING import, read by type checkers only"),
     ("forevalkit/measures/registry.py",
      'raise AssertionError("duplicate measure name in registry")',
      "an import-time check on the constant measure table, which runs only if the table is edited wrong"),

@@ -143,7 +143,6 @@ def _frame(models=("m",)):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: TimeSeries(id="s", values=[1.0, 2.0], timestamps=[1]), ValidationError,
      "^series 's': timestamps/values length mismatch$"),
-    (lambda: embed(ts([1, 2, 3, 4]), 2).row_span(3), ValidationError, r"^row 3 out of range \(1..2\)$"),
     (lambda: embed(ts([1, 2, 3]), 0), ValidationError, "^embedding order must be >= 1$"),
     (lambda: EvaluationFrame(["a"], [1], [1], [1.0], {}), ValidationError,
      "^evaluation frame needs at least one model$"),
@@ -418,9 +417,8 @@ class TestEmbed:
             p = int(rng.integers(1, n))
             values = rng.normal(0, 1, n)
             m = embed(ts(values), p)
-            assert np.array_equal(m.reassemble(), values)
-            assert m.row_span(1) == (1, p + 1)
-            assert m.row_span(m.n_rows) == (n - p, n)
+            assert m.n_rows == n - p
+            assert np.array_equal(np.concatenate([m.predictors[0], m.targets]), values)
 
     def test_rows_are_consecutive_windows(self, rng):
         values = rng.normal(0, 1, 20)

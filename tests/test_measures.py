@@ -11,13 +11,10 @@ from forevalkit import (
     UndefinedValueError,
     ValidationError,
     WeightVector,
-    critical_event_percentage,
     evaluate,
     measure_names,
-    percentage_better,
     rank_models,
     spec_for,
-    summarize,
 )
 
 
@@ -484,69 +481,13 @@ class TestUndefinedAccounting:
         assert r.n_undefined == 1
 
 
-class TestSummarize:
-    def test_singleton_identity(self):
-        assert summarize({"a": [7.0]}) == 7.0
-
-    def test_orderings(self):
-        values = {"a": [1.0, 3.0], "b": [2.0, 2.0]}
-        assert summarize(values, "horizon-then-series", "mean", "mean") == 2.0
-        assert summarize(values, "pooled", "mean") == 2.0
-        assert summarize(values, "horizon-then-series", "mean", "median") == 2.0
-        assert summarize(values, "series-then-horizon", "mean", "mean") == 2.0
-
-    def test_geometric_requires_nonnegative(self):
-        with pytest.raises(ValidationError):
-            summarize({"a": [-1.0, 2.0]}, "pooled", "geometric-mean")
-
-    def test_series_weights(self):
-        values = {"a": [2.0], "b": [4.0]}
-        w = WeightVector(axis="series", weights={"a": 3.0, "b": 1.0})
-        assert summarize(values, "horizon-then-series", "mean", "mean", weights=w) == 2.5
-
-    def test_series_weights_pooled(self):
-        # each value takes its series' weight: (1 + 3 + 2 * 10) / 4
-        w = WeightVector(axis="series", weights={"a": 1.0, "b": 2.0})
-        assert summarize({"a": [1.0, 3.0], "b": [10.0]}, "pooled", weights=w) == 6.0
-
-    def test_weighted_median_is_the_lower_weighted_median(self):
-        # sorted values 1, 2, 3, 10: equal weights reach half the total (2) at 2,
-        # not at the midpoint 2.5; weights 1, 1, 5, 1 reach half (4) at 3
-        values = {"a": [3.0, 1.0, 2.0, 10.0]}
-        equal = WeightVector(axis="step", weights={1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0})
-        heavy = WeightVector(axis="step", weights={1: 5.0, 2: 1.0, 3: 1.0, 4: 1.0})
-        assert summarize(values, "pooled", "median", weights=equal) == 2.0
-        assert summarize(values, "pooled", "median", weights=heavy) == 3.0
-
-    def test_weighted_geometric_mean(self):
-        # exp((1 ln 1 + 2 ln 4 + 1 ln 16) / 4) = 4; a zero value makes it 0
-        w = WeightVector(axis="step", weights={1: 1.0, 2: 2.0, 3: 1.0})
-        assert (summarize({"a": [1.0, 4.0, 16.0]}, "pooled", "geometric-mean", weights=w)
-                == pytest.approx(4.0, rel=1e-15))
-        assert summarize({"a": [1.0, 0.0, 16.0]}, "pooled", "geometric-mean", weights=w) == 0.0
-
-    def test_step_weights_in_every_order(self):
-        values = {"a": [1.0, 2.0, 4.0], "b": [8.0, 16.0, 0.5]}
-        w = WeightVector(axis="step", weights={1: 1.0, 2: 2.0, 3: 5.0})
-        assert summarize(values, "pooled", weights=w) == (1 + 4 + 20 + 8 + 32 + 2.5) / 16
-        assert summarize(values, "horizon-then-series", weights=w) == ((1 + 4 + 20) / 8 + (8 + 32 + 2.5) / 8) / 2
-        assert summarize(values, "series-then-horizon", weights=w) == (4.5 + 2 * 9.0 + 5 * 2.25) / 8
-        short = WeightVector(axis="step", weights={1: 1.0, 2: 2.0})
-        for order in ("pooled", "horizon-then-series", "series-then-horizon"):
-            with pytest.raises(ValidationError, match="^no weight for step 3$"):
-                summarize(values, order, weights=short)
-
+class TestWeights:
     def test_one_message_for_a_missing_weight(self):
-        # evaluate's per-row weights, summarize's series weights and its step weights
+        # a series weight and a step weight missing from evaluate's per-row weights
         f = two_series([1.0, 2.0], [1.5, 2.5], [3.0], [2.0])
-        for weights, label, call in (
-                ({"a": 1.0}, "series 'b'", lambda w: evaluate("WMAE", f, weights=w)),
-                ({"a": 1.0}, "series 'b'", lambda w: summarize({"a": [1.0], "b": [2.0]}, weights=w)),
-                ({1: 1.0}, "step 2", lambda w: summarize({"a": [1.0, 2.0]}, weights=w)),
-                ({1: 1.0}, "step 2", lambda w: evaluate("WMAE", f, weights=w))):
-            w = WeightVector("step" if label.startswith("step") else "series", weights)
+        for axis, weights, label in (("series", {"a": 1.0}, "series 'b'"), ("step", {1: 1.0}, "step 2")):
             with pytest.raises(ValidationError, match=f"^no weight for {re.escape(label)}$"):
-                call(w)
+                evaluate("WMAE", f, weights=WeightVector(axis, weights))
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_weight_rejected(self, bad):
@@ -557,39 +498,19 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="^weights must be finite, non-negative and not all zero$"):
             evaluate("WMAE", f, weights=[bad, 1.0, 1.0])
 
-    @pytest.mark.parametrize("op", ["mean", "median", "geometric-mean"])
-    @pytest.mark.parametrize("weights", [{"a": 0.0, "b": 1.0}, {1: 0.0, 2: 0.0, 3: 1.0}])
-    def test_weights_that_total_zero_over_the_values_rejected(self, op, weights):
-        # the vector has a non-zero weight, but not on a summarised label: a mean of
-        # 0 / 0, and a median that would take the smallest value
-        w = WeightVector("step" if 1 in weights else "series", weights)
-        with pytest.raises(ValidationError, match="^the weights of the summarised values total zero$"):
-            summarize({"a": [1.0, 2.0]}, "pooled", op, weights=w)
-
-    def test_ragged_series_then_horizon_rejected(self):
-        with pytest.raises(ValidationError):
-            summarize({"a": [1.0], "b": [1.0, 2.0]}, "series-then-horizon")
-
 
 _TWO = EvaluationFrame(["a", "a", "b"], [10] * 3, [1, 2, 1], [1.0, 2.0, 3.0],
                        {"m": np.array([1.5, 2.5, 2.0]), "n": np.array([1.0, 2.0, 2.5])})
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: summarize({"a": [1.0]}, "pooled", "mode"), "^unknown operator 'mode'; expected one of"),
-    (lambda: summarize({}), "^no values to summarise$"),
-    (lambda: summarize({"a": [1.0], "b": []}), "^empty per-series value sequence$"),
-    (lambda: summarize({"a": [1.0]}, "series-first"), "^unknown aggregation order 'series-first'; expected"),
     (lambda: rank_models({"A": [1.0]}), "^ranking needs at least two models$"),
     (lambda: rank_models({"A": [], "B": []}), "^ranking needs at least one series$"),
     (lambda: rank_models({"A": [1.0, np.nan], "B": [2.0, 1.0]}), r"^cannot rank undefined \(NaN\) scores$"),
-    (lambda: percentage_better([], []), "^percentage-better needs non-empty aligned value collections$"),
-    (lambda: percentage_better([1.0, 2.0], [1.0]), "^percentage-better needs non-empty aligned value collections$"),
-    (lambda: critical_event_percentage([], 1.0), "^critical-event percentage needs a non-empty value collection$"),
     (lambda: WeightVector("row", {1: 1.0}), "^weight axis must be 'series' or 'step'$"),
     (lambda: WeightVector("step", {}), "^weight vector is empty$"),
     (lambda: WeightVector("step", {1: 0.0, 2: 0.0}), "^weights must not all be zero$"),
-    # a one-element array passed every other check, and summarize broadcast it to a wrong value
+    # a one-element array passed every other check, and made WeightVector.of return a column, not a vector
     (lambda: WeightVector("series", {"a": np.array([1.0]), "b": np.array([1.0])}),
      "^each weight must be one finite non-negative number$"),
     (lambda: evaluate("MASE", _TWO, model="m", train={"a": [1.0, 2.0, 4.0]}),
@@ -629,13 +550,6 @@ class TestRanking:
     def test_mismatched_series_rejected(self):
         with pytest.raises(ValidationError):
             rank_models({"A": [1.0, 2.0], "B": [1.0]})
-
-    def test_percentage_better(self):
-        assert percentage_better([1, 1, 1, 1], [2, 2, 2, 2]) == 100.0
-        assert percentage_better([1, 1, 1, 3], [2, 2, 2, 2]) == 75.0
-
-    def test_critical_event(self):
-        assert critical_event_percentage([0.5, 1.5, 2.5], 1.0) == pytest.approx(200 / 3)
 
 
 class TestBreakdown:
@@ -806,36 +720,6 @@ class TestBreakdownConsistency:
                             train=train, policy=sub_policy).value
             assert (math.isnan(got) and math.isnan(want)) or math.isclose(
                 got, want, rel_tol=1e-12, abs_tol=0.0), (sid, got, want)
-
-
-def _error_frame(errors: dict) -> EvaluationFrame:
-    """A frame whose errors are ``errors`` (series id -> per-step errors), rows
-    in dict order: actuals are the errors and every forecast is 0."""
-    sids = [sid for sid, e in errors.items() for _ in e]
-    steps = [k for e in errors.values() for k in range(1, len(e) + 1)]
-    actuals = np.concatenate([np.asarray(e, dtype=float) for e in errors.values()])
-    return EvaluationFrame(sids, [10] * len(sids), steps, actuals, {"m": np.zeros(actuals.size)})
-
-
-class TestSummarizeMatchesEvaluate:
-    """``summarize`` and ``evaluate`` share one summariser per operator, to the last bit."""
-
-    MEASURE = {"mean": "MAE", "median": "MdAE", "geometric-mean": "GMAE"}
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(_VALUE, min_size=1, max_size=6), min_size=1, max_size=5))
-    def test_pooled_and_horizon_then_series(self, errors):
-        errors = {f"s{j}": e for j, e in enumerate(errors)}
-        fr = _error_frame(errors)
-        absolute = {sid: np.abs(e) for sid, e in errors.items()}
-        for op_h, name_h in self.MEASURE.items():
-            result = evaluate(name_h, fr)
-            assert summarize(absolute, "pooled", op_h) == result.value
-            # evaluate's per-series values, summarised over series by evaluate again
-            per_series = _error_frame({"all": list(result.per_series.values())})
-            for op_s, name_s in self.MEASURE.items():
-                assert (summarize(absolute, "horizon-then-series", op_h, op_s)
-                        == evaluate(name_s, per_series).value), (op_h, op_s)
 
 
 def _pearson(y, f):

@@ -18,8 +18,7 @@ PUBLIC = {
     "core": ["Dataset", "EmbeddedMatrix", "EvaluationFrame", "Forecaster", "TimeSeries", "benchmark_frame",
              "embed"],
     "measures": ["MeasureResult", "MeasureSpec", "RankTable", "UndefinedPolicy", "UndefinedValueError",
-                 "WeightVector", "critical_event_percentage", "evaluate", "measure_names",
-                 "percentage_better", "rank_models", "spec_for", "summarize"],
+                 "WeightVector", "evaluate", "measure_names", "rank_models", "spec_for"],
     "partition": ["Fold", "FoldRanges", "LeakageError", "LeakageReport", "SplitSpec", "blocked_splits",
                   "kfold_splits", "leakage_check", "leakage_checks", "splits_for_series"],
     "stats": ["CdLayout", "CompareConfig", "Comparison", "PostHocResult", "TestResult", "cd_diagram_data",
@@ -35,7 +34,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 class TestNamespace:
     def test_all_is_the_public_names(self):
-        assert len(NAMES) == 66
+        assert len(NAMES) == 63
         assert forevalkit.__all__ == NAMES
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])
@@ -230,9 +229,8 @@ class TestStartup:
                                    [[False, False, True], [True, False, False], [True, True, False]], True]
 
 
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                           (REPO / "README.md").read_text(),
-                           re.MULTILINE | re.DOTALL)
+README = (REPO / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
 
 
 class TestReadme:
@@ -242,3 +240,7 @@ class TestReadme:
     @pytest.mark.parametrize("block", range(len(README_BLOCKS)))
     def test_python_block_runs(self, block):
         exec(compile(README_BLOCKS[block], f"README.md python block {block}", "exec"), {})
+
+    def test_public_name_count(self):
+        counts = re.findall(r"`forevalkit\.__all__`\s+lists\s+the\s+(\d+)\s+public\s+names", README)
+        assert counts == [str(len(forevalkit.__all__))]

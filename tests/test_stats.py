@@ -11,8 +11,10 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
 from forevalkit import (
+    CompareConfig,
     ValidationError,
     cd_diagram_data,
+    compare_models,
     diebold_mariano,
     friedman,
     ljung_box,
@@ -206,6 +208,10 @@ class TestWilcoxon:
     (lambda: p_adjust({("A", "B"): 0.5}, "bonferroni"), "unknown adjustment method 'bonferroni'"),
     (lambda: cd_diagram_data(PostHocResult("holm", {("A", "B"): 0.5}, 0.05)),
      "cd_diagram_data needs a post-hoc result with mean ranks"),
+    (lambda: compare_models({"a": [1, 2, 3], "b": [2, 3, 4]}, ["s1"]), "^1 series ids for 3 scores per model$"),
+    (lambda: compare_models({"a": np.arange(6), "b": np.arange(1, 7)}, [f"s{i}" for i in range(6)],
+                            {"a": np.ones(5), "b": np.ones(6)}, CompareConfig(pairwise="dm")),
+     "^pairwise DM needs losses of one length; 'a' has 5, 'b' has 6$"),
 ])
 def test_malformed_input_rejected(call, message):
     with pytest.raises(ValidationError, match=message):
@@ -304,6 +310,15 @@ class TestNemenyi:
         assert top in r.groups and bottom in r.groups
         assert r.pairwise[("A", "D")] and r.pairwise[("C", "F")]
         assert not r.pairwise[("A", "B")]
+
+    def test_warning_names_the_calling_line(self):
+        scores = {"A": [1.0, 2.0, 1.0], "B": [2.0, 1.0, 2.0]}
+        t = rank_models(scores)
+        for call in (lambda: nemenyi_cd(t, friedman_result=friedman(t)),
+                     lambda: compare_models(scores, ["s1", "s2", "s3"])):
+            with pytest.warns(UserWarning, match="did not reject") as caught:
+                call()
+            assert [w.filename for w in caught] == [__file__]
 
 
 class TestPAdjust:
