@@ -27,7 +27,7 @@ if importlib.util.find_spec("numpy") is None:
 _SOURCE = {name: module for module, names in {
     "checks": "DataValidationError ForevalError InsufficientHistoryError ValidationError",
     "core": "Dataset EmbeddedMatrix EvaluationFrame Forecaster TimeSeries benchmark_frame embed",
-    "measures": "MeasureResult MeasureSpec RankTable UndefinedPolicy UndefinedValueError "
+    "measures": "MeasureResult MeasureSpec RankTable SuiteConfig UndefinedPolicy UndefinedValueError "
                 "WeightVector evaluate measure_names rank_models spec_for",
     "partition": "Fold FoldRanges LeakageError LeakageReport SplitSpec blocked_splits kfold_splits "
                  "leakage_check leakage_checks splits_for_series",

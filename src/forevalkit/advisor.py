@@ -60,6 +60,8 @@ class CharacteristicProfile:
     outliers (the checklist's default reading) and capturing them, which
     flips the outlier column's polarity. Each field must hold a value of its
     declared type: the flags ``true`` or ``false``, ``structural_breaks`` a list.
+    Only ``recommend_partitioning`` reads ``series_lengths`` and ``model_class``,
+    so a ``model_class`` needs ``series_lengths``.
     """
 
     stationary_count_data: bool = False
@@ -74,6 +76,8 @@ class CharacteristicProfile:
     need_cross_series_comparability: bool = False
     need_benchmark_interpretability: bool = False
     scale_meaningful: bool = True
+    series_lengths: float | tuple[float, ...] | None = None
+    model_class: str | None = None
 
     def __post_init__(self):
         check_fields(self, "profile")
@@ -86,29 +90,23 @@ class CharacteristicProfile:
         object.__setattr__(self, "structural_breaks", breaks)
         if self.outlier_preference not in ("robust", "capture"):
             raise ValidationError("outlier_preference must be 'robust' or 'capture'")
+        if isinstance(self.series_lengths, list):
+            object.__setattr__(self, "series_lengths", tuple(self.series_lengths))
+        if self.model_class is not None:
+            _check_model_class(self.model_class)
+            if self.series_lengths is None:
+                raise ValidationError("profile 'model_class' is read only with 'series_lengths', for partitioning "
+                                      "advice; add series_lengths")
 
     def active_characteristics(self) -> list[str]:
-        active = []
-        if self.stationary_count_data:
-            active.append("stationary_count_data")
-        if self.seasonality:
-            active.append("seasonality")
-        if self.trend != "none":
-            active.append("trend")
-        if self.unit_roots:
-            active.append("unit_roots")
-        if self.heteroscedasticity:
-            active.append("heteroscedasticity")
-        for loc, col in (("in_horizon", "break_in_horizon"),
-                         ("in_training", "break_in_training"),
-                         ("at_origin", "break_at_origin")):
-            if loc in self.structural_breaks:
-                active.append(col)
-        if self.intermittency:
-            active.append("intermittency")
-        if self.outliers:
-            active.append("outliers")
-        return active
+        """The rule table's characteristic columns this profile declares, in the table's order."""
+        declared = {"stationary_count_data": self.stationary_count_data, "seasonality": self.seasonality,
+                    "trend": self.trend != "none", "unit_roots": self.unit_roots,
+                    "heteroscedasticity": self.heteroscedasticity,
+                    **{f"break_{at}": at in self.structural_breaks for at in ("in_horizon", "in_training",
+                                                                                "at_origin")},
+                    "intermittency": self.intermittency, "outliers": self.outliers}
+        return [column for column, active in declared.items() if active]
 
     @classmethod
     def from_json(cls, text: str) -> "CharacteristicProfile":

@@ -31,23 +31,19 @@ def json_object(text: str, what: str) -> dict:
     """Parse a JSON object; bad JSON or another JSON type is a ``ValidationError``."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past Python's digit limit, or deep nesting
         raise ValidationError(f"{what} JSON does not parse: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{what} JSON must be an object")
     return data
 
 
-def reject_unknown(config: dict, allowed: tuple, what: str) -> None:
-    """A key of ``config`` outside ``allowed`` is a ``ValidationError``, so a misspelt key is not ignored."""
-    unknown = [k for k in config if k not in allowed]
-    if unknown:
-        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; allowed keys are {list(allowed)}")
-
-
 def from_fields(cls, data: dict, what: str):
-    """Dataclass ``cls`` from a parsed JSON object; an unknown or missing field is a ``ValidationError``."""
-    reject_unknown(data, tuple(f.name for f in fields(cls)), what)
+    """Dataclass ``cls`` from a parsed JSON object; a key that names no field (so a misspelt
+    key is not ignored) and a missing field are each a ``ValidationError``."""
+    allowed = [f.name for f in fields(cls)]
+    if unknown := [k for k in data if k not in allowed]:
+        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; allowed keys are {allowed}")
     try:
         return cls(**data)
     except TypeError as exc:
@@ -67,15 +63,16 @@ _TYPES = {bool: ((bool,), ("bool_",), "true or false", "booleans"),
 def _type_check(hint) -> tuple:
     """``(classes, predicate, description)`` for values of type ``hint``: a ``_TYPES`` key,
     a union (``X | None`` lets None through), or ``tuple[X, ...]`` or ``frozenset[X]``, given
-    as a list or tuple of X values (the frozenset also as a set). A value whose exact class
-    is in ``classes`` passes without the slower ``predicate``."""
+    as a list or tuple of X values (the frozenset also as a set), X a ``_TYPES`` key or a union
+    of them. A value whose exact class is in ``classes`` passes without the slower ``predicate``."""
     args, origin = typing.get_args(hint), typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
         classes, oks, what = zip(*(_type_check(a) for a in args if a is not type(None)))
         none = {type(None)} if len(oks) < len(args) else set()
         return frozenset(none).union(*classes), lambda v: any(ok(v) for ok in oks), " or ".join(what)
     if origin:
-        each, several = _type_check(args[0])[1], _TYPES[args[0]][3]
+        each = _type_check(args[0])[1]
+        several = " or ".join(_TYPES[a][3] for a in typing.get_args(args[0]) or args[:1])
         seq = (list, tuple) if origin is tuple else (list, tuple, set, frozenset)
         return frozenset(), lambda v: isinstance(v, seq) and all(map(each, v)), f"a list of {several}"
     accepted, numpy_names, what, _ = _TYPES[hint]

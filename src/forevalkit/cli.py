@@ -53,7 +53,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 # The one-thread pin must come before numpy's first import, which a command
@@ -64,8 +64,7 @@ if "numpy" not in sys.modules and not os.environ.keys() & {
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__
-from .checks import (DataValidationError, InsufficientHistoryError, ValidationError, check_type, from_fields,
-                     json_object, reject_unknown)
+from .checks import DataValidationError, InsufficientHistoryError, ValidationError, from_fields, json_object
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,69 +119,35 @@ def _result_dict(r) -> dict:
 def cmd_evaluate(args) -> int:
     from .core import benchmark_frame
     from .io import build_frame, read_forecast_csv, read_series_csv, write_matrix_csv
-    from .measures.engine import evaluate
-    from .measures.registry import UndefinedPolicy, spec_for
+    from .measures.engine import SuiteConfig, evaluate
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    raw = _read_json(args.suite)
+    suite = from_fields(SuiteConfig, raw, "suite config")  # a bad suite is named before any data is read
     dataset = read_series_csv(args.series)
     frame = build_frame(dataset, read_forecast_csv(args.forecasts))
-    suite = _read_json(args.suite)
-    reject_unknown(suite, ("measures", "policy", "benchmark", "seasonal_period"), "suite config")
-    policy = UndefinedPolicy.parse(suite.get("policy", "propagate"))
-
-    measures = suite.get("measures")
-    if not measures or not isinstance(measures, list):
-        raise ValidationError("suite config needs a non-empty 'measures' list")
-    measures = [{"name": m} if isinstance(m, str) else m for m in measures]
-    for entry in measures:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ValidationError(
-                f"suite measures entry {entry!r} is neither a name nor an object with 'name'")
-        reject_unknown(entry, ("name", "constants", "series_summary"),
-                       f"suite measures entry {entry['name']!r}")
-
-    bench_kind, period = suite.get("benchmark"), suite.get("seasonal_period")
-    check_type("seasonal period", period, int | None)
-    if period is not None and bench_kind != "seasonal-naive":
-        raise ValidationError("suite config 'seasonal_period' is read only by the seasonal-naive benchmark; "
-                              "MASE's seasonal period is the measure's constants.seasonal_period")
-    bench_frame = None if bench_kind is None else benchmark_frame(dataset, frame, kind=bench_kind,
-                                                                  period=period)
+    bench_frame = None if suite.benchmark is None else benchmark_frame(dataset, frame, kind=suite.benchmark,
+                                                                        period=suite.seasonal_period)
 
     index = frame.series_index
     train = dataset.prefixes(index.labels, frame.origins[frame.key_order[index.starts[:-1]]])
 
-    results = []
-    errors_by_model: dict[str, dict] = {}
+    results = [evaluate(entry.name, frame, model=model, benchmark=bench_frame, train=train, policy=suite.policy,
+                        constants=entry.constants, series_summary=entry.series_summary)
+               for model in frame.models for entry in suite.entries]
     keys = list(zip(frame.series_ids.tolist(), frame.origins.tolist(), frame.steps.tolist()))
-    for model in frame.models:
-        yhat = frame.model_column(model)
-        e = frame.actuals - yhat
-        errors_by_model[model] = {"keys": keys, "errors": e.tolist()}
-        for entry in measures:
-            name = entry["name"]
-            if spec_for(name).needs_benchmark and bench_frame is None:
-                raise ValidationError(
-                    f"measure {name} needs a benchmark; set 'benchmark' in the suite config"
-                )
-            result = evaluate(
-                name, frame, model=model, benchmark=bench_frame, train=train,
-                policy=policy, constants=entry.get("constants"),
-                series_summary=entry.get("series_summary"),
-            )
-            results.append(result)
-
     report = {
-        "policy": policy,
+        "policy": suite.policy,
         "models": frame.models,
         "results": [_result_dict(r) for r in results],
-        "errors": errors_by_model,
+        "errors": {model: {"keys": keys, "errors": (frame.actuals - frame.model_column(model)).tolist()}
+                   for model in frame.models},
     }
     _write_json(out_dir / "report.json", report)
     write_matrix_csv(out_dir / "matrix.csv", frame.unique_series(), results)
     _write_manifest(out_dir, "evaluate", [Path(args.series), Path(args.forecasts), Path(args.suite)],
-                    {"suite": suite, "policy": policy}, None)
+                    {"suite": raw, "policy": suite.policy}, None)
     print(f"evaluate: {len(results)} measure results for {len(frame.models)} model(s) -> {out_dir}")
     return EXIT_OK
 
@@ -267,33 +232,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    from .advisor import (CharacteristicProfile, _check_model_class, load_rule_table, recommend_measures,
-                          recommend_partitioning)
+    from .advisor import CharacteristicProfile, load_rule_table, recommend_measures, recommend_partitioning
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _read_json(args.profile)
-    config = {"profile": dict(raw)}  # as read: identical profiles at two paths hash alike
-    reject_unknown(raw, (*(f.name for f in fields(CharacteristicProfile)), "series_lengths", "model_class"),
-                   "profile")
-    lengths = raw.pop("series_lengths", None)
-    check_type("profile series_lengths", lengths, float | tuple[float, ...] | None)
-    if "model_class" in raw:
-        _check_model_class(raw["model_class"])
-        if lengths is None:
-            raise ValidationError("profile 'model_class' is read only with 'series_lengths', for partitioning "
-                                  "advice; add series_lengths")
-    model_class = raw.pop("model_class", "unknown")
     profile = from_fields(CharacteristicProfile, raw, "profile")
     recommendation = recommend_measures(profile, load_rule_table())
-    if lengths is not None:
-        advice = recommend_partitioning(lengths, model_class=model_class)
+    if profile.series_lengths is not None:
+        advice = recommend_partitioning(profile.series_lengths, model_class=profile.model_class or "unknown")
         recommendation = replace(recommendation, partitioning_advice=advice)
     _write_json(out_dir / "recommendation.json", recommendation.to_dict())
     text = recommendation.to_text()
     (out_dir / "recommendation.txt").write_text(text)
     print(text, end="")
-    _write_manifest(out_dir, "advise", [Path(args.profile)], config, None)
+    # the profile as read: identical profiles at two paths hash alike
+    _write_manifest(out_dir, "advise", [Path(args.profile)], {"profile": raw}, None)
     return EXIT_OK
 
 

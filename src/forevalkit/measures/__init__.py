@@ -1,6 +1,6 @@
 """Point-forecast error measures: the registry, the engine that reads it, and model ranking."""
 
-from .engine import MeasureResult, UndefinedValueError, WeightVector, evaluate
+from .engine import MeasureResult, SuiteConfig, UndefinedValueError, WeightVector, evaluate
 from .ranking import RankTable, rank_models
 from .registry import REGISTRY, MeasureSpec, UndefinedPolicy, measure_names, spec_for
 
@@ -9,6 +9,7 @@ __all__ = [
     "MeasureSpec",
     "MeasureResult",
     "RankTable",
+    "SuiteConfig",
     "UndefinedPolicy",
     "UndefinedValueError",
     "WeightVector",

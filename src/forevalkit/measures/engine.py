@@ -10,7 +10,8 @@ summarised like row terms. The engine handles the policy,
 per-series scale factors computed strictly from supplied train values,
 benchmark alignment, and weighting. Summaries are ``core.Groups`` reductions: the
 pooled value is the one-group case, and every result also carries the
-measure per series from the same terms.
+measure per series from the same terms. ``SuiteConfig`` is a suite of
+measures with their settings, checked as ``evaluate`` checks them.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import (_SUMMARISERS, Dataset, EvaluationFrame, Groups, TimeSeries, ValidationError, _reduce_runs,
-                    _row_mean, check_type)
+from ..core import (_SUMMARISERS, Dataset, EvaluationFrame, Forecaster, Groups, TimeSeries, ValidationError,
+                    _reduce_runs, _row_mean, check_fields, check_type, from_fields)
 from .registry import CONSTANTS, UndefinedPolicy, spec_for
 
-__all__ = ["MeasureResult", "UndefinedValueError", "WeightVector", "evaluate"]
+__all__ = ["MeasureResult", "SuiteConfig", "UndefinedValueError", "WeightVector", "evaluate"]
 
 _GM_ZERO_FLAG = "geometric-mean-zero-term"
 _ZERO_SCALE_FLAG = "zero-scale"
@@ -418,6 +419,40 @@ _RATIOS = {
 }
 
 
+def _measure_settings(name: str, constants, series_summary) -> tuple:
+    """Measure ``name``'s registry entry and its constants, the defaults updated by ``constants``, each
+    checked by type and domain; ``series_summary`` is checked against the measure."""
+    spec = spec_for(name)
+    if constants is not None and not isinstance(constants, dict):
+        raise ValidationError(f"{name}: constants must map names to values, got {constants!r}")
+    if series_summary is not None:
+        if not isinstance(series_summary, str) or series_summary not in _SUMMARISERS:
+            raise ValidationError(f"{name}: series_summary must be one of {', '.join(_SUMMARISERS)}; "
+                                  f"got {series_summary!r}")
+        if spec.summary != "series":
+            raise ValidationError(f"{name}: series_summary is read only by per-series measures; "
+                                  f"{name} is summarised by {spec.summary!r}")
+    consts = dict(spec.constants)
+    if unknown := set(constants or ()) - set(consts):
+        raise ValidationError(f"{name}: unknown constants {sorted(unknown)}; allowed: {sorted(consts) or 'none'}")
+    consts.update(constants or ())
+    for key, value in consts.items():
+        hint, ok, domain = CONSTANTS[key]
+        check_type(f"{name} constant {key}", value, hint)
+        if not ok(value):
+            raise ValidationError(f"{name} constant {key} must be {domain}, got {value!r}")
+    if consts.get("scale_mode") == "multi-step":
+        if consts["multistep_h"] is None:
+            raise ValidationError(f"{name}: multi-step scale mode needs multistep_h >= 1")
+        if consts["seasonal_period"] is not None:
+            raise ValidationError(f"{name}: seasonal_period is not read in the multi-step scale mode, "
+                                  "which pools lags 1..multistep_h")
+    elif consts.get("multistep_h") is not None:
+        raise ValidationError(f"{name}: multistep_h is read only in the multi-step scale mode; "
+                              "set scale_mode 'multi-step'")
+    return spec, consts
+
+
 def evaluate(
     name: str,
     frame: EvaluationFrame,
@@ -459,40 +494,8 @@ def evaluate(
     and sets ``zero-scale``, but is not counted as undefined. AvgRelMAE counts
     rows too, each series' rows as defined or undefined with its ratio.
     """
-    spec = spec_for(name)
+    spec, consts = _measure_settings(name, constants, series_summary)
     policy = UndefinedPolicy.parse(policy)
-    if constants is not None and not isinstance(constants, dict):
-        raise ValidationError(f"{name}: constants must map names to values, got {constants!r}")
-    if series_summary is not None:
-        if not isinstance(series_summary, str) or series_summary not in _SUMMARISERS:
-            raise ValidationError(f"{name}: series_summary must be one of {', '.join(_SUMMARISERS)}; "
-                                  f"got {series_summary!r}")
-        if spec.summary != "series":
-            raise ValidationError(f"{name}: series_summary is read only by per-series measures; "
-                                  f"{name} is summarised by {spec.summary!r}")
-    consts = dict(spec.constants)
-    if constants:
-        unknown = set(constants) - set(consts)
-        if unknown:
-            allowed = sorted(consts) if consts else "none"
-            raise ValidationError(
-                f"{name}: unknown constants {sorted(unknown)}; allowed: {allowed}"
-            )
-        consts.update(constants)
-    for key, value in consts.items():
-        hint, ok, domain = CONSTANTS[key]
-        check_type(f"{name} constant {key}", value, hint)
-        if not ok(value):
-            raise ValidationError(f"{name} constant {key} must be {domain}, got {value!r}")
-    if consts.get("scale_mode") == "multi-step":
-        if consts["multistep_h"] is None:
-            raise ValidationError(f"{name}: multi-step scale mode needs multistep_h >= 1")
-        if consts["seasonal_period"] is not None:
-            raise ValidationError(f"{name}: seasonal_period is not read in the multi-step scale mode, "
-                                  "which pools lags 1..multistep_h")
-    elif consts.get("multistep_h") is not None:
-        raise ValidationError(f"{name}: multistep_h is read only in the multi-step scale mode; "
-                              "set scale_mode 'multi-step'")
     x = _Inputs(spec, frame, model, benchmark, train, weights, consts)
 
     if spec.terms in _STEP_TERMS:
@@ -507,3 +510,48 @@ def evaluate(
     if spec.summary == "weighted-geometric-mean":  # each row carries its series' ratio
         values, defined, series_summary = x.groups.expand(values), x.groups.expand(defined), "geometric-mean"
     return _finish(x, values, defined, series_summary or "mean", policy, per_series=per_series)
+
+
+@dataclass(frozen=True)
+class _SuiteEntry:
+    """One measure of a suite, with the ``constants`` and ``series_summary`` ``evaluate`` takes."""
+
+    name: str
+    constants: dict | None = None
+    series_summary: str | None = None
+
+    def __post_init__(self):
+        _measure_settings(self.name, self.constants, self.series_summary)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    """The keys of an ``evaluate`` suite JSON, each checked as ``evaluate`` and ``Forecaster`` check it:
+    the ``measures``, each a name or an object with a ``name`` and the ``constants`` and ``series_summary``
+    ``evaluate`` takes (``entries`` reads them), the undefined-value ``policy``, and the ``benchmark`` kind
+    for the measures that need one, whose ``seasonal_period`` only ``seasonal-naive`` reads."""
+
+    measures: tuple[str | dict, ...]
+    policy: str = UndefinedPolicy.PROPAGATE
+    benchmark: str | None = None
+    seasonal_period: int | None = None
+
+    def __post_init__(self):
+        UndefinedPolicy.parse(self.policy)
+        check_fields(self, "suite config")
+        object.__setattr__(self, "measures", tuple(self.measures))
+        if not self.measures:
+            raise ValidationError("suite config needs a non-empty 'measures' list")
+        if self.seasonal_period is not None and self.benchmark != "seasonal-naive":
+            raise ValidationError("suite config 'seasonal_period' is read only by the seasonal-naive benchmark; "
+                                  "MASE's seasonal period is the measure's constants.seasonal_period")
+        if self.benchmark is not None:
+            Forecaster(self.benchmark, self.seasonal_period)
+        for entry in self.entries:
+            if spec_for(entry.name).needs_benchmark and self.benchmark is None:
+                raise ValidationError(f"measure {entry.name} needs a benchmark; set 'benchmark' in the suite config")
+
+    @cached_property
+    def entries(self) -> tuple[_SuiteEntry, ...]:
+        entries = ({"name": m} if isinstance(m, str) else m for m in self.measures)
+        return tuple(from_fields(_SuiteEntry, m, f"suite measures entry {m.get('name', m)!r}") for m in entries)

@@ -8,7 +8,8 @@ their seeds with ``derive_seed``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,8 +31,21 @@ _KINDS = (
 
 _ADDITIVE = ("linear-trend", "seasonal", "heteroscedastic", "structural-break", "composite")
 
+# the largest ``lam`` numpy's ``Generator.poisson`` takes, and a length whose float64 arrays numpy can
+# size with room for an autoregression's burn-in: past it numpy raises "Maximum allowed size exceeded"
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+_MAX_LENGTH = np.iinfo(np.intp).max // 16
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
+
+
+def _finite(x) -> bool:
+    """Whether number ``x`` is finite as a float: an int past the float range is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def derive_seed(master_seed: int, stream_id: int) -> int:
@@ -55,6 +69,7 @@ class DgpSpec:
     seasonal component, level shift and (optionally ramped) noise; each
     kind reads every one of those fields. Each field must hold
     a value of its declared type; ``ar_coefficients`` may be given as a list.
+    Each number field must be finite, and ``demand_rate`` in numpy's Poisson domain.
     """
 
     kind: str
@@ -84,8 +99,15 @@ class DgpSpec:
         object.__setattr__(self, "ar_coefficients", tuple(self.ar_coefficients))
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown DGP kind {self.kind!r}; expected one of {_KINDS}")
+        if not_finite := [f.name for f in fields(self) if f.type == "float" and not _finite(getattr(self, f.name))]:
+            raise ValidationError(f"DGP spec {not_finite[0]} must be finite, got {getattr(self, not_finite[0])!r}")
         if self.length < 1:
             raise ValidationError("length must be >= 1")
+        if self.length > _MAX_LENGTH:
+            raise ValidationError(f"length must be at most {_MAX_LENGTH}, got {self.length}")
+        if not 0 <= self.demand_rate <= _POISSON_LAM_MAX:
+            raise ValidationError(f"demand_rate must lie in [0, {_POISSON_LAM_MAX:.6g}], numpy's Poisson domain; "
+                                  f"got {self.demand_rate!r}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if self.noise_sd < 0:
@@ -137,8 +159,10 @@ def _noise(rng: np.random.Generator, spec: DgpSpec, n: int) -> np.ndarray:
     return rng.normal(0.0, spec.noise_sd, size=n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is named below
 def generate(spec: DgpSpec) -> TimeSeries:
-    """Generate one series from a DGP spec, deterministically in the seed."""
+    """Generate one series from a DGP spec, deterministically in the seed. A series that
+    leaves the float range, as a large enough trend rate makes it, is a ``ValidationError``."""
     rng = np.random.default_rng(spec.seed)
     n = spec.length
     t = np.arange(1, n + 1, dtype=float)
@@ -163,12 +187,15 @@ def generate(spec: DgpSpec) -> TimeSeries:
         demand = rng.poisson(spec.demand_rate, size=n) + 1.0
         values = np.where(occur, demand, 0.0)
     else:  # additive
-        ramp = np.linspace(1.0, spec.sigma_end_factor, n)
+        ramp = np.linspace(1.0, float(spec.sigma_end_factor), n)  # an int past int64 would make an object array
         seasonal = spec.amplitude * np.sin(2.0 * np.pi * t / spec.period) if spec.amplitude else 0.0
         shift = np.where(t >= spec.break_index, spec.break_shift, 0.0) if spec.break_index else 0.0
         values = spec.level + spec.trend_slope * t + seasonal + shift + _noise(rng, spec, n) * ramp
 
     sid = spec.series_id or f"{kind}-{spec.seed}"
+    if not np.isfinite(values).all():
+        raise ValidationError(f"series {sid!r} leaves the float range at position "
+                              f"{np.flatnonzero(~np.isfinite(values))[0] + 1}; the DGP spec's values are too large")
     return TimeSeries(id=sid, values=values)
 
 

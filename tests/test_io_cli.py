@@ -1277,6 +1277,15 @@ class TestCliAdvise:
         assert capsys.readouterr().err == f"error: series lengths must be finite, got {bad}\n"
         assert not (tmp_path / "adv" / "recommendation.json").exists()
 
+    @pytest.mark.parametrize("extra", [{}, {"series_lengths": [50]}])
+    def test_null_model_class_reads_as_unset(self, tmp_path, extra):
+        outputs = []
+        for name, profile in (("null", {"model_class": None, **extra}), ("unset", extra)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(profile))
+            assert main(["advise", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "recommendation.json").read_text())
+        assert outputs[0] == outputs[1]
+
     def test_unknown_flag_exit_2(self, tmp_path):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"made_up_flag": True}))
@@ -1402,6 +1411,26 @@ class TestCliInputErrors:
             "evaluate", str(workdir / "series.csv"), str(workdir / "nope.csv"),
             str(suite_json(workdir)), "--out", str(workdir / "o")], "nope.csv")
 
+    @pytest.mark.parametrize("suite, fragment", [
+        ({"measures": ["NOPE"]}, "error: unknown measure 'NOPE'; known: "),
+        ({"measures": [{"name": "MASE", "constants": {"epsilon": 1}}]}, "error: MASE: unknown constants ['epsilon']"),
+    ])
+    def test_suite_checked_before_any_data_is_read(self, workdir, capsys, suite, fragment):
+        path = workdir / "suite.json"
+        path.write_text(json.dumps(suite))
+        self._fails_with_message(capsys, [
+            "evaluate", str(workdir / "nope.csv"), str(workdir / "forecasts.csv"), str(path),
+            "--out", str(workdir / "o")], fragment)
+
+    def test_bad_suite_exits_2_before_a_misaligned_frame_exits_3(self, workdir, capsys):
+        (workdir / "other.csv").write_text("series_id,origin,step,model,forecast\nzz,4,1,m1,1.0\n")
+        argv = ["evaluate", str(workdir / "series.csv"), str(workdir / "other.csv"), str(suite_json(workdir)),
+                "--out", str(workdir / "o")]
+        assert main(argv) == 3
+        capsys.readouterr()
+        self._fails_with_message(capsys, argv[:3] + [str(suite_json(workdir, policy="skipp"))] + argv[4:],
+                                 "unknown undefined-value policy 'skipp'")
+
     def test_missing_split_file(self, workdir, capsys):
         self._fails_with_message(capsys, [
             "backtest", str(workdir / "series.csv"), str(workdir / "nope.json"),
@@ -1444,16 +1473,17 @@ class TestCliInputErrors:
         self._fails_with_message(capsys, argv, f"{bad} JSON must be an object")
 
     @pytest.mark.parametrize("measures, fragment", [
-        (5, "non-empty 'measures' list"),
-        (["MAE", 1], "entry 1 is neither a name nor an object with 'name'"),
-        (["MAE", ["RMSE"]], "entry ['RMSE'] is neither"),
-        ([{"constants": {}}], "entry {'constants': {}} is neither"),
-        ([{"name": 3}], "entry {'name': 3} is neither"),
+        (5, "suite config measures must be a list of strings or objects, got 5"),
+        (["MAE", 1], "suite config measures must be a list of strings or objects, got ['MAE', 1]"),
+        (["MAE", ["RMSE"]], "suite config measures must be a list of strings or objects, got ['MAE', ['RMSE']]"),
+        ([{"constants": {}}], "bad suite measures entry {'constants': {}}: "),
+        ([{"name": 3}], "unknown measure 3; known: ME, "),
         ([{"name": "msMAPE", "constant": {"epsilon": 0.1}}],
          "suite measures entry 'msMAPE' has unknown key 'constant'; allowed keys are "
          "['name', 'constants', 'series_summary']"),
         ([{"name": "MAE", "series_summary": "median"}],
          "MAE: series_summary is read only by per-series measures; MAE is summarised by 'mean'"),
+        ([], "suite config needs a non-empty 'measures' list"),
     ])
     def test_bad_suite_measures(self, workdir, capsys, measures, fragment):
         suite = workdir / "suite.json"
@@ -1487,16 +1517,17 @@ class TestCliInputErrors:
                                      "seasonal_period": period}))
         self._fails_with_message(capsys, [
             "evaluate", str(workdir / "series.csv"), str(workdir / "forecasts.csv"), str(suite),
-            "--out", str(workdir / "o")], f"seasonal period must be an integer, got {period!r}")
+            "--out", str(workdir / "o")], f"suite config seasonal_period must be an integer, got {period!r}")
 
     @pytest.mark.parametrize("suite, message", [
         ({"benchmark": ""}, "unknown forecaster kind ''; expected one of ('naive', 'seasonal-naive', 'mean')"),
-        ({"seasonal_period": "12"}, "seasonal period must be an integer, got '12'"),
-        ({"benchmark": "naive", "seasonal_period": "12"}, "seasonal period must be an integer, got '12'"),
+        ({"seasonal_period": "12"}, "suite config seasonal_period must be an integer, got '12'"),
+        ({"benchmark": "naive", "seasonal_period": "12"}, "suite config seasonal_period must be an integer, got '12'"),
         ({"seasonal_period": 2}, "suite config 'seasonal_period' is read only by the seasonal-naive "
                                  "benchmark; MASE's seasonal period is the measure's constants.seasonal_period"),
         ({"benchmark": "mean", "seasonal_period": 2}, "suite config 'seasonal_period' is read only by the "
                                                       "seasonal-naive benchmark; "),
+        ({"benchmark": 5}, "suite config benchmark must be a string, got 5"),
     ])
     def test_suite_setting_nothing_reads(self, workdir, capsys, suite, message):
         path = workdir / "suite.json"
@@ -1768,6 +1799,35 @@ class TestCliInputErrors:
     ])
     def test_spec_keys(self, workdir, capsys, command, spec, fragment):
         self._fails_with_message(capsys, self._spec_argv(workdir, command, spec), fragment)
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "intermittent", "demand_rate": -1},
+         "demand_rate must lie in [0, 9.22337e+18], numpy's Poisson domain; got -1"),
+        ({"kind": "intermittent", "demand_rate": 1e19},
+         "demand_rate must lie in [0, 9.22337e+18], numpy's Poisson domain; got 1e+19"),
+        ({"kind": "intermittent", "demand_rate": 1e400}, "DGP spec demand_rate must be finite, got inf"),
+        ({"length": 2**70}, "length must be at most 576460752303423487, got 1180591620717411303424"),
+        ({"noise_sd": 1e400}, "DGP spec noise_sd must be finite, got inf"),
+        ({"level": float("nan")}, "DGP spec level must be finite, got nan"),
+        ({"level": 10**400}, f"DGP spec level must be finite, got {10**400}"),
+        ({"kind": "exponential-trend", "trend_scale": -float("inf")}, "DGP spec trend_scale must be finite, got -inf"),
+    ])
+    def test_dgp_spec_outside_numpy_domain(self, workdir, capsys, spec, message):
+        spec = {"kind": "random-walk", "length": 5, "seed": 1, **spec}
+        assert main(self._spec_argv(workdir, "simulate", spec)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_past_the_digit_limit(self, workdir, capsys):
+        path = workdir / "dgp.json"
+        path.write_text('{"kind": "random-walk", "length": 5, "seed": 1' + "0" * 5000 + "}")
+        self._fails_with_message(capsys, ["simulate", str(path), str(workdir / "sim.csv")],
+                                 "DGP spec JSON does not parse: Exceeds the limit (4300 digits)")
+
+    def test_deeply_nested_json(self, workdir, capsys):
+        path = workdir / "profile.json"
+        path.write_text('{"trend": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        self._fails_with_message(capsys, ["advise", str(path), "--out", str(workdir / "o")],
+                                 f"{path} JSON does not parse: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("command", ["simulate", "pitfalls"])
     def test_negative_seed(self, workdir, capsys, command):

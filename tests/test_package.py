@@ -17,8 +17,8 @@ PUBLIC = {
     "checks": ["DataValidationError", "ForevalError", "InsufficientHistoryError", "ValidationError"],
     "core": ["Dataset", "EmbeddedMatrix", "EvaluationFrame", "Forecaster", "TimeSeries", "benchmark_frame",
              "embed"],
-    "measures": ["MeasureResult", "MeasureSpec", "RankTable", "UndefinedPolicy", "UndefinedValueError",
-                 "WeightVector", "evaluate", "measure_names", "rank_models", "spec_for"],
+    "measures": ["MeasureResult", "MeasureSpec", "RankTable", "SuiteConfig", "UndefinedPolicy",
+                 "UndefinedValueError", "WeightVector", "evaluate", "measure_names", "rank_models", "spec_for"],
     "partition": ["Fold", "FoldRanges", "LeakageError", "LeakageReport", "SplitSpec", "blocked_splits",
                   "kfold_splits", "leakage_check", "leakage_checks", "splits_for_series"],
     "stats": ["CdLayout", "CompareConfig", "Comparison", "PostHocResult", "TestResult", "cd_diagram_data",
@@ -34,7 +34,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 class TestNamespace:
     def test_all_is_the_public_names(self):
-        assert len(NAMES) == 63
+        assert len(NAMES) == 64
         assert forevalkit.__all__ == NAMES
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in PUBLIC.items() for n in names])

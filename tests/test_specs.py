@@ -1,5 +1,5 @@
-"""Every field of a split spec, a DGP spec and a compare config is read, and each
-holds a value of its declared type."""
+"""Every field of a split spec, a DGP spec, a compare config, a suite config and a profile
+is read, and each holds a value of its declared type."""
 
 import dataclasses
 from unittest import mock
@@ -7,8 +7,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from forevalkit import (CharacteristicProfile, CompareConfig, DgpSpec, Forecaster, OutlierInjection, SplitSpec,
-                        ValidationError, compare_models, generate, splits_for_series)
+from forevalkit import (CharacteristicProfile, CompareConfig, Dataset, DgpSpec, EvaluationFrame, Forecaster,
+                        OutlierInjection, SplitSpec, SuiteConfig, TimeSeries, ValidationError, benchmark_frame,
+                        compare_models, evaluate, generate, recommend_measures, recommend_partitioning,
+                        splits_for_series)
 from forevalkit import checks
 
 # SplitSpec field -> (a spec, another value of that field alone): the two specs
@@ -65,6 +67,38 @@ _SCORES = {"m1": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "m2": [1.5, 2.5, 3.5, 5.0, 7.0,
 _LOSSES = {m: np.array([0.5, 1.0, 4.0, 2.0, 0.25, 3.0, 1.5, 6.0]) * (j + 1) + np.arange(8.0) ** j
            for j, m in enumerate(_SCORES)}
 
+# SuiteConfig field -> (a suite, another value of that field alone): the two suites
+# give different results on the frame below, or only one of them is valid.
+SUITE_CASES = {
+    "measures": ({"measures": ["MAE"]}, ["RMSE"]),
+    "policy": ({"measures": ["MAPE"]}, "skip"),  # series a's zero actual leaves a MAPE term undefined
+    "benchmark": ({"measures": ["RelMAE"], "benchmark": "naive"}, "mean"),
+    "seasonal_period": ({"measures": ["RelMAE"], "benchmark": "seasonal-naive", "seasonal_period": 1}, 2),
+}
+_DATASET = Dataset((TimeSeries("a", [1.0, 3.0, 2.0, 5.0, 4.0, 0.0, 6.0]),
+                    TimeSeries("b", [2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0])))
+_FRAME = EvaluationFrame(["a", "a", "b", "b"], [5] * 4, [1, 2, 1, 2], [0.0, 6.0, 5.0, 8.0],
+                         {"m": np.array([1.0, 5.0, 4.5, 7.0])})
+
+# CharacteristicProfile field -> (a profile, another value of that field alone): the two
+# profiles give different recommendations or partitioning advice, or only one is valid.
+PROFILE_CASES = {
+    "stationary_count_data": ({}, True),
+    "seasonality": ({}, True),
+    "trend": ({}, "linear"),
+    "unit_roots": ({}, True),
+    "heteroscedasticity": ({}, True),
+    "structural_breaks": ({}, ["in_training"]),
+    "intermittency": ({}, True),
+    "outliers": ({}, True),
+    "outlier_preference": ({"outliers": True}, "capture"),
+    "need_cross_series_comparability": ({}, True),
+    "need_benchmark_interpretability": ({}, True),
+    "scale_meaningful": ({}, False),
+    "series_lengths": ({}, [50]),
+    "model_class": ({"series_lengths": [50]}, "pure-AR"),
+}
+
 
 def _folds(spec: dict):
     try:
@@ -91,17 +125,41 @@ def _tests(spec: dict):
     return {k: v for k, v in tests.items() if k not in ("measure", "alpha", "adjust_method")}
 
 
-@pytest.mark.parametrize("cls, cases", [(SplitSpec, SPLIT_CASES), (DgpSpec, DGP_CASES),
-                                        (CompareConfig, COMPARE_CASES)])
+def _results(spec: dict):
+    """The results of each measure of the suite on the frame above, as ``evaluate`` computes them."""
+    try:
+        suite = SuiteConfig(**spec)
+    except ValidationError as exc:
+        return str(exc)
+    bench = None if suite.benchmark is None else benchmark_frame(_DATASET, _FRAME, kind=suite.benchmark,
+                                                                 period=suite.seasonal_period)
+    results = [evaluate(e.name, _FRAME, benchmark=bench, train=_DATASET.prefixes(["a", "b"], [5, 5]),
+                        policy=suite.policy, constants=e.constants, series_summary=e.series_summary)
+               for e in suite.entries]
+    return [repr((r.name, r.value, r.per_series, r.n_undefined)) for r in results]  # NaN compares by its repr
+
+
+def _advice(spec: dict):
+    """The recommendation and, given series lengths, the partitioning advice, as ``advise`` makes them."""
+    try:
+        profile = CharacteristicProfile(**spec)
+    except ValidationError as exc:
+        return str(exc)
+    return recommend_measures(profile), profile.series_lengths and recommend_partitioning(
+        profile.series_lengths, model_class=profile.model_class or "unknown")
+
+
+CLASSES = [(SplitSpec, SPLIT_CASES, _folds), (DgpSpec, DGP_CASES, _series), (CompareConfig, COMPARE_CASES, _tests),
+           (SuiteConfig, SUITE_CASES, _results), (CharacteristicProfile, PROFILE_CASES, _advice)]
+
+
+@pytest.mark.parametrize("cls, cases", [(cls, cases) for cls, cases, _ in CLASSES])
 def test_each_field_has_a_case(cls, cases):
     assert list(cases) == [f.name for f in dataclasses.fields(cls)]
 
 
 @pytest.mark.parametrize("cls, cases, outcome, name", [
-    *((SplitSpec, SPLIT_CASES, _folds, f.name) for f in dataclasses.fields(SplitSpec)),
-    *((DgpSpec, DGP_CASES, _series, f.name) for f in dataclasses.fields(DgpSpec)),
-    *((CompareConfig, COMPARE_CASES, _tests, f.name) for f in dataclasses.fields(CompareConfig)),
-])
+    (cls, cases, outcome, f.name) for cls, cases, outcome in CLASSES for f in dataclasses.fields(cls)])
 def test_each_field_is_read(cls, cases, outcome, name):
     if name not in cases:
         pytest.fail(f"no case shows that {cls.__name__}.{name} is read")
@@ -143,6 +201,11 @@ class TestFieldTypes:
         (lambda: CompareConfig(pairwise="dm", horizon=2.0), "compare config horizon must be an integer, got 2.0"),
         (lambda: CompareConfig(adjust=["holm"]), "compare config adjust must be a string, got ['holm']"),
         (lambda: CompareConfig(pairwise=1), "compare config pairwise must be a string, got 1"),
+        (lambda: SuiteConfig(measures=["MAE"], benchmark=5), "suite config benchmark must be a string, got 5"),
+        (lambda: SuiteConfig(measures=("MAE", None)),
+         "suite config measures must be a list of strings or objects, got ('MAE', None)"),
+        (lambda: CharacteristicProfile(series_lengths=[50], model_class=1),
+         "profile model_class must be a string, got 1"),
     ])
     def test_wrong_type_names_the_field(self, make, message):
         with pytest.raises(ValidationError) as exc:
@@ -155,6 +218,9 @@ class TestFieldTypes:
         with pytest.raises(ValidationError, match=r"^lengths must be a number or a list of numbers, "
                                                   r"got \[30, False\]$"):
             checks.check_type("lengths", [30, False], float | tuple[float, ...] | None)
+        checks.check_type("measures", ["MAE", {"name": "RMSE"}], tuple[str | dict, ...])
+        with pytest.raises(ValidationError, match=r"^measures must be a list of strings or objects, got \['MAE', 1\]$"):
+            checks.check_type("measures", ["MAE", 1], tuple[str | dict, ...])
 
     def test_annotations_resolved_once_per_class(self):
         checks._field_checks.cache_clear()

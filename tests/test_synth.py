@@ -17,6 +17,15 @@ from forevalkit import (
 
 
 class TestGenerate:
+    def test_series_past_the_float_range_is_named(self):
+        with pytest.raises(ValidationError, match=r"^series 'exponential-trend-1' leaves the float range at "
+                                                  r"position 3; the DGP spec's values are too large$"):
+            generate(DgpSpec(kind="exponential-trend", length=5, seed=1, trend_rate=300.0))
+
+    def test_number_field_holding_an_int_past_int64(self):
+        spec = DgpSpec(kind="heteroscedastic", length=5, seed=1, sigma_end_factor=2**70)
+        assert generate(spec).values.tolist() == generate(replace(spec, sigma_end_factor=2.0**70)).values.tolist()
+
     def test_deterministic(self):
         spec = DgpSpec(kind="random-walk", length=500, seed=77)
         assert np.array_equal(generate(spec).values, generate(spec).values)
