@@ -8,7 +8,7 @@ import json
 import sys
 import types
 import typing
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 class ForevalError(Exception):
@@ -40,14 +40,15 @@ def json_object(text: str, what: str) -> dict:
 
 def from_fields(cls, data: dict, what: str):
     """Dataclass ``cls`` from a parsed JSON object; a key that names no field (so a misspelt
-    key is not ignored) and a missing field are each a ``ValidationError``."""
+    key is not ignored) and a missing field without a default are each a ``ValidationError``
+    naming the key."""
     allowed = [f.name for f in fields(cls)]
     if unknown := [k for k in data if k not in allowed]:
         raise ValidationError(f"{what} has unknown key {unknown[0]!r}; allowed keys are {allowed}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ValidationError(f"bad {what}: {exc}") from None
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    if missing := [k for k in required if k not in data]:
+        raise ValidationError(f"{what} is missing key {missing[0]!r}; required keys are {required}")
+    return cls(**data)
 
 
 # per type: the classes it accepts, the numpy scalar classes it accepts (looked up by name at each check, as

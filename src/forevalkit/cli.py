@@ -280,6 +280,8 @@ def cmd_pitfalls(args) -> int:
     if len(given) > 1:
         raise ValidationError(f"pitfalls: {given[0]} conflicts with {given[1]}; give one of them")
     if args.list:
+        if unread := ["--seed"] * (args.seed is not None) + ["--out"] * (args.out is not None):
+            raise ValidationError(f"pitfalls: --list conflicts with {unread[0]}; --list runs no scenario")
         for scenario in list_scenarios():
             print(f"{scenario.name} [{scenario.topic}]: {scenario.description}")
         return EXIT_OK

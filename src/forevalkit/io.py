@@ -12,6 +12,11 @@ of rows at a time and convert it column by column. A file that a plain
 split might read differently from ``csv.reader`` (quotes, a lone carriage
 return, ...), or whose cells do not all convert, is read again row by row;
 that loop decides what is accepted and names a bad row as ``path:line``.
+
+The backtest writers stream: ``folds.csv`` and the backtest ``report.json``
+are written as bytes, each run of rows and each report row as soon as it is
+made, into a binary file behind one ``_BUFFER`` of 1 MiB. Neither makes a
+string of a group of rows or of the whole document, nor encodes text.
 """
 
 from __future__ import annotations
@@ -280,17 +285,18 @@ def write_matrix_csv(path, series_ids: list, results) -> None:
         writer.writerows(zip(series_ids, *cells))
 
 
-_ROLES = ("train", "test")
+_ROLES = (b"train", b"test")
+_BUFFER = 1 << 20  # bytes an output file holds before it writes them out: what a bytes writer keeps alive
 
 
 def _write_runs(fh, folds: np.ndarray, roles: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> None:
-    """Write the rows ``f"{fold + 1},{role},{i}\\r\\n"`` for i in first..last of each
-    run, in order; ``roles`` index ``_ROLES``, and an empty run writes nothing.
-    Runs are cut to ``_BLOCK`` indices and written about ``_BLOCK`` indices at a
-    time. Within each such group, a run is one slice of the lines
-    ``f"\\x1f{i}\\r\\n"`` over at most twice the group's index count, its marks
-    replaced by the run's head; a run beyond them (negative, huge or sparse
-    indices) is formatted index by index."""
+    """Write the rows ``b"%d,%s,%d\\r\\n" % (fold + 1, role, i)`` for i in first..last of each
+    run, in order, to the binary file ``fh``; ``roles`` index ``_ROLES``, and an empty
+    run writes nothing. Runs are cut to ``_BLOCK`` indices and grouped about ``_BLOCK``
+    indices at a time. Within each group, a run is one slice of the lines
+    ``b"\\x1f%d\\r\\n" % i`` over at most twice the group's index count, its marks
+    replaced by the run's head, written as soon as it is made; a run beyond them
+    (negative, huge or sparse indices) is written index by index."""
     sizes = lasts - firsts + 1
     keep = np.flatnonzero(sizes > 0)
     pieces = (sizes[keep] + _BLOCK - 1) // _BLOCK
@@ -306,15 +312,14 @@ def _write_runs(fh, folds: np.ndarray, roles: np.ndarray, firsts: np.ndarray, la
             continue
         lo, count = int(firsts[a:z].min()), int(ends[z - 1] - (ends[a - 1] if a else 0))
         lines = [f"\x1f{i}\r\n" for i in range(lo, min(int(lasts[a:z].max()), lo + 2 * count) + 1)]
-        offsets, text, rows = np.cumsum([0, *map(len, lines)]).tolist(), "".join(lines), []
+        offsets, text = np.cumsum([0, *map(len, lines)]).tolist(), "".join(lines).encode("ascii")
         for fold_id, role, first, last in zip(fold_ids[a:z].tolist(), roles[a:z].tolist(),
                                               firsts[a:z].tolist(), lasts[a:z].tolist()):
-            head = f"{fold_id},{_ROLES[role]},"
+            head = b"%d,%s," % (fold_id, _ROLES[role])
             if last - lo < len(lines):
-                rows.append(text[offsets[first - lo]:offsets[last - lo + 1]].replace("\x1f", head))
+                fh.write(text[offsets[first - lo]:offsets[last - lo + 1]].replace(b"\x1f", head))
             else:
-                rows.append("".join(f"{head}{i}\r\n" for i in range(first, last + 1)))
-        fh.write("".join(rows))
+                fh.writelines(b"%s%d\r\n" % (head, i) for i in range(first, last + 1))
 
 
 def write_folds_csv(path, folds) -> None:
@@ -322,16 +327,19 @@ def write_folds_csv(path, folds) -> None:
 
     The bytes are those ``csv.writer`` would write, ``\\r\\n`` line ends
     included. Rows are written from the folds' (fold, role, first, last) runs
-    of consecutive indices, about ``_BLOCK`` indices at a time. Beyond the
-    folds themselves, memory holds the runs, a few int64 arrays over them, and
-    the text of one such group: a temporal split's ``FoldRanges`` is two runs
-    per fold and makes no ``Fold``; other folds' indices are read once, in
-    one concatenation, for their runs, of at most one per index.
+    of consecutive indices, each run's bytes as soon as they are made, into a
+    binary file that holds ``_BUFFER`` bytes before writing them out. Beyond
+    the folds themselves, memory holds the runs, a few int64 arrays over them,
+    that buffer, one run's rows, and the lines of one group of about
+    ``_BLOCK`` indices that the runs are cut from: a temporal split's
+    ``FoldRanges`` is two runs per fold and makes no ``Fold``; other folds'
+    indices are read once, in one concatenation, for their runs, of at most
+    one per index.
     """
     from .partition import _fold_runs
 
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write("fold_id,role,index\r\n")
+    with Path(path).open("wb", buffering=_BUFFER) as fh:
+        fh.write(b"fold_id,role,index\r\n")
         _write_runs(fh, *_fold_runs(folds))
 
 
@@ -342,15 +350,24 @@ def write_backtest_report(path, series_ids: list, folds, scores: dict) -> None:
     benchmark of ``scores`` (kind -> two arrays over the folds).
 
     The bytes are ``json.dumps`` of those entries as dicts, a line end after.
-    Each entry is one row of a template, with no dict made: ``json`` writes
-    each distinct id once, and each score column in one call, non-finite
-    scores as ``Infinity`` and ``NaN``.
+    Each entry is one row of a bytes template, with no dict made, written as
+    soon as it is made into a binary file that holds ``_BUFFER`` bytes before
+    writing them out; no string of the whole report is made. Beyond that
+    buffer, memory holds the columns: ``json`` writes each distinct id once,
+    and each score column in one call, non-finite scores as ``Infinity`` and
+    ``NaN``.
     """
-    quoted = {sid: json.dumps(sid) for sid in dict.fromkeys(series_ids)}
-    models = ", ".join(json.dumps(kind).replace("%", "%%") + ': {"MAE": %s, "RMSE": %s}' for kind in scores)
-    row = ('{"series": %s, "fold": %d, "origin": %d, "train_size": %d, "test_size": '
-           + str(folds.horizon) + ', "models": {' + models + "}}")
+    quoted = {sid: json.dumps(sid).encode("ascii") for sid in dict.fromkeys(series_ids)}
+    models = b", ".join(json.dumps(kind).encode("ascii").replace(b"%", b"%%") + b': {"MAE": %s, "RMSE": %s}'
+                        for kind in scores)
+    row = (b'{"series": %s, "fold": %d, "origin": %d, "train_size": %d, "test_size": '
+           + b"%d" % folds.horizon + b', "models": {' + models + b"}}")
     columns = [map(quoted.__getitem__, series_ids), range(1, len(folds) + 1), folds.origins.tolist(),
                (folds.origins - folds.starts + 1).tolist(),
-               *(json.dumps(column.tolist())[1:-1].split(", ") for pair in scores.values() for column in pair)]
-    Path(path).write_text('{"folds": [' + ", ".join(map(row.__mod__, zip(*columns))) + "]}\n")
+               *(json.dumps(column.tolist())[1:-1].encode("ascii").split(b", ")
+                 for pair in scores.values() for column in pair)]
+    rows = map(row.__mod__, zip(*columns))
+    with Path(path).open("wb", buffering=_BUFFER) as fh:
+        fh.write(b'{"folds": [' + next(rows, b""))
+        fh.writelines(map(b", ".__add__, rows))
+        fh.write(b"]}\n")

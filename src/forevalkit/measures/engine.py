@@ -99,6 +99,14 @@ def _summarise(groups: Groups, terms, defined, op: str, skip: bool, sqrt_after: 
     return np.sqrt(values) if sqrt_after else values
 
 
+def _count_undefined(x: _Inputs, n_undef: int, total: int, policy: str) -> None:
+    """Flag ``n_undef`` undefined terms of ``total``; under the ``error`` policy they raise."""
+    if n_undef:
+        x.flags.append(_UNDEFINED_FLAG)
+        if policy == UndefinedPolicy.ERROR:
+            raise UndefinedValueError(f"{x.name}: {n_undef} of {total} terms are undefined")
+
+
 def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False,
             per_series: dict | None = None) -> MeasureResult:
     """Aggregate terms (all defined when ``defined`` is None) under a policy:
@@ -110,10 +118,7 @@ def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool =
     """
     total = terms.size
     n_undef = 0 if defined is None else int(total - np.count_nonzero(defined))
-    if n_undef:
-        x.flags.append(_UNDEFINED_FLAG)
-        if policy == UndefinedPolicy.ERROR:
-            raise UndefinedValueError(f"{x.name}: {n_undef} of {total} terms are undefined")
+    _count_undefined(x, n_undef, total, policy)
     skip = policy != UndefinedPolicy.PROPAGATE
     value = float(_summarise(Groups.pooled(total), terms, defined, op, skip, sqrt_after)[0])
     if op == "geometric-mean" and value == value and not np.all(terms if defined is None else terms[defined]):
@@ -142,17 +147,30 @@ def _ratios(x: _Inputs, fn, groups: Groups):
 def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResult:
     """A ratio of sums over all rows, and per series the same ratio over its rows.
 
-    A zero pooled denominator leaves every row undefined; a series' zero
-    denominator leaves only its per-series value undefined (NaN).
+    A zero pooled denominator leaves every row undefined. Otherwise the rows
+    of a series whose own denominator is 0 are undefined, and its per-series
+    value is NaN: ``propagate`` makes the pooled value NaN, ``skip`` takes the
+    ratio over the other series' rows alone, and ``error`` raises.
     """
     n_rows = x.e.size
     (value,), (defined,) = _ratios(x, fn, Groups.pooled(n_rows))
     if not defined:
         return _finish(x, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean", policy)
     values, defined = _ratios(x, fn, x.groups)
+    rows = x.groups.expand(defined)
+    n_undef = n_rows - int(np.count_nonzero(rows))
+    _count_undefined(x, n_undef, n_rows, policy)
+    if n_undef:
+        if policy == UndefinedPolicy.PROPAGATE or n_undef == n_rows:
+            value = np.nan
+        else:  # skip: the defined rows as group 0, the others as group 1
+            kept = Groups((True, False), (~rows).astype(np.int64), np.argsort(~rows, kind="stable"),
+                          np.array([0, n_rows - n_undef, n_rows]))
+            num, den = fn(x, kept)
+            value = num[0] / den[0]  # not 0: each defined series adds to it
     if sqrt_after:
         value, values = np.sqrt(value), np.sqrt(values)
-    return x.result(float(value), n_rows, 0, x.groups.as_dict(np.where(defined, values, np.nan)))
+    return x.result(float(value), n_rows - n_undef, n_undef, x.groups.as_dict(np.where(defined, values, np.nan)))
 
 
 def _train_values(name: str, train, labels: tuple):
@@ -490,9 +508,11 @@ def evaluate(
     order, from the same terms as the pooled value; each equals the measure on
     that series' rows alone, where ``error`` counts as ``skip``. For ND, NRMSE,
     RSE, NWRMSLE and WMAE, ``n_used`` and ``n_undefined`` count the pooled
-    ratio's rows: a series whose own denominator is 0 is NaN in ``per_series``
-    and sets ``zero-scale``, but is not counted as undefined. AvgRelMAE counts
-    rows too, each series' rows as defined or undefined with its ratio.
+    ratio's rows: the rows of a series whose own denominator is 0 are
+    undefined, its ``per_series`` value is NaN and it sets ``zero-scale``;
+    under ``skip`` the pooled value is the ratio over the other series' rows.
+    AvgRelMAE counts rows too, each series' rows as defined or undefined with
+    its ratio.
     """
     spec, consts = _measure_settings(name, constants, series_summary)
     policy = UndefinedPolicy.parse(policy)

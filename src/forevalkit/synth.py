@@ -70,6 +70,8 @@ class DgpSpec:
     kind reads every one of those fields. Each field must hold
     a value of its declared type; ``ar_coefficients`` may be given as a list.
     Each number field must be finite, and ``demand_rate`` in numpy's Poisson domain.
+    A field that the kind does not read (``_READS``, beside ``generate``) must
+    hold its default, as ``to_json``, which writes every field, leaves it.
     """
 
     kind: str
@@ -101,6 +103,11 @@ class DgpSpec:
             raise ValidationError(f"unknown DGP kind {self.kind!r}; expected one of {_KINDS}")
         if not_finite := [f.name for f in fields(self) if f.type == "float" and not _finite(getattr(self, f.name))]:
             raise ValidationError(f"DGP spec {not_finite[0]} must be finite, got {getattr(self, not_finite[0])!r}")
+        for name, default in _UNREAD[self.kind]:
+            if getattr(self, name) != default and not (name == "t_df" and self.noise == "student-t"):
+                noise = f" with {self.noise} noise" if name == "t_df" else ""
+                raise ValidationError(f"a {self.kind} DGP{noise} reads no {name}; {name} must be {default!r}, "
+                                      f"got {getattr(self, name)!r}")
         if self.length < 1:
             raise ValidationError("length must be >= 1")
         if self.length > _MAX_LENGTH:
@@ -157,6 +164,23 @@ def _noise(rng: np.random.Generator, spec: DgpSpec, n: int) -> np.ndarray:
         raw = rng.standard_t(spec.t_df, size=n)
         return raw * spec.noise_sd / np.sqrt(spec.t_df / (spec.t_df - 2.0))
     return rng.normal(0.0, spec.noise_sd, size=n)
+
+
+_NOISE = ("noise_sd", "noise")
+# the fields ``generate`` reads of each kind, besides kind, length, seed and series_id, and t_df under
+# student-t noise
+_READS = {
+    "random-walk": ("level", *_NOISE),
+    "ar": ("level", "ar_coefficients", "ar_intercept", "allow_unit_root", *_NOISE),
+    "exponential-trend": ("level", "trend_scale", "trend_rate", *_NOISE),
+    "intermittent": ("zero_probability", "demand_rate"),
+    **dict.fromkeys(_ADDITIVE, ("level", "trend_slope", "period", "amplitude", "sigma_end_factor",
+                                "break_index", "break_shift", *_NOISE)),
+}
+# per kind, each field it does not read, with the default that field must hold
+_UNREAD = {kind: tuple((f.name, f.default) for f in fields(DgpSpec)
+                       if f.name not in ("kind", "length", "seed", "series_id", *reads))
+           for kind, reads in _READS.items()}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past the float range is named below

@@ -87,6 +87,8 @@ class TestRuleTable:
         ({"colums": []}, "rule table has unknown key 'colums'"),
         ({"rows": None}, "rule table rows must be a list of objects, got None"),
         ({"rows": [{"measure": "RMSE", "verdicts": ["fine"]}]}, "row 'RMSE': unknown verdict 'fine'"),
+        ({"rows": [{"measure": "RMSE"}]},
+         "rule table row 0 is missing key 'verdicts'; required keys are ['measure', 'verdicts']"),
     ])
     def test_malformed_table_names_the_field(self, tmp_path, changes, message):
         path = tmp_path / "bad.json"

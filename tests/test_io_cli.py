@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -39,7 +40,7 @@ from forevalkit.io import (
     write_folds_csv,
     write_series_csv,
 )
-from forevalkit.partition import Fold, FoldRanges
+from forevalkit.partition import Fold, FoldRanges, splits_for_series
 
 SERIES_CSV = """series_id,timestamp,value
 a,1,10
@@ -175,6 +176,26 @@ class TestFoldsCsv:
         write_folds_csv(tmp_path / "f.csv", [Fold([], [3, 1]), Fold([10_000, 2], [])])
         assert (tmp_path / "f.csv").read_bytes() == (
             b"fold_id,role,index\r\n1,test,3\r\n1,test,1\r\n2,train,10000\r\n2,train,2\r\n")
+
+
+def test_folds_writer_holds_no_group_string(tmp_path):
+    """A folds.csv of several ``_BLOCK`` groups streams through the file's buffer: the
+    traced peak stays under that buffer plus one run's rows and the line table, where
+    a group's rows joined into one string, and that string encoded, would not."""
+    folds = splits_for_series(600, SplitSpec(scheme="rolling-origin", initial_train=120, horizon=12))
+    longest = int(folds.origins.max())  # the longest run and the line table span indices 1..longest
+    run = 2 * longest * len(b"%d,train,%d\r\n" % (len(folds), longest))  # its slice and its rows
+    table = longest * 128  # per line: a str in a list, its bytes joined twice, an offset
+    runs = 2 * len(folds) * (16 * 8 + 4 * 36)  # per run: int64 arrays, and four int lists of its group
+    tracemalloc.start()
+    try:
+        write_folds_csv(tmp_path / "folds.csv", folds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (tmp_path / "folds.csv").read_bytes().count(b"\n") - 1
+    assert rows > 2 * forevalkit.io._BLOCK  # at least three groups
+    assert peak < forevalkit.io._BUFFER + run + table + runs
 
 
 @st.composite
@@ -1353,6 +1374,16 @@ class TestCliPitfalls:
         assert captured.out == "" and captured.err == f"error: pitfalls: {conflict}; give one of them\n"
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("options, named", [
+        (["--seed", "5"], "--seed"), (["--out", "p"], "--out"), (["--seed", "5", "--out", "p"], "--seed")])
+    def test_list_reads_no_seed_or_out_exit_2(self, tmp_path, capsys, monkeypatch, options, named):
+        monkeypatch.chdir(tmp_path)
+        assert main(["pitfalls", "--list", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: pitfalls: --list conflicts with {named}; " \
+                                                      "--list runs no scenario\n"
+        assert not (tmp_path / "p").exists()
+
     def test_no_scenario_name_all_or_list_exit_2(self, tmp_path, capsys):
         assert main(["pitfalls", "--out", str(tmp_path / "p")]) == 2
         captured = capsys.readouterr()
@@ -1476,7 +1507,8 @@ class TestCliInputErrors:
         (5, "suite config measures must be a list of strings or objects, got 5"),
         (["MAE", 1], "suite config measures must be a list of strings or objects, got ['MAE', 1]"),
         (["MAE", ["RMSE"]], "suite config measures must be a list of strings or objects, got ['MAE', ['RMSE']]"),
-        ([{"constants": {}}], "bad suite measures entry {'constants': {}}: "),
+        ([{"constants": {}}], "suite measures entry {'constants': {}} is missing key 'name'; "
+                              "required keys are ['name']\n"),
         ([{"name": 3}], "unknown measure 3; known: ME, "),
         ([{"name": "msMAPE", "constant": {"epsilon": 0.1}}],
          "suite measures entry 'msMAPE' has unknown key 'constant'; allowed keys are "
@@ -1785,7 +1817,7 @@ class TestCliInputErrors:
          "error: profile has unknown key 'seasonalty'; allowed keys are ['stationary_count_data', "
          "'seasonality', "),
         ("backtest", {"initial_train": 3},
-         "error: bad split spec: SplitSpec.__init__() missing 1 required positional argument: 'scheme'\n"),
+         "error: split spec is missing key 'scheme'; required keys are ['scheme']\n"),
         ("advise", {"intermittency": True, "model_class": "bogus"},
          "error: model_class must be pure-AR, stateful or unknown\n"),
         # values that nothing would read
@@ -1796,6 +1828,13 @@ class TestCliInputErrors:
          "add series_lengths\n"),
         ("advise", {"series_lengths": None, "model_class": "stateful"},
          "error: profile 'model_class' is read only with 'series_lengths'"),
+        ("simulate", {"length": 5, "seed": 1},
+         "error: DGP spec is missing key 'kind'; required keys are ['kind', 'length', 'seed']\n"),
+        ("simulate", {"kind": "random-walk", "length": 5, "seed": 1, "amplitude": 3.0, "ar_coefficients": [0.5],
+                      "demand_rate": 9},
+         "error: a random-walk DGP reads no ar_coefficients; ar_coefficients must be (), got (0.5,)\n"),
+        ("simulate", {"kind": "random-walk", "length": 5, "seed": 1, "t_df": 3},
+         "error: a random-walk DGP with gaussian noise reads no t_df; t_df must be 5.0, got 3\n"),
     ])
     def test_spec_keys(self, workdir, capsys, command, spec, fragment):
         self._fails_with_message(capsys, self._spec_argv(workdir, command, spec), fragment)

@@ -2,6 +2,7 @@
 is read, and each holds a value of its declared type."""
 
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -167,6 +168,32 @@ def test_each_field_is_read(cls, cases, outcome, name):
     before, after = outcome(spec), outcome({**spec, name: value})
     assert before != after
     assert not (isinstance(before, str) and isinstance(after, str))
+
+
+# a spec of each DGP kind in which every field the kind reads takes effect when changed
+_DGP_KINDS = {kind: {"kind": kind} for kind in ("random-walk", "exponential-trend", "intermittent")}
+_DGP_KINDS["ar"] = {"kind": "ar", "ar_coefficients": (0.5,)}
+_DGP_KINDS.update({kind: {"kind": kind, "amplitude": 2.0, "break_index": 4, "break_shift": 3.0}
+                   for kind in ("linear-trend", "seasonal", "heteroscedastic", "structural-break", "composite")})
+
+
+@pytest.mark.parametrize("kind", _DGP_KINDS)
+@pytest.mark.parametrize("name", [name for name in DGP_CASES if name not in ("kind", "length", "seed", "series_id")])
+def test_each_dgp_field_is_read_by_the_kind_or_rejected(kind, name):
+    """A field's other value changes the kind's series, or is rejected as a field the kind does not read."""
+    spec = _DGP_KINDS[kind]
+    before, after = _series(spec), _series({**spec, name: DGP_CASES[name][1]})
+    if isinstance(after, str):
+        assert re.match(f"a {kind} DGP( with gaussian noise)? reads no {name}; {name} must be ", after), after
+    else:
+        assert after != before
+
+
+@pytest.mark.parametrize("kind", _DGP_KINDS)
+def test_dgp_to_json_reads_back(kind):
+    # to_json writes every field, those the kind does not read at their defaults
+    spec = DgpSpec(**{"length": 10, "seed": 1, **_DGP_KINDS[kind]})
+    assert DgpSpec.from_json(spec.to_json()) == spec
 
 
 class TestFieldTypes:

@@ -113,8 +113,8 @@ class TestGenerate:
         ({"noise": "cauchy"}, "^noise must be 'gaussian' or 'student-t'$"),
         ({"kind": "ar"}, "^ar kind needs finite coefficients$"),
         ({"kind": "ar", "ar_coefficients": (0.5, float("nan"))}, "^ar kind needs finite coefficients$"),
-        ({"break_index": 0}, "^break_index must lie within the series$"),
-        ({"break_index": 11}, "^break_index must lie within the series$"),
+        ({"kind": "structural-break", "break_index": 0}, "^break_index must lie within the series$"),
+        ({"kind": "structural-break", "break_index": 11}, "^break_index must lie within the series$"),
         ({"seed": -1}, "^seed must be >= 0$"),
     ])
     def test_each_field_checked(self, fields, message):
@@ -143,15 +143,15 @@ _FINITE = st.floats(-1e3, 1e3, allow_nan=False)
 @st.composite
 def additive_spec(draw):
     """A spec of an additive kind other than ``composite``, with any of the
-    additive model's fields set."""
+    additive model's fields set (``t_df`` only under student-t noise, which reads it)."""
     kind = draw(st.sampled_from(["linear-trend", "seasonal", "heteroscedastic", "structural-break"]))
     length = draw(st.integers(1, 60))
     break_index = draw(st.integers(1, length) if kind == "structural-break"
                        else st.none() | st.integers(1, length))
-    return DgpSpec(kind=kind, length=length, seed=draw(st.integers(0, 2**32)),
-                   noise=draw(st.sampled_from(["gaussian", "student-t"])),
+    noise = draw(st.sampled_from(["gaussian", "student-t"]))
+    return DgpSpec(kind=kind, length=length, seed=draw(st.integers(0, 2**32)), noise=noise,
                    noise_sd=draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1e3)),
-                   t_df=draw(st.floats(2.5, 30)), level=draw(_FINITE),
+                   t_df=draw(st.floats(2.5, 30)) if noise == "student-t" else 5.0, level=draw(_FINITE),
                    trend_slope=draw(st.sampled_from([0.0]) | _FINITE),
                    period=draw(st.integers(2, 24)), amplitude=draw(st.sampled_from([0.0]) | _FINITE),
                    sigma_end_factor=draw(st.sampled_from([1.0]) | st.floats(0, 20)),
