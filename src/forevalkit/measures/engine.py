@@ -5,8 +5,8 @@ The measure's registry entry names its term function in one of two
 tables: step terms, summarised under the undefined-value policy; and
 ratios, a numerator and a denominator per series or (``ratio-of-sums``)
 over all rows. Every quotient is undefined where its denominator is 0
-(``_divide``). AvgRelMAE's per-series ratios are expanded to their rows and
-summarised like row terms. The engine handles the policy,
+(``_divide``), and every result counts rows: a ratio's rows are undefined
+where their series' denominator is 0. The engine handles the policy,
 per-series scale factors computed strictly from supplied train values,
 benchmark alignment, and weighting. Summaries are ``core.Groups`` reductions: the
 pooled value is the one-group case, and every result also carries the
@@ -72,7 +72,8 @@ class WeightVector:
 @dataclass(frozen=True)
 class MeasureResult:
     """Computed measure value, its value per series (series id -> value, NaN
-    where undefined) and undefined-term diagnostics."""
+    where undefined) and undefined-term diagnostics: ``n_used`` and
+    ``n_undefined`` count the frame's rows."""
 
     name: str
     model: str | None
@@ -107,24 +108,26 @@ def _count_undefined(x: _Inputs, n_undef: int, total: int, policy: str) -> None:
             raise UndefinedValueError(f"{x.name}: {n_undef} of {total} terms are undefined")
 
 
-def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False,
-            per_series: dict | None = None) -> MeasureResult:
-    """Aggregate terms (all defined when ``defined`` is None) under a policy:
-    undefined terms are flagged, and under the ``error`` policy raise.
+def _pool(x: _Inputs, terms, defined, op: str, skip: bool, sqrt_after: bool = False) -> float:
+    """``op`` over all ``terms`` under ``_summarise``; a defined geometric mean with a
+    zero term is flagged."""
+    value = float(_summarise(Groups.pooled(terms.size), terms, defined, op, skip, sqrt_after)[0])
+    if op == "geometric-mean" and value == value and not np.all(terms if defined is None else terms[defined]):
+        x.flags.append(_GM_ZERO_FLAG)
+    return value
 
-    Row terms are also summarised per series, where the ``error`` policy
-    counts as ``skip``; terms that are one value per series come with their
-    ``per_series`` values.
+
+def _finish(x: _Inputs, terms, defined, op: str, policy: str, sqrt_after: bool = False) -> MeasureResult:
+    """Aggregate step terms (all defined when ``defined`` is None) under a policy:
+    undefined terms are flagged, and under the ``error`` policy raise. The terms
+    are also summarised per series, where the ``error`` policy counts as ``skip``.
     """
     total = terms.size
     n_undef = 0 if defined is None else int(total - np.count_nonzero(defined))
     _count_undefined(x, n_undef, total, policy)
     skip = policy != UndefinedPolicy.PROPAGATE
-    value = float(_summarise(Groups.pooled(total), terms, defined, op, skip, sqrt_after)[0])
-    if op == "geometric-mean" and value == value and not np.all(terms if defined is None else terms[defined]):
-        x.flags.append(_GM_ZERO_FLAG)
-    if per_series is None:
-        per_series = x.groups.as_dict(_summarise(x.groups, terms, defined, op, skip, sqrt_after))
+    value = _pool(x, terms, defined, op, skip, sqrt_after)
+    per_series = x.groups.as_dict(_summarise(x.groups, terms, defined, op, skip, sqrt_after))
     return x.result(value, total - n_undef, n_undef, per_series)
 
 
@@ -144,33 +147,34 @@ def _ratios(x: _Inputs, fn, groups: Groups):
     return ratios, defined
 
 
-def _pooled_ratio(x: _Inputs, fn, policy: str, sqrt_after: bool) -> MeasureResult:
-    """A ratio of sums over all rows, and per series the same ratio over its rows.
+def _ratio(x: _Inputs, spec, policy: str, series_summary: str | None) -> MeasureResult:
+    """A ``ratio:`` measure: its ratio per series, and a row undefined where its series'
+    denominator is 0 (the series' value is NaN then).
 
-    A zero pooled denominator leaves every row undefined. Otherwise the rows
-    of a series whose own denominator is 0 are undefined, and its per-series
-    value is NaN: ``propagate`` makes the pooled value NaN, ``skip`` takes the
-    ratio over the other series' rows alone, and ``error`` raises.
+    The pooled value is, for a ``ratio-of-sums``, the ratio over the rows kept (all
+    rows, or under ``skip`` the defined ones); for AvgRelMAE the geometric mean over
+    rows, each row carrying its series' ratio; else ``series_summary`` over the series.
     """
-    n_rows = x.e.size
-    (value,), (defined,) = _ratios(x, fn, Groups.pooled(n_rows))
-    if not defined:
-        return _finish(x, np.zeros(n_rows), np.zeros(n_rows, dtype=bool), "mean", policy)
+    fn = _RATIOS[spec.terms]
     values, defined = _ratios(x, fn, x.groups)
+    if spec.sqrt_after:
+        values = np.sqrt(values)
     rows = x.groups.expand(defined)
-    n_undef = n_rows - int(np.count_nonzero(rows))
-    _count_undefined(x, n_undef, n_rows, policy)
-    if n_undef:
-        if policy == UndefinedPolicy.PROPAGATE or n_undef == n_rows:
-            value = np.nan
-        else:  # skip: the defined rows as group 0, the others as group 1
-            kept = Groups((True, False), (~rows).astype(np.int64), np.argsort(~rows, kind="stable"),
-                          np.array([0, n_rows - n_undef, n_rows]))
-            num, den = fn(x, kept)
-            value = num[0] / den[0]  # not 0: each defined series adds to it
-    if sqrt_after:
-        value, values = np.sqrt(value), np.sqrt(values)
-    return x.result(float(value), n_rows - n_undef, n_undef, x.groups.as_dict(np.where(defined, values, np.nan)))
+    n_rows, n_used = rows.size, int(np.count_nonzero(rows))
+    _count_undefined(x, n_rows - n_used, n_rows, policy)
+    skip = policy != UndefinedPolicy.PROPAGATE
+    if spec.summary == "weighted-geometric-mean":
+        value = _pool(x, x.groups.expand(values), rows, "geometric-mean", skip)
+    elif spec.summary == "series":
+        value = _pool(x, values, defined, series_summary or "mean", skip)
+    elif n_used < n_rows and not skip:
+        value = math.nan
+    else:  # the kept rows as one group (none: NaN); defined, as each kept series' ratio is
+        num, den = fn(x, Groups((None,), np.zeros(n_rows, dtype=np.int64), np.flatnonzero(rows),
+                                np.array([0, n_used])))
+        value = num[0] / den[0]
+        value = float(np.sqrt(value) if spec.sqrt_after else value)
+    return x.result(value, n_used, n_rows - n_used, x.groups.as_dict(np.where(defined, values, np.nan)))
 
 
 def _train_values(name: str, train, labels: tuple):
@@ -506,13 +510,9 @@ def evaluate(
 
     The result's ``per_series`` holds the measure per series, in first-appearance
     order, from the same terms as the pooled value; each equals the measure on
-    that series' rows alone, where ``error`` counts as ``skip``. For ND, NRMSE,
-    RSE, NWRMSLE and WMAE, ``n_used`` and ``n_undefined`` count the pooled
-    ratio's rows: the rows of a series whose own denominator is 0 are
-    undefined, its ``per_series`` value is NaN and it sets ``zero-scale``;
-    under ``skip`` the pooled value is the ratio over the other series' rows.
-    AvgRelMAE counts rows too, each series' rows as defined or undefined with
-    its ratio.
+    that series' rows alone, where ``error`` counts as ``skip``. ``n_used`` and
+    ``n_undefined`` count rows; a ratio measure's rows are undefined where
+    their series' denominator is 0, and ``skip`` drops them.
     """
     spec, consts = _measure_settings(name, constants, series_summary)
     policy = UndefinedPolicy.parse(policy)
@@ -521,15 +521,7 @@ def evaluate(
     if spec.terms in _STEP_TERMS:
         terms, defined = _STEP_TERMS[spec.terms](x)
         return _finish(x, terms, defined, spec.summary, policy, spec.sqrt_after)
-    if spec.summary == "ratio-of-sums":
-        return _pooled_ratio(x, _RATIOS[spec.terms], policy, spec.sqrt_after)
-    values, defined = _ratios(x, _RATIOS[spec.terms], x.groups)
-    if spec.sqrt_after:
-        values = np.sqrt(values)
-    per_series = x.groups.as_dict(np.where(defined, values, np.nan))
-    if spec.summary == "weighted-geometric-mean":  # each row carries its series' ratio
-        values, defined, series_summary = x.groups.expand(values), x.groups.expand(defined), "geometric-mean"
-    return _finish(x, values, defined, series_summary or "mean", policy, per_series=per_series)
+    return _ratio(x, spec, policy, series_summary)
 
 
 @dataclass(frozen=True)

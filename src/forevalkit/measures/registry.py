@@ -13,6 +13,8 @@ squared-deviation sums). That one value per series is combined by the call's
 ``series_summary`` (``summary`` is ``series``), or for AvgRelMAE's
 ``weighted-geometric-mean`` by the geometric mean over rows, each row carrying
 its series' value, which weights each series by its number of forecasts.
+Every measure counts rows: a ratio's rows are undefined where their series'
+denominator is 0.
 """
 
 from __future__ import annotations

@@ -269,10 +269,9 @@ def _mase_break(seed: int):
     model = actual + 1.0
     naive = np.full(10, train[-1])
 
-    frame = _single_series_frame("s", 100, actual, {"model": model})
-    mase = evaluate("MASE", frame, train={"s": train}).value
-    model_oos_mae = float(np.abs(actual - model).mean())
-    naive_oos_mae = float(np.abs(actual - naive).mean())
+    frame = _single_series_frame("s", 100, actual, {"model": model, "naive": naive})
+    mase = evaluate("MASE", frame, model="model", train={"s": train}).value
+    model_oos_mae, naive_oos_mae = (evaluate("MAE", frame, model=m).value for m in ("model", "naive"))
     return (mase > 1.0) and (model_oos_mae < naive_oos_mae), {
         "mase": mase, "model_oos_mae": model_oos_mae, "naive_oos_mae": naive_oos_mae}
 

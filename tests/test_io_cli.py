@@ -646,18 +646,21 @@ class TestCliEvaluate:
                      str(suite_json(workdir)), "--out", str(workdir / "o")])
         assert code == 2
 
-    def test_error_policy_exit_2_on_undefined(self, tmp_path):
-        # key (a, 1, 1) targets position 2, whose actual is 0: the MAPE term
-        # is undefined and the error policy makes the run fail as config-level
+    def test_error_policy_exit_2_on_undefined(self, tmp_path, capsys):
+        # the forecasts target a's actuals 0, 2 and z's 0, 0: MAPE's terms at
+        # actual 0 are undefined, and WAPE's two rows of z, whose denominator
+        # is 0; the error policy makes the run fail as config-level
         (tmp_path / "series.csv").write_text(
-            "series_id,timestamp,value\na,1,1\na,2,0\na,3,2\n")
+            "series_id,timestamp,value\na,1,1\na,2,0\na,3,2\nz,1,1\nz,2,0\nz,3,0\n")
         (tmp_path / "fc.csv").write_text(
-            "series_id,origin,step,model,forecast\na,1,1,m,1\na,2,1,m,2\n")
+            "series_id,origin,step,model,forecast\na,1,1,m,1\na,2,1,m,2\nz,1,1,m,1\nz,2,1,m,2\n")
         suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"measures": ["MAPE"], "policy": "error"}))
-        code = main(["evaluate", str(tmp_path / "series.csv"), str(tmp_path / "fc.csv"),
-                     str(suite), "--out", str(tmp_path / "o")])
-        assert code == 2
+        for name, count in (("MAPE", 3), ("WAPE", 2)):
+            suite.write_text(json.dumps({"measures": [name], "policy": "error"}))
+            code = main(["evaluate", str(tmp_path / "series.csv"), str(tmp_path / "fc.csv"),
+                         str(suite), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"error: {name}: {count} of 4 terms are undefined\n" in capsys.readouterr().err
 
     def test_unknown_measure_exit_2(self, workdir):
         suite = workdir / "bad_suite.json"

@@ -468,18 +468,11 @@ def _policy_inputs(case):
                 "weights": WeightVector("series", {f"s{j}": c[4] for j, c in enumerate(case)})}
 
 
-# the measures with one value per series count series, not rows: on the first example below,
-# 2 series of 2 rows give n_used + n_undefined = 2 against 4 rows
-_COUNTS_SERIES = pytest.mark.xfail(strict=True, reason="n_used + n_undefined counts series, not rows: "
-                                                       "2 of 4 rows on the two-series example")
-
-
 class TestPolicyAccounting:
     """Under every policy, every measure accounts for each row as used or undefined, a NaN
     anywhere in its result comes with undefined rows, and ``error`` raises exactly then."""
 
-    @pytest.mark.parametrize("name", [pytest.param(n, marks=_COUNTS_SERIES) if spec_for(n).summary == "series"
-                                      else n for n in measure_names()])
+    @pytest.mark.parametrize("name", measure_names())
     @settings(max_examples=60, deadline=None)
     @given(case=_policy_case())
     # s1's zero actuals: earlier versions read ND, NRMSE and RSE 0.625, 0.661 and 0.540 with no row undefined
@@ -504,7 +497,7 @@ class TestPolicyAccounting:
         else:
             assert evaluate(name, fr, policy="error", **kwargs).n_undefined == 0
 
-    @pytest.mark.parametrize("name", ["ND", "NRMSE", "RSE", "WMAE", "NWRMSLE"])
+    @pytest.mark.parametrize("name", ["ND", "NRMSE", "RSE", "WMAE", "NWRMSLE", "WAPE", "CORR"])
     def test_skip_is_the_ratio_over_the_defined_series(self, name):
         fr, kwargs = _policy_inputs([([1.0, 3.0], [1.5, 2.0], [2.0, 2.0], [1.0, 2.0], 1.0),
                                      ([0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, 1.0], 0.0)])
@@ -536,8 +529,7 @@ class TestUndefinedAccounting:
                 if spec_for(name).needs_weights:
                     kw["weights"] = w
                 r = evaluate(name, f, policy="skip", **kw)
-                total = r.n_used + r.n_undefined
-                assert total in (f.n_rows, len(f.unique_series())), name
+                assert r.n_used + r.n_undefined == f.n_rows, name
 
     def test_policy_aliases(self):
         # each policy has one name
